@@ -11,7 +11,7 @@ envelope; ``analytic_g2`` evaluates that closed form.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

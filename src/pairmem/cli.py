@@ -18,8 +18,8 @@ import sys
 from . import eventio, figures
 from .errors import (EstimationError, EventFormatError, ParameterError,
                      ScenarioError, SimulationError)
-from .scenario import (analyze_events, load_scenario, run_scenario, run_sweep,
-                       scenario_digest)
+from .scenario import (analyze_events, load_scenario, reference_rate,
+                       run_scenario, run_sweep, scenario_digest)
 
 EXIT_SCENARIO = 2
 EXIT_SIMULATION = 3
@@ -78,21 +78,8 @@ def cmd_analyze(args) -> int:
     events = eventio.read_events(args.events)
     rate_single = None
     if args.reference_events:
-        from . import analysis as an
-        from .scenario import build_profile
-        ref = eventio.read_events(args.reference_events)
-        cfg = an.HistogramConfig(bin_width=s.analysis.bin_width_s,
-                                 range=(s.analysis.hist_min_s, s.analysis.hist_max_s))
-        ref_hist = an.build_histogram(ref, cfg)
-        profile = build_profile(s)
-        center = s.analysis.window_center_s
-        if center is None:
-            center = profile.storage_time if profile else 0.0
-        floor, floor_err = an.noise_floor(
-            ref_hist, (s.analysis.floor_min_s, s.analysis.floor_max_s))
-        r = an.coincidence_rate(ref_hist, s.analysis.window_s, center,
-                                floor, floor_err)
-        rate_single = (r.rate, r.error)
+        rate_single = reference_rate(
+            s, eventio.read_events(args.reference_events))
     hist, report = analyze_events(s, events, rate_single=rate_single)
     out = _out_dir(args)
     _histogram_csv_path(hist, os.path.join(out, "histogram.csv"))
@@ -119,7 +106,7 @@ def make_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="pairmem", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, events=False):
+    def common(sp):
         sp.add_argument("--scenario", help="scenario config path (default: all defaults)")
         sp.add_argument("--seed", type=int, default=None, help="override run seed")
         sp.add_argument("--out", help="output directory (default $PAIRMEM_OUT or .)")

@@ -3,7 +3,8 @@
 Binary layout (little-endian): magic ``PMEV``, version u16, seed u64,
 duration u64 (ps), model digest (32 raw sha256 bytes), record count u64,
 then per record a channel byte (0 = signal, 1 = idler) and a u64
-timestamp in picoseconds.
+timestamp in picoseconds, records sorted by timestamp.  Readers reject
+other channel codes and timestamps that go backwards.
 """
 
 from __future__ import annotations
@@ -61,8 +62,24 @@ def read_events(path) -> EventStream:
     rec = np.frombuffer(body, dtype=_RECORD_DTYPE)
     meta = {"seed": seed, "duration_ps": duration_ps,
             "model_digest": digest.hex()}
-    return EventStream(channels=rec["channel"].copy(),
-                       timestamps_ps=rec["timestamp_ps"].copy(), metadata=meta)
+    return _checked_stream(rec["channel"].copy(), rec["timestamp_ps"].copy(),
+                           meta)
+
+
+def _checked_stream(channels: np.ndarray, ts: np.ndarray,
+                    meta: dict) -> EventStream:
+    """EventStream of decoded records; rejects channel codes other than
+    0/1 and timestamps that go backwards."""
+    bad = np.flatnonzero(channels > 1)
+    if len(bad):
+        raise EventFormatError(
+            f"record {bad[0]}: unknown channel byte {channels[bad[0]]}")
+    back = np.flatnonzero(ts[1:] < ts[:-1])
+    if len(back):
+        i = back[0] + 1
+        raise EventFormatError(
+            f"record {i}: timestamp {ts[i]} ps precedes {ts[i - 1]} ps")
+    return EventStream(channels=channels, timestamps_ps=ts, metadata=meta)
 
 
 _CH_NAME = {0: "signal", 1: "idler"}
@@ -98,5 +115,4 @@ def read_events_csv(path, duration_ps: int | None = None) -> EventStream:
     ts = np.array(times, dtype=np.uint64)
     meta = {"duration_ps": duration_ps if duration_ps is not None
             else (int(ts.max()) if len(ts) else 0)}
-    return EventStream(channels=np.array(channels, dtype=np.uint8),
-                       timestamps_ps=ts, metadata=meta)
+    return _checked_stream(np.array(channels, dtype=np.uint8), ts, meta)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, asdict, field
+from dataclasses import dataclass, asdict, field, fields
 
 import numpy as np
 
@@ -27,6 +27,49 @@ CH_IDLER = 1
 CHANNEL_NAMES = {"signal": CH_SIGNAL, "idler": CH_IDLER}
 
 _DELAY_TABLE_BITS = 17  # in-period density resolution: 1/FSR / 2^17 (~62 fs)
+_GUIDE_STEPS = 4  # vectorized forward steps before a key falls back to bisection
+
+
+def _guide_table(cdf: np.ndarray):
+    """Guide table (Chen & Asau 1974) for exact inverse-CDF lookups.
+
+    Keys and CDF entries share one bucketing, ``floor(x * len(cdf) /
+    cdf[-1])``, and ``guide[k]`` counts the entries in buckets below k.
+    Rounded multiplication is monotone, so an entry in a lower bucket than
+    a key is smaller than the key: ``guide[bucket(v)]`` never passes
+    ``searchsorted(cdf, v)``.  Returns (cdf padded with +inf, guide, scale)
+    for ``_guided_search``.
+    """
+    m = len(cdf)
+    total = float(cdf[-1])
+    scale = m / total if total > 0 else 0.0
+    counts = np.bincount(_bucket(cdf, scale, m), minlength=m + 1)
+    guide = np.concatenate(([0], np.cumsum(counts[:m])))
+    return np.append(cdf, np.inf), guide, scale
+
+
+def _bucket(x: np.ndarray, scale: float, m: int) -> np.ndarray:
+    return np.clip(x * scale, 0, m).astype(np.intp)
+
+
+def _guided_search(table, v: np.ndarray) -> np.ndarray:
+    """``np.searchsorted(cdf, v)`` (side="left"), via the guide table.
+
+    From the guide entry of its bucket, each index steps forward while
+    ``cdf[j] < v``; keys still unresolved after a few vectorized steps are
+    bisected on their own.
+    """
+    cdf, guide, scale = table
+    j = guide[_bucket(v, scale, len(guide) - 1)]
+    idx = np.flatnonzero(cdf[j] < v)
+    for _ in range(_GUIDE_STEPS):
+        if not len(idx):
+            return j
+        j[idx] += 1
+        idx = idx[cdf[j[idx]] < v[idx]]
+    if len(idx):
+        j[idx] = np.searchsorted(cdf[:-1], v[idx])
+    return j
 
 
 @dataclass(frozen=True)
@@ -124,8 +167,9 @@ class DelaySampler:
 
     G2 factorizes into a periodic comb times an exponential envelope, so a
     delay is the sum of a geometric number of comb periods plus an
-    in-period offset drawn by inverse CDF from a dense table.  Branch signs
-    are chosen by the closed-form integral weight of each side.
+    in-period offset drawn by inverse CDF from a dense table (looked up
+    through a guide table).  Branch signs are chosen by the closed-form
+    integral weight of each side.
     """
 
     def __init__(self, spec: BiphotonSpectrum, cavity: CavityParams,
@@ -154,7 +198,8 @@ class DelaySampler:
             weights.append(cdf[-1] * du / (1.0 - math.exp(-gamma * period)))
             self._branches.append({
                 "gamma": gamma, "period": period, "du": du,
-                "cdf": cdf, "dens": dens,
+                "cdf": cdf, "dens": dens, "guide": _guide_table(cdf),
+                "lower": np.concatenate(([0.0], cdf[:-1])),
             })
         self.p_positive = weights[0] / (weights[0] + weights[1])
 
@@ -162,9 +207,8 @@ class DelaySampler:
         lam = b["gamma"] * b["period"]
         k = np.floor(rng.exponential(scale=1.0 / lam, size=size))
         v = rng.random(size) * b["cdf"][-1]
-        j = np.searchsorted(b["cdf"], v)
-        prev = np.where(j > 0, b["cdf"][np.maximum(j - 1, 0)], 0.0)
-        frac = (v - prev) / b["dens"][j]
+        j = _guided_search(b["guide"], v)
+        frac = (v - b["lower"][j]) / b["dens"][j]
         u = (j + frac) * b["du"]
         return k * b["period"] + u
 
@@ -254,7 +298,7 @@ def model_digest(*models) -> str:
         if isinstance(obj, dict):
             return {str(k): conv(v) for k, v in sorted(obj.items())}
         if hasattr(obj, "__dataclass_fields__"):
-            return {k: conv(v) for k, v in sorted(asdict(obj).items())}
+            return {f.name: conv(getattr(obj, f.name)) for f in fields(obj)}
         raise TypeError(f"cannot digest {type(obj)!r}")
 
     blob = json.dumps([conv(m) for m in models], sort_keys=True,
@@ -263,16 +307,34 @@ def model_digest(*models) -> str:
 
 
 def _prune_dead_time(t: np.ndarray, dead: float) -> np.ndarray:
-    """Greedy dead-time mask over a sorted timestamp array."""
-    if dead <= 0 or len(t) < 2:
-        return np.ones(len(t), dtype=bool)
+    """Greedy dead-time mask over a sorted timestamp array.
+
+    Equal to the sequential rule "drop t[i] if t[i] - last kept < dead".
+    Gaps >= dead split the stream into runs, and every run start is kept
+    (t[i] - last >= t[i] - t[i-1] >= dead, as float subtraction rounds
+    monotonically).  The element after a run start is always dropped, so
+    only elements behind two consecutive close gaps need the greedy walk,
+    anchored at their run start.
+    """
     keep = np.ones(len(t), dtype=bool)
-    last = t[0]
-    for i in range(1, len(t)):
-        if t[i] - last < dead:
-            keep[i] = False
-        else:
-            last = t[i]
+    if dead <= 0 or len(t) < 2:
+        return keep
+    close = np.diff(t) < dead
+    keep[1:] = ~close
+    deep = np.flatnonzero(close[1:] & close[:-1]) + 2
+    if len(deep):
+        fresh = np.diff(deep, prepend=-1) != 1
+        kept = []
+        for x, a, f in zip(t[deep].tolist(), t[deep - 2].tolist(),
+                           fresh.tolist()):
+            if f:
+                last = a
+            if x - last < dead:
+                kept.append(False)
+            else:
+                kept.append(True)
+                last = x
+        keep[deep] = kept
     return keep
 
 
@@ -307,11 +369,11 @@ def generate_events(source: SourceModel, memory: AfcProfile | None,
     if n_pairs:
         live_t = np.sort(rng.random(n_pairs)) * live_total
         t0 = gating.live_to_abs(live_t) if gating else live_t
-        sampler = DelaySampler(spec, source.cavity)
-        tau = sampler.sample(rng, n_pairs)
+        # unnamed, so its tables are freed before the detector stage
+        tau = DelaySampler(spec, source.cavity).sample(rng, n_pairs)
         w2 = spec.weights ** 2
         cum = np.cumsum(w2 / w2.sum())
-        midx = np.searchsorted(cum, rng.random(n_pairs))
+        midx = _guided_search(_guide_table(cum), rng.random(n_pairs))
         f_sig = spec.signal_freqs[midx]
         f_idl = spec.idler_freqs[midx]
         t_idl = t0

@@ -20,7 +20,7 @@ import numpy as np
 from . import analysis as an
 from .cavity import (CavityParams, PhaseMatching, cluster_spectrum,
                      comb_spectrum, mode_weights)
-from .errors import ScenarioError
+from .errors import ParameterError, ScenarioError, SimulationError
 from .memory import AfcPlan, AfcProfile, FilterSpec, design_afc
 from .montecarlo import (DetectorModel, EventStream, GatingSequence,
                          SourceModel, generate_events, split_seed)
@@ -473,12 +473,24 @@ def build_profile(s: Scenario) -> AfcProfile | None:
 
 
 def simulate(s: Scenario, seed: int | None = None) -> EventStream:
-    spectrum = build_spectrum(s)
-    source = SourceModel(pair_rate=s.pair_rate, spectrum=spectrum,
-                         cavity=s.cavity)
-    return generate_events(source, build_profile(s), s.filters, s.detectors,
-                           s.gating, s.duration_s,
-                           s.seed if seed is None else seed)
+    """Event stream of a scenario.  A model the scenario builds but cannot
+    run (for example an envelope that misses every cluster) raises
+    SimulationError."""
+    try:
+        spectrum = build_spectrum(s)
+        source = SourceModel(pair_rate=s.pair_rate, spectrum=spectrum,
+                             cavity=s.cavity)
+        return generate_events(source, build_profile(s), s.filters,
+                               s.detectors, s.gating, s.duration_s,
+                               s.seed if seed is None else seed)
+    except ParameterError as exc:
+        raise SimulationError(str(exc)) from exc
+
+
+def _histogram(s: Scenario, events: EventStream) -> an.CorrelationHistogram:
+    cfg = an.HistogramConfig(bin_width=s.analysis.bin_width_s,
+                             range=(s.analysis.hist_min_s, s.analysis.hist_max_s))
+    return an.build_histogram(events, cfg)
 
 
 def _comb_view(hist: an.CorrelationHistogram, center: float,
@@ -503,9 +515,7 @@ def analyze_events(s: Scenario, events: EventStream,
     if "gating" not in events.metadata and s.gating is not None:
         from dataclasses import asdict
         events.metadata["gating"] = asdict(s.gating)
-    cfg = an.HistogramConfig(bin_width=s.analysis.bin_width_s,
-                             range=(s.analysis.hist_min_s, s.analysis.hist_max_s))
-    hist = an.build_histogram(events, cfg)
+    hist = _histogram(s, events)
 
     profile = build_profile(s)
     echo_delay = profile.storage_time if profile is not None else None
@@ -596,6 +606,21 @@ def single_mode_reference(s: Scenario) -> Scenario:
                    reference_run=False, sweep_kind=None, sweep_values=())
 
 
+def reference_rate(s: Scenario, ref_events: EventStream) -> tuple[float, float]:
+    """Floor-subtracted coincidence rate (value, error) of a single-mode
+    reference run, analyzed with the settings of scenario ``s``."""
+    ref_hist = _histogram(s, ref_events)
+    profile = build_profile(s)
+    center = s.analysis.window_center_s
+    if center is None:
+        center = profile.storage_time if profile else 0.0
+    floor, floor_err = an.noise_floor(
+        ref_hist, (s.analysis.floor_min_s, s.analysis.floor_max_s))
+    r = an.coincidence_rate(ref_hist, s.analysis.window_s, center,
+                            floor, floor_err)
+    return r.rate, r.error
+
+
 def run_scenario(s: Scenario) -> RunBundle:
     """Deterministic end-to-end pipeline: spectrum, AFC, events, histogram,
     report."""
@@ -604,26 +629,11 @@ def run_scenario(s: Scenario) -> RunBundle:
     if (s.reference_run and s.afc_enabled and s.afc_plan is not None
             and s.afc_plan.mode_count > 1):
         ref = single_mode_reference(s)
-        ref_events = simulate(ref, seed=split_seed(s.seed, 0x5EF))
-        ref_hist, _ = _histogram_only(ref, ref_events)
-        profile = build_profile(ref)
-        center = s.analysis.window_center_s
-        if center is None:
-            center = profile.storage_time if profile else 0.0
-        floor, floor_err = an.noise_floor(
-            ref_hist, (s.analysis.floor_min_s, s.analysis.floor_max_s))
-        r = an.coincidence_rate(ref_hist, s.analysis.window_s, center,
-                                floor, floor_err)
-        rate_single = (r.rate, r.error)
+        rate_single = reference_rate(
+            ref, simulate(ref, seed=split_seed(s.seed, 0x5EF)))
     hist, report = analyze_events(s, events, rate_single=rate_single)
     return RunBundle(scenario=s, digest=scenario_digest(s), events=events,
                      histogram=hist, report=report)
-
-
-def _histogram_only(s: Scenario, events: EventStream):
-    cfg = an.HistogramConfig(bin_width=s.analysis.bin_width_s,
-                             range=(s.analysis.hist_min_s, s.analysis.hist_max_s))
-    return an.build_histogram(events, cfg), None
 
 
 def sweep_scenarios(s: Scenario) -> list[Scenario]:

@@ -42,6 +42,7 @@ def test_binary_empty_stream(tmp_path):
                           st.integers(min_value=0, max_value=2**60)),
                 max_size=50))
 def test_binary_roundtrip_property(tmp_path_factory, records):
+    records = sorted(records, key=lambda r: r[1])  # the format is time-ordered
     ch = [c for c, _ in records]
     ts = [t for _, t in records]
     path = tmp_path_factory.mktemp("ev") / "r.bin"
@@ -87,6 +88,27 @@ def test_binary_rejects_future_version(tmp_path):
         read_events(path)
 
 
+def test_binary_rejects_unknown_channel(tmp_path):
+    ev = make_stream([0, 1, 0], [1, 2, 3])
+    path = tmp_path / "ch.bin"
+    write_events(ev, path)
+    raw = bytearray(path.read_bytes())
+    raw[-9] = 7  # channel byte of the last record
+    path.write_bytes(bytes(raw))
+    with pytest.raises(EventFormatError, match="record 2: unknown channel"):
+        read_events(path)
+
+
+def test_binary_rejects_backwards_timestamps(tmp_path):
+    path = tmp_path / "order.bin"
+    write_events(make_stream([0, 1, 0, 1], [5, 9, 7, 11]), path)
+    with pytest.raises(EventFormatError, match="record 2: timestamp 7 ps"):
+        read_events(path)
+    # equal timestamps are allowed (a signal and an idler in one picosecond)
+    write_events(make_stream([0, 1, 1], [5, 5, 6]), path)
+    assert read_events(path).timestamps_ps.tolist() == [5, 5, 6]
+
+
 def test_csv_roundtrip(tmp_path):
     ev = make_stream([0, 1, 1], [10, 20, 30])
     path = tmp_path / "ev.csv"
@@ -119,6 +141,13 @@ def test_csv_rejects_unknown_channel(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("channel,timestamp_ps\npump,5\n")
     with pytest.raises(EventFormatError, match="channel"):
+        read_events_csv(path)
+
+
+def test_csv_rejects_backwards_timestamps(tmp_path):
+    path = tmp_path / "order.csv"
+    path.write_text("channel,timestamp_ps\nsignal,10\nidler,4\n")
+    with pytest.raises(EventFormatError, match="precedes"):
         read_events_csv(path)
 
 

@@ -6,8 +6,15 @@ from hypothesis import given, settings, strategies as st
 
 import pairmem as pm
 from pairmem.montecarlo import (CH_IDLER, CH_SIGNAL, DelaySampler,
+                                _guide_table, _guided_search,
                                 _prune_dead_time, model_digest)
 from pairmem.errors import ParameterError
+
+
+# model_digest of the models in test_model_digest_pinned: digest strings
+# are provenance in event files and reports and must not drift
+PINNED_MODEL_DIGEST = \
+    "3855b4713aa8b545e25559055a0664cad422e0667f0a40c8cf67ef9f1e5b3b1f"
 
 
 def flat_source(cavity, n_modes=5, rate=1e5):
@@ -150,6 +157,67 @@ def test_prune_dead_time_matches_naive(times, dead):
     assert t[keep].tolist() == naive_dead_time(t.tolist(), dead)
     if dead > 0 and np.count_nonzero(keep) > 1:
         assert np.all(np.diff(t[keep]) >= dead)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(min_value=0, max_value=12), min_size=0,
+                max_size=80),
+       st.integers(min_value=1, max_value=6))
+def test_prune_dead_time_clustered(steps, dead_units):
+    # dyadic times make every gap exact: duplicates (step 0), gaps exactly
+    # equal to the dead time, and long runs of close gaps all occur
+    unit = 2.0 ** -30
+    t = np.cumsum(np.array(steps, dtype=float)) * unit
+    dead = dead_units * unit
+    keep = _prune_dead_time(t, dead)
+    assert t[keep].tolist() == naive_dead_time(t.tolist(), dead)
+
+
+def test_prune_dead_time_large_seeded():
+    # mean gap equal to the dead time: most runs hold several close gaps
+    rng = np.random.default_rng(2024)
+    dead = 40e-9
+    t = np.cumsum(rng.exponential(dead, 100_000))
+    t = np.sort(np.concatenate([t, t[rng.integers(0, len(t), 500)]]))
+    keep = _prune_dead_time(t, dead)
+    assert t[keep].tolist() == naive_dead_time(t.tolist(), dead)
+
+
+# ---------------------------------------------------------------------------
+# guide-table lookup against np.searchsorted
+
+def assert_guided_matches(cdf, v):
+    got = _guided_search(_guide_table(cdf), v)
+    assert np.array_equal(got, np.searchsorted(cdf, v))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.one_of(st.just(0.0),
+                          st.floats(min_value=1e-6, max_value=1e3)),
+                min_size=1, max_size=40).filter(lambda d: sum(d) > 0),
+       st.lists(st.floats(min_value=0, max_value=1), max_size=30))
+def test_guided_search_matches_searchsorted(dens, fracs):
+    # zero densities make plateaus: repeated CDF entries
+    cdf = np.cumsum(np.array(dens))
+    keys = np.concatenate([
+        [0.0, cdf[-1], np.nextafter(cdf[-1], np.inf), 2 * cdf[-1]],
+        cdf, np.nextafter(cdf, 0.0), np.nextafter(cdf, np.inf),
+        np.array(fracs) * cdf[-1]])
+    assert_guided_matches(cdf, keys)
+
+
+def test_guided_search_delay_table_and_fallback(cavity, small_spectrum):
+    sampler = DelaySampler(small_spectrum, cavity)
+    cdf = sampler._branches[0]["cdf"]
+    v = pm.make_rng(5).random(200_000) * cdf[-1]
+    assert_guided_matches(cdf, v)
+    # one spike holds almost all mass, so the 500 entries below it share
+    # the first bucket: keys there take the bisection fallback
+    dens = np.full(1000, 1e-9)
+    dens[500] = 1.0
+    cdf = np.cumsum(dens)
+    v = np.concatenate([np.linspace(0.0, cdf[-1], 5001), cdf])
+    assert_guided_matches(cdf, v)
 
 
 # ---------------------------------------------------------------------------
@@ -311,3 +379,11 @@ def test_model_digest_sensitivity(cavity):
     d2 = model_digest(pm.DetectorModel(efficiency=0.5))
     d3 = model_digest(pm.DetectorModel(efficiency=0.6))
     assert d1 == d2 != d3
+
+
+def test_model_digest_pinned(cavity):
+    # walks nested dataclasses, lists, dicts and None; the string is pinned
+    src = flat_source(cavity, n_modes=3)
+    dets = {"signal": pm.DetectorModel(efficiency=0.5, dead_time=1e-8)}
+    digest = model_digest(src, None, {}, dets, pm.GatingSequence())
+    assert digest == PINNED_MODEL_DIGEST

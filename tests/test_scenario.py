@@ -1,3 +1,4 @@
+import hashlib
 import os
 from dataclasses import replace
 from pathlib import Path
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 
 import pairmem as pm
-from pairmem.errors import ScenarioError
+from pairmem.errors import ScenarioError, SimulationError
 from pairmem.scenario import (build_profile, build_spectrum,
                               single_mode_reference, sweep_scenarios)
 
@@ -250,6 +251,76 @@ def test_cli_simulate_and_analyze(tmp_path, capsys):
 
 def test_cli_analyze_missing_events(tmp_path):
     assert run_cli(["analyze", "--events", str(tmp_path / "nope.bin")]) == 5
+
+
+# scenario that loads but whose envelope misses every Vernier cluster
+MISSED_ENVELOPE = ("[phase_matching]\nenvelope_center_hz = 494800000000000.0\n"
+                   "envelope_fwhm_hz = 1000000000.0\n")
+
+
+def test_simulate_failure_is_simulation_error():
+    s = pm.load_scenario(MISSED_ENVELOPE)
+    with pytest.raises(SimulationError, match="envelope"):
+        pm.simulate(s)
+
+
+def test_cli_exit_2_scenario_error(tmp_path, capsys):
+    cfg = tmp_path / "s.cfg"
+    cfg.write_text("[run]\nduration_s = soon\n")
+    assert run_cli(["simulate", "--scenario", str(cfg),
+                    "--out", str(tmp_path)]) == 2
+    assert "scenario error" in capsys.readouterr().err
+
+
+def test_cli_exit_3_simulation_error(tmp_path, capsys):
+    cfg = tmp_path / "s.cfg"
+    cfg.write_text(MISSED_ENVELOPE)
+    assert run_cli(["simulate", "--scenario", str(cfg),
+                    "--out", str(tmp_path)]) == 3
+    assert "simulation error" in capsys.readouterr().err
+
+
+def test_cli_exit_4_analysis_error(tmp_path, capsys):
+    # no pump: the run is valid but yields no events to estimate g2 from
+    cfg = tmp_path / "s.cfg"
+    cfg.write_text("[run]\npump_mw = 0.0\nduration_s = 0.01\n"
+                   "reference_run = false\n")
+    assert run_cli(["simulate", "--scenario", str(cfg),
+                    "--out", str(tmp_path)]) == 4
+    assert "analysis error" in capsys.readouterr().err
+
+
+def test_cli_exit_5_format_error(tmp_path, capsys):
+    cfg = tmp_path / "s.cfg"
+    cfg.write_text("[run]\nduration_s = 0.02\nreference_run = false\n")
+    events = tmp_path / "events.bin"
+    assert run_cli(["simulate", "--scenario", str(cfg), "--out", str(tmp_path),
+                    "--events", str(events)]) == 0
+    raw = bytearray(events.read_bytes())
+    raw[-9] = 2  # last record's channel byte
+    events.write_bytes(bytes(raw))
+    assert run_cli(["analyze", "--scenario", str(cfg), "--events", str(events),
+                    "--out", str(tmp_path)]) == 5
+    assert "unknown channel" in capsys.readouterr().err
+
+
+# SHA-256 of `pairmem simulate --scenario scenarios/default.cfg` outputs.
+# Any change to how the event chain consumes random numbers moves these;
+# update them only on purpose, and say so in CHANGES.md.
+GOLDEN_DEFAULT = {
+    "events.bin":
+        "297a3f11d313ebff8f1974902175cae971ef309df90f3a5ccbbcad5f3decfcc2",
+    "report.json":
+        "6e909a3780ccdcad586b9d640ed4d76b485ddbd4adae67177b40a1790ca32a97",
+}
+
+
+def test_default_scenario_outputs_golden(tmp_path, capsys):
+    assert run_cli(["simulate", "--scenario", str(SCENARIO_DIR / "default.cfg"),
+                    "--out", str(tmp_path)]) == 0
+    got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+           for name in GOLDEN_DEFAULT}
+    assert got == GOLDEN_DEFAULT
 
 
 def test_cli_figure(tmp_path):
