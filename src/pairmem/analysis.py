@@ -10,7 +10,6 @@ import math
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
-from scipy.signal import find_peaks
 
 from .errors import EstimationError, FitError, ParameterError
 from .montecarlo import EventStream
@@ -98,23 +97,79 @@ def merge_histograms(a: CorrelationHistogram, b: CorrelationHistogram) -> Correl
         duration=max(a.duration, b.duration))
 
 
+def _find_peaks(y: np.ndarray, min_prominence: float) -> np.ndarray:
+    """Indices of the local maxima of ``y`` whose prominence is at least
+    ``min_prominence``: exactly the indices that the standard
+    ``find_peaks(y, prominence=min_prominence)`` returns with no window
+    limit, which the tests use as the oracle.
+
+    A maximum is a plateau (a run of equal samples, possibly of length 1)
+    whose neighbours on both sides are strictly lower; it is reported at
+    its middle index ``(first + last) // 2``, and a plateau touching an
+    array end is never a peak.  Prominence is the peak height minus the
+    higher of the two minima found walking outwards from the peak until
+    a strictly higher sample or the array end.
+
+    The walk runs on the run-length compressed array for all peaks at
+    once: sparse tables hold the max and min of every power-of-two block
+    of runs, the nearest strictly higher run on each side is reached by
+    descending power-of-two steps over the max table, and the blocks
+    stepped over tile the walked range, so their min-table entries give
+    the minima.
+    """
+    n = len(y)
+    if n < 3:
+        return np.zeros(0, dtype=np.intp)
+    first = np.flatnonzero(np.r_[True, y[1:] != y[:-1]])
+    last = np.r_[first[1:], n] - 1
+    v = y[first]
+    m = len(v)
+    r = np.flatnonzero((v[1:-1] > v[:-2]) & (v[1:-1] > v[2:])) + 1
+    # no prominence exceeds the height above the global minimum
+    r = r[v[r] - v.min() >= min_prominence]
+    if len(r) == 0:
+        return np.zeros(0, dtype=np.intp)
+    # level k: hi[k][i] = max(v[i:i + 2**k]), lo[k][i] = min(v[i:i + 2**k])
+    hi, lo = [v], [v]
+    step = 1
+    while 2 * step <= m:
+        hi.append(np.maximum(hi[-1][:-step], hi[-1][step:]))
+        lo.append(np.minimum(lo[-1][:-step], lo[-1][step:]))
+        step *= 2
+    h = v[r]
+    left = right = r
+    left_min = right_min = h
+    for k in reversed(range(len(hi))):
+        step = 1 << k
+        # block [left - step, left - 1]
+        j = np.maximum(left - step, 0)
+        ok = (left >= step) & (hi[k][j] <= h)
+        left_min = np.where(ok, np.minimum(left_min, lo[k][j]), left_min)
+        left = np.where(ok, j, left)
+        # block [right + 1, right + step]
+        j = np.minimum(right + 1, m - step)
+        ok = (right + step < m) & (hi[k][j] <= h)
+        right_min = np.where(ok, np.minimum(right_min, lo[k][j]), right_min)
+        right = np.where(ok, right + step, right)
+    keep = h - np.maximum(left_min, right_min) >= min_prominence
+    r = r[keep]
+    return (first[r] + last[r]) // 2
+
+
 def detect_peaks(hist: CorrelationHistogram, min_prominence: float) -> list[tuple[float, float]]:
     """Local maxima above the prominence threshold, with 3-point parabolic
     sub-bin refinement, sorted by delay."""
     y = hist.counts.astype(float)
     if len(y) == 0:
         raise ParameterError("histogram is empty")
-    idx, _ = find_peaks(y, prominence=min_prominence)
     centers = hist.bin_centers
     out = []
-    for i in idx:
-        if 0 < i < len(y) - 1:
-            denom = y[i - 1] - 2.0 * y[i] + y[i + 1]
-            d = 0.5 * (y[i - 1] - y[i + 1]) / denom if denom != 0 else 0.0
-            delay = centers[i] + d * hist.bin_width
-            height = y[i] - 0.25 * (y[i - 1] - y[i + 1]) * d
-        else:
-            delay, height = centers[i], y[i]
+    # peaks are never at the array ends, so both neighbours exist
+    for i in _find_peaks(y, min_prominence):
+        denom = y[i - 1] - 2.0 * y[i] + y[i + 1]
+        d = 0.5 * (y[i - 1] - y[i + 1]) / denom if denom != 0 else 0.0
+        delay = centers[i] + d * hist.bin_width
+        height = y[i] - 0.25 * (y[i - 1] - y[i + 1]) * d
         out.append((float(delay), float(height)))
     out.sort()
     return out

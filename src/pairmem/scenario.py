@@ -13,7 +13,7 @@ from __future__ import annotations
 import configparser
 import hashlib
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -89,6 +89,9 @@ class Scenario:
                     f"(relative mismatch {rel:.2e})")
         if self.sweep_kind not in (None, "afc_modes", "pump_power"):
             raise ScenarioError(f"unknown sweep kind {self.sweep_kind!r}")
+        for name in ("duration_s", "pump_mw", "brightness_pairs_per_s_per_mw"):
+            if not getattr(self, name) >= 0:   # also rejects NaN
+                raise ScenarioError(f"[run] {name} must be >= 0")
 
     @property
     def pair_rate(self) -> float:
@@ -511,10 +514,11 @@ def analyze_events(s: Scenario, events: EventStream,
                    n_effective: tuple[float, float] | None = None):
     """Histogram an event stream and derive the full report."""
     # event files carry no gating block; the scenario is the source of
-    # truth for live-time normalization
+    # truth for live-time normalization.  Patch a copy, not the caller's
+    # stream (the arrays are shared, not copied).
     if "gating" not in events.metadata and s.gating is not None:
-        from dataclasses import asdict
-        events.metadata["gating"] = asdict(s.gating)
+        events = replace(events, metadata={**events.metadata,
+                                           "gating": asdict(s.gating)})
     hist = _histogram(s, events)
 
     profile = build_profile(s)

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import pairmem as pm
-from pairmem.analysis import (FsrEstimate, RateEstimate, detect_peaks,
-                              estimate_fsr, fit_envelope, noise_floor)
+from pairmem.analysis import (FsrEstimate, RateEstimate, _find_peaks,
+                              detect_peaks, estimate_fsr, fit_envelope,
+                              noise_floor)
 from pairmem.errors import EstimationError, FitError, ParameterError
 from pairmem.montecarlo import EventStream
 
@@ -127,6 +128,60 @@ def test_detect_peaks_positions():
         k = round(d / period)
         assert abs(d - k * period) < 0.2e-9
         assert h > 0
+
+
+def assert_peaks_match_oracle(y):
+    """_find_peaks equals scipy's find_peaks at thresholds 0, 1, every
+    candidate's exact prominence and the next float above it."""
+    signal = pytest.importorskip("scipy.signal")
+    y = np.asarray(y, dtype=float)
+    candidates, _ = signal.find_peaks(y)
+    proms = np.unique(signal.peak_prominences(y, candidates)[0]) \
+        if len(candidates) else np.zeros(0)
+    for p in (0.0, 1.0, *proms, *np.nextafter(proms, np.inf)):
+        expect, _ = signal.find_peaks(y, prominence=p)
+        got = _find_peaks(y, p)
+        assert np.array_equal(got, expect), (y.tolist(), p, got, expect)
+
+
+def _runs(pairs):
+    """Array of plateaus from (value, run length) pairs."""
+    return np.repeat([v for v, _ in pairs], [k for _, k in pairs])
+
+
+@settings(max_examples=400, deadline=None)
+@given(y=st.one_of(
+    st.lists(st.integers(0, 3), max_size=40),
+    st.lists(st.integers(0, 1000), max_size=60),
+    st.lists(st.tuples(st.integers(0, 4), st.integers(1, 6)),
+             max_size=15).map(_runs)))
+def test_find_peaks_matches_scipy_oracle(y):
+    # small-integer ties, deep valleys, and repeated plateaus (including
+    # plateaus at either edge, which are never peaks)
+    assert_peaks_match_oracle(y)
+
+
+def test_find_peaks_short_and_flat_arrays():
+    import itertools
+    # edge plateaus, and a plateau reported at its middle index
+    assert list(_find_peaks(np.array([3., 3., 1., 2., 2., 2., 2., 0.]), 0.0)) == [4]
+    assert list(_find_peaks(np.array([0., 1., 1., 5., 5.]), 0.0)) == []
+    for n in (0, 4, 5, 50):
+        assert len(_find_peaks(np.full(n, 7.0), 0.0)) == 0
+    for n in range(4):
+        for y in itertools.product(range(3), repeat=n):
+            assert_peaks_match_oracle(y)
+    for n in (4, 5, 50):
+        assert_peaks_match_oracle(np.full(n, 7.0))
+
+
+def test_find_peaks_default_comb_view():
+    from pairmem.scenario import _comb_view, _histogram, build_profile
+    s = pm.default_scenario()
+    hist = _histogram(s, pm.simulate(s))
+    view = _comb_view(hist, build_profile(s).storage_time,
+                      s.analysis.comb_fit_halfspan_s)
+    assert_peaks_match_oracle(view.counts)
 
 
 def test_estimate_fsr_recovers_configured_value():

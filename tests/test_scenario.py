@@ -55,6 +55,15 @@ def test_bad_value_rejected():
         pm.load_scenario("[run]\nduration_s = soon\n")
 
 
+@pytest.mark.parametrize("key", ["duration_s", "pump_mw",
+                                 "brightness_pairs_per_s_per_mw"])
+def test_negative_run_parameter_rejected(key):
+    with pytest.raises(ScenarioError, match=key):
+        pm.load_scenario(f"[run]\n{key} = -1.0\n")
+    with pytest.raises(ScenarioError, match=key):
+        pm.load_scenario(f"[run]\n{key} = nan\n")
+
+
 def test_afc_spacing_must_match_fsr():
     with pytest.raises(ScenarioError, match="mode_spacing"):
         pm.load_scenario("[afc]\nmode_spacing_hz = 100e6\n")
@@ -154,6 +163,20 @@ def test_report_json_fields_serializable():
     text = report.to_json()
     back = pm.AnalysisReport.from_json(text)
     assert back.g2 == report.g2
+
+
+def test_analyze_events_leaves_caller_metadata_alone(tmp_path):
+    # event files carry no gating block; analyze_events takes it from the
+    # scenario without writing it into the caller's stream
+    s = fast(pm.default_scenario(), duration=0.1)
+    simulated = pm.simulate(s)
+    pm.write_events(simulated, tmp_path / "events.bin")
+    events = pm.read_events(tmp_path / "events.bin")
+    before = dict(events.metadata)
+    assert "gating" not in before
+    _, report = pm.analyze_events(s, events)
+    assert events.metadata == before
+    assert report.g2 == pm.analyze_events(s, simulated)[1].g2
 
 
 # ---------------------------------------------------------------------------
@@ -270,6 +293,42 @@ def test_cli_exit_2_scenario_error(tmp_path, capsys):
     assert run_cli(["simulate", "--scenario", str(cfg),
                     "--out", str(tmp_path)]) == 2
     assert "scenario error" in capsys.readouterr().err
+
+
+def test_cli_validate_rejects_negative_duration(tmp_path, capsys):
+    cfg = tmp_path / "s.cfg"
+    cfg.write_text("[run]\nduration_s = -1.0\n")
+    assert run_cli(["validate", "--scenario", str(cfg)]) == 2
+    assert "duration_s" in capsys.readouterr().err
+
+
+def test_cli_simulate_rejects_negative_pump(tmp_path, capsys):
+    cfg = tmp_path / "s.cfg"
+    cfg.write_text("[run]\npump_mw = -0.5\nduration_s = 0.01\n")
+    assert run_cli(["simulate", "--scenario", str(cfg),
+                    "--out", str(tmp_path)]) == 2
+    assert "pump_mw" in capsys.readouterr().err
+
+
+def test_import_loads_no_scipy():
+    # scipy is only a test oracle; importing it would add over a second
+    # to every command's start-up
+    import json
+    import subprocess
+    import sys
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    code = ("import json, sys\n"
+            "import pairmem, pairmem.cli\n"
+            "pairmem.load_scenario(open(sys.argv[1]).read())\n"
+            "print(json.dumps(sorted(m for m in sys.modules"
+            " if m.startswith('scipy'))))\n")
+    out = subprocess.run(
+        [sys.executable, "-c", code, str(SCENARIO_DIR / "calibration_1mw.cfg")],
+        env=env, capture_output=True, text=True, timeout=120, check=True)
+    assert json.loads(out.stdout) == []
 
 
 def test_cli_exit_3_simulation_error(tmp_path, capsys):
