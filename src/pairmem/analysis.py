@@ -25,7 +25,7 @@ class HistogramConfig:
     stop_channel: str = "signal"
 
     def __post_init__(self):
-        if self.bin_width <= 0:
+        if not self.bin_width > 0:   # also rejects NaN
             raise ParameterError("bin_width must be > 0")
         if not self.range[0] < self.range[1]:
             raise ParameterError("histogram range min must be < max")

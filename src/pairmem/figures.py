@@ -62,10 +62,7 @@ def emit_figure_data(bundle, figure: str) -> dict[str, str]:
         return {"fig4b.csv": buf.getvalue()}
 
     # fig4c: classical limit column is constant across pump powers
-    n_limit = bundles[0].scenario.analysis.classical_mode_count
-    if n_limit is None:
-        n_limit = max(1, round(bundles[0].report.n_effective))
-    climit = an.classical_limit(n_limit)
+    climit = bundles[0].report.classical_limit
     buf.write("pump_mw,g2,g2_err,classical_limit\n")
     for b in bundles:
         buf.write(f"{float(b.scenario.pump_mw)!r},{float(b.report.g2)!r},"

@@ -13,7 +13,7 @@ from __future__ import annotations
 import configparser
 import hashlib
 import math
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -30,51 +30,56 @@ _DEFAULT_FSR_SIGNAL = 123.0e6
 _DEFAULT_CLUSTER_SPACING = 200e9
 _DEFAULT_FSR_IDLER = _DEFAULT_FSR_SIGNAL / (
     1.0 + _DEFAULT_FSR_SIGNAL / _DEFAULT_CLUSTER_SPACING)
-_SIGNAL_CENTER = 494.7e12   # ~606 nm
-_IDLER_CENTER = 193.4e12    # ~1550 nm
 
 
+# no field defaults here: load_scenario builds both classes from _SCHEMA
 @dataclass(frozen=True)
 class AnalysisSettings:
-    bin_width_s: float = 0.2e-9
-    hist_min_s: float = -0.5e-6
-    hist_max_s: float = 2.2e-6
-    window_s: float = 400e-9
-    window_center_s: float | None = None   # None: echo delay (or 0 w/o memory)
-    floor_min_s: float = 1.6e-6
-    floor_max_s: float = 1.8e-6
-    fsr_peak_count: int = 30
-    min_prominence: float | None = None    # None: 5 * sqrt(floor)
-    classical_mode_count: int | None = None  # None: round(n_effective)
+    bin_width_s: float
+    hist_min_s: float
+    hist_max_s: float
+    window_s: float
+    window_center_s: float | None          # None: echo delay (or 0 w/o memory)
+    floor_min_s: float
+    floor_max_s: float
+    fsr_peak_count: int
+    min_prominence: float | None           # None: 5 * sqrt(floor)
+    classical_mode_count: int | None       # None: round(n_effective)
     # comb estimators only look this far from the analysis feature, to
     # stay clear of the conditional-gate steps in the noise floor
-    comb_fit_halfspan_s: float = 250e-9
+    comb_fit_halfspan_s: float
+
+    def __post_init__(self):
+        if not 0 < self.bin_width_s < math.inf:    # also rejects NaN
+            raise ScenarioError("[analysis] bin_width_s must be finite and > 0")
+        if not -math.inf < self.hist_min_s < self.hist_max_s < math.inf:
+            raise ScenarioError("[analysis] need finite hist_min_s < hist_max_s")
 
 
 @dataclass
 class Scenario:
     cavity: CavityParams
     phase_matching: PhaseMatching
-    spectrum_source: str = "cluster"       # "cluster" | "comb"
-    comb_modes: int = 83
-    afc_enabled: bool = True
-    afc_plan: AfcPlan | None = None
-    afc_background_od: float = 0.0
-    afc_efficiency_override: float | None = None
-    afc_taper: str = "flat"
-    afc_taper_fwhm_hz: float | None = None
-    afc_echo_orders: int = 1
-    filters: dict = field(default_factory=dict)
-    detectors: dict = field(default_factory=dict)
-    gating: GatingSequence | None = None
-    duration_s: float = 2.0
-    seed: int = 1
-    pump_mw: float = 1.0
-    brightness_pairs_per_s_per_mw: float = 2.5e5
-    reference_run: bool = True
-    analysis: AnalysisSettings = field(default_factory=AnalysisSettings)
-    sweep_kind: str | None = None          # "afc_modes" | "pump_power"
-    sweep_values: tuple = ()
+    spectrum_source: str
+    comb_modes: int
+    afc_enabled: bool
+    afc_plan: AfcPlan | None
+    afc_background_od: float
+    afc_efficiency_override: float | None
+    afc_taper: str
+    afc_taper_fwhm_hz: float | None
+    afc_echo_orders: int
+    filters: dict
+    detectors: dict
+    gating: GatingSequence | None
+    duration_s: float
+    seed: int
+    pump_mw: float
+    brightness_pairs_per_s_per_mw: float
+    reference_run: bool
+    analysis: AnalysisSettings
+    sweep_kind: str | None
+    sweep_values: tuple
 
     def __post_init__(self):
         if self.spectrum_source not in ("cluster", "comb"):
@@ -103,16 +108,10 @@ def default_scenario() -> Scenario:
 
 
 # ---------------------------------------------------------------------------
-# config document schema: section -> key -> (parser, formatter, default)
-
-def _f(x):
-    return float(x)
-
+# config document schema
 
 def _maybe(parser):
-    def inner(x):
-        return None if x in ("auto", "none", "") else parser(x)
-    return inner
+    return lambda x: None if x in ("auto", "none", "") else parser(x)
 
 
 def _bool(x):
@@ -127,103 +126,122 @@ def _values(x):
     return tuple(float(v) for v in x.replace(",", " ").split())
 
 
-_AUTO = object()
-
+# section -> key -> (parser, default, target).  The target is the attribute
+# path the key sets, from Scenario down ("filters.signal.kind" is
+# scenario.filters["signal"].kind); None marks the [gating] switch, which
+# sets no attribute.  load_scenario, save_scenario and scenario_digest are
+# derived from this table, the only place keys and defaults are written.
 _SCHEMA = {
     "cavity": {
-        "fsr_signal_hz": (_f, _DEFAULT_FSR_SIGNAL),
-        "fsr_idler_hz": (_f, _DEFAULT_FSR_IDLER),
-        "linewidth_signal_hz": (_f, 2.28e6),
-        "linewidth_idler_hz": (_f, 1.52e6),
-        "signal_center_hz": (_f, _SIGNAL_CENTER),
-        "idler_center_hz": (_f, _IDLER_CENTER),
+        "fsr_signal_hz": (float, _DEFAULT_FSR_SIGNAL, "cavity.fsr_signal"),
+        "fsr_idler_hz": (float, _DEFAULT_FSR_IDLER, "cavity.fsr_idler"),
+        "linewidth_signal_hz": (float, 2.28e6, "cavity.linewidth_signal"),
+        "linewidth_idler_hz": (float, 1.52e6, "cavity.linewidth_idler"),
+        "signal_center_hz": (float, 494.7e12, "cavity.signal_center"),  # ~606 nm
+        "idler_center_hz": (float, 193.4e12, "cavity.idler_center"),    # ~1550 nm
     },
     "phase_matching": {
-        "envelope_center_hz": (_maybe(_f), None),  # default: signal center
-        "envelope_fwhm_hz": (_f, 150e9),
-        "envelope_shape": (str, "sinc_squared"),
+        "envelope_center_hz": (_maybe(float), None, "phase_matching.envelope_center"),
+        "envelope_fwhm_hz": (float, 150e9, "phase_matching.envelope_fwhm"),
+        "envelope_shape": (str, "sinc_squared", "phase_matching.envelope_shape"),
     },
     "spectrum": {
-        "source": (str, "cluster"),
-        "comb_modes": (int, 83),
+        "source": (str, "cluster", "spectrum_source"),
+        "comb_modes": (int, 83, "comb_modes"),
     },
     "afc": {
-        "enabled": (_bool, True),
-        "mode_count": (int, 83),
-        "mode_spacing_hz": (_maybe(_f), None),     # default: fsr_signal
-        "tooth_spacing_hz": (_f, 920e3),
-        "per_mode_bandwidth_hz": (_f, 4e6),
-        "finesse": (_f, 2.0),
-        "peak_optical_depth": (_f, 2.0),
-        "center_freq_hz": (_maybe(_f), None),      # default: signal center
-        "background_od": (_f, 0.0),
-        "efficiency_override": (_maybe(_f), None),
-        "taper": (str, "flat"),
-        "taper_fwhm_hz": (_maybe(_f), None),
-        "echo_orders": (int, 1),
+        "enabled": (_bool, True, "afc_enabled"),
+        "mode_count": (int, 83, "afc_plan.mode_count"),
+        "mode_spacing_hz": (_maybe(float), None, "afc_plan.mode_spacing"),
+        "tooth_spacing_hz": (float, 920e3, "afc_plan.tooth_spacing"),
+        "per_mode_bandwidth_hz": (float, 4e6, "afc_plan.per_mode_bandwidth"),
+        "finesse": (float, 2.0, "afc_plan.finesse"),
+        "peak_optical_depth": (float, 2.0, "afc_plan.peak_optical_depth"),
+        "center_freq_hz": (_maybe(float), None, "afc_plan.center_freq"),
+        "background_od": (float, 0.0, "afc_background_od"),
+        "efficiency_override": (_maybe(float), None, "afc_efficiency_override"),
+        "taper": (str, "flat", "afc_taper"),
+        "taper_fwhm_hz": (_maybe(float), None, "afc_taper_fwhm_hz"),
+        "echo_orders": (int, 1, "afc_echo_orders"),
     },
     "filter.signal": {
-        "kind": (str, "etalon"),
-        "bandwidth_hz": (_f, 5.58e9),
-        "fsr_hz": (_f, 166e9),
-        "peak_transmittance": (_f, 0.5),
-        "center_hz": (_maybe(_f), None),
-        "stopband_transmittance": (_f, 0.0),
+        "kind": (str, "etalon", "filters.signal.kind"),
+        "bandwidth_hz": (float, 5.58e9, "filters.signal.bandwidth"),
+        "fsr_hz": (float, 166e9, "filters.signal.fsr"),
+        "peak_transmittance": (float, 0.5, "filters.signal.peak_transmittance"),
+        "center_hz": (_maybe(float), None, "filters.signal.center"),
+        "stopband_transmittance": (float, 0.0, "filters.signal.stopband_transmittance"),
     },
     "filter.idler": {
-        "kind": (str, "vbg"),
-        "bandwidth_hz": (_f, 10e9),
-        "fsr_hz": (_f, 0.0),
-        "peak_transmittance": (_f, 0.92),
-        "center_hz": (_maybe(_f), None),
-        "stopband_transmittance": (_f, 0.0),
+        "kind": (str, "vbg", "filters.idler.kind"),
+        "bandwidth_hz": (float, 10e9, "filters.idler.bandwidth"),
+        "fsr_hz": (float, 0.0, "filters.idler.fsr"),
+        "peak_transmittance": (float, 0.92, "filters.idler.peak_transmittance"),
+        "center_hz": (_maybe(float), None, "filters.idler.center"),
+        "stopband_transmittance": (float, 0.0, "filters.idler.stopband_transmittance"),
     },
     "detector.signal": {
-        "efficiency": (_f, 0.6),
-        "dark_rate_hz": (_f, 200.0),
-        "jitter_sigma_s": (_f, 0.35e-9),
-        "dead_time_s": (_f, 24e-9),
+        "efficiency": (float, 0.6, "detectors.signal.efficiency"),
+        "dark_rate_hz": (float, 200.0, "detectors.signal.dark_rate"),
+        "jitter_sigma_s": (float, 0.35e-9, "detectors.signal.jitter_sigma"),
+        "dead_time_s": (float, 24e-9, "detectors.signal.dead_time"),
     },
     "detector.idler": {
-        "efficiency": (_f, 0.85),
-        "dark_rate_hz": (_f, 100.0),
-        "jitter_sigma_s": (_f, 0.05e-9),
-        "dead_time_s": (_f, 40e-9),
+        "efficiency": (float, 0.85, "detectors.idler.efficiency"),
+        "dark_rate_hz": (float, 100.0, "detectors.idler.dark_rate"),
+        "jitter_sigma_s": (float, 0.05e-9, "detectors.idler.jitter_sigma"),
+        "dead_time_s": (float, 40e-9, "detectors.idler.dead_time"),
     },
     "gating": {
-        "enabled": (_bool, True),
-        "cycle_s": (_f, 100e-6),
-        "measure_fraction": (_f, 0.45),
-        "break_time_s": (_f, 10e-6),
-        "conditional_gate_on_s": (_f, 700e-9),
-        "conditional_gate_off_s": (_f, 1900e-9),
-        "off_gate_attenuation": (_f, 0.05),
+        "enabled": (_bool, True, None),
+        "cycle_s": (float, 100e-6, "gating.cycle"),
+        "measure_fraction": (float, 0.45, "gating.measure_fraction"),
+        "break_time_s": (float, 10e-6, "gating.break_time"),
+        "conditional_gate_on_s": (float, 700e-9, "gating.conditional_gate_on"),
+        "conditional_gate_off_s": (float, 1900e-9, "gating.conditional_gate_off"),
+        "off_gate_attenuation": (float, 0.05, "gating.off_gate_attenuation"),
     },
     "run": {
-        "duration_s": (_f, 2.0),
-        "seed": (int, 1),
-        "pump_mw": (_f, 1.0),
-        "brightness_pairs_per_s_per_mw": (_f, 2.5e5),
-        "reference_run": (_bool, True),
+        "duration_s": (float, 2.0, "duration_s"),
+        "seed": (int, 1, "seed"),
+        "pump_mw": (float, 1.0, "pump_mw"),
+        "brightness_pairs_per_s_per_mw": (float, 2.5e5, "brightness_pairs_per_s_per_mw"),
+        "reference_run": (_bool, True, "reference_run"),
     },
     "analysis": {
-        "bin_width_s": (_f, 0.2e-9),
-        "hist_min_s": (_f, -0.5e-6),
-        "hist_max_s": (_f, 2.2e-6),
-        "window_s": (_f, 400e-9),
-        "window_center_s": (_maybe(_f), None),
-        "floor_min_s": (_f, 1.6e-6),
-        "floor_max_s": (_f, 1.8e-6),
-        "fsr_peak_count": (int, 30),
-        "min_prominence": (_maybe(_f), None),
-        "classical_mode_count": (_maybe(int), None),
-        "comb_fit_halfspan_s": (_f, 250e-9),
+        "bin_width_s": (float, 0.2e-9, "analysis.bin_width_s"),
+        "hist_min_s": (float, -0.5e-6, "analysis.hist_min_s"),
+        "hist_max_s": (float, 2.2e-6, "analysis.hist_max_s"),
+        "window_s": (float, 400e-9, "analysis.window_s"),
+        "window_center_s": (_maybe(float), None, "analysis.window_center_s"),
+        "floor_min_s": (float, 1.6e-6, "analysis.floor_min_s"),
+        "floor_max_s": (float, 1.8e-6, "analysis.floor_max_s"),
+        "fsr_peak_count": (int, 30, "analysis.fsr_peak_count"),
+        "min_prominence": (_maybe(float), None, "analysis.min_prominence"),
+        "classical_mode_count": (_maybe(int), None, "analysis.classical_mode_count"),
+        "comb_fit_halfspan_s": (float, 250e-9, "analysis.comb_fit_halfspan_s"),
     },
     "sweep": {
-        "kind": (_maybe(str), None),
-        "values": (_values, ()),
+        "kind": (_maybe(str), None, "sweep_kind"),
+        "values": (_values, (), "sweep_values"),
     },
 }
+
+# "auto" (None) centers and AFC mode spacing take their cavity key's value
+_FROM_CAVITY = {
+    "phase_matching.envelope_center": "cavity.signal_center",
+    "afc_plan.mode_spacing": "cavity.fsr_signal",
+    "afc_plan.center_freq": "cavity.signal_center",
+    "filters.signal.center": "cavity.signal_center",
+    "filters.idler.center": "cavity.idler_center",
+}
+
+# target prefix -> the object it builds, in validation order
+_TYPES = {"cavity": CavityParams, "phase_matching": PhaseMatching,
+          "afc_plan": AfcPlan, "filters.signal": FilterSpec,
+          "filters.idler": FilterSpec, "detectors.signal": DetectorModel,
+          "detectors.idler": DetectorModel, "gating": GatingSequence,
+          "analysis": AnalysisSettings}
 
 
 def _fmt(value) -> str:
@@ -246,207 +264,66 @@ def load_scenario(text: str) -> Scenario:
     except configparser.Error as exc:
         raise ScenarioError(f"cannot parse scenario: {exc}") from exc
 
-    raw: dict[str, dict] = {}
+    parsed = {}
     for section in cp.sections():
         if section not in _SCHEMA:
             raise ScenarioError(f"unknown section [{section}]")
-        raw[section] = {}
         for key, value in cp[section].items():
             if key not in _SCHEMA[section]:
                 raise ScenarioError(f"unknown key {key!r} in section [{section}]")
-            parser, _ = _SCHEMA[section][key]
             try:
-                raw[section][key] = parser(value)
+                parsed[section, key] = _SCHEMA[section][key][0](value)
             except ValueError as exc:
                 raise ScenarioError(
                     f"bad value for [{section}] {key}: {value!r}") from exc
 
-    def get(section, key):
-        parser, default = _SCHEMA[section][key]
-        return raw.get(section, {}).get(key, default)
-
+    flat = {target: parsed.get((section, key), default)
+            for section, rows in _SCHEMA.items()
+            for key, (_, default, target) in rows.items()}
+    for target, source in _FROM_CAVITY.items():
+        if flat[target] is None:
+            flat[target] = flat[source]
+    # a switched-off block builds no object
+    off = {"afc_plan": not flat["afc_enabled"], "gating": not flat.pop(None)}
+    groups: dict = {}   # target prefix -> keyword arguments
+    for target, value in flat.items():
+        prefix, _, name = target.rpartition(".")
+        groups.setdefault(prefix, {})[name] = value
+    top = groups[""]
     try:
-        cavity = CavityParams(
-            fsr_signal=get("cavity", "fsr_signal_hz"),
-            fsr_idler=get("cavity", "fsr_idler_hz"),
-            linewidth_signal=get("cavity", "linewidth_signal_hz"),
-            linewidth_idler=get("cavity", "linewidth_idler_hz"),
-            signal_center=get("cavity", "signal_center_hz"),
-            idler_center=get("cavity", "idler_center_hz"))
-        pm_center = get("phase_matching", "envelope_center_hz")
-        pm = PhaseMatching(
-            envelope_center=cavity.signal_center if pm_center is None else pm_center,
-            envelope_fwhm=get("phase_matching", "envelope_fwhm_hz"),
-            envelope_shape=get("phase_matching", "envelope_shape"))
-        afc_enabled = get("afc", "enabled")
-        plan = None
-        if afc_enabled:
-            spacing = get("afc", "mode_spacing_hz")
-            center = get("afc", "center_freq_hz")
-            plan = AfcPlan(
-                mode_count=get("afc", "mode_count"),
-                mode_spacing=cavity.fsr_signal if spacing is None else spacing,
-                tooth_spacing=get("afc", "tooth_spacing_hz"),
-                per_mode_bandwidth=get("afc", "per_mode_bandwidth_hz"),
-                finesse=get("afc", "finesse"),
-                peak_optical_depth=get("afc", "peak_optical_depth"),
-                center_freq=cavity.signal_center if center is None else center)
-        filters = {}
-        for ch, default_center in (("signal", cavity.signal_center),
-                                   ("idler", cavity.idler_center)):
-            sec = f"filter.{ch}"
-            kind = get(sec, "kind")
-            center = get(sec, "center_hz")
-            filters[ch] = FilterSpec(
-                kind=kind,
-                bandwidth=get(sec, "bandwidth_hz"),
-                fsr=get(sec, "fsr_hz"),
-                peak_transmittance=get(sec, "peak_transmittance"),
-                center=default_center if center is None else center,
-                stopband_transmittance=get(sec, "stopband_transmittance"))
-        detectors = {
-            ch: DetectorModel(
-                efficiency=get(f"detector.{ch}", "efficiency"),
-                dark_rate=get(f"detector.{ch}", "dark_rate_hz"),
-                jitter_sigma=get(f"detector.{ch}", "jitter_sigma_s"),
-                dead_time=get(f"detector.{ch}", "dead_time_s"))
-            for ch in ("signal", "idler")}
-        gating = None
-        if get("gating", "enabled"):
-            gating = GatingSequence(
-                cycle=get("gating", "cycle_s"),
-                measure_fraction=get("gating", "measure_fraction"),
-                break_time=get("gating", "break_time_s"),
-                conditional_gate_on=get("gating", "conditional_gate_on_s"),
-                conditional_gate_off=get("gating", "conditional_gate_off_s"),
-                off_gate_attenuation=get("gating", "off_gate_attenuation"))
-        settings = AnalysisSettings(
-            bin_width_s=get("analysis", "bin_width_s"),
-            hist_min_s=get("analysis", "hist_min_s"),
-            hist_max_s=get("analysis", "hist_max_s"),
-            window_s=get("analysis", "window_s"),
-            window_center_s=get("analysis", "window_center_s"),
-            floor_min_s=get("analysis", "floor_min_s"),
-            floor_max_s=get("analysis", "floor_max_s"),
-            fsr_peak_count=get("analysis", "fsr_peak_count"),
-            min_prominence=get("analysis", "min_prominence"),
-            classical_mode_count=get("analysis", "classical_mode_count"),
-            comb_fit_halfspan_s=get("analysis", "comb_fit_halfspan_s"))
-        return Scenario(
-            cavity=cavity, phase_matching=pm,
-            spectrum_source=get("spectrum", "source"),
-            comb_modes=get("spectrum", "comb_modes"),
-            afc_enabled=afc_enabled, afc_plan=plan,
-            afc_background_od=get("afc", "background_od"),
-            afc_efficiency_override=get("afc", "efficiency_override"),
-            afc_taper=get("afc", "taper"),
-            afc_taper_fwhm_hz=get("afc", "taper_fwhm_hz"),
-            afc_echo_orders=get("afc", "echo_orders"),
-            filters=filters, detectors=detectors, gating=gating,
-            duration_s=get("run", "duration_s"),
-            seed=get("run", "seed"),
-            pump_mw=get("run", "pump_mw"),
-            brightness_pairs_per_s_per_mw=get("run", "brightness_pairs_per_s_per_mw"),
-            reference_run=get("run", "reference_run"),
-            analysis=settings,
-            sweep_kind=get("sweep", "kind"),
-            sweep_values=get("sweep", "values"))
+        for prefix, cls in _TYPES.items():
+            obj = None if off.get(prefix) else cls(**groups[prefix])
+            owner, _, channel = prefix.partition(".")
+            top[owner] = {**top.get(owner, {}), channel: obj} if channel else obj
+        return Scenario(**top)
     except ScenarioError:
         raise
     except ValueError as exc:
         raise ScenarioError(str(exc)) from exc
 
 
+def _saved(s: Scenario, target: str | None, default):
+    """Value the canonical document writes for one schema row."""
+    if target is None:
+        return s.gating is not None
+    *path, name = target.split(".")
+    obj = s
+    for p in path:   # a missing filter or detector channel is the plain model
+        obj = (obj.get(p) or _TYPES[".".join(path)]() if isinstance(obj, dict)
+               else getattr(obj, p))
+        if obj is None:
+            # switched-off block: table defaults, but a single-mode AFC plan
+            return 1 if target == "afc_plan.mode_count" else default
+    return getattr(obj, name)
+
+
 def save_scenario(s: Scenario) -> str:
     """Canonical document for a scenario: every key, schema order."""
-    values = {
-        "cavity": {
-            "fsr_signal_hz": s.cavity.fsr_signal,
-            "fsr_idler_hz": s.cavity.fsr_idler,
-            "linewidth_signal_hz": s.cavity.linewidth_signal,
-            "linewidth_idler_hz": s.cavity.linewidth_idler,
-            "signal_center_hz": s.cavity.signal_center,
-            "idler_center_hz": s.cavity.idler_center,
-        },
-        "phase_matching": {
-            "envelope_center_hz": s.phase_matching.envelope_center,
-            "envelope_fwhm_hz": s.phase_matching.envelope_fwhm,
-            "envelope_shape": s.phase_matching.envelope_shape,
-        },
-        "spectrum": {"source": s.spectrum_source, "comb_modes": s.comb_modes},
-        "afc": {
-            "enabled": s.afc_enabled,
-            "mode_count": s.afc_plan.mode_count if s.afc_plan else 1,
-            "mode_spacing_hz": s.afc_plan.mode_spacing if s.afc_plan else None,
-            "tooth_spacing_hz": s.afc_plan.tooth_spacing if s.afc_plan else 920e3,
-            "per_mode_bandwidth_hz": (s.afc_plan.per_mode_bandwidth
-                                      if s.afc_plan else 4e6),
-            "finesse": s.afc_plan.finesse if s.afc_plan else 2.0,
-            "peak_optical_depth": (s.afc_plan.peak_optical_depth
-                                   if s.afc_plan else 2.0),
-            "center_freq_hz": s.afc_plan.center_freq if s.afc_plan else None,
-            "background_od": s.afc_background_od,
-            "efficiency_override": s.afc_efficiency_override,
-            "taper": s.afc_taper,
-            "taper_fwhm_hz": s.afc_taper_fwhm_hz,
-            "echo_orders": s.afc_echo_orders,
-        },
-        "gating": {
-            "enabled": s.gating is not None,
-            "cycle_s": s.gating.cycle if s.gating else 100e-6,
-            "measure_fraction": s.gating.measure_fraction if s.gating else 0.45,
-            "break_time_s": s.gating.break_time if s.gating else 10e-6,
-            "conditional_gate_on_s": (s.gating.conditional_gate_on
-                                      if s.gating else 700e-9),
-            "conditional_gate_off_s": (s.gating.conditional_gate_off
-                                       if s.gating else 1900e-9),
-            "off_gate_attenuation": (s.gating.off_gate_attenuation
-                                     if s.gating else 0.05),
-        },
-        "run": {
-            "duration_s": s.duration_s,
-            "seed": s.seed,
-            "pump_mw": s.pump_mw,
-            "brightness_pairs_per_s_per_mw": s.brightness_pairs_per_s_per_mw,
-            "reference_run": s.reference_run,
-        },
-        "analysis": {
-            "bin_width_s": s.analysis.bin_width_s,
-            "hist_min_s": s.analysis.hist_min_s,
-            "hist_max_s": s.analysis.hist_max_s,
-            "window_s": s.analysis.window_s,
-            "window_center_s": s.analysis.window_center_s,
-            "floor_min_s": s.analysis.floor_min_s,
-            "floor_max_s": s.analysis.floor_max_s,
-            "fsr_peak_count": s.analysis.fsr_peak_count,
-            "min_prominence": s.analysis.min_prominence,
-            "classical_mode_count": s.analysis.classical_mode_count,
-            "comb_fit_halfspan_s": s.analysis.comb_fit_halfspan_s,
-        },
-        "sweep": {"kind": s.sweep_kind, "values": s.sweep_values},
-    }
-    for ch in ("signal", "idler"):
-        flt = s.filters.get(ch)
-        values[f"filter.{ch}"] = {
-            "kind": flt.kind if flt else "none",
-            "bandwidth_hz": flt.bandwidth if flt else 0.0,
-            "fsr_hz": flt.fsr if flt else 0.0,
-            "peak_transmittance": flt.peak_transmittance if flt else 1.0,
-            "center_hz": flt.center if flt else None,
-            "stopband_transmittance": flt.stopband_transmittance if flt else 0.0,
-        }
-        det = s.detectors.get(ch, DetectorModel())
-        values[f"detector.{ch}"] = {
-            "efficiency": det.efficiency,
-            "dark_rate_hz": det.dark_rate,
-            "jitter_sigma_s": det.jitter_sigma,
-            "dead_time_s": det.dead_time,
-        }
     lines = []
-    for section in _SCHEMA:
+    for section, rows in _SCHEMA.items():
         lines.append(f"[{section}]")
-        for key in _SCHEMA[section]:
-            lines.append(f"{key} = {_fmt(values[section][key])}")
+        for key, (_, default, target) in rows.items():
+            lines.append(f"{key} = {_fmt(_saved(s, target, default))}")
         lines.append("")
     return "\n".join(lines)
 
@@ -509,6 +386,18 @@ def _comb_view(hist: an.CorrelationHistogram, center: float,
         total_stop_counts=hist.total_stop_counts, duration=hist.duration)
 
 
+def _window_and_floor(s: Scenario, hist: an.CorrelationHistogram):
+    """Echo delay (None without memory), analysis window center (the echo
+    delay, or 0 without memory, unless set) and noise floor (value, error)."""
+    profile = build_profile(s)
+    echo_delay = profile.storage_time if profile is not None else None
+    center = s.analysis.window_center_s
+    if center is None:
+        center = echo_delay if echo_delay is not None else 0.0
+    return echo_delay, center, an.noise_floor(
+        hist, (s.analysis.floor_min_s, s.analysis.floor_max_s))
+
+
 def analyze_events(s: Scenario, events: EventStream,
                    rate_single: tuple[float, float] | None = None,
                    n_effective: tuple[float, float] | None = None):
@@ -520,15 +409,7 @@ def analyze_events(s: Scenario, events: EventStream,
         events = replace(events, metadata={**events.metadata,
                                            "gating": asdict(s.gating)})
     hist = _histogram(s, events)
-
-    profile = build_profile(s)
-    echo_delay = profile.storage_time if profile is not None else None
-    center = s.analysis.window_center_s
-    if center is None:
-        center = echo_delay if echo_delay is not None else 0.0
-
-    floor, floor_err = an.noise_floor(
-        hist, (s.analysis.floor_min_s, s.analysis.floor_max_s))
+    echo_delay, center, (floor, floor_err) = _window_and_floor(s, hist)
     prom = s.analysis.min_prominence
     if prom is None:
         prom = max(5.0 * math.sqrt(max(floor, 0.0)), 1.0)
@@ -614,12 +495,7 @@ def reference_rate(s: Scenario, ref_events: EventStream) -> tuple[float, float]:
     """Floor-subtracted coincidence rate (value, error) of a single-mode
     reference run, analyzed with the settings of scenario ``s``."""
     ref_hist = _histogram(s, ref_events)
-    profile = build_profile(s)
-    center = s.analysis.window_center_s
-    if center is None:
-        center = profile.storage_time if profile else 0.0
-    floor, floor_err = an.noise_floor(
-        ref_hist, (s.analysis.floor_min_s, s.analysis.floor_max_s))
+    _, center, (floor, floor_err) = _window_and_floor(s, ref_hist)
     r = an.coincidence_rate(ref_hist, s.analysis.window_s, center,
                             floor, floor_err)
     return r.rate, r.error

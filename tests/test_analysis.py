@@ -76,6 +76,11 @@ def test_histogram_config_validation():
         pm.HistogramConfig(range=(1.0, 0.0))
 
 
+def test_histogram_config_rejects_nan_bin_width():
+    with pytest.raises(ParameterError):
+        pm.HistogramConfig(bin_width=float("nan"))
+
+
 def test_merge_equals_whole():
     rng = np.random.default_rng(1)
     starts = np.sort(rng.random(200) * 1e-3)

@@ -89,6 +89,113 @@ def test_shipped_scenarios_load():
         assert isinstance(s, pm.Scenario)
 
 
+@pytest.mark.parametrize("text,match", [
+    ("[analysis]\nbin_width_s = nan\n", "bin_width_s"),
+    ("[analysis]\nbin_width_s = inf\n", "bin_width_s"),
+    ("[analysis]\nbin_width_s = 0\n", "bin_width_s"),
+    ("[analysis]\nbin_width_s = -2e-10\n", "bin_width_s"),
+    ("[analysis]\nhist_min_s = 2.2e-6\n", "hist_min_s"),
+    ("[analysis]\nhist_max_s = -1e-6\n", "hist_min_s"),
+    ("[analysis]\nhist_max_s = nan\n", "hist_min_s"),
+])
+def test_bad_histogram_settings_rejected(text, match):
+    with pytest.raises(ScenarioError, match=match):
+        pm.load_scenario(text)
+
+
+# SHA-256 of save_scenario (that is, the scenario digest) for the shipped
+# scenarios, their single-mode references and documents that exercise the
+# disabled blocks and every key that accepts "auto".  The canonical text is
+# the provenance of every report; these must not move.
+ALL_AUTO_KEYS_SET = (
+    "[phase_matching]\nenvelope_center_hz = 494.75e12\n"
+    "[afc]\nmode_spacing_hz = 123e6\ncenter_freq_hz = 494.701e12\n"
+    "efficiency_override = 0.3\ntaper = gaussian\ntaper_fwhm_hz = 5e9\n"
+    "[filter.signal]\ncenter_hz = 494.702e12\n"
+    "[filter.idler]\ncenter_hz = 193.401e12\n"
+    "[analysis]\nwindow_center_s = 1.087e-6\nmin_prominence = 12.5\n"
+    "classical_mode_count = 33\n"
+    "[sweep]\nkind = pump_power\nvalues = 0.5, 1.0, 2.0\n")
+CANONICAL_SHA256 = {
+    "calibration_1mw":
+        "ce60f9b3a159bc467778ffa49ece45a0cb4304dec5b4995ccbab05835d418a82",
+    "calibration_1mw.reference":
+        "2045e52b7e283d69061b19e21b178da6482955e0a2a2cf5dca82ccbb1aaa0916",
+    "default":
+        "b3c7ad14ffec87d64abc055c665cd7e68f02bcdba194ad3106dd51d8542d401a",
+    "default.reference":
+        "9618b6141a34feea09d71fe1e6e7297028fd76b6cbd5e2102252fb0bdcf62b5a",
+    "halfpower_0p5mw":
+        "e9bf888b780c079302ba6b050d47b096d9b3cc4b860f1778676880ebd3b8c8cd",
+    "halfpower_0p5mw.reference":
+        "337ce88e2be1293c8860b4bd9193d2487d0e31c477b5ed68347931dd57f43a3f",
+    "sweep_afc_modes":
+        "84f2ea55065c7429bf5e51ab79609e19349c177af3c6b853f0559bc1cafe0586",
+    "sweep_afc_modes.reference":
+        "477eb244a6a295c67bb227e99bd83fda764ec10b1b823a2ff20abf6b44c1df11",
+    "sweep_pump_power":
+        "8a78505161b4f5e14a1558df5ccf5e42bf7a22dccacb462ff528912408985ef5",
+    "sweep_pump_power.reference":
+        "dcafadcb6347e116307e9c8392e733673199c96918f454f5fb91af348b06397f",
+    "afc_disabled":
+        "edb26e7f9862d0a7a869560139513e9a4f96bb8b959d69390b55a43a51a99ef8",
+    "gating_disabled":
+        "3363f3757030d2220d111689724f82b7dc7c830c460d4d3e0aee37ae3eef0bac",
+    "all_auto_keys_set":
+        "d6f741d90e7b40d91718c0ba4cc66a1768252048a6dae94af948bc03091a947c",
+}
+
+
+def test_canonical_text_pinned():
+    def sha(s):
+        return hashlib.sha256(pm.save_scenario(s).encode()).hexdigest()
+    got = {}
+    for path in SCENARIO_DIR.glob("*.cfg"):
+        s = pm.load_scenario(path.read_text())
+        got[path.stem] = sha(s)
+        got[f"{path.stem}.reference"] = sha(single_mode_reference(s))
+    for name, text in (("afc_disabled", "[afc]\nenabled = false\n"),
+                       ("gating_disabled", "[gating]\nenabled = false\n"),
+                       ("all_auto_keys_set", ALL_AUTO_KEYS_SET)):
+        got[name] = sha(pm.load_scenario(text))
+    assert got == CANONICAL_SHA256
+    assert pm.scenario_digest(pm.default_scenario()) == CANONICAL_SHA256["default"]
+
+
+def test_disabled_blocks_save_table_defaults():
+    no_afc = pm.save_scenario(pm.load_scenario("[afc]\nenabled = false\n"))
+    assert "enabled = false\nmode_count = 1\nmode_spacing_hz = auto\n" in no_afc
+    assert "tooth_spacing_hz = 920000.0\n" in no_afc
+    no_gate = pm.load_scenario("[gating]\nenabled = false\ncycle_s = 5e-5\n")
+    assert no_gate.gating is None
+    assert "[gating]\nenabled = false\ncycle_s = 0.0001\n" in \
+        pm.save_scenario(no_gate)
+
+
+def test_default_cfg_is_canonical_empty_document():
+    assert (SCENARIO_DIR / "default.cfg").read_text() == \
+        pm.save_scenario(pm.load_scenario(""))
+
+
+def test_schema_targets_name_fields():
+    # every row sets a real attribute, and every attribute has a row
+    from dataclasses import fields
+    from pairmem.scenario import _FROM_CAVITY, _SCHEMA, _TYPES
+    owners = {"": pm.Scenario, **_TYPES}
+    wanted = {(prefix, f.name) for prefix, cls in owners.items()
+              for f in fields(cls)}
+    wanted -= {("", prefix.partition(".")[0]) for prefix in _TYPES}
+    targets = [target for rows in _SCHEMA.values()
+               for _, _, target in rows.values()]
+    assert targets.count(None) == 1 and _SCHEMA["gating"]["enabled"][2] is None
+    got = [tuple(t.rpartition(".")[::2]) for t in targets if t is not None]
+    assert len(got) == len(set(got))
+    assert set(got) == wanted
+    assert set(_FROM_CAVITY) <= set(targets)
+    assert all(src.startswith("cavity.") and src in targets
+               for src in _FROM_CAVITY.values())
+
+
 # ---------------------------------------------------------------------------
 # pipeline stages
 
@@ -300,6 +407,19 @@ def test_cli_validate_rejects_negative_duration(tmp_path, capsys):
     cfg.write_text("[run]\nduration_s = -1.0\n")
     assert run_cli(["validate", "--scenario", str(cfg)]) == 2
     assert "duration_s" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["validate", "simulate"])
+@pytest.mark.parametrize("width", ["nan", "inf", "0"])
+def test_cli_rejects_bad_bin_width(tmp_path, capsys, command, width):
+    cfg = tmp_path / "s.cfg"
+    cfg.write_text(f"[analysis]\nbin_width_s = {width}\n"
+                   "[run]\nduration_s = 0.01\nreference_run = false\n")
+    args = [command, "--scenario", str(cfg)]
+    if command == "simulate":
+        args += ["--out", str(tmp_path)]
+    assert run_cli(args) == 2
+    assert "bin_width_s" in capsys.readouterr().err
 
 
 def test_cli_simulate_rejects_negative_pump(tmp_path, capsys):
