@@ -4,15 +4,13 @@ source coupled to an atomic-frequency-comb quantum memory."""
 __version__ = "0.1.0"
 
 from .cavity import (BiphotonSpectrum, CavityParams, ClusterSpectrum,
-                     ModeLine, PhaseMatching, analytic_g2, cluster_spectrum,
-                     comb_spectrum, g2_envelope, mode_weights, resonant_modes)
-from .memory import (AfcPlan, AfcProfile, FilterSpec, StoredResponse,
-                     design_afc, filter_transmission, memory_response,
-                     storage_time)
+                     PhaseMatching, analytic_g2, cluster_spectrum,
+                     comb_spectrum, g2_envelope, mode_weights)
+from .memory import (AfcPlan, AfcProfile, FilterSpec, design_afc,
+                     filter_transmission)
 from .montecarlo import (DetectorModel, EventStream, GatingSequence,
                          SourceModel, concatenate_streams, generate_events,
-                         make_rng, sample_pair_delay, sequence_phase,
-                         split_seed)
+                         make_rng, sequence_phase, split_seed)
 from .analysis import (AnalysisReport, CorrelationHistogram, HistogramConfig,
                        build_histogram, classical_limit, coincidence_rate,
                        detect_peaks, effective_modes, estimate_fsr,

@@ -213,29 +213,37 @@ def estimate_fsr(peaks: list[tuple[float, float]], k_max: int = 30) -> FsrEstima
                        interval_s=dt, interval_err_s=dt_err)
 
 
+def default_prominence(floor: float) -> float:
+    """Peak prominence threshold when none is set: five Poisson standard
+    deviations of the noise floor, and at least one count."""
+    return max(5.0 * math.sqrt(max(floor, 0.0)), 1.0)
+
+
 def fit_envelope(hist: CorrelationHistogram, side: str, *, floor: float = 0.0,
                  min_prominence: float | None = None) -> tuple[float, float]:
-    """Cavity linewidth from the exponential decay of the comb peak heights.
+    """Cavity linewidth from the exponential decay of the comb peak heights
+    of ``hist`` (``fit_peak_envelope`` on its detected peaks)."""
+    if min_prominence is None:
+        min_prominence = default_prominence(floor)
+    return fit_peak_envelope(detect_peaks(hist, min_prominence), side,
+                             half_bin=hist.bin_width / 2, floor=floor)
 
-    Weighted least squares of log(height - floor) against |delay| over the
-    detected peaks, with Poisson weights; the magnitude of the slope is
-    2 pi times the linewidth.  Returns (linewidth_hz, error_hz).
+
+def fit_peak_envelope(peaks: list[tuple[float, float]], side: str, *,
+                      half_bin: float, floor: float = 0.0) -> tuple[float, float]:
+    """Weighted least squares of log(height - floor) against |delay| over
+    the peaks of one side (|delay| > half_bin), with Poisson weights; the
+    magnitude of the slope is 2 pi times the linewidth.  Returns
+    (linewidth_hz, error_hz).
     """
     if side not in ("positive", "negative"):
         raise ParameterError("side must be 'positive' or 'negative'")
-    if min_prominence is None:
-        min_prominence = max(5.0 * math.sqrt(max(floor, 0.0)), 1.0)
-    peaks = detect_peaks(hist, min_prominence)
-    half_bin = hist.bin_width / 2
-    if side == "positive":
-        pts = [(d, h) for d, h in peaks if d > half_bin]
-    else:
-        pts = [(-d, h) for d, h in peaks if d < -half_bin]
-    pts = [(x, h - floor) for x, h in pts if h - floor > 0]
+    sign = 1.0 if side == "positive" else -1.0
+    pts = [(sign * d, h - floor) for d, h in peaks
+           if sign * d > half_bin and h - floor > 0]
     if len(pts) < 10:
         raise FitError(f"need >= 10 usable peaks on the {side} side, got {len(pts)}")
-    x = np.array([p[0] for p in pts])
-    h = np.array([p[1] for p in pts])
+    x, h = np.array(pts).T
     # var(log h) ~ 1/h for Poisson counts
     coef, cov = np.polyfit(x, np.log(h), 1, w=np.sqrt(h), cov="unscaled")
     return -float(coef[0]) / TWO_PI, float(math.sqrt(cov[0, 0])) / TWO_PI

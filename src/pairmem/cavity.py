@@ -94,44 +94,29 @@ class PhaseMatching:
         return u * self.envelope_fwhm / (2.0 * 0.4429468945)
 
 
-@dataclass(frozen=True)
-class ModeLine:
-    """One longitudinal mode of the joint comb."""
-
-    index: int
-    signal_freq: float
-    idler_freq: float
-    weight: float = 1.0
-
-
-@dataclass
+@dataclass(frozen=True, eq=False)
 class BiphotonSpectrum:
-    """Weighted set of doubly resonant mode lines, sum(s_n^2) normalized."""
+    """Doubly resonant mode lines as parallel arrays sorted by mode index:
+    comb index, signal and idler frequency, and weight s_n, normalized so
+    sum(s_n^2) = 1."""
 
-    modes: list[ModeLine]
+    index: np.ndarray
+    signal_freqs: np.ndarray
+    idler_freqs: np.ndarray
+    weights: np.ndarray
 
     def __post_init__(self):
-        if len(self.modes) < 1:
+        if len({len(self.index), len(self.signal_freqs), len(self.idler_freqs),
+                len(self.weights)}) != 1:
+            raise ParameterError("spectrum arrays must have equal lengths")
+        if len(self.index) < 1:
             raise EmptySpectrumError("spectrum must contain at least one mode")
-        w = self.weights
-        if np.any(w < 0) or not np.any(w > 0):
+        if np.any(self.weights < 0) or not np.any(self.weights > 0):
             raise ParameterError("weights must be nonnegative with at least one > 0")
 
     @property
     def N(self) -> int:
-        return len(self.modes)
-
-    @property
-    def weights(self) -> np.ndarray:
-        return np.array([m.weight for m in self.modes], dtype=float)
-
-    @property
-    def signal_freqs(self) -> np.ndarray:
-        return np.array([m.signal_freq for m in self.modes], dtype=float)
-
-    @property
-    def idler_freqs(self) -> np.ndarray:
-        return np.array([m.idler_freq for m in self.modes], dtype=float)
+        return len(self.index)
 
 
 @dataclass(frozen=True)
@@ -149,40 +134,12 @@ class ClusterSpectrum:
             raise ParameterError("cluster widths must be positive")
 
 
-def _fold(x: np.ndarray, period: float) -> np.ndarray:
-    """Distance from x to the nearest integer multiple of period."""
-    r = np.mod(x, period)
-    return np.minimum(r, period - r)
-
-
-def resonant_modes(cavity: CavityParams, band: tuple[float, float]) -> list[ModeLine]:
-    """All signal-comb lines in the half-open band [lo, hi).
-
-    Lines are spaced exactly fsr_signal on the grid anchored at
-    signal_center; each is paired with its energy-conserving idler
-    frequency.  Weights are left at 1.0.
-    """
-    lo, hi = band
-    if not (hi > lo):
-        return []
-    if (hi - lo) / cavity.fsr_signal > 1e6:
-        raise ParameterError("band spans more than 1e6 modes")
-    k_lo = math.ceil((lo - cavity.signal_center) / cavity.fsr_signal - 1e-9)
-    k_hi = math.floor((hi - cavity.signal_center) / cavity.fsr_signal - 1e-9)
-    pump = cavity.pump_freq
-    out = []
-    for k in range(k_lo, k_hi + 1):
-        fs = cavity.signal_center + k * cavity.fsr_signal
-        if lo <= fs < hi:
-            out.append(ModeLine(index=k, signal_freq=fs, idler_freq=pump - fs))
-    return out
-
-
 def _mode_mismatch(cavity: CavityParams, k: np.ndarray) -> np.ndarray:
     """Detuning of the energy-conserving idler of signal mode k from the
     nearest idler comb line."""
     dfsr = cavity.fsr_signal - cavity.fsr_idler
-    return _fold(np.asarray(k, dtype=float) * dfsr, cavity.fsr_idler)
+    r = np.mod(np.asarray(k, dtype=float) * dfsr, cavity.fsr_idler)
+    return np.minimum(r, cavity.fsr_idler - r)
 
 
 def cluster_spectrum(cavity: CavityParams, pm: PhaseMatching) -> ClusterSpectrum:
@@ -232,27 +189,21 @@ def mode_weights(cluster: ClusterSpectrum, pm: PhaseMatching,
     Lorentzian double-resonance overlap factor; the result is normalized so
     sum(s_n^2) = 1.
     """
-    pump = cavity.pump_freq
-    modes = []
-    for center, width in cluster.clusters:
-        k_lo = math.ceil((center - width / 2 - cavity.signal_center) / cavity.fsr_signal - 1e-9)
-        k_hi = math.floor((center + width / 2 - cavity.signal_center) / cavity.fsr_signal + 1e-9)
-        k = np.arange(k_lo, k_hi + 1)
-        fs = cavity.signal_center + k * cavity.fsr_signal
-        mism = _mode_mismatch(cavity, k)
-        overlap = 1.0 / (1.0 + (mism / cavity.joint_linewidth) ** 2)
-        s = pm.amplitude(fs) * overlap
-        for ki, fi, si in zip(k, fs, s):
-            modes.append(ModeLine(index=int(ki), signal_freq=float(fi),
-                                  idler_freq=pump - float(fi), weight=float(si)))
-    modes.sort(key=lambda m: m.index)
-    total = math.fsum(m.weight ** 2 for m in modes)
+    f0, fsr = cavity.signal_center, cavity.fsr_signal
+    runs = [np.arange(math.ceil((center - width / 2 - f0) / fsr - 1e-9),
+                      math.floor((center + width / 2 - f0) / fsr + 1e-9) + 1)
+            for center, width in cluster.clusters]
+    k = np.sort(np.concatenate(runs or [np.zeros(0, dtype=np.int64)]))
+    fs = f0 + k * fsr
+    mism = _mode_mismatch(cavity, k)
+    overlap = 1.0 / (1.0 + (mism / cavity.joint_linewidth) ** 2)
+    s = pm.amplitude(fs) * overlap
+    # Python-float squares (libm pow), summed exactly: pow(x, 2) and x * x
+    # differ in the last bit for some weights
+    total = math.fsum(s.astype(object) ** 2)
     if total <= 0.0:
         raise EmptySpectrumError("no cluster mode overlaps the phase-matching envelope")
-    norm = 1.0 / math.sqrt(total)
-    modes = [ModeLine(m.index, m.signal_freq, m.idler_freq, m.weight * norm)
-             for m in modes]
-    return BiphotonSpectrum(modes=modes)
+    return BiphotonSpectrum(k, fs, cavity.pump_freq - fs, s * (1.0 / math.sqrt(total)))
 
 
 def comb_spectrum(cavity: CavityParams, n_modes: int,
@@ -268,20 +219,7 @@ def comb_spectrum(cavity: CavityParams, n_modes: int,
     fs = cavity.signal_center + k * cavity.fsr_signal
     s = pm.amplitude(fs) if pm is not None else np.ones(n_modes)
     norm = 1.0 / math.sqrt(float(np.sum(s ** 2)))
-    pump = cavity.pump_freq
-    modes = [ModeLine(int(ki), float(fi), pump - float(fi), float(si * norm))
-             for ki, fi, si in zip(k, fs, s)]
-    return BiphotonSpectrum(modes=modes)
-
-
-def mode_index_lattice(spec: BiphotonSpectrum) -> tuple[np.ndarray, np.ndarray]:
-    """Mode indices (relative to the lowest) and weights.
-
-    Indices may be non-contiguous: clusters leave gaps in the comb, and the
-    beat-note sums must run over the true index differences.
-    """
-    idx = np.array([m.index for m in spec.modes], dtype=np.int64)
-    return idx - idx.min(), spec.weights
+    return BiphotonSpectrum(k, fs, cavity.pump_freq - fs, s * norm)
 
 
 def g2_envelope(cavity: CavityParams, tau) -> np.ndarray | float:
@@ -302,7 +240,9 @@ def analytic_g2(spec: BiphotonSpectrum, cavity: CavityParams, tau_grid) -> np.nd
     tau = np.atleast_1d(np.asarray(tau_grid, dtype=float))
     if not np.all(np.isfinite(tau)):
         raise ParameterError("tau grid must be finite")
-    idx, w = mode_index_lattice(spec)
+    # indices relative to the lowest: clusters leave gaps in the comb, and
+    # the beat-note sums run over the true index differences
+    idx, w = spec.index - spec.index.min(), spec.weights
     out = np.empty_like(tau)
     for mask, fsr, lw in (
             (tau >= 0, cavity.fsr_signal, cavity.linewidth_signal),

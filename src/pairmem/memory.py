@@ -8,7 +8,7 @@ Filters are a Lorentzian-Airy etalon and a top-hat volume Bragg grating.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -114,13 +114,6 @@ class AfcProfile:
         return transmit, echo
 
 
-@dataclass(frozen=True)
-class StoredResponse:
-    transmit_prob: float
-    echo_prob: float
-    echo_delay: float
-
-
 def design_afc(plan: AfcPlan, *, efficiency_override=None, taper: str = "flat",
                taper_fwhm_hz: float | None = None, background_od: float = 0.0,
                samples_per_block: int = 64, echo_orders: int = 1) -> AfcProfile:
@@ -173,20 +166,6 @@ def design_afc(plan: AfcPlan, *, efficiency_override=None, taper: str = "flat",
         background_od=background_od,
         echo_orders=echo_orders,
     )
-
-
-def storage_time(profile: AfcProfile) -> float:
-    """Echo delay: the inverse of the comb tooth spacing."""
-    return profile.storage_time
-
-
-def memory_response(profile: AfcProfile, photon_freq: float) -> StoredResponse:
-    """Storage response for a single photon frequency."""
-    if not math.isfinite(photon_freq):
-        raise ParameterError("photon frequency must be finite")
-    t, e = profile.response_arrays(photon_freq)
-    return StoredResponse(transmit_prob=float(t[0]), echo_prob=float(e[0]),
-                          echo_delay=profile.storage_time)
 
 
 @dataclass(frozen=True)

@@ -17,8 +17,7 @@ from dataclasses import dataclass, asdict, field, fields
 
 import numpy as np
 
-from .cavity import (BiphotonSpectrum, CavityParams, TWO_PI,
-                     mode_index_lattice)
+from .cavity import BiphotonSpectrum, CavityParams, TWO_PI
 from .errors import ParameterError
 from .memory import AfcProfile, FilterSpec, chain_transmission
 
@@ -174,7 +173,7 @@ class DelaySampler:
 
     def __init__(self, spec: BiphotonSpectrum, cavity: CavityParams,
                  table_bits: int = _DELAY_TABLE_BITS):
-        idx, w = mode_index_lattice(spec)
+        idx, w = spec.index - spec.index.min(), spec.weights
         npts = 1 << table_bits
         # comb factor on midpoint grid u_m = (m + 1/2) P/npts:
         #   |sum_j s_j exp(i 2 pi j (m + 1/2)/npts)|^2
@@ -221,14 +220,6 @@ class DelaySampler:
         if size - n_pos:
             out[~pos] = -self._sample_branch(rng, size - n_pos, self._branches[1])
         return out
-
-
-def sample_pair_delay(spec: BiphotonSpectrum, cavity: CavityParams,
-                      rng: np.random.Generator, size: int | None = None):
-    """Signed signal-minus-idler delays distributed as the analytic G2."""
-    sampler = DelaySampler(spec, cavity)
-    out = sampler.sample(rng, 1 if size is None else int(size))
-    return float(out[0]) if size is None else out
 
 
 def make_rng(seed: int) -> np.random.Generator:
@@ -293,6 +284,12 @@ def model_digest(*models) -> str:
             return float(repr(obj))
         if isinstance(obj, np.ndarray):
             return obj.tolist()
+        if isinstance(obj, BiphotonSpectrum):
+            # per-mode records: the layout of every recorded model digest
+            return {"modes": [
+                {"index": i, "signal_freq": fs, "idler_freq": fi, "weight": w}
+                for i, fs, fi, w in zip(obj.index.tolist(), obj.signal_freqs.tolist(),
+                                        obj.idler_freqs.tolist(), obj.weights.tolist())]}
         if isinstance(obj, (list, tuple)):
             return [conv(x) for x in obj]
         if isinstance(obj, dict):

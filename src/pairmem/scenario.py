@@ -50,8 +50,11 @@ class AnalysisSettings:
     comb_fit_halfspan_s: float
 
     def __post_init__(self):
-        if not 0 < self.bin_width_s < math.inf:    # also rejects NaN
-            raise ScenarioError("[analysis] bin_width_s must be finite and > 0")
+        for name in ("bin_width_s", "window_s", "comb_fit_halfspan_s"):
+            if not 0 < getattr(self, name) < math.inf:    # also rejects NaN
+                raise ScenarioError(f"[analysis] {name} must be finite and > 0")
+        if self.fsr_peak_count < 1:
+            raise ScenarioError("[analysis] fsr_peak_count must be >= 1")
         if not -math.inf < self.hist_min_s < self.hist_max_s < math.inf:
             raise ScenarioError("[analysis] need finite hist_min_s < hist_max_s")
 
@@ -380,6 +383,8 @@ def _comb_view(hist: an.CorrelationHistogram, center: float,
     edges = hist.bin_edges - center
     sel = (edges[:-1] >= -halfspan) & (edges[1:] <= halfspan)
     i = np.flatnonzero(sel)
+    if not len(i):
+        raise ParameterError(f"comb view {center:g} +- {halfspan:g} s has no bin")
     return an.CorrelationHistogram(
         counts=hist.counts[i[0]:i[-1] + 1], bin_edges=edges[i[0]:i[-1] + 2],
         total_start_counts=hist.total_start_counts,
@@ -412,21 +417,23 @@ def analyze_events(s: Scenario, events: EventStream,
     echo_delay, center, (floor, floor_err) = _window_and_floor(s, hist)
     prom = s.analysis.min_prominence
     if prom is None:
-        prom = max(5.0 * math.sqrt(max(floor, 0.0)), 1.0)
+        prom = an.default_prominence(floor)
 
-    # comb estimators work on delays relative to the analysis feature
+    # comb estimators work on delays relative to the analysis feature, and
+    # share one peak list
     comb_hist = _comb_view(hist, center, s.analysis.comb_fit_halfspan_s)
+    peaks = an.detect_peaks(comb_hist, prom)
     try:
-        fsr = an.estimate_fsr(an.detect_peaks(comb_hist, prom),
-                              k_max=s.analysis.fsr_peak_count)
+        fsr = an.estimate_fsr(peaks, k_max=s.analysis.fsr_peak_count)
     except an.EstimationError:
         fsr = an.FsrEstimate(None, None, None, None)
+    half_bin = comb_hist.bin_width / 2
     lw_s = lw_i = (None, None)
     try:
-        lw_s = an.fit_envelope(comb_hist, "positive", floor=floor,
-                               min_prominence=prom)
-        lw_i = an.fit_envelope(comb_hist, "negative", floor=floor,
-                               min_prominence=prom)
+        lw_s = an.fit_peak_envelope(peaks, "positive", half_bin=half_bin,
+                                    floor=floor)
+        lw_i = an.fit_peak_envelope(peaks, "negative", half_bin=half_bin,
+                                    floor=floor)
     except an.FitError:
         pass
 

@@ -34,9 +34,8 @@ def brute_force_g2(spec, cavity, tau):
             fsr, lw = cavity.fsr_idler, cavity.linewidth_idler
         omega = 2.0 * np.pi * fsr
         total = 0.0
-        for a in spec.modes:
-            for b in spec.modes:
-                total += a.weight * b.weight * np.cos(
-                    (a.index - b.index) * omega * t)
+        for ia, wa in zip(spec.index, spec.weights):
+            for ib, wb in zip(spec.index, spec.weights):
+                total += wa * wb * np.cos((ia - ib) * omega * t)
         out[n] = np.exp(-2.0 * np.pi * lw * abs(t)) * total
     return out

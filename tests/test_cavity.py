@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -5,11 +6,26 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import pairmem as pm
-from pairmem.cavity import mode_index_lattice
 from pairmem.errors import (DegenerateClusterError, EmptySpectrumError,
                             ParameterError)
+from pairmem.scenario import build_spectrum
 
 from conftest import brute_force_g2
+
+# SHA-256 of the index, signal, idler and weight arrays (tobytes(), in mode
+# order); the simulated events depend on every byte of the spectrum
+SPECTRUM_SHA256 = {
+    "default_cluster_561": (
+        "38c97ed44d41c56ac082372f5bf6c54fd4d8538c2e4c74bb07749b5be41a140b",
+        "7963088776ec4c5bfea9e2eeba48057f098c016379c46ed6a9e6ae1b6ba8ed29",
+        "313d71f06f85496488d33a70e3243ae2e6b328251408c65d81da36820afa77aa",
+        "df37851387b8c8da6828a33bc480c45a25757518feec9273624f6d731b4f1389"),
+    "comb_83_envelope": (
+        "f017ae84815c9544d53da37d2987cf498533d6cfc28b36781c77b7bb5c43fbfe",
+        "2d48f83bbcb4cb0ffe3913574bf7def54a5483dc168d85a75798667d69c0c703",
+        "32b16711f5e395483d9a4443726cbb386804c0f7fd16f6a7ef37f5627f6bc079",
+        "a7f7ded93051fccd9418312fcad0af43b6a47da54d534880a89620bbe6a95172"),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -49,35 +65,6 @@ def test_phase_matching_shapes():
 
 
 # ---------------------------------------------------------------------------
-# resonant_modes against a brute-force frequency scan
-
-def test_resonant_modes_brute_force(cavity):
-    lo = cavity.signal_center - 10.3 * cavity.fsr_signal
-    hi = cavity.signal_center + 5.7 * cavity.fsr_signal
-    modes = pm.resonant_modes(cavity, (lo, hi))
-    # oracle: walk a wide index range and keep lines inside [lo, hi)
-    expect = []
-    for k in range(-100, 101):
-        f = cavity.signal_center + k * cavity.fsr_signal
-        if lo <= f < hi:
-            expect.append((k, f))
-    assert [(m.index, m.signal_freq) for m in modes] == [
-        (k, pytest.approx(f)) for k, f in expect]
-    for m in modes:
-        assert m.idler_freq == pytest.approx(cavity.pump_freq - m.signal_freq)
-
-
-def test_resonant_modes_half_open_boundary(cavity):
-    f0 = cavity.signal_center
-    modes = pm.resonant_modes(cavity, (f0, f0 + cavity.fsr_signal))
-    assert [m.index for m in modes] == [0]
-
-
-def test_resonant_modes_empty_band(cavity):
-    assert pm.resonant_modes(cavity, (5e14, 5e14)) == []
-
-
-# ---------------------------------------------------------------------------
 # cluster structure against a direct double-resonance scan
 
 def test_cluster_spacing_closed_form(cavity, envelope):
@@ -104,7 +91,7 @@ def test_cluster_members_match_direct_scan(cavity, envelope):
         mismatch = abs(d - round(d)) * cavity.fsr_idler
         if mismatch <= cavity.joint_linewidth:
             accepted.add(k)
-    assert {m.index for m in spec.modes} == accepted
+    assert set(spec.index.tolist()) == accepted
 
 
 def test_cluster_degenerate_fsr_raises(envelope):
@@ -132,7 +119,7 @@ def test_mode_weights_empty_overlap_raises(cavity):
         return
     # clusters found means weights exist; force the empty case instead
     with pytest.raises(EmptySpectrumError):
-        pm.BiphotonSpectrum(modes=[])
+        pm.BiphotonSpectrum(*(np.zeros(0) for _ in range(4)))
 
 
 # ---------------------------------------------------------------------------
@@ -184,11 +171,11 @@ def test_analytic_g2_double_sum_weighted(cavity, envelope):
 
 def test_analytic_g2_gapped_lattice(cavity):
     # non-contiguous indices: beats must follow true index differences
-    modes = [pm.ModeLine(i, cavity.signal_center + i * cavity.fsr_signal,
-                         cavity.pump_freq - cavity.signal_center
-                         - i * cavity.fsr_signal, 1.0)
-             for i in (-7, -2, 0, 3, 11)]
-    spec = pm.BiphotonSpectrum(modes=modes)
+    index = np.array([-7, -2, 0, 3, 11])
+    fs = cavity.signal_center + index * cavity.fsr_signal
+    spec = pm.BiphotonSpectrum(index, fs, cavity.pump_freq - fs, np.ones(5))
+    # the beat sums use offsets from the lowest index
+    assert (spec.index - spec.index.min()).tolist() == [0, 5, 7, 10, 18]
     tau = np.linspace(-30e-9, 30e-9, 301)
     assert np.allclose(pm.analytic_g2(spec, cavity, tau),
                        brute_force_g2(spec, cavity, tau), rtol=1e-12)
@@ -261,7 +248,34 @@ def test_g2_zero_delay_flat_weights(n):
     assert g0 == pytest.approx(n, rel=1e-9)
 
 
-def test_mode_index_lattice_offsets(small_spectrum):
-    idx, w = mode_index_lattice(small_spectrum)
-    assert idx.min() == 0
-    assert len(idx) == len(w) == small_spectrum.N
+def test_mode_index_lattice_offsets(cavity, envelope):
+    # the cluster lattice has gaps; its arrays are parallel and index-sorted
+    spec = pm.mode_weights(pm.cluster_spectrum(cavity, envelope), envelope,
+                           cavity)
+    offsets = spec.index - spec.index.min()
+    assert offsets[0] == 0 and np.all(np.diff(offsets) > 0)
+    assert np.any(np.diff(offsets) > 1)
+    assert len(spec.signal_freqs) == len(spec.idler_freqs) \
+        == len(spec.weights) == spec.N
+    assert np.array_equal(spec.signal_freqs,
+                          cavity.signal_center + spec.index * cavity.fsr_signal)
+
+
+def test_spectrum_arrays_pinned(cavity, envelope):
+    spectra = {
+        "default_cluster_561": build_spectrum(pm.default_scenario()),
+        "comb_83_envelope": pm.comb_spectrum(cavity, 83, envelope),
+    }
+    got = {name: tuple(hashlib.sha256(a.tobytes()).hexdigest()
+                       for a in (s.index, s.signal_freqs, s.idler_freqs,
+                                 s.weights))
+           for name, s in spectra.items()}
+    assert got == SPECTRUM_SHA256
+    assert spectra["default_cluster_561"].N == 561
+
+
+def test_spectrum_rejects_mismatched_lengths():
+    with pytest.raises(ParameterError):
+        pm.BiphotonSpectrum(np.arange(3), np.ones(3), np.ones(2), np.ones(3))
+    with pytest.raises(ParameterError):
+        pm.BiphotonSpectrum(np.arange(3), np.ones(3), np.ones(3), np.ones(4))

@@ -70,7 +70,6 @@ def test_echo_efficiency_is_probability(d, F, d0):
 def test_storage_time_is_inverse_tooth_spacing():
     profile = pm.design_afc(pm.AfcPlan())
     assert profile.storage_time == pytest.approx(1.0 / 920e3)
-    assert pm.storage_time(profile) == profile.storage_time
     assert profile.storage_time == pytest.approx(1.0870e-6, rel=1e-4)
 
 
@@ -124,18 +123,11 @@ def test_block_index_and_response():
     assert profile.block_index(gap)[0] == -1
     t_out, e_out = profile.response_arrays(gap)
     assert t_out[0] == pytest.approx(1.0) and e_out[0] == 0.0
-    r = pm.memory_response(profile, float(centers[2]))
-    assert r.echo_prob == pytest.approx(
+    t_in, e_in = profile.response_arrays(centers[2])
+    assert e_in[0] == pytest.approx(
         echo_efficiency(plan.peak_optical_depth, plan.finesse))
-    assert r.transmit_prob == pytest.approx(
+    assert t_in[0] == pytest.approx(
         math.exp(-plan.peak_optical_depth / plan.finesse))
-    assert r.echo_delay == profile.storage_time
-
-
-def test_memory_response_rejects_nonfinite():
-    profile = pm.design_afc(pm.AfcPlan(mode_count=3))
-    with pytest.raises(ParameterError):
-        pm.memory_response(profile, float("nan"))
 
 
 @settings(max_examples=50, deadline=None)

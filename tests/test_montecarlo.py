@@ -105,7 +105,7 @@ def test_sampler_sign_split(cavity, small_spectrum):
 
 def test_sampler_matches_analytic_histogram(cavity, small_spectrum):
     n = 400_000
-    tau = pm.sample_pair_delay(small_spectrum, cavity, pm.make_rng(3), n)
+    tau = DelaySampler(small_spectrum, cavity).sample(pm.make_rng(3), n)
     lim = 60e-9
     bins = np.arange(-lim, lim + 0.4e-9, 0.4e-9)
     h, edges = np.histogram(tau, bins=bins)
@@ -120,7 +120,7 @@ def test_sampler_matches_analytic_histogram(cavity, small_spectrum):
 def test_sampler_envelope_tail(cavity):
     # single mode: |tau| is exponential with rate 2 pi lw per side
     spec = pm.comb_spectrum(cavity, 1)
-    tau = pm.sample_pair_delay(spec, cavity, pm.make_rng(11), 300_000)
+    tau = DelaySampler(spec, cavity).sample(pm.make_rng(11), 300_000)
     pos = tau[tau >= 0]
     mean_pos = float(np.mean(pos))
     assert mean_pos == pytest.approx(
@@ -128,11 +128,6 @@ def test_sampler_envelope_tail(cavity):
     neg = -tau[tau < 0]
     assert float(np.mean(neg)) == pytest.approx(
         1.0 / (2 * math.pi * cavity.linewidth_idler), rel=0.02)
-
-
-def test_sample_pair_delay_scalar(cavity, small_spectrum):
-    v = pm.sample_pair_delay(small_spectrum, cavity, pm.make_rng(1))
-    assert isinstance(v, float)
 
 
 # ---------------------------------------------------------------------------

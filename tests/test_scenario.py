@@ -422,6 +422,60 @@ def test_cli_rejects_bad_bin_width(tmp_path, capsys, command, width):
     assert "bin_width_s" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["validate", "simulate"])
+@pytest.mark.parametrize("key, value", [
+    ("window_s", "0"), ("window_s", "-1"), ("window_s", "nan"),
+    ("comb_fit_halfspan_s", "0"), ("comb_fit_halfspan_s", "nan"),
+    ("fsr_peak_count", "0")])
+def test_cli_rejects_bad_analysis_settings(tmp_path, capsys, command, key,
+                                           value):
+    cfg = tmp_path / "s.cfg"
+    cfg.write_text(f"[analysis]\n{key} = {value}\n"
+                   "[run]\nduration_s = 0.01\nreference_run = false\n")
+    args = [command, "--scenario", str(cfg)]
+    if command == "simulate":
+        args += ["--out", str(tmp_path)]
+    assert run_cli(args) == 2
+    assert key in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("setting", ["comb_fit_halfspan_s = 1e-10",
+                                     "window_center_s = 5e-6"])
+def test_cli_empty_comb_view_is_analysis_error(tmp_path, capsys, setting):
+    # a view narrower than a bin, or outside the histogram, holds no bin
+    cfg = tmp_path / "s.cfg"
+    cfg.write_text(f"[analysis]\n{setting}\n"
+                   "[run]\nduration_s = 0.01\nreference_run = false\n")
+    assert run_cli(["validate", "--scenario", str(cfg)]) == 0
+    assert run_cli(["simulate", "--scenario", str(cfg),
+                    "--out", str(tmp_path)]) == 4
+    assert "comb view" in capsys.readouterr().err
+
+
+def test_analyze_events_detects_peaks_once(monkeypatch):
+    s = fast(pm.default_scenario(), duration=0.2)
+    events = pm.simulate(s)
+    detect = pm.analysis.detect_peaks
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return detect(*args, **kwargs)
+
+    monkeypatch.setattr(pm.analysis, "detect_peaks", counted)
+    hist, report = pm.analyze_events(s, events)
+    assert len(calls) == 1
+    # the shared peak list gives the linewidths of the public fit
+    comb_hist, prom = calls[0]
+    floor = report.noise_floor_counts
+    for side, lw in (("positive", report.linewidth_signal_hz),
+                     ("negative", report.linewidth_idler_hz)):
+        assert lw is not None
+        assert pm.fit_envelope(comb_hist, side, floor=floor,
+                               min_prominence=prom)[0] == lw
+    assert prom == pm.analysis.default_prominence(floor)
+
+
 def test_cli_simulate_rejects_negative_pump(tmp_path, capsys):
     cfg = tmp_path / "s.cfg"
     cfg.write_text("[run]\npump_mw = -0.5\nduration_s = 0.01\n")
