@@ -9,8 +9,8 @@ from .cavity import (BiphotonSpectrum, CavityParams, ClusterSpectrum,
 from .memory import (AfcPlan, AfcProfile, FilterSpec, design_afc,
                      filter_transmission)
 from .montecarlo import (DetectorModel, EventStream, GatingSequence,
-                         SourceModel, concatenate_streams, generate_events,
-                         make_rng, sequence_phase, split_seed)
+                         SourceModel, generate_events, make_rng,
+                         sequence_phase, split_seed)
 from .analysis import (AnalysisReport, CorrelationHistogram, HistogramConfig,
                        build_histogram, classical_limit, coincidence_rate,
                        detect_peaks, effective_modes, estimate_fsr,
@@ -19,6 +19,5 @@ from .analysis import (AnalysisReport, CorrelationHistogram, HistogramConfig,
 from .scenario import (RunBundle, Scenario, analyze_events, default_scenario,
                        load_scenario, run_scenario, run_sweep, save_scenario,
                        scenario_digest, simulate)
-from .eventio import (read_events, read_events_csv, write_events,
-                      write_events_csv)
+from .eventio import read_events, write_events
 from .figures import emit_figure_data

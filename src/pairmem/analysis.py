@@ -87,14 +87,20 @@ def build_histogram(events: EventStream, cfg: HistogramConfig) -> CorrelationHis
 
 
 def merge_histograms(a: CorrelationHistogram, b: CorrelationHistogram) -> CorrelationHistogram:
-    """Bin-wise sum of two partial histograms built on shared edges."""
+    """Merge two shards of one run that split the starts between them.
+
+    Each shard pairs its own starts with every stop of the run, so counts
+    and start counts add, while the stop count and the duration are the
+    run's own and must agree.
+    """
     if not np.array_equal(a.bin_edges, b.bin_edges):
         raise ParameterError("histograms must share bin edges")
+    if (a.total_stop_counts, a.duration) != (b.total_stop_counts, b.duration):
+        raise ParameterError("shards must share every stop and the duration")
     return CorrelationHistogram(
         counts=a.counts + b.counts, bin_edges=a.bin_edges,
         total_start_counts=a.total_start_counts + b.total_start_counts,
-        total_stop_counts=a.total_stop_counts + b.total_stop_counts,
-        duration=max(a.duration, b.duration))
+        total_stop_counts=a.total_stop_counts, duration=a.duration)
 
 
 def _find_peaks(y: np.ndarray, min_prominence: float) -> np.ndarray:

@@ -38,10 +38,12 @@ class AfcPlan:
         if not (0 < self.tooth_spacing < self.per_mode_bandwidth < self.mode_spacing):
             raise ParameterError(
                 "need tooth_spacing < per_mode_bandwidth < mode_spacing")
-        if self.finesse <= 1.0:
+        if not self.finesse > 1.0:   # also rejects NaN
             raise ParameterError("AFC finesse must exceed 1")
-        if self.peak_optical_depth < 0:
-            raise ParameterError("peak optical depth must be >= 0")
+        if not 0 <= self.peak_optical_depth < math.inf:
+            raise ParameterError("AFC peak_optical_depth must be finite and >= 0")
+        if not abs(self.center_freq) < math.inf:
+            raise ParameterError("AFC center_freq must be finite")
 
     @property
     def mode_indices(self) -> np.ndarray:
@@ -51,6 +53,11 @@ class AfcPlan:
     @property
     def block_centers(self) -> np.ndarray:
         return self.center_freq + self.mode_indices * self.mode_spacing
+
+    @property
+    def storage_time(self) -> float:
+        """Echo delay of the comb, 1 / tooth_spacing."""
+        return 1.0 / self.tooth_spacing
 
 
 def echo_efficiency(optical_depth: float, finesse: float,
@@ -71,22 +78,25 @@ class AfcProfile:
     plan: AfcPlan
     sample_freqs: np.ndarray       # sampled absorption spectrum
     sample_od: np.ndarray
-    storage_time: float            # = 1 / tooth_spacing
+    storage_time: float            # = plan.storage_time
     per_mode_efficiency: np.ndarray
     per_mode_od_eff: np.ndarray    # spectrally averaged OD seen in each block
     background_od: float = 0.0
     echo_orders: int = 1
 
     def __post_init__(self):
-        if np.any(self.sample_od < 0):
+        if self.echo_orders < 0:
+            raise ParameterError("echo_orders must be >= 0")
+        # negated comparisons, so that NaN fails every check
+        if not np.all(self.sample_od >= 0):
             raise ParameterError("optical depth must be nonnegative")
         if abs(self.storage_time * self.plan.tooth_spacing - 1.0) > 1e-9:
             raise ParameterError("storage_time must equal 1/tooth_spacing")
         eff = np.asarray(self.per_mode_efficiency, dtype=float)
-        if np.any((eff < 0) | (eff > 1)):
+        if not np.all((eff >= 0) & (eff <= 1)):
             raise ParameterError("per-mode efficiencies must lie in [0, 1]")
         trans = np.exp(-(self.per_mode_od_eff + self.background_od))
-        if np.any(trans + eff > 1.0 + 1e-12):
+        if not np.all(trans + eff <= 1.0 + 1e-12):
             raise ParameterError("transmit + echo probability exceeds 1 in a block")
 
     def block_index(self, freq) -> np.ndarray:
@@ -124,16 +134,16 @@ def design_afc(plan: AfcPlan, *, efficiency_override=None, taper: str = "flat",
     ``taper='gaussian'`` rolls the preparation envelope off with the stated
     FWHM across the mode grid; default is flat.
     """
-    if background_od < 0:
-        raise ParameterError("background optical depth must be >= 0")
+    if not 0 <= background_od < math.inf:   # also rejects NaN
+        raise ParameterError("background_od must be finite and >= 0")
     m = plan.mode_count
     centers = plan.block_centers
 
     if taper == "flat":
         taper_w = np.ones(m)
     elif taper == "gaussian":
-        if not taper_fwhm_hz or taper_fwhm_hz <= 0:
-            raise ParameterError("gaussian taper needs taper_fwhm_hz > 0")
+        if not 0 < (taper_fwhm_hz or 0) < math.inf:
+            raise ParameterError("gaussian taper needs finite taper_fwhm_hz > 0")
         x = (centers - plan.center_freq) / taper_fwhm_hz
         taper_w = np.exp(-4.0 * math.log(2.0) * x * x)
     else:
@@ -160,7 +170,7 @@ def design_afc(plan: AfcPlan, *, efficiency_override=None, taper: str = "flat",
         plan=plan,
         sample_freqs=freqs,
         sample_od=od,
-        storage_time=1.0 / plan.tooth_spacing,
+        storage_time=plan.storage_time,
         per_mode_efficiency=eff,
         per_mode_od_eff=od_eff,
         background_od=background_od,

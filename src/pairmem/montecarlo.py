@@ -94,8 +94,9 @@ class DetectorModel:
     def __post_init__(self):
         if not (0.0 <= self.efficiency <= 1.0):
             raise ParameterError("efficiency must lie in [0, 1]")
-        if min(self.dark_rate, self.jitter_sigma, self.dead_time) < 0:
-            raise ParameterError("detector parameters must be nonnegative")
+        for name in ("dark_rate", "jitter_sigma", "dead_time"):
+            if not 0.0 <= getattr(self, name) < math.inf:   # also rejects NaN
+                raise ParameterError(f"detector {name} must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -335,11 +336,6 @@ def _prune_dead_time(t: np.ndarray, dead: float) -> np.ndarray:
     return keep
 
 
-def _echo_order_probs(echo_prob: np.ndarray, orders: int) -> list[np.ndarray]:
-    # phenomenological higher-order echoes: order m re-emits with prob eta^m
-    return [echo_prob ** m for m in range(1, orders + 1)]
-
-
 def generate_events(source: SourceModel, memory: AfcProfile | None,
                     filters: dict | None, detectors: dict | None,
                     gating: GatingSequence | None, duration: float,
@@ -363,43 +359,34 @@ def generate_events(source: SourceModel, memory: AfcProfile | None,
     live_total = gating.live_total(duration) if gating else duration
     n_pairs = int(rng.poisson(source.pair_rate * live_total)) if live_total > 0 else 0
 
-    if n_pairs:
-        live_t = np.sort(rng.random(n_pairs)) * live_total
-        t0 = gating.live_to_abs(live_t) if gating else live_t
-        # unnamed, so its tables are freed before the detector stage
-        tau = DelaySampler(spec, source.cavity).sample(rng, n_pairs)
-        w2 = spec.weights ** 2
-        cum = np.cumsum(w2 / w2.sum())
-        midx = _guided_search(_guide_table(cum), rng.random(n_pairs))
-        f_sig = spec.signal_freqs[midx]
-        f_idl = spec.idler_freqs[midx]
-        t_idl = t0
-        t_sig = t0 + tau
+    live_t = np.sort(rng.random(n_pairs)) * live_total
+    t_idl = gating.live_to_abs(live_t) if gating else live_t
+    # unnamed, so its tables are freed before the detector stage
+    t_sig = t_idl + DelaySampler(spec, source.cavity).sample(rng, n_pairs)
+    # a photon's fate depends only on its mode: every probability below is
+    # a per-mode table gathered by the mode index
+    w2 = spec.weights ** 2
+    midx = _guided_search(_guide_table(np.cumsum(w2 / w2.sum())),
+                          rng.random(n_pairs))
+    sig_modes = midx
 
-        # memory routing on the signal photon
-        if memory is not None:
-            tp, ep = memory.response_arrays(f_sig)
-            u = rng.random(n_pairs)
-            delay = np.full(n_pairs, np.nan)
-            delay[u < tp] = 0.0
-            acc = tp.copy()
-            for m, pm in enumerate(_echo_order_probs(ep, memory.echo_orders), start=1):
-                sel = (u >= acc) & (u < acc + pm)
-                delay[sel] = m * memory.storage_time
-                acc += pm
-            kept = ~np.isnan(delay)
-            t_sig = t_sig[kept] + delay[kept]
-            f_sig = f_sig[kept]
-    else:
-        t_idl = t_sig = np.empty(0)
-        f_idl = f_sig = np.empty(0)
+    # memory routing on the signal photon: branch 0 is transmitted, branch
+    # m <= echo_orders an order-m echo (probability eta^m), the rest absorbed
+    if memory is not None:
+        tp, ep = memory.response_arrays(spec.signal_freqs)
+        cum = np.cumsum([tp] + [ep ** m for m in range(1, memory.echo_orders + 1)],
+                        axis=0)
+        branch = np.count_nonzero(rng.random(n_pairs) >= cum[:, midx], axis=0)
+        kept = branch <= memory.echo_orders
+        t_sig = t_sig[kept] + branch[kept] * memory.storage_time
+        sig_modes = midx[kept]
 
-    def detect(times, freqs, flts, det):
+    def detect(times, modes, freqs, flts, det):
         if flts is not None and not isinstance(flts, (list, tuple)):
             flts = [flts]
         keep = np.ones(len(times), dtype=bool)
         if flts:
-            keep &= rng.random(len(times)) < chain_transmission(flts, freqs)
+            keep &= rng.random(len(times)) < chain_transmission(flts, freqs)[modes]
         if det.efficiency < 1.0:
             keep &= rng.random(len(times)) < det.efficiency
         t = times[keep]
@@ -413,10 +400,11 @@ def generate_events(source: SourceModel, memory: AfcProfile | None,
         t = t[(t >= 0) & (t <= duration)]
         return np.sort(t)
 
-    idler = detect(t_idl, f_idl, filters.get("idler"), det_i)
+    idler = detect(t_idl, midx, spec.idler_freqs, filters.get("idler"), det_i)
     idler = idler[_prune_dead_time(idler, det_i.dead_time)]
 
-    sig = detect(t_sig, f_sig, filters.get("signal"), det_s)
+    sig = detect(t_sig, sig_modes, spec.signal_freqs, filters.get("signal"),
+                 det_s)
     if gating is not None and len(sig) and len(idler):
         # idler-conditioned gate: sequential post-pass over the idler history
         idx = np.searchsorted(idler, sig, side="right") - 1
@@ -445,14 +433,3 @@ def generate_events(source: SourceModel, memory: AfcProfile | None,
         "pair_rate": source.pair_rate,
     }
     return EventStream(channels=ch[order], timestamps_ps=ts[order], metadata=meta)
-
-
-def concatenate_streams(a: EventStream, b: EventStream) -> EventStream:
-    """Concatenate b after a, shifting b by a's duration."""
-    offset = np.uint64(a.metadata["duration_ps"])
-    ch = np.concatenate([a.channels, b.channels])
-    ts = np.concatenate([a.timestamps_ps, b.timestamps_ps + offset])
-    meta = dict(a.metadata)
-    meta["duration_ps"] = int(a.metadata["duration_ps"] + b.metadata["duration_ps"])
-    meta["seed"] = [a.metadata["seed"], b.metadata["seed"]]
-    return EventStream(channels=ch, timestamps_ps=ts, metadata=meta)

@@ -394,8 +394,8 @@ def _comb_view(hist: an.CorrelationHistogram, center: float,
 def _window_and_floor(s: Scenario, hist: an.CorrelationHistogram):
     """Echo delay (None without memory), analysis window center (the echo
     delay, or 0 without memory, unless set) and noise floor (value, error)."""
-    profile = build_profile(s)
-    echo_delay = profile.storage_time if profile is not None else None
+    plan = s.afc_plan if s.afc_enabled else None
+    echo_delay = plan.storage_time if plan is not None else None
     center = s.analysis.window_center_s
     if center is None:
         center = echo_delay if echo_delay is not None else 0.0

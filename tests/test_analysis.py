@@ -93,7 +93,20 @@ def test_merge_equals_whole():
     a = pm.build_histogram(make_stream(stops, starts[starts < cut], 1e-3), cfg)
     b = pm.build_histogram(make_stream(stops, starts[starts >= cut], 1e-3), cfg)
     merged = pm.merge_histograms(a, b)
-    assert np.array_equal(merged.counts, whole.counts)
+    from dataclasses import fields
+    for f in fields(whole):
+        assert np.array_equal(getattr(merged, f.name), getattr(whole, f.name)), \
+            f.name
+
+
+def test_merge_rejects_shards_of_different_runs():
+    cfg = pm.HistogramConfig(bin_width=1e-6, range=(-10e-6, 10e-6))
+    a = pm.build_histogram(make_stream([1e-4, 2e-4], [1.5e-4], 1e-3), cfg)
+    fewer_stops = pm.build_histogram(make_stream([1e-4], [1.6e-4], 1e-3), cfg)
+    longer = pm.build_histogram(make_stream([1e-4, 2e-4], [1.6e-4], 2e-3), cfg)
+    for b in (fewer_stops, longer):
+        with pytest.raises(ParameterError, match="shards"):
+            pm.merge_histograms(a, b)
 
 
 def test_merge_rejects_mismatched_edges():

@@ -3,8 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import pairmem as pm
-from pairmem.eventio import read_events, read_events_csv, write_events, \
-    write_events_csv
+from pairmem.eventio import read_events, write_events
 from pairmem.errors import EventFormatError
 from pairmem.montecarlo import EventStream
 
@@ -107,48 +106,6 @@ def test_binary_rejects_backwards_timestamps(tmp_path):
     # equal timestamps are allowed (a signal and an idler in one picosecond)
     write_events(make_stream([0, 1, 1], [5, 5, 6]), path)
     assert read_events(path).timestamps_ps.tolist() == [5, 5, 6]
-
-
-def test_csv_roundtrip(tmp_path):
-    ev = make_stream([0, 1, 1], [10, 20, 30])
-    path = tmp_path / "ev.csv"
-    write_events_csv(ev, path)
-    text = path.read_text()
-    assert text.splitlines()[0] == "channel,timestamp_ps"
-    assert "signal,10" in text and "idler,20" in text
-    back = read_events_csv(path, duration_ps=10**12)
-    assert np.array_equal(back.channels, ev.channels)
-    assert np.array_equal(back.timestamps_ps, ev.timestamps_ps)
-    assert back.metadata["duration_ps"] == 10**12
-
-
-def test_csv_duration_defaults_to_max(tmp_path):
-    ev = make_stream([0, 1], [10, 50])
-    path = tmp_path / "ev.csv"
-    write_events_csv(ev, path)
-    back = read_events_csv(path)
-    assert back.metadata["duration_ps"] == 50
-
-
-def test_csv_rejects_bad_header(tmp_path):
-    path = tmp_path / "bad.csv"
-    path.write_text("time,chan\n1,2\n")
-    with pytest.raises(EventFormatError, match="header"):
-        read_events_csv(path)
-
-
-def test_csv_rejects_unknown_channel(tmp_path):
-    path = tmp_path / "bad.csv"
-    path.write_text("channel,timestamp_ps\npump,5\n")
-    with pytest.raises(EventFormatError, match="channel"):
-        read_events_csv(path)
-
-
-def test_csv_rejects_backwards_timestamps(tmp_path):
-    path = tmp_path / "order.csv"
-    path.write_text("channel,timestamp_ps\nsignal,10\nidler,4\n")
-    with pytest.raises(EventFormatError, match="precedes"):
-        read_events_csv(path)
 
 
 def test_binary_matches_simulation_output(tmp_path):

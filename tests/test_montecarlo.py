@@ -356,19 +356,6 @@ def test_generate_events_zero_duration(cavity):
                            -1.0, seed=1)
 
 
-def test_concatenate_streams_shifts(cavity):
-    src = flat_source(cavity, rate=1e4)
-    a = pm.generate_events(src, None, None, None, None, 0.1, seed=1)
-    b = pm.generate_events(src, None, None, None, None, 0.1, seed=2)
-    both = pm.concatenate_streams(a, b)
-    assert len(both) == len(a) + len(b)
-    assert both.metadata["duration_ps"] == \
-        a.metadata["duration_ps"] + b.metadata["duration_ps"]
-    # every event of b appears shifted by a's duration
-    shifted = b.timestamps_ps + np.uint64(a.metadata["duration_ps"])
-    assert set(shifted.tolist()) <= set(both.timestamps_ps.tolist())
-
-
 def test_model_digest_sensitivity(cavity):
     d1 = model_digest(pm.DetectorModel(efficiency=0.5))
     d2 = model_digest(pm.DetectorModel(efficiency=0.5))

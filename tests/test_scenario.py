@@ -439,6 +439,31 @@ def test_cli_rejects_bad_analysis_settings(tmp_path, capsys, command, key,
     assert key in capsys.readouterr().err
 
 
+# models built at load reject a bad value as a scenario error (exit 2); the
+# AFC profile is designed at simulate time, so its values are exit 3
+@pytest.mark.parametrize("section, setting, code, match", [
+    ("detector.signal", "dark_rate_hz = nan", 2, "dark_rate"),
+    ("detector.idler", "jitter_sigma_s = nan", 2, "jitter_sigma"),
+    ("detector.signal", "dead_time_s = nan", 2, "dead_time"),
+    ("afc", "finesse = nan", 2, "finesse"),
+    ("afc", "peak_optical_depth = nan", 2, "peak_optical_depth"),
+    ("afc", "center_freq_hz = nan", 2, "center_freq"),
+    ("afc", "background_od = nan", 3, "background_od"),
+    ("afc", "efficiency_override = nan", 3, "efficiencies"),
+    ("afc", "taper = gaussian\ntaper_fwhm_hz = nan", 3, "taper_fwhm_hz"),
+    ("afc", "echo_orders = -1", 3, "echo_orders")])
+def test_cli_rejects_bad_model_values(tmp_path, capsys, section, setting,
+                                      code, match):
+    cfg = tmp_path / "s.cfg"
+    cfg.write_text(f"[{section}]\n{setting}\n"
+                   "[run]\nduration_s = 0.01\nreference_run = false\n")
+    assert run_cli(["validate", "--scenario", str(cfg)]) == (
+        2 if code == 2 else 0)
+    assert run_cli(["simulate", "--scenario", str(cfg),
+                    "--out", str(tmp_path)]) == code
+    assert match in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("setting", ["comb_fit_halfspan_s = 1e-10",
                                      "window_center_s = 5e-6"])
 def test_cli_empty_comb_view_is_analysis_error(tmp_path, capsys, setting):
@@ -554,6 +579,75 @@ def test_default_scenario_outputs_golden(tmp_path, capsys):
     got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
            for name in GOLDEN_DEFAULT}
     assert got == GOLDEN_DEFAULT
+
+
+# Short scenarios for the routing branches the default scenario never takes:
+# echoes of order 2 and 3, background OD, a gaussian taper, a comb spectrum,
+# an efficiency override and no gating.  SHA-256 of their simulate outputs,
+# under the same rule as GOLDEN_DEFAULT.
+GOLDEN_ROUTING = {
+    "orders3_taper_comb": (
+        "[spectrum]\nsource = comb\ncomb_modes = 41\n"
+        "[afc]\nfinesse = 3.0\npeak_optical_depth = 6.0\necho_orders = 3\n"
+        "background_od = 0.2\ntaper = gaussian\ntaper_fwhm_hz = 3e9\n"
+        "[run]\nduration_s = 0.3\nreference_run = false\n",
+        {"events.bin":
+            "12a6507407dab38aff6a6c76923219b4ed1d4ee3ff66683e3836b9d8765fb7ca",
+         "report.json":
+            "e84e3c34ef551f4738f13b7653c4209784eb033b757c2e1adc91a142fe468bd2"}),
+    "orders2_override_ungated": (
+        "[afc]\necho_orders = 2\nefficiency_override = 0.3\n"
+        "[gating]\nenabled = false\n"
+        "[run]\nduration_s = 0.1\nreference_run = false\n",
+        {"events.bin":
+            "446e78402ef746b8d48e442672844ac0313adcee0f66cd715ed7277ae84fec6b",
+         "report.json":
+            "9ddeed69ca2715ab9c1ff78c9a93c2372130631c2534499d3176458fc258c37f"}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_ROUTING))
+def test_routing_branches_golden(tmp_path, capsys, name):
+    text, golden = GOLDEN_ROUTING[name]
+    cfg = tmp_path / "s.cfg"
+    cfg.write_text(text)
+    assert run_cli(["simulate", "--scenario", str(cfg),
+                    "--out", str(tmp_path)]) == 0
+    got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+           for name in golden}
+    assert got == golden
+
+
+def test_models_are_evaluated_per_mode_and_built_once(monkeypatch):
+    # photons carry only a mode index: memory and filter responses are
+    # tables over the spectrum's modes, and only simulate designs the AFC
+    s = replace(pm.load_scenario(
+        (SCENARIO_DIR / "calibration_1mw.cfg").read_text()), duration_s=0.05)
+    sizes, designs = [], []
+    response, chain = pm.AfcProfile.response_arrays, pm.montecarlo.chain_transmission
+    design = pm.scenario.design_afc
+
+    def sized_response(self, freq):
+        sizes.append(np.size(freq))
+        return response(self, freq)
+
+    def sized_chain(filters, freq):
+        sizes.append(np.size(freq))
+        return chain(filters, freq)
+
+    def counted_design(*args, **kwargs):
+        designs.append(args)
+        return design(*args, **kwargs)
+
+    monkeypatch.setattr(pm.AfcProfile, "response_arrays", sized_response)
+    monkeypatch.setattr(pm.montecarlo, "chain_transmission", sized_chain)
+    monkeypatch.setattr(pm.scenario, "design_afc", counted_design)
+    bundle = pm.run_scenario(s)
+    assert len(designs) == 2   # main run and single-mode reference
+    assert sizes and set(sizes) == {build_spectrum(s).N}
+    del designs[:]
+    pm.analyze_events(s, bundle.events)
+    assert designs == []
 
 
 def test_cli_figure(tmp_path):
