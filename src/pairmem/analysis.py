@@ -70,14 +70,16 @@ def build_histogram(events: EventStream, cfg: HistogramConfig) -> CorrelationHis
     lo, hi = edges[0], edges[-1]
     counts = np.zeros(len(edges) - 1, dtype=np.int64)
     if len(starts) and len(stops):
-        i0 = np.searchsorted(stops, starts + lo, side="left")
-        i1 = np.searchsorted(stops, starts + hi, side="left")
-        n_per = i1 - i0
+        # fl(t + c) does not decrease as t grows, so the starts t that pair
+        # with one stop s (t + lo <= s < t + hi) are one run [j0, j1) of the
+        # sorted starts.  Stops are the sparse channel: search each of them.
+        j0 = np.searchsorted(starts + hi, stops, side="right")
+        j1 = np.searchsorted(starts + lo, stops, side="right")
+        n_per = j1 - j0
         total = int(n_per.sum())
         if total:
-            flat = np.arange(total) - np.repeat(np.cumsum(n_per) - n_per, n_per) \
-                + np.repeat(i0, n_per)
-            delays = stops[flat] - np.repeat(starts, n_per)
+            flat = np.arange(total) - np.repeat(np.cumsum(n_per) - n_per - j0, n_per)
+            delays = np.repeat(stops, n_per) - starts[flat]
             counts, _ = np.histogram(delays, bins=edges)
             counts = counts.astype(np.int64)
     return CorrelationHistogram(
@@ -318,8 +320,10 @@ def g2_estimate(events: EventStream, window: float, center: float,
     if len(starts) == 0 or len(stops) == 0:
         raise EstimationError("both channels must be nonempty")
     lo, hi = center - window / 2, center + window / 2
-    c = int((np.searchsorted(stops, starts + hi, side="right")
-             - np.searchsorted(stops, starts + lo, side="left")).sum())
+    # pairs with t + lo <= s <= t + hi, counted per stop s as the starts
+    # with fl(t + lo) <= s less those with fl(t + hi) < s
+    c = int((np.searchsorted(starts + lo, stops, side="right")
+             - np.searchsorted(starts + hi, stops, side="left")).sum())
     g = events.gating()
     if g is not None:
         s_n = int(np.count_nonzero(g.measuring_mask(starts)))

@@ -192,8 +192,12 @@ class FilterSpec:
     def __post_init__(self):
         if self.kind not in ("etalon", "vbg", "none"):
             raise ParameterError(f"unknown filter kind {self.kind!r}")
-        if not (0.0 <= self.peak_transmittance <= 1.0):
-            raise ParameterError("peak transmittance must lie in [0, 1]")
+        for name in ("center", "bandwidth", "fsr"):
+            if not -math.inf < getattr(self, name) < math.inf:  # also rejects NaN
+                raise ParameterError(f"filter {name} must be finite")
+        for name in ("peak_transmittance", "stopband_transmittance"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise ParameterError(f"filter {name} must lie in [0, 1]")
         if self.kind == "etalon" and not (0 < self.bandwidth < self.fsr):
             raise ParameterError("etalon needs 0 < bandwidth < fsr")
         if self.kind == "vbg" and self.bandwidth <= 0:

@@ -57,6 +57,12 @@ class AnalysisSettings:
             raise ScenarioError("[analysis] fsr_peak_count must be >= 1")
         if not -math.inf < self.hist_min_s < self.hist_max_s < math.inf:
             raise ScenarioError("[analysis] need finite hist_min_s < hist_max_s")
+        if not -math.inf < self.floor_min_s < self.floor_max_s < math.inf:
+            raise ScenarioError("[analysis] need finite floor_min_s < floor_max_s")
+        for name in ("window_center_s", "min_prominence"):   # None: auto
+            value = getattr(self, name)
+            if value is not None and not -math.inf < value < math.inf:
+                raise ScenarioError(f"[analysis] {name} must be finite")
 
 
 @dataclass

@@ -118,6 +118,111 @@ def test_merge_rejects_mismatched_edges():
 
 
 # ---------------------------------------------------------------------------
+# stop-keyed coincidence search against the start-keyed formulas it replaced
+
+def start_keyed_histogram(starts, stops, edges):
+    """Former build_histogram search, one binary search per start: oracle."""
+    lo, hi = edges[0], edges[-1]
+    counts = np.zeros(len(edges) - 1, dtype=np.int64)
+    if len(starts) and len(stops):
+        i0 = np.searchsorted(stops, starts + lo, side="left")
+        i1 = np.searchsorted(stops, starts + hi, side="left")
+        n_per = i1 - i0
+        total = int(n_per.sum())
+        if total:
+            flat = np.arange(total) - np.repeat(np.cumsum(n_per) - n_per, n_per) \
+                + np.repeat(i0, n_per)
+            delays = stops[flat] - np.repeat(starts, n_per)
+            counts, _ = np.histogram(delays, bins=edges)
+            counts = counts.astype(np.int64)
+    return counts
+
+
+def start_keyed_coincidences(starts, stops, window, center):
+    """Former g2_estimate coincidence count, one search per start: oracle."""
+    lo, hi = center - window / 2, center + window / 2
+    return int((np.searchsorted(stops, starts + hi, side="right")
+                - np.searchsorted(stops, starts + lo, side="left")).sum())
+
+
+class FloatTimes:
+    """What the coincidence search reads of an EventStream, holding float
+    times, so that a stop can sit exactly on fl(t + lo) or fl(t + hi) of a
+    start t; picosecond timestamps land there only by chance."""
+
+    duration_s = 1.0
+
+    def __init__(self, starts, stops):
+        self._times = {"idler": np.sort(starts), "signal": np.sort(stops)}
+
+    def __len__(self):
+        return sum(map(len, self._times.values()))
+
+    def times_s(self, channel):
+        return self._times[channel]
+
+    def gating(self):
+        return None
+
+    def live_time_s(self):
+        return self.duration_s
+
+
+@st.composite
+def coincidence_cases(draw):
+    """Integer-picosecond channels 1 us from zero; the narrow range makes
+    ties and timestamps shared by both channels common, either channel may
+    be empty or the larger, and windows reach past the run on either side."""
+    times = st.lists(st.integers(0, 400), max_size=30)
+    starts = draw(times)
+    stops = draw(times) + starts[:draw(st.integers(0, len(starts)))]
+    lo = draw(st.integers(-600, 500))
+    hi = lo + draw(st.integers(1, 1200))
+    ps = 1e-12
+    ev = make_stream((10**6 + np.array(stops, dtype=float)) * ps,
+                     (10**6 + np.array(starts, dtype=float)) * ps)
+    cfg = pm.HistogramConfig(bin_width=(hi - lo) * ps / draw(st.integers(1, 40)),
+                             range=(lo * ps, hi * ps))
+    return ev, cfg, (hi - lo) * ps, (hi + lo) * ps / 2
+
+
+def assert_matches_start_keyed(events, cfg, window, center):
+    starts, stops = events.times_s("idler"), events.times_s("signal")
+    hist = pm.build_histogram(events, cfg)
+    assert np.array_equal(hist.counts,
+                          start_keyed_histogram(starts, stops, cfg.bin_edges))
+    if len(starts) and len(stops):
+        est = pm.g2_estimate(events, window, center)
+        assert est.coincidences == start_keyed_coincidences(
+            starts, stops, window, center)
+    else:
+        with pytest.raises(EstimationError):
+            pm.g2_estimate(events, window, center)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=coincidence_cases())
+def test_stop_keyed_search_matches_start_keyed_oracle(case):
+    assert_matches_start_keyed(*case)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=coincidence_cases(), data=st.data())
+def test_stop_keyed_search_exact_at_window_edges(case, data):
+    ev, cfg, window, center = case
+    starts = ev.times_s("idler")
+    edges = (cfg.bin_edges[0], cfg.bin_edges[-1],
+             center - window / 2, center + window / 2)
+    picks = data.draw(st.lists(st.sampled_from(starts), max_size=4)) \
+        if len(starts) else []
+    # every edge of a picked start, and one ulp to either side of it
+    on_edge = [np.nextafter(t + e, t + e + d)
+               for t in picks for e in edges for d in (-1.0, 0.0, 1.0)]
+    stops = np.concatenate([ev.times_s("signal"), on_edge])
+    assert_matches_start_keyed(FloatTimes(starts, stops), cfg, window, center)
+
+
+# ---------------------------------------------------------------------------
 # peak detection / FSR
 
 def synthetic_comb(fsr=123e6, lw_s=2.28e6, lw_i=1.52e6, amp=1e4,

@@ -426,7 +426,11 @@ def test_cli_rejects_bad_bin_width(tmp_path, capsys, command, width):
 @pytest.mark.parametrize("key, value", [
     ("window_s", "0"), ("window_s", "-1"), ("window_s", "nan"),
     ("comb_fit_halfspan_s", "0"), ("comb_fit_halfspan_s", "nan"),
-    ("fsr_peak_count", "0")])
+    ("fsr_peak_count", "0"),
+    ("min_prominence", "nan"), ("min_prominence", "inf"),
+    ("window_center_s", "nan"), ("window_center_s", "-inf"),
+    ("floor_min_s", "nan"), ("floor_max_s", "inf"),
+    ("floor_min_s", "1.8e-6"), ("floor_max_s", "1.5e-6")])
 def test_cli_rejects_bad_analysis_settings(tmp_path, capsys, command, key,
                                            value):
     cfg = tmp_path / "s.cfg"
@@ -445,6 +449,14 @@ def test_cli_rejects_bad_analysis_settings(tmp_path, capsys, command, key,
     ("detector.signal", "dark_rate_hz = nan", 2, "dark_rate"),
     ("detector.idler", "jitter_sigma_s = nan", 2, "jitter_sigma"),
     ("detector.signal", "dead_time_s = nan", 2, "dead_time"),
+    ("filter.signal", "center_hz = nan", 2, "center"),
+    ("filter.idler", "center_hz = inf", 2, "center"),
+    ("filter.idler", "bandwidth_hz = nan", 2, "bandwidth"),
+    ("filter.signal", "fsr_hz = inf", 2, "fsr"),
+    ("filter.idler", "fsr_hz = nan", 2, "fsr"),
+    ("filter.idler", "stopband_transmittance = nan", 2, "stopband"),
+    ("filter.idler", "stopband_transmittance = 1.5", 2, "stopband"),
+    ("filter.signal", "stopband_transmittance = -0.1", 2, "stopband"),
     ("afc", "finesse = nan", 2, "finesse"),
     ("afc", "peak_optical_depth = nan", 2, "peak_optical_depth"),
     ("afc", "center_freq_hz = nan", 2, "center_freq"),
@@ -568,6 +580,8 @@ def test_cli_exit_5_format_error(tmp_path, capsys):
 GOLDEN_DEFAULT = {
     "events.bin":
         "297a3f11d313ebff8f1974902175cae971ef309df90f3a5ccbbcad5f3decfcc2",
+    "histogram.csv":
+        "a91a5d4be2b271a03488ba6d61a6a95210d7b70548b4c4b1cd3d1efa0a88c1e8",
     "report.json":
         "6e909a3780ccdcad586b9d640ed4d76b485ddbd4adae67177b40a1790ca32a97",
 }
