@@ -21,8 +21,6 @@ TWO_PI = 2.0 * math.pi
 class HistogramConfig:
     bin_width: float = 0.2e-9
     range: tuple[float, float] = (-0.5e-6, 2.2e-6)
-    start_channel: str = "idler"
-    stop_channel: str = "signal"
 
     def __post_init__(self):
         if not self.bin_width > 0:   # also rejects NaN
@@ -62,10 +60,10 @@ class CorrelationHistogram:
 
 
 def build_histogram(events: EventStream, cfg: HistogramConfig) -> CorrelationHistogram:
-    """Multi-stop start-stop histogram: every stop in range counts, for
-    every start."""
-    starts = events.times_s(cfg.start_channel)
-    stops = events.times_s(cfg.stop_channel)
+    """Multi-stop start-stop histogram of idler starts and signal stops:
+    every stop in range counts, for every start."""
+    starts = events.times_s("idler")
+    stops = events.times_s("signal")
     edges = cfg.bin_edges
     lo, hi = edges[0], edges[-1]
     counts = np.zeros(len(edges) - 1, dtype=np.int64)
@@ -307,16 +305,15 @@ class G2Estimate:
     upper_bound: float | None = None
 
 
-def g2_estimate(events: EventStream, window: float, center: float,
-                start_channel: str = "idler", stop_channel: str = "signal") -> G2Estimate:
+def g2_estimate(events: EventStream, window: float, center: float) -> G2Estimate:
     """Normalized cross-correlation g2 = C T / (S I window).
 
-    C counts start-stop pairs with delay inside the window; S and I are
-    the singles counts inside measurement phases; T is the live
-    measurement time.  Error bars propagate Poisson counting noise.
+    C counts idler-start, signal-stop pairs with delay inside the window;
+    S and I are the singles counts inside measurement phases; T is the
+    live measurement time.  Error bars propagate Poisson counting noise.
     """
-    starts = events.times_s(start_channel)
-    stops = events.times_s(stop_channel)
+    starts = events.times_s("idler")
+    stops = events.times_s("signal")
     if len(starts) == 0 or len(stops) == 0:
         raise EstimationError("both channels must be nonempty")
     lo, hi = center - window / 2, center + window / 2

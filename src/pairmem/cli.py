@@ -49,10 +49,6 @@ def _write_text(path, text):
     os.replace(tmp, path)
 
 
-def _histogram_csv_path(hist, path):
-    _write_text(path, figures._histogram_csv(hist))
-
-
 def cmd_validate(args) -> int:
     s = _read_scenario(args.scenario)
     print(f"ok digest={scenario_digest(s)}")
@@ -65,7 +61,8 @@ def cmd_simulate(args) -> int:
     out = _out_dir(args)
     events_path = args.events or os.path.join(out, "events.bin")
     eventio.write_events(bundle.events, events_path)
-    _histogram_csv_path(bundle.histogram, os.path.join(out, "histogram.csv"))
+    _write_text(os.path.join(out, "histogram.csv"),
+                figures._histogram_csv(bundle.histogram))
     _write_text(os.path.join(out, "report.json"), bundle.report.to_json())
     print(f"report g2={bundle.report.g2:.3f}+-{bundle.report.g2_err:.3f} "
           f"n_eff={bundle.report.n_effective:.2f} "
@@ -82,7 +79,7 @@ def cmd_analyze(args) -> int:
             s, eventio.read_events(args.reference_events))
     hist, report = analyze_events(s, events, rate_single=rate_single)
     out = _out_dir(args)
-    _histogram_csv_path(hist, os.path.join(out, "histogram.csv"))
+    _write_text(os.path.join(out, "histogram.csv"), figures._histogram_csv(hist))
     _write_text(os.path.join(out, "report.json"), report.to_json())
     print(f"report g2={report.g2:.3f}+-{report.g2_err:.3f}")
     return 0
@@ -90,10 +87,14 @@ def cmd_analyze(args) -> int:
 
 def cmd_figure(args) -> int:
     s = _read_scenario(args.scenario, args.seed)
-    if args.figure in ("fig4b", "fig4c"):
-        bundle = run_sweep(s, jobs=args.jobs)
-    else:
+    kind = figures.SWEEP_KINDS.get(args.figure)
+    if kind is None:
         bundle = run_scenario(s)
+    elif s.sweep_kind != kind:
+        raise ScenarioError(f"{args.figure} needs a {kind} sweep block, "
+                            f"not {s.sweep_kind or 'none'}")
+    else:
+        bundle = run_sweep(s, jobs=args.jobs)
     docs = figures.emit_figure_data(bundle, args.figure)
     out = _out_dir(args)
     for name, text in docs.items():

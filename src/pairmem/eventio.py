@@ -15,12 +15,14 @@ import struct
 import numpy as np
 
 from .errors import EventFormatError
-from .montecarlo import EventStream
+from .montecarlo import CH_IDLER, CH_SIGNAL, EventStream
 
 MAGIC = b"PMEV"
 VERSION = 1
 _HEADER = struct.Struct("<4sHQQ32sQ")
 _RECORD_DTYPE = np.dtype([("channel", "u1"), ("timestamp_ps", "<u8")])
+_UNKNOWN_CHANNEL = np.ones(256, dtype=bool)   # indexed by channel byte
+_UNKNOWN_CHANNEL[[CH_SIGNAL, CH_IDLER]] = False
 
 
 def write_events(stream: EventStream, path) -> None:
@@ -55,7 +57,7 @@ def read_events(path) -> EventStream:
             f"got {len(body) / _RECORD_DTYPE.itemsize:.1f}")
     rec = np.frombuffer(body, dtype=_RECORD_DTYPE)
     channels, ts = rec["channel"].copy(), rec["timestamp_ps"].copy()
-    bad = np.flatnonzero(channels > 1)
+    bad = np.flatnonzero(_UNKNOWN_CHANNEL[channels])
     if len(bad):
         raise EventFormatError(
             f"record {bad[0]}: unknown channel byte {channels[bad[0]]}")

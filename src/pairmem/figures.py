@@ -9,6 +9,8 @@ from .errors import ScenarioError
 from .scenario import RunBundle, build_profile
 
 FIGURES = ("fig1b", "fig2", "fig4a", "fig4b", "fig4c")
+# sweep figure -> the sweep kind it plots
+SWEEP_KINDS = {"fig4b": "afc_modes", "fig4c": "pump_power"}
 
 
 def _histogram_csv(hist: an.CorrelationHistogram) -> str:

@@ -172,10 +172,9 @@ class DelaySampler:
     integral weight of each side.
     """
 
-    def __init__(self, spec: BiphotonSpectrum, cavity: CavityParams,
-                 table_bits: int = _DELAY_TABLE_BITS):
+    def __init__(self, spec: BiphotonSpectrum, cavity: CavityParams):
         idx, w = spec.index - spec.index.min(), spec.weights
-        npts = 1 << table_bits
+        npts = 1 << _DELAY_TABLE_BITS
         # comb factor on midpoint grid u_m = (m + 1/2) P/npts:
         #   |sum_j s_j exp(i 2 pi j (m + 1/2)/npts)|^2
         # evaluated for all m at once with one inverse DFT
@@ -255,11 +254,10 @@ class EventStream:
     def __len__(self):
         return len(self.timestamps_ps)
 
-    def times_ps(self, channel) -> np.ndarray:
-        code = CHANNEL_NAMES.get(channel, channel)
-        return self.timestamps_ps[self.channels == code]
+    def times_ps(self, channel: str) -> np.ndarray:
+        return self.timestamps_ps[self.channels == CHANNEL_NAMES[channel]]
 
-    def times_s(self, channel) -> np.ndarray:
+    def times_s(self, channel: str) -> np.ndarray:
         return self.times_ps(channel).astype(float) * 1e-12
 
     @property
@@ -343,8 +341,8 @@ def generate_events(source: SourceModel, memory: AfcProfile | None,
     """Run the full source -> memory -> filter -> detector chain.
 
     Deterministic for a fixed seed.  ``filters`` maps channel name to a
-    list of FilterSpec; ``detectors`` maps channel name to DetectorModel;
-    either may be None for ideal components.
+    FilterSpec; ``detectors`` maps channel name to DetectorModel; either
+    may be None for ideal components.
     """
     if duration < 0:
         raise ParameterError("duration must be >= 0")
@@ -381,12 +379,10 @@ def generate_events(source: SourceModel, memory: AfcProfile | None,
         t_sig = t_sig[kept] + branch[kept] * memory.storage_time
         sig_modes = midx[kept]
 
-    def detect(times, modes, freqs, flts, det):
-        if flts is not None and not isinstance(flts, (list, tuple)):
-            flts = [flts]
+    def detect(times, modes, freqs, flt, det):
         keep = np.ones(len(times), dtype=bool)
-        if flts:
-            keep &= rng.random(len(times)) < chain_transmission(flts, freqs)[modes]
+        if flt is not None:
+            keep &= rng.random(len(times)) < chain_transmission([flt], freqs)[modes]
         if det.efficiency < 1.0:
             keep &= rng.random(len(times)) < det.efficiency
         t = times[keep]
@@ -420,8 +416,8 @@ def generate_events(source: SourceModel, memory: AfcProfile | None,
     sig_ps = np.clip(np.rint(sig * 1e12), 0, duration_ps).astype(np.uint64)
     idl_ps = np.clip(np.rint(idler * 1e12), 0, duration_ps).astype(np.uint64)
 
-    ch = np.concatenate([np.zeros(len(sig_ps), np.uint8),
-                         np.ones(len(idl_ps), np.uint8)])
+    ch = np.concatenate([np.full(len(sig_ps), CH_SIGNAL, np.uint8),
+                         np.full(len(idl_ps), CH_IDLER, np.uint8)])
     ts = np.concatenate([sig_ps, idl_ps])
     order = np.lexsort((ch, ts))
 
@@ -430,6 +426,5 @@ def generate_events(source: SourceModel, memory: AfcProfile | None,
         "duration_ps": duration_ps,
         "model_digest": model_digest(source, memory, filters, detectors, gating),
         "gating": asdict(gating) if gating else None,
-        "pair_rate": source.pair_rate,
     }
     return EventStream(channels=ch[order], timestamps_ps=ts[order], metadata=meta)

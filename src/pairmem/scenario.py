@@ -71,8 +71,7 @@ class Scenario:
     phase_matching: PhaseMatching
     spectrum_source: str
     comb_modes: int
-    afc_enabled: bool
-    afc_plan: AfcPlan | None
+    afc_plan: AfcPlan | None               # None: [afc] switched off
     afc_background_od: float
     afc_efficiency_override: float | None
     afc_taper: str
@@ -93,7 +92,7 @@ class Scenario:
     def __post_init__(self):
         if self.spectrum_source not in ("cluster", "comb"):
             raise ScenarioError(f"unknown spectrum source {self.spectrum_source!r}")
-        if self.afc_enabled and self.afc_plan is not None:
+        if self.afc_plan is not None:
             # the AFC mode grid must ride on the cavity comb
             rel = abs(self.afc_plan.mode_spacing - self.cavity.fsr_signal) \
                 / self.cavity.fsr_signal
@@ -101,11 +100,25 @@ class Scenario:
                 raise ScenarioError(
                     "afc.mode_spacing_hz must match cavity.fsr_signal_hz "
                     f"(relative mismatch {rel:.2e})")
-        if self.sweep_kind not in (None, "afc_modes", "pump_power"):
+        if self.sweep_kind == "afc_modes":
+            if self.afc_plan is None:
+                raise ScenarioError("an afc_modes sweep needs [afc] enabled")
+            # float(): int has no is_integer before Python 3.12
+            if not all(v >= 1 and float(v).is_integer()
+                       for v in self.sweep_values):
+                raise ScenarioError(
+                    "[sweep] afc_modes values must be integers >= 1")
+        elif self.sweep_kind == "pump_power":
+            if not all(0 <= v < math.inf for v in self.sweep_values):
+                raise ScenarioError(
+                    "[sweep] pump_power values must be finite and >= 0")
+        elif self.sweep_kind is not None:
             raise ScenarioError(f"unknown sweep kind {self.sweep_kind!r}")
         for name in ("duration_s", "pump_mw", "brightness_pairs_per_s_per_mw"):
             if not getattr(self, name) >= 0:   # also rejects NaN
                 raise ScenarioError(f"[run] {name} must be >= 0")
+        if not 0 <= self.seed < 2 ** 64:   # event files store it as u64
+            raise ScenarioError("[run] seed must lie in [0, 2**64)")
 
     @property
     def pair_rate(self) -> float:
@@ -137,9 +150,10 @@ def _values(x):
 
 # section -> key -> (parser, default, target).  The target is the attribute
 # path the key sets, from Scenario down ("filters.signal.kind" is
-# scenario.filters["signal"].kind); None marks the [gating] switch, which
-# sets no attribute.  load_scenario, save_scenario and scenario_digest are
-# derived from this table, the only place keys and defaults are written.
+# scenario.filters["signal"].kind); a switch row's target is the block it
+# switches ("afc_plan", "gating"), which is None when switched off.
+# load_scenario, save_scenario and scenario_digest are derived from this
+# table, the only place keys and defaults are written.
 _SCHEMA = {
     "cavity": {
         "fsr_signal_hz": (float, _DEFAULT_FSR_SIGNAL, "cavity.fsr_signal"),
@@ -159,7 +173,7 @@ _SCHEMA = {
         "comb_modes": (int, 83, "comb_modes"),
     },
     "afc": {
-        "enabled": (_bool, True, "afc_enabled"),
+        "enabled": (_bool, True, "afc_plan"),
         "mode_count": (int, 83, "afc_plan.mode_count"),
         "mode_spacing_hz": (_maybe(float), None, "afc_plan.mode_spacing"),
         "tooth_spacing_hz": (float, 920e3, "afc_plan.tooth_spacing"),
@@ -202,7 +216,7 @@ _SCHEMA = {
         "dead_time_s": (float, 40e-9, "detectors.idler.dead_time"),
     },
     "gating": {
-        "enabled": (_bool, True, None),
+        "enabled": (_bool, True, "gating"),
         "cycle_s": (float, 100e-6, "gating.cycle"),
         "measure_fraction": (float, 0.45, "gating.measure_fraction"),
         "break_time_s": (float, 10e-6, "gating.break_time"),
@@ -293,7 +307,7 @@ def load_scenario(text: str) -> Scenario:
         if flat[target] is None:
             flat[target] = flat[source]
     # a switched-off block builds no object
-    off = {"afc_plan": not flat["afc_enabled"], "gating": not flat.pop(None)}
+    off = {block for block in _TYPES if not flat.pop(block, True)}
     groups: dict = {}   # target prefix -> keyword arguments
     for target, value in flat.items():
         prefix, _, name = target.rpartition(".")
@@ -301,7 +315,7 @@ def load_scenario(text: str) -> Scenario:
     top = groups[""]
     try:
         for prefix, cls in _TYPES.items():
-            obj = None if off.get(prefix) else cls(**groups[prefix])
+            obj = None if prefix in off else cls(**groups[prefix])
             owner, _, channel = prefix.partition(".")
             top[owner] = {**top.get(owner, {}), channel: obj} if channel else obj
         return Scenario(**top)
@@ -311,10 +325,10 @@ def load_scenario(text: str) -> Scenario:
         raise ScenarioError(str(exc)) from exc
 
 
-def _saved(s: Scenario, target: str | None, default):
+def _saved(s: Scenario, target: str, default):
     """Value the canonical document writes for one schema row."""
-    if target is None:
-        return s.gating is not None
+    if target in _TYPES:   # switch row
+        return getattr(s, target) is not None
     *path, name = target.split(".")
     obj = s
     for p in path:   # a missing filter or detector channel is the plain model
@@ -352,7 +366,7 @@ def build_spectrum(s: Scenario):
 
 
 def build_profile(s: Scenario) -> AfcProfile | None:
-    if not s.afc_enabled or s.afc_plan is None:
+    if s.afc_plan is None:
         return None
     return design_afc(
         s.afc_plan,
@@ -361,7 +375,7 @@ def build_profile(s: Scenario) -> AfcProfile | None:
         background_od=s.afc_background_od, echo_orders=s.afc_echo_orders)
 
 
-def simulate(s: Scenario, seed: int | None = None) -> EventStream:
+def simulate(s: Scenario) -> EventStream:
     """Event stream of a scenario.  A model the scenario builds but cannot
     run (for example an envelope that misses every cluster) raises
     SimulationError."""
@@ -370,8 +384,7 @@ def simulate(s: Scenario, seed: int | None = None) -> EventStream:
         source = SourceModel(pair_rate=s.pair_rate, spectrum=spectrum,
                              cavity=s.cavity)
         return generate_events(source, build_profile(s), s.filters,
-                               s.detectors, s.gating, s.duration_s,
-                               s.seed if seed is None else seed)
+                               s.detectors, s.gating, s.duration_s, s.seed)
     except ParameterError as exc:
         raise SimulationError(str(exc)) from exc
 
@@ -400,8 +413,7 @@ def _comb_view(hist: an.CorrelationHistogram, center: float,
 def _window_and_floor(s: Scenario, hist: an.CorrelationHistogram):
     """Echo delay (None without memory), analysis window center (the echo
     delay, or 0 without memory, unless set) and noise floor (value, error)."""
-    plan = s.afc_plan if s.afc_enabled else None
-    echo_delay = plan.storage_time if plan is not None else None
+    echo_delay = s.afc_plan.storage_time if s.afc_plan is not None else None
     center = s.analysis.window_center_s
     if center is None:
         center = echo_delay if echo_delay is not None else 0.0
@@ -410,8 +422,7 @@ def _window_and_floor(s: Scenario, hist: an.CorrelationHistogram):
 
 
 def analyze_events(s: Scenario, events: EventStream,
-                   rate_single: tuple[float, float] | None = None,
-                   n_effective: tuple[float, float] | None = None):
+                   rate_single: tuple[float, float] | None = None):
     """Histogram an event stream and derive the full report."""
     # event files carry no gating block; the scenario is the source of
     # truth for live-time normalization.  Patch a copy, not the caller's
@@ -447,9 +458,7 @@ def analyze_events(s: Scenario, events: EventStream,
                                floor, floor_err)
     g2 = an.g2_estimate(events, s.analysis.window_s, center)
 
-    if n_effective is not None:
-        n_eff, n_eff_err = n_effective
-    elif rate_single is not None:
+    if rate_single is not None:
         try:
             n_eff, n_eff_err = an.effective_modes((rate.rate, rate.error),
                                                   rate_single)
@@ -488,14 +497,9 @@ def analyze_events(s: Scenario, events: EventStream,
 @dataclass
 class RunBundle:
     scenario: Scenario
-    digest: str
     events: EventStream
     histogram: an.CorrelationHistogram
     report: an.AnalysisReport
-
-    def __post_init__(self):
-        if self.report.provenance.get("scenario_digest") != self.digest:
-            raise ScenarioError("report digest does not match scenario digest")
 
 
 def single_mode_reference(s: Scenario) -> Scenario:
@@ -519,14 +523,11 @@ def run_scenario(s: Scenario) -> RunBundle:
     report."""
     events = simulate(s)
     rate_single = None
-    if (s.reference_run and s.afc_enabled and s.afc_plan is not None
-            and s.afc_plan.mode_count > 1):
-        ref = single_mode_reference(s)
-        rate_single = reference_rate(
-            ref, simulate(ref, seed=split_seed(s.seed, 0x5EF)))
+    if s.reference_run and s.afc_plan is not None and s.afc_plan.mode_count > 1:
+        ref = replace(single_mode_reference(s), seed=split_seed(s.seed, 0x5EF))
+        rate_single = reference_rate(s, simulate(ref))
     hist, report = analyze_events(s, events, rate_single=rate_single)
-    return RunBundle(scenario=s, digest=scenario_digest(s), events=events,
-                     histogram=hist, report=report)
+    return RunBundle(scenario=s, events=events, histogram=hist, report=report)
 
 
 def sweep_scenarios(s: Scenario) -> list[Scenario]:

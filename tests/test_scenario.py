@@ -187,8 +187,11 @@ def test_schema_targets_name_fields():
     wanted -= {("", prefix.partition(".")[0]) for prefix in _TYPES}
     targets = [target for rows in _SCHEMA.values()
                for _, _, target in rows.values()]
-    assert targets.count(None) == 1 and _SCHEMA["gating"]["enabled"][2] is None
-    got = [tuple(t.rpartition(".")[::2]) for t in targets if t is not None]
+    # a switch row's target is the block it switches
+    assert [t for t in targets if t in _TYPES] == ["afc_plan", "gating"]
+    assert _SCHEMA["afc"]["enabled"][2] == "afc_plan"
+    assert _SCHEMA["gating"]["enabled"][2] == "gating"
+    got = [tuple(t.rpartition(".")[::2]) for t in targets if t not in _TYPES]
     assert len(got) == len(set(got))
     assert set(got) == wanted
     assert set(_FROM_CAVITY) <= set(targets)
@@ -215,7 +218,7 @@ def test_cluster_spacing_default_is_200ghz():
 
 
 def test_build_profile_disabled():
-    s = replace(pm.default_scenario(), afc_enabled=False, afc_plan=None)
+    s = replace(pm.default_scenario(), afc_plan=None)
     assert build_profile(s) is None
 
 
@@ -235,8 +238,7 @@ def test_simulate_deterministic():
 def test_run_scenario_bundle():
     s = fast(pm.default_scenario(), duration=0.2)
     bundle = pm.run_scenario(s)
-    assert bundle.digest == pm.scenario_digest(s)
-    assert bundle.report.provenance["scenario_digest"] == bundle.digest
+    assert bundle.report.provenance["scenario_digest"] == pm.scenario_digest(s)
     assert bundle.report.echo_delay_s == pytest.approx(1 / 920e3)
     assert bundle.histogram.counts.sum() > 0
 
@@ -595,6 +597,33 @@ def test_default_scenario_outputs_golden(tmp_path, capsys):
     assert got == GOLDEN_DEFAULT
 
 
+# SHA-256 of `pairmem figure` outputs: fig2 on default.cfg, and the sweep
+# figures on the shipped sweeps shortened to 0.5 s runs.  Same rule as
+# GOLDEN_DEFAULT.
+GOLDEN_FIGURES = {
+    "fig2": ("default", None,
+             "10bf20b5bda718207eb0a9d2393576e5ad498c75bd4c40dec3c29a9331b0176c"),
+    "fig4b": ("sweep_afc_modes", 0.5,
+              "41a3967c67550774263653fc72dd482ff726d913dcd36444d26869ebb2ddc7f3"),
+    "fig4c": ("sweep_pump_power", 0.5,
+              "513adda8864415542ccfe1dd4ba1f83fe7bf8d11b0c3bdcca9d7bc6b7248badf"),
+}
+
+
+@pytest.mark.parametrize("figure", sorted(GOLDEN_FIGURES))
+def test_figure_outputs_golden(tmp_path, capsys, figure):
+    name, duration, golden = GOLDEN_FIGURES[figure]
+    cfg = SCENARIO_DIR / f"{name}.cfg"
+    if duration is not None:
+        s = pm.load_scenario(cfg.read_text())
+        cfg = tmp_path / "s.cfg"
+        cfg.write_text(pm.save_scenario(replace(s, duration_s=duration)))
+    assert run_cli(["figure", "--scenario", str(cfg), "--figure", figure,
+                    "--out", str(tmp_path)]) == 0
+    path = tmp_path / f"{figure}.csv"
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == golden
+
+
 # Short scenarios for the routing branches the default scenario never takes:
 # echoes of order 2 and 3, background OD, a gaussian taper, a comb spectrum,
 # an efficiency override and no gating.  SHA-256 of their simulate outputs,
@@ -671,6 +700,79 @@ def test_cli_figure(tmp_path):
     assert run_cli(["figure", "--scenario", str(cfg), "--figure", "fig2",
                     "--out", str(out)]) == 0
     assert (out / "fig2.csv").exists()
+
+
+SHORT_RUN = "[run]\nduration_s = 0.01\nreference_run = false\n"
+
+
+@pytest.mark.parametrize("figure, sweep, match", [
+    ("fig4b", "[afc]\nenabled = false\n[sweep]\nkind = afc_modes\n"
+     "values = 1, 5\n", "needs [afc] enabled"),
+    ("fig4b", "[sweep]\nkind = afc_modes\nvalues = 0, 5\n", "integers >= 1"),
+    ("fig4b", "[sweep]\nkind = afc_modes\nvalues = 2.7, 5\n", "integers >= 1"),
+    ("fig4b", "[sweep]\nkind = afc_modes\nvalues = 1, inf\n", "integers >= 1"),
+    ("fig4c", "[sweep]\nkind = pump_power\nvalues = nan, 1\n", "finite and >= 0"),
+    ("fig4c", "[sweep]\nkind = pump_power\nvalues = 1, inf\n", "finite and >= 0"),
+    ("fig4c", "[sweep]\nkind = pump_power\nvalues = -0.5, 1\n", "finite and >= 0")])
+def test_cli_rejects_bad_sweep_block(tmp_path, capsys, figure, sweep, match):
+    cfg = tmp_path / "s.cfg"
+    cfg.write_text(sweep + SHORT_RUN)
+    assert run_cli(["validate", "--scenario", str(cfg)]) == 2
+    assert run_cli(["figure", "--scenario", str(cfg), "--figure", figure,
+                    "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.count(match) == 2
+    assert not (tmp_path / f"{figure}.csv").exists()
+
+
+@pytest.mark.parametrize("figure, kind, values", [
+    ("fig4b", "pump_power", "0.5, 1"),
+    ("fig4c", "afc_modes", "1, 5")])
+def test_cli_sweep_figure_needs_its_sweep_kind(tmp_path, capsys, monkeypatch,
+                                               figure, kind, values):
+    cfg = tmp_path / "s.cfg"
+    cfg.write_text(f"[sweep]\nkind = {kind}\nvalues = {values}\n" + SHORT_RUN)
+    calls = []
+    monkeypatch.setattr(pm.cli, "run_sweep", lambda *a, **k: calls.append(a))
+    assert run_cli(["figure", "--scenario", str(cfg), "--figure", figure,
+                    "--out", str(tmp_path)]) == 2
+    assert f"needs a {pm.figures.SWEEP_KINDS[figure]} sweep block" in \
+        capsys.readouterr().err
+    assert calls == []   # rejected before any sweep point runs
+
+
+@pytest.mark.parametrize("setting, args", [
+    ("seed = -5\n", []),
+    ("seed = 18446744073709551616\n", []),
+    ("", ["--seed", "-1"]),
+    ("", ["--seed", "18446744073709551616"])])
+def test_cli_rejects_seed_out_of_range(tmp_path, capsys, setting, args):
+    # event files store the seed as u64
+    cfg = tmp_path / "s.cfg"
+    cfg.write_text(SHORT_RUN + setting)
+    if not args:
+        assert run_cli(["validate", "--scenario", str(cfg)]) == 2
+    assert run_cli(["simulate", "--scenario", str(cfg), "--out", str(tmp_path),
+                    *args]) == 2
+    assert "seed must lie in [0, 2**64)" in capsys.readouterr().err
+
+
+def test_seed_range_ends_load():
+    for seed in (0, 2 ** 64 - 1):
+        assert pm.load_scenario(f"[run]\nseed = {seed}\n").seed == seed
+
+
+def test_run_sweep_process_pool_matches_serial():
+    # two worker processes; the 5-mode point also runs its reference
+    s = replace(pm.default_scenario(), duration_s=0.05, sweep_kind="afc_modes",
+                sweep_values=(1, 5))
+    serial, pooled = pm.run_sweep(s, jobs=1), pm.run_sweep(s, jobs=2)
+    assert [b.scenario for b in pooled] == [b.scenario for b in serial]
+    for a, b in zip(serial, pooled, strict=True):
+        assert b.report.to_json() == a.report.to_json()
+        assert np.array_equal(b.events.channels, a.events.channels)
+        assert np.array_equal(b.events.timestamps_ps, a.events.timestamps_ps)
+        assert b.events.metadata == a.events.metadata
 
 
 def test_cli_out_env_var(tmp_path, monkeypatch):
