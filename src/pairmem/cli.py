@@ -88,14 +88,16 @@ def cmd_analyze(args) -> int:
 def cmd_figure(args) -> int:
     s = _read_scenario(args.scenario, args.seed)
     kind = figures.SWEEP_KINDS.get(args.figure)
-    if kind is None:
-        bundle = run_scenario(s)
+    if args.figure == "fig2":
+        data = s   # the AFC profile is a model: no run needed
+    elif kind is None:
+        data = run_scenario(s)
     elif s.sweep_kind != kind:
         raise ScenarioError(f"{args.figure} needs a {kind} sweep block, "
                             f"not {s.sweep_kind or 'none'}")
     else:
-        bundle = run_sweep(s, jobs=args.jobs)
-    docs = figures.emit_figure_data(bundle, args.figure)
+        data = run_sweep(s, jobs=args.jobs)
+    docs = figures.emit_figure_data(data, args.figure)
     out = _out_dir(args)
     for name, text in docs.items():
         _write_text(os.path.join(out, name), text)

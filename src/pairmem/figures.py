@@ -6,7 +6,7 @@ import io
 
 from . import analysis as an
 from .errors import ScenarioError
-from .scenario import RunBundle, build_profile
+from .scenario import RunBundle, Scenario, build_profile
 
 FIGURES = ("fig1b", "fig2", "fig4a", "fig4b", "fig4c")
 # sweep figure -> the sweep kind it plots
@@ -23,8 +23,9 @@ def _histogram_csv(hist: an.CorrelationHistogram) -> str:
 def emit_figure_data(bundle, figure: str) -> dict[str, str]:
     """CSV documents for one figure.
 
-    ``bundle`` is a RunBundle for fig1b/fig2/fig4a and a list of
-    RunBundles (one per sweep point) for fig4b/fig4c.
+    ``bundle`` is the Scenario for fig2 (its AFC profile needs no run), a
+    RunBundle for fig1b/fig4a and a list of RunBundles (one per sweep
+    point) for fig4b/fig4c.
     """
     if figure not in FIGURES:
         raise ScenarioError(f"unknown figure {figure!r}")
@@ -35,9 +36,9 @@ def emit_figure_data(bundle, figure: str) -> dict[str, str]:
         return {f"{figure}.csv": _histogram_csv(bundle.histogram)}
 
     if figure == "fig2":
-        if not isinstance(bundle, RunBundle):
-            raise ScenarioError("fig2 needs a single run bundle")
-        profile = build_profile(bundle.scenario)
+        if not isinstance(bundle, Scenario):
+            raise ScenarioError("fig2 needs a scenario")
+        profile = build_profile(bundle)
         if profile is None:
             raise ScenarioError("fig2 needs a scenario with the AFC enabled")
         buf = io.StringIO()

@@ -6,10 +6,15 @@ analytic cross-correlation curve; the signal photon then passes through the
 memory (transmit / echo / absorbed), both photons through their spectral
 filters and detectors, and the idler-conditioned gate attenuates the signal
 channel outside its window.
+
+Delay variates are drawn for every pair, but a delay is evaluated only for
+a signal photon that passes the memory, the filter and the detector
+efficiency: those fates depend on the photon's mode alone.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -82,6 +87,12 @@ class SourceModel:
     def __post_init__(self):
         if self.pair_rate < 0:
             raise ParameterError("pair_rate must be >= 0")
+
+    @functools.cached_property
+    def sampler(self) -> DelaySampler:
+        """Pair-delay sampler, built on first use and kept with the source
+        (not a field: model digests do not see it)."""
+        return DelaySampler(self.spectrum, self.cavity)
 
 
 @dataclass(frozen=True)
@@ -191,35 +202,64 @@ class DelaySampler:
             du = period / npts
             u = (np.arange(npts) + 0.5) * du
             dens = np.exp(-gamma * u) * comb
-            cdf = np.cumsum(dens)
+            guide = _guide_table(np.cumsum(dens))
+            cdf = guide[0][:-1]   # a view: a run keeps its sampler, so one copy
             # total branch mass: one-period integral times the geometric
             # tail over later periods
             weights.append(cdf[-1] * du / (1.0 - math.exp(-gamma * period)))
             self._branches.append({
                 "gamma": gamma, "period": period, "du": du,
-                "cdf": cdf, "dens": dens, "guide": _guide_table(cdf),
-                "lower": np.concatenate(([0.0], cdf[:-1])),
+                "cdf": cdf, "dens": dens, "guide": guide,
             })
         self.p_positive = weights[0] / (weights[0] + weights[1])
 
-    def _sample_branch(self, rng: np.random.Generator, size: int, b) -> np.ndarray:
-        lam = b["gamma"] * b["period"]
-        k = np.floor(rng.exponential(scale=1.0 / lam, size=size))
-        v = rng.random(size) * b["cdf"][-1]
+    def draw(self, rng: np.random.Generator, size: int):
+        """Every variate of ``size`` delays, in draw order: the branch
+        signs, then for each branch with draws its whole periods and its
+        in-period CDF keys.  ``delays`` turns them into delays."""
+        pos = rng.random(size) < self.p_positive
+        n_pos = int(np.count_nonzero(pos))
+        keys = []
+        for b, n in zip(self._branches, (n_pos, size - n_pos)):
+            if n:
+                lam = b["gamma"] * b["period"]
+                keys.append((np.floor(rng.exponential(scale=1.0 / lam, size=n)),
+                             rng.random(n) * b["cdf"][-1]))
+            else:
+                keys.append(None)
+        return pos, keys
+
+    def delays(self, draws, sel: np.ndarray) -> np.ndarray:
+        """Delays of the pairs ``sel`` (increasing indices into ``draws``).
+
+        Each delay is elementwise in its own draws, so a subset gets the
+        bits it would get among all pairs.  A positive pair is draw
+        ``rank - 1`` of its branch and a negative one draw ``sel - rank``,
+        where rank counts the positive pairs up to and including it
+        (int32: 2**31 pairs would not fit in memory).
+        """
+        pos, keys = draws
+        rank = np.cumsum(pos, dtype=np.int32)[sel]
+        up = pos[sel]
+        out = np.empty(len(sel))
+        if up.any():
+            out[up] = self._branch_delays(0, keys, rank[up] - 1)
+        if not up.all():
+            down = ~up
+            out[down] = -self._branch_delays(1, keys, sel[down] - rank[down])
+        return out
+
+    def _branch_delays(self, i: int, keys, at: np.ndarray) -> np.ndarray:
+        b = self._branches[i]
+        k, v = keys[i][0][at], keys[i][1][at]
         j = _guided_search(b["guide"], v)
-        frac = (v - b["lower"][j]) / b["dens"][j]
+        lower = np.where(j > 0, b["cdf"][j - 1], 0.0)   # CDF below entry j
+        frac = (v - lower) / b["dens"][j]
         u = (j + frac) * b["du"]
         return k * b["period"] + u
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        pos = rng.random(size) < self.p_positive
-        out = np.empty(size)
-        n_pos = int(np.count_nonzero(pos))
-        if n_pos:
-            out[pos] = self._sample_branch(rng, n_pos, self._branches[0])
-        if size - n_pos:
-            out[~pos] = -self._sample_branch(rng, size - n_pos, self._branches[1])
-        return out
+        return self.delays(self.draw(rng, size), np.arange(size))
 
 
 def make_rng(seed: int) -> np.random.Generator:
@@ -334,6 +374,29 @@ def _prune_dead_time(t: np.ndarray, dead: float) -> np.ndarray:
     return keep
 
 
+def _count_reached(u: np.ndarray, rows: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """``np.count_nonzero(u >= rows[:, idx], axis=0)`` one row at a time,
+    without the (rows x photons) gather, in the smallest unsigned type."""
+    count = np.zeros(len(u), np.min_scalar_type(len(rows)))
+    for row in rows:
+        count += u >= row[idx]
+    return count
+
+
+def _merge_channels(sig_ps: np.ndarray, idl_ps: np.ndarray):
+    """(channels, timestamps) of two sorted channels merged, ordered as
+    ``np.lexsort((ch, ts))`` orders them: by timestamp, signal first.  A
+    signal event lands after the signal events before it and the idler
+    events strictly earlier."""
+    at = np.arange(len(sig_ps)) + np.searchsorted(idl_ps, sig_ps, side="left")
+    ch = np.full(len(sig_ps) + len(idl_ps), CH_IDLER, np.uint8)
+    ch[at] = CH_SIGNAL
+    ts = np.empty(len(ch), np.uint64)
+    ts[at] = sig_ps
+    ts[ch == CH_IDLER] = idl_ps
+    return ch, ts
+
+
 def generate_events(source: SourceModel, memory: AfcProfile | None,
                     filters: dict | None, detectors: dict | None,
                     gating: GatingSequence | None, duration: float,
@@ -357,35 +420,42 @@ def generate_events(source: SourceModel, memory: AfcProfile | None,
     live_total = gating.live_total(duration) if gating else duration
     n_pairs = int(rng.poisson(source.pair_rate * live_total)) if live_total > 0 else 0
 
-    live_t = np.sort(rng.random(n_pairs)) * live_total
-    t_idl = gating.live_to_abs(live_t) if gating else live_t
-    # unnamed, so its tables are freed before the detector stage
-    t_sig = t_idl + DelaySampler(spec, source.cavity).sample(rng, n_pairs)
+    t_idl = np.sort(rng.random(n_pairs)) * live_total
+    if gating is not None:
+        t_idl = gating.live_to_abs(t_idl)
+    # every pair's delay variates are drawn here, in generator order, but a
+    # delay is evaluated only for a signal photon that reaches the detector
+    draws = source.sampler.draw(rng, n_pairs)
     # a photon's fate depends only on its mode: every probability below is
     # a per-mode table gathered by the mode index
     w2 = spec.weights ** 2
     midx = _guided_search(_guide_table(np.cumsum(w2 / w2.sum())),
                           rng.random(n_pairs))
-    sig_modes = midx
 
     # memory routing on the signal photon: branch 0 is transmitted, branch
-    # m <= echo_orders an order-m echo (probability eta^m), the rest absorbed
-    if memory is not None:
+    # m <= echo_orders an order-m echo (probability eta^m), the rest absorbed.
+    # alive holds the pair index of each signal photon still in the chain.
+    if memory is None:
+        alive = np.arange(n_pairs)
+    else:
         tp, ep = memory.response_arrays(spec.signal_freqs)
         cum = np.cumsum([tp] + [ep ** m for m in range(1, memory.echo_orders + 1)],
                         axis=0)
-        branch = np.count_nonzero(rng.random(n_pairs) >= cum[:, midx], axis=0)
-        kept = branch <= memory.echo_orders
-        t_sig = t_sig[kept] + branch[kept] * memory.storage_time
-        sig_modes = midx[kept]
+        branch = _count_reached(rng.random(n_pairs), cum, midx)
+        alive = np.flatnonzero(branch <= memory.echo_orders)
 
-    def detect(times, modes, freqs, flt, det):
-        keep = np.ones(len(times), dtype=bool)
+    def thin(modes, freqs, flt, det):
+        """Mask of the photons that pass the filter and the detector
+        efficiency: a draw per photon, and nothing else about it."""
+        keep = np.ones(len(modes), dtype=bool)
         if flt is not None:
-            keep &= rng.random(len(times)) < chain_transmission([flt], freqs)[modes]
+            keep &= rng.random(len(modes)) < chain_transmission([flt], freqs)[modes]
         if det.efficiency < 1.0:
-            keep &= rng.random(len(times)) < det.efficiency
-        t = times[keep]
+            keep &= rng.random(len(modes)) < det.efficiency
+        return keep
+
+    def finish(t, det):
+        """Jitter, shutters, dark counts and the range cut; sorted."""
         if det.jitter_sigma > 0 and len(t):
             t = t + rng.normal(0.0, det.jitter_sigma, len(t))
         if gating is not None and len(t):
@@ -396,11 +466,16 @@ def generate_events(source: SourceModel, memory: AfcProfile | None,
         t = t[(t >= 0) & (t <= duration)]
         return np.sort(t)
 
-    idler = detect(t_idl, midx, spec.idler_freqs, filters.get("idler"), det_i)
+    idler = finish(t_idl[thin(midx, spec.idler_freqs, filters.get("idler"),
+                              det_i)], det_i)
     idler = idler[_prune_dead_time(idler, det_i.dead_time)]
 
-    sig = detect(t_sig, sig_modes, spec.signal_freqs, filters.get("signal"),
-                 det_s)
+    midx = midx[alive]   # frees the modes of photons already gone
+    alive = alive[thin(midx, spec.signal_freqs, filters.get("signal"), det_s)]
+    t_sig = t_idl[alive] + source.sampler.delays(draws, alive)
+    if memory is not None:
+        t_sig += branch[alive] * memory.storage_time
+    sig = finish(t_sig, det_s)
     if gating is not None and len(sig) and len(idler):
         # idler-conditioned gate: sequential post-pass over the idler history
         idx = np.searchsorted(idler, sig, side="right") - 1
@@ -415,11 +490,7 @@ def generate_events(source: SourceModel, memory: AfcProfile | None,
     duration_ps = int(round(duration * 1e12))
     sig_ps = np.clip(np.rint(sig * 1e12), 0, duration_ps).astype(np.uint64)
     idl_ps = np.clip(np.rint(idler * 1e12), 0, duration_ps).astype(np.uint64)
-
-    ch = np.concatenate([np.full(len(sig_ps), CH_SIGNAL, np.uint8),
-                         np.full(len(idl_ps), CH_IDLER, np.uint8)])
-    ts = np.concatenate([sig_ps, idl_ps])
-    order = np.lexsort((ch, ts))
+    ch, ts = _merge_channels(sig_ps, idl_ps)
 
     meta = {
         "seed": int(seed),
@@ -427,4 +498,4 @@ def generate_events(source: SourceModel, memory: AfcProfile | None,
         "model_digest": model_digest(source, memory, filters, detectors, gating),
         "gating": asdict(gating) if gating else None,
     }
-    return EventStream(channels=ch[order], timestamps_ps=ts[order], metadata=meta)
+    return EventStream(channels=ch, timestamps_ps=ts, metadata=meta)

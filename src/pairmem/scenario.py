@@ -375,14 +375,24 @@ def build_profile(s: Scenario) -> AfcProfile | None:
         background_od=s.afc_background_od, echo_orders=s.afc_echo_orders)
 
 
-def simulate(s: Scenario) -> EventStream:
-    """Event stream of a scenario.  A model the scenario builds but cannot
-    run (for example an envelope that misses every cluster) raises
+def source_model(s: Scenario) -> SourceModel:
+    """Pair source of a scenario.  A spectrum the scenario describes but
+    cannot build (an envelope that misses every cluster) raises
     SimulationError."""
     try:
-        spectrum = build_spectrum(s)
-        source = SourceModel(pair_rate=s.pair_rate, spectrum=spectrum,
-                             cavity=s.cavity)
+        return SourceModel(pair_rate=s.pair_rate, spectrum=build_spectrum(s),
+                           cavity=s.cavity)
+    except ParameterError as exc:
+        raise SimulationError(str(exc)) from exc
+
+
+def simulate(s: Scenario, source: SourceModel | None = None) -> EventStream:
+    """Event stream of a scenario, from ``source`` (default: the scenario's
+    own).  A model the scenario builds but cannot run raises
+    SimulationError."""
+    if source is None:
+        source = source_model(s)
+    try:
         return generate_events(source, build_profile(s), s.filters,
                                s.detectors, s.gating, s.duration_s, s.seed)
     except ParameterError as exc:
@@ -503,7 +513,8 @@ class RunBundle:
 
 
 def single_mode_reference(s: Scenario) -> Scenario:
-    """Same scenario with a single-mode AFC, for effective-mode counting."""
+    """Same scenario with a single-mode AFC, for effective-mode counting.
+    Cavity, spectrum and pump are kept, so it runs from the same source."""
     return replace(s, afc_plan=replace(s.afc_plan, mode_count=1),
                    reference_run=False, sweep_kind=None, sweep_values=())
 
@@ -521,11 +532,13 @@ def reference_rate(s: Scenario, ref_events: EventStream) -> tuple[float, float]:
 def run_scenario(s: Scenario) -> RunBundle:
     """Deterministic end-to-end pipeline: spectrum, AFC, events, histogram,
     report."""
-    events = simulate(s)
+    # the reference keeps the source: both runs share its spectrum and sampler
+    source = source_model(s)
+    events = simulate(s, source)
     rate_single = None
     if s.reference_run and s.afc_plan is not None and s.afc_plan.mode_count > 1:
         ref = replace(single_mode_reference(s), seed=split_seed(s.seed, 0x5EF))
-        rate_single = reference_rate(s, simulate(ref))
+        rate_single = reference_rate(s, simulate(ref, source))
     hist, report = analyze_events(s, events, rate_single=rate_single)
     return RunBundle(scenario=s, events=events, histogram=hist, report=report)
 

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -6,9 +7,11 @@ from hypothesis import given, settings, strategies as st
 
 import pairmem as pm
 from pairmem.montecarlo import (CH_IDLER, CH_SIGNAL, DelaySampler,
-                                _guide_table, _guided_search,
-                                _prune_dead_time, model_digest)
+                                _count_reached, _guide_table, _guided_search,
+                                _merge_channels, _prune_dead_time,
+                                model_digest)
 from pairmem.errors import ParameterError
+from pairmem.scenario import build_spectrum
 
 
 # model_digest of the models in test_model_digest_pinned: digest strings
@@ -216,6 +219,131 @@ def test_guided_search_delay_table_and_fallback(cavity, small_spectrum):
 
 
 # ---------------------------------------------------------------------------
+# lazy delays, row-wise branch counts and the channel merge against the
+# formulas they replaced
+
+def eager_delays(b, k, v):
+    """Delays of one branch from whole periods k and CDF keys v, with the
+    lower CDF edges as a table, as DelaySampler once held them."""
+    j = _guided_search(b["guide"], v)
+    lower = np.concatenate(([0.0], b["cdf"][:-1]))
+    frac = (v - lower[j]) / b["dens"][j]
+    u = (j + frac) * b["du"]
+    return k * b["period"] + u
+
+
+def eager_sample(sampler, rng, size):
+    """DelaySampler.sample as it was: every delay evaluated at draw time."""
+    def branch(n, b):
+        lam = b["gamma"] * b["period"]
+        k = np.floor(rng.exponential(scale=1.0 / lam, size=n))
+        v = rng.random(n) * b["cdf"][-1]
+        return eager_delays(b, k, v)
+
+    pos = rng.random(size) < sampler.p_positive
+    out = np.empty(size)
+    n_pos = int(np.count_nonzero(pos))
+    if n_pos:
+        out[pos] = branch(n_pos, sampler._branches[0])
+    if size - n_pos:
+        out[~pos] = -branch(size - n_pos, sampler._branches[1])
+    return out
+
+
+@pytest.fixture(scope="module")
+def comb_sampler():
+    cav = pm.CavityParams(fsr_signal=123.0e6, fsr_idler=122.92435e6,
+                          linewidth_signal=2.28e6, linewidth_idler=1.52e6,
+                          signal_center=494.7e12, idler_center=193.4e12)
+    return DelaySampler(pm.comb_spectrum(cav, 5), cav)
+
+
+def assert_lazy_matches_eager(sampler, seed, n, sel):
+    sel = np.asarray(sel, dtype=np.intp)
+    eager_rng, lazy_rng = pm.make_rng(seed), pm.make_rng(seed)
+    want = eager_sample(sampler, eager_rng, n)[sel]
+    got = sampler.delays(sampler.draw(lazy_rng, n), sel)
+    assert got.tobytes() == want.tobytes()    # bit for bit, signed zeros too
+    # the same variates were taken: both generators are at the same state
+    assert lazy_rng.random() == eager_rng.random()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2 ** 32), st.integers(0, 60), st.data())
+def test_lazy_delays_match_eager_sample(comb_sampler, seed, n, data):
+    picked = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    assert_lazy_matches_eager(comb_sampler, seed, n, np.flatnonzero(picked))
+
+
+def test_lazy_delays_edge_selections(comb_sampler):
+    n = 5000
+    for sel in ([], np.arange(n), [0], [n - 1], [1234]):
+        assert_lazy_matches_eager(comb_sampler, 17, n, sel)
+    # one pair: one of the two branches draws nothing
+    for seed in range(20):
+        assert_lazy_matches_eager(comb_sampler, seed, 1, [0])
+        assert_lazy_matches_eager(comb_sampler, seed, 1, [])
+    # no pairs at all
+    assert_lazy_matches_eager(comb_sampler, 3, 0, [])
+
+
+def test_delays_at_table_edges(comb_sampler):
+    # keys in the first table entry (j = 0, no CDF below it), on entry
+    # boundaries and at the top of the table
+    for i, sign in ((0, 1.0), (1, -1.0)):
+        cdf = comb_sampler._branches[i]["cdf"]
+        v = np.array([0.0, cdf[0] / 2, cdf[0], np.nextafter(cdf[0], np.inf),
+                      cdf[1], cdf[-2], cdf[-1]])
+        k = np.arange(len(v), dtype=float)
+        pos = np.full(len(v), i == 0)
+        keys = [(k, v), None] if i == 0 else [None, (k, v)]
+        got = comb_sampler.delays((pos, keys), np.arange(len(v)))
+        want = sign * eager_delays(comb_sampler._branches[i], k, v)
+        assert got.tobytes() == want.tobytes()
+
+
+def test_sample_is_draw_then_every_delay(comb_sampler):
+    a = comb_sampler.sample(pm.make_rng(9), 1000)
+    b = eager_sample(comb_sampler, pm.make_rng(9), 1000)
+    assert a.tobytes() == b.tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([0, 1, 3]), st.integers(0, 2 ** 32),
+       st.integers(1, 8), st.integers(0, 50))
+def test_count_reached_matches_gathered_count(orders, seed, n_modes, n):
+    rng = np.random.default_rng(seed)
+    # nondecreasing per column, as a cumulative branch table is
+    rows = np.cumsum(rng.random((orders + 1, n_modes)) / (orders + 1), axis=0)
+    idx = rng.integers(0, n_modes, n)
+    u = rng.random(n)
+    # some keys sit exactly on a threshold, or just beside one
+    on = rng.random(n) < 0.5
+    u[on] = rows[rng.integers(0, orders + 1, n)[on], idx[on]]
+    u[::7] = np.nextafter(u[::7], 0.0)
+    got = _count_reached(u, rows, idx)
+    assert got.dtype.kind == "u"
+    assert np.array_equal(got, np.count_nonzero(u >= rows[:, idx], axis=0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 6), max_size=12),
+       st.lists(st.integers(0, 6), max_size=12))
+def test_merge_channels_matches_lexsort(sig, idl):
+    # few distinct values: equal timestamps within and across channels
+    sig_ps = np.sort(np.array(sig, dtype=np.uint64))
+    idl_ps = np.sort(np.array(idl, dtype=np.uint64))
+    ch = np.concatenate([np.full(len(sig_ps), CH_SIGNAL, np.uint8),
+                         np.full(len(idl_ps), CH_IDLER, np.uint8)])
+    ts = np.concatenate([sig_ps, idl_ps])
+    order = np.lexsort((ch, ts))
+    got_ch, got_ts = _merge_channels(sig_ps, idl_ps)
+    assert got_ch.dtype == np.uint8 and got_ts.dtype == np.uint64
+    assert np.array_equal(got_ch, ch[order])
+    assert np.array_equal(got_ts, ts[order])
+
+
+# ---------------------------------------------------------------------------
 # event generation
 
 def test_generate_events_deterministic(cavity):
@@ -345,6 +473,22 @@ def test_conditional_gate_suppresses_out_of_window(cavity):
     # a prompt signal can still leak through when it lands in the window
     # opened by an earlier unrelated idler (~1.2 us * idler rate here)
     assert prompt < 0.15 * echo
+
+
+# SHA-256 of channels + timestamps of the ideal chain (no memory, filters,
+# detectors or gating) on the default spectrum, the one path no scenario
+# takes; update it only on purpose, and say so in CHANGES.md
+GOLDEN_IDEAL_CHAIN = (
+    19_518, "49cc3102da499fb44a441e54f7c6224c7fd03054c8e282ba78f151f9406f4ee3")
+
+
+def test_ideal_chain_golden():
+    s = pm.default_scenario()
+    src = pm.SourceModel(2e5, build_spectrum(s), s.cavity)
+    ev = pm.generate_events(src, None, None, None, None, 0.05, 3)
+    digest = hashlib.sha256(ev.channels.tobytes()
+                            + ev.timestamps_ps.tobytes()).hexdigest()
+    assert (len(ev), digest) == GOLDEN_IDEAL_CHAIN
 
 
 def test_generate_events_zero_duration(cavity):

@@ -304,7 +304,7 @@ def test_emit_histogram_figures():
 
 def test_emit_afc_figure():
     bundle = pm.run_scenario(fast(pm.default_scenario(), duration=0.05))
-    docs = pm.emit_figure_data(bundle, "fig2")
+    docs = pm.emit_figure_data(bundle.scenario, "fig2")
     lines = docs["fig2.csv"].splitlines()
     assert lines[0] == "freq_hz,optical_depth"
     assert len(lines) - 1 == 83 * 64  # 83 blocks, 64 samples per block
@@ -625,8 +625,9 @@ def test_figure_outputs_golden(tmp_path, capsys, figure):
 
 
 # Short scenarios for the routing branches the default scenario never takes:
-# echoes of order 2 and 3, background OD, a gaussian taper, a comb spectrum,
-# an efficiency override and no gating.  SHA-256 of their simulate outputs,
+# echoes of order 0, 2 and 3, background OD, a gaussian taper, a comb
+# spectrum, an efficiency override, no gating, no memory and an ideal signal
+# detector.  SHA-256 of their simulate outputs,
 # under the same rule as GOLDEN_DEFAULT.
 GOLDEN_ROUTING = {
     "orders3_taper_comb": (
@@ -646,6 +647,25 @@ GOLDEN_ROUTING = {
             "446e78402ef746b8d48e442672844ac0313adcee0f66cd715ed7277ae84fec6b",
          "report.json":
             "9ddeed69ca2715ab9c1ff78c9a93c2372130631c2534499d3176458fc258c37f"}),
+    # no memory and an ideal signal detector: every signal photon the
+    # etalon passes is detected, and none is delayed by an echo
+    "afc_off_ideal_signal": (
+        "[afc]\nenabled = false\n"
+        "[detector.signal]\nefficiency = 1.0\ndark_rate_hz = 0.0\n"
+        "jitter_sigma_s = 0.0\ndead_time_s = 0.0\n"
+        "[run]\nduration_s = 0.2\nreference_run = false\n",
+        {"events.bin":
+            "468b6668c565cff995ded2d3ac3586be5e5da2ead5b65ea323be060ce6634d8a",
+         "report.json":
+            "1d33bfc36adc2112b3c11c4b32e60810f8f2a38a7695a54076cd08e21cffb64d"}),
+    # a memory with no echo: stored photons are lost, and the reference
+    # run keeps its single-mode AFC
+    "echo_orders0": (
+        "[afc]\necho_orders = 0\n[run]\nduration_s = 0.2\n",
+        {"events.bin":
+            "616f04eb522733c387ed201ad0b2e79dfbca4d5164ae892939b0b04a719792c1",
+         "report.json":
+            "eda6089c7340cb735ab26b123143c4475c29a2406648bd0d76671b393030a83c"}),
 }
 
 
@@ -691,6 +711,49 @@ def test_models_are_evaluated_per_mode_and_built_once(monkeypatch):
     del designs[:]
     pm.analyze_events(s, bundle.events)
     assert designs == []
+
+
+def test_run_scenario_builds_one_delay_sampler(monkeypatch):
+    # the main run and its single-mode reference share the source and its
+    # sampler; nothing is kept from one run_scenario to the next
+    s = replace(pm.load_scenario(
+        (SCENARIO_DIR / "calibration_1mw.cfg").read_text()), duration_s=0.05)
+    builds, simulated = [], []
+    init, simulate = pm.montecarlo.DelaySampler.__init__, pm.scenario.simulate
+
+    def counted_init(self, *args, **kwargs):
+        builds.append(args)
+        init(self, *args, **kwargs)
+
+    def counted_simulate(*args, **kwargs):
+        simulated.append(args)
+        return simulate(*args, **kwargs)
+
+    monkeypatch.setattr(pm.montecarlo.DelaySampler, "__init__", counted_init)
+    monkeypatch.setattr(pm.scenario, "simulate", counted_simulate)
+    pm.run_scenario(s)
+    assert (len(builds), len(simulated)) == (1, 2)
+    pm.run_scenario(s)
+    assert (len(builds), len(simulated)) == (2, 4)
+
+
+@pytest.mark.parametrize("setting, code", [
+    ("", 0), ("[afc]\nenabled = false\n", 2)])
+def test_cli_fig2_runs_no_simulation(tmp_path, capsys, monkeypatch, setting,
+                                     code):
+    # fig2 plots the AFC profile, a model: nothing is simulated for it
+    cfg = tmp_path / "s.cfg"
+    cfg.write_text(setting + "[run]\nduration_s = 2.0\n")
+    calls = []
+    monkeypatch.setattr(pm.scenario, "simulate",
+                        lambda *a, **k: calls.append(a))
+    assert run_cli(["figure", "--scenario", str(cfg), "--figure", "fig2",
+                    "--out", str(tmp_path)]) == code
+    assert calls == []
+    assert (tmp_path / "fig2.csv").exists() == (code == 0)
+    if code:
+        assert "fig2 needs a scenario with the AFC enabled" in \
+            capsys.readouterr().err
 
 
 def test_cli_figure(tmp_path):
