@@ -86,6 +86,8 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_figure(args) -> int:
+    if args.jobs < 1:
+        raise ScenarioError(f"--jobs must be >= 1, not {args.jobs}")
     s = _read_scenario(args.scenario, args.seed)
     kind = figures.SWEEP_KINDS.get(args.figure)
     if args.figure == "fig2":
@@ -134,7 +136,8 @@ def make_parser() -> argparse.ArgumentParser:
     common(sp)
     sp.add_argument("--figure", required=True, choices=figures.FIGURES)
     sp.add_argument("--jobs", type=int, default=1,
-                    help="concurrent sweep points (default 1)")
+                    help="worker processes for a sweep figure, at most one "
+                         "per sweep point (default 1: run in this process)")
     sp.set_defaults(func=cmd_figure)
     return p
 

@@ -529,18 +529,41 @@ def reference_rate(s: Scenario, ref_events: EventStream) -> tuple[float, float]:
     return r.rate, r.error
 
 
+def _reference(s: Scenario) -> Scenario | None:
+    """Single-mode reference run of ``s``, with its seed; None when ``s``
+    takes none (reference off, no memory, or a single-mode AFC)."""
+    if not (s.reference_run and s.afc_plan is not None
+            and s.afc_plan.mode_count > 1):
+        return None
+    return replace(single_mode_reference(s), seed=split_seed(s.seed, 0x5EF))
+
+
+def _reference_rate(ref: Scenario, source: SourceModel) -> tuple[float, float]:
+    # the rate only reads the reference's tooth spacing and analysis
+    # settings, which it shares with every run it serves
+    return reference_rate(ref, simulate(ref, source))
+
+
+def _analyzed(s: Scenario, events: EventStream,
+              rate_single: tuple[float, float] | None) -> RunBundle:
+    hist, report = analyze_events(s, events, rate_single=rate_single)
+    return RunBundle(scenario=s, events=events, histogram=hist, report=report)
+
+
+def _run_point(s: Scenario, source: SourceModel,
+               rate_single: tuple[float, float] | None) -> RunBundle:
+    return _analyzed(s, simulate(s, source), rate_single)
+
+
 def run_scenario(s: Scenario) -> RunBundle:
     """Deterministic end-to-end pipeline: spectrum, AFC, events, histogram,
     report."""
     # the reference keeps the source: both runs share its spectrum and sampler
     source = source_model(s)
     events = simulate(s, source)
-    rate_single = None
-    if s.reference_run and s.afc_plan is not None and s.afc_plan.mode_count > 1:
-        ref = replace(single_mode_reference(s), seed=split_seed(s.seed, 0x5EF))
-        rate_single = reference_rate(s, simulate(ref, source))
-    hist, report = analyze_events(s, events, rate_single=rate_single)
-    return RunBundle(scenario=s, events=events, histogram=hist, report=report)
+    ref = _reference(s)
+    rate_single = None if ref is None else _reference_rate(ref, source)
+    return _analyzed(s, events, rate_single)
 
 
 def sweep_scenarios(s: Scenario) -> list[Scenario]:
@@ -558,10 +581,45 @@ def sweep_scenarios(s: Scenario) -> list[Scenario]:
     return out
 
 
+def _run_points(points: list[Scenario], mapper) -> list[RunBundle]:
+    """Bundles of ``points``: one source per pair rate, one reference run
+    per reference scenario, then every point, each step through
+    ``mapper``."""
+    sources = {}
+    refs, keys = {}, []   # seedless reference text -> first point's reference
+    for p in points:
+        if p.pair_rate not in sources:
+            sources[p.pair_rate] = source_model(p)
+        ref = _reference(p)
+        keys.append(None if ref is None
+                    else save_scenario(replace(ref, seed=0)))
+        if ref is not None:
+            refs.setdefault(keys[-1], ref)
+    runs = list(refs.values())
+    rates = dict(zip(refs, mapper(_reference_rate, runs,
+                                  [sources[r.pair_rate] for r in runs])))
+    return list(mapper(_run_point, points,
+                       [sources[p.pair_rate] for p in points],
+                       [rates.get(k) for k in keys]))
+
+
 def run_sweep(s: Scenario, jobs: int = 1) -> list[RunBundle]:
+    """Every point of the sweep, in order.  Points whose single-mode
+    references differ only in their seed share one reference run, which
+    takes the seed the first of them would give its own; points with one
+    pair rate share one source.  ``jobs`` > 1 runs the references, then
+    the points, in a pool of at most one process per point."""
     points = sweep_scenarios(s)
-    if jobs > 1:
+    workers = min(jobs, len(points))
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(run_scenario, points))
-    return [run_scenario(p) for p in points]
+
+        # tasks carry unbuilt sources: each process builds its own sampler
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            return _run_points(points, pool.map)
+    # one pair rate at a time, so that one built sampler is alive at once
+    out = {}
+    for rate in dict.fromkeys(p.pair_rate for p in points):
+        group = [i for i, p in enumerate(points) if p.pair_rate == rate]
+        out.update(zip(group, _run_points([points[i] for i in group], map)))
+    return [out[i] for i in range(len(points))]

@@ -206,6 +206,24 @@ def test_criterion_6_effective_modes():
     assert gain_b <= gain_a + 1e-9  # saturation: nonincreasing marginal gain
 
 
+def test_criterion_6_shared_reference_sweep():
+    # the flat side of criterion 6 as a sweep: the multi-mode points share
+    # one single-mode reference, so their N_eff have one denominator and
+    # rise with M
+    s = replace(_n_eff_scenario(1, flat=True, seed=600),
+                sweep_kind="afc_modes", sweep_values=(1, 5, 11, 21))
+    lines, flat_n = [], []
+    for bundle in pm.run_sweep(s):
+        m = bundle.scenario.afc_plan.mode_count
+        n, err = bundle.report.n_effective, bundle.report.n_effective_err
+        lines.append(f"M={m}: {n:.2f}+-{err:.2f}")
+        flat_n.append(n)
+        assert abs(n - m) <= 3 * err, \
+            f"N_eff {n:.2f} +- {err:.2f} not within 3 sigma of M = {m}"
+    print("criterion 6, shared reference: " + ", ".join(lines))
+    assert flat_n == sorted(flat_n)
+
+
 def test_criterion_7_determinism_and_merge_laws():
     s = replace(pm.default_scenario(), duration_s=1.0)
     a = pm.run_scenario(s)

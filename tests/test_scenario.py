@@ -8,7 +8,7 @@ import pytest
 
 import pairmem as pm
 from pairmem.errors import ScenarioError, SimulationError
-from pairmem.scenario import (build_profile, build_spectrum,
+from pairmem.scenario import (build_profile, build_spectrum, reference_rate,
                               single_mode_reference, sweep_scenarios)
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
@@ -604,7 +604,7 @@ GOLDEN_FIGURES = {
     "fig2": ("default", None,
              "10bf20b5bda718207eb0a9d2393576e5ad498c75bd4c40dec3c29a9331b0176c"),
     "fig4b": ("sweep_afc_modes", 0.5,
-              "41a3967c67550774263653fc72dd482ff726d913dcd36444d26869ebb2ddc7f3"),
+              "ed447c876f875f3fb93181a0f6ef9b951713bc12adb3437d98d4c70f50071162"),
     "fig4c": ("sweep_pump_power", 0.5,
               "513adda8864415542ccfe1dd4ba1f83fe7bf8d11b0c3bdcca9d7bc6b7248badf"),
 }
@@ -713,28 +713,108 @@ def test_models_are_evaluated_per_mode_and_built_once(monkeypatch):
     assert designs == []
 
 
+def _count_builds(monkeypatch):
+    """Count simulate calls, spectrum builds and DelaySampler builds."""
+    calls = {"simulate": 0, "spectrum": 0, "sampler": 0}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(pm.scenario, "simulate",
+                        counted("simulate", pm.scenario.simulate))
+    monkeypatch.setattr(pm.scenario, "build_spectrum",
+                        counted("spectrum", pm.scenario.build_spectrum))
+    monkeypatch.setattr(pm.montecarlo.DelaySampler, "__init__",
+                        counted("sampler", pm.montecarlo.DelaySampler.__init__))
+    return calls
+
+
 def test_run_scenario_builds_one_delay_sampler(monkeypatch):
     # the main run and its single-mode reference share the source and its
     # sampler; nothing is kept from one run_scenario to the next
     s = replace(pm.load_scenario(
         (SCENARIO_DIR / "calibration_1mw.cfg").read_text()), duration_s=0.05)
-    builds, simulated = [], []
-    init, simulate = pm.montecarlo.DelaySampler.__init__, pm.scenario.simulate
+    calls = _count_builds(monkeypatch)
+    pm.run_scenario(s)
+    assert calls == {"simulate": 2, "spectrum": 1, "sampler": 1}
+    pm.run_scenario(s)
+    assert calls == {"simulate": 4, "spectrum": 2, "sampler": 2}
 
-    def counted_init(self, *args, **kwargs):
-        builds.append(args)
+
+def _shipped_sweep(name, **changes):
+    s = pm.load_scenario((SCENARIO_DIR / f"{name}.cfg").read_text())
+    return replace(s, **changes)
+
+
+def test_run_sweep_shares_reference_and_source(monkeypatch):
+    # the five multi-mode points of fig4b's sweep share one single-mode
+    # reference, and all six points one source; a pump sweep keeps one
+    # source and one reference per pump.  Nothing is kept between sweeps.
+    afc = _shipped_sweep("sweep_afc_modes", duration_s=0.02)
+    pump = _shipped_sweep("sweep_pump_power", duration_s=0.02,
+                          sweep_values=(0.5, 1.0))
+    calls = _count_builds(monkeypatch)
+    pm.run_sweep(afc)
+    assert calls == {"simulate": 7, "spectrum": 1, "sampler": 1}
+    pm.run_sweep(afc)
+    assert calls == {"simulate": 14, "spectrum": 2, "sampler": 2}
+    calls.update(dict.fromkeys(calls, 0))
+    pm.run_sweep(pump)
+    assert calls == {"simulate": 4, "spectrum": 2, "sampler": 2}
+
+
+def test_serial_sweep_keeps_one_sampler_alive(monkeypatch):
+    # a serial sweep runs one pair rate at a time, so each pump's sampler
+    # is gone before the next pump's is built
+    import gc
+    import weakref
+
+    built, alive = [], []
+    init = pm.montecarlo.DelaySampler.__init__
+
+    def tracked_init(self, *args, **kwargs):
+        gc.collect()
+        alive.append(sum(ref() is not None for ref in built))
+        built.append(weakref.ref(self))
         init(self, *args, **kwargs)
 
-    def counted_simulate(*args, **kwargs):
-        simulated.append(args)
-        return simulate(*args, **kwargs)
+    monkeypatch.setattr(pm.montecarlo.DelaySampler, "__init__", tracked_init)
+    pm.run_sweep(_shipped_sweep("sweep_pump_power", duration_s=0.02))
+    assert alive == [0, 0, 0, 0]
 
-    monkeypatch.setattr(pm.montecarlo.DelaySampler, "__init__", counted_init)
-    monkeypatch.setattr(pm.scenario, "simulate", counted_simulate)
-    pm.run_scenario(s)
-    assert (len(builds), len(simulated)) == (1, 2)
-    pm.run_scenario(s)
-    assert (len(builds), len(simulated)) == (2, 4)
+
+def test_run_sweep_points_match_run_scenario():
+    # a pump sweep's references keep the pump, so every point runs as
+    # run_scenario runs it.  In an afc_modes sweep only the first
+    # multi-mode point does; every later one divides by its reference rate.
+    pump = _shipped_sweep("sweep_pump_power", duration_s=0.1,
+                          sweep_values=(0.5, 1.0))
+    for bundle, p in zip(pm.run_sweep(pump), sweep_scenarios(pump),
+                         strict=True):
+        assert bundle.report.to_json() == pm.run_scenario(p).report.to_json()
+
+    afc = _shipped_sweep("sweep_afc_modes", duration_s=0.5,
+                         sweep_values=(1, 5, 11, 21))
+    points = sweep_scenarios(afc)
+    bundles = pm.run_sweep(afc)
+    r = bundles[0].report
+    assert (r.n_effective, r.n_effective_err) == (1.0, 0.0)
+    first = points[1]
+    assert (bundles[1].report.to_json()
+            == pm.run_scenario(first).report.to_json())
+    ref = replace(single_mode_reference(first),
+                  seed=pm.split_seed(first.seed, 0x5EF))
+    shared = reference_rate(first, pm.simulate(ref))
+    assert shared[0] > 0
+    for bundle, p in zip(bundles[1:], points[1:]):
+        r = bundle.report
+        assert (r.n_effective, r.n_effective_err) == pm.effective_modes(
+            (r.coincidence_rate_cps, r.coincidence_rate_err), shared)
+        assert np.array_equal(bundle.events.timestamps_ps,
+                              pm.simulate(p).timestamps_ps)
 
 
 @pytest.mark.parametrize("setting, code", [
@@ -826,9 +906,9 @@ def test_seed_range_ends_load():
 
 
 def test_run_sweep_process_pool_matches_serial():
-    # two worker processes; the 5-mode point also runs its reference
+    # two worker processes; the 5- and 11-mode points share one reference
     s = replace(pm.default_scenario(), duration_s=0.05, sweep_kind="afc_modes",
-                sweep_values=(1, 5))
+                sweep_values=(1, 5, 11))
     serial, pooled = pm.run_sweep(s, jobs=1), pm.run_sweep(s, jobs=2)
     assert [b.scenario for b in pooled] == [b.scenario for b in serial]
     for a, b in zip(serial, pooled, strict=True):
@@ -836,6 +916,48 @@ def test_run_sweep_process_pool_matches_serial():
         assert np.array_equal(b.events.channels, a.events.channels)
         assert np.array_equal(b.events.timestamps_ps, a.events.timestamps_ps)
         assert b.events.metadata == a.events.metadata
+
+
+@pytest.mark.parametrize("jobs, pools", [
+    ("500", [3]), ("2", [2]), ("1", []), ("0", None), ("-3", None)])
+def test_cli_jobs_caps_workers_at_sweep_points(tmp_path, capsys, monkeypatch,
+                                               jobs, pools):
+    # a pool of `--jobs` processes starts every worker at once, so it holds
+    # at most one per sweep point; --jobs below 1 is exit 2 before any run.
+    # The stand-in pool starts no process and maps in this one.
+    import concurrent.futures
+
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return [fn(*args) for args in zip(*iterables)]
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        RecordingPool)
+    calls = _count_builds(monkeypatch)
+    cfg = tmp_path / "s.cfg"
+    cfg.write_text("[sweep]\nkind = afc_modes\nvalues = 1, 5, 11\n"
+                   "[run]\nduration_s = 0.01\n")
+    code = run_cli(["figure", "--scenario", str(cfg), "--figure", "fig4b",
+                    "--jobs", jobs, "--out", str(tmp_path)])
+    if pools is None:
+        assert code == 2
+        assert "--jobs must be >= 1" in capsys.readouterr().err
+        assert (sizes, calls["simulate"]) == ([], 0)
+    else:
+        assert code == 0
+        assert sizes == pools
+        assert calls["simulate"] == 4   # three points, one shared reference
 
 
 def test_cli_out_env_var(tmp_path, monkeypatch):
