@@ -15,7 +15,7 @@ from .analysis import (AnalysisReport, CorrelationHistogram, HistogramConfig,
                        build_histogram, classical_limit, coincidence_rate,
                        detect_peaks, effective_modes, estimate_fsr,
                        fit_envelope, g2_estimate, merge_histograms,
-                       noise_floor, shuffle_channel)
+                       noise_floor)
 from .scenario import (RunBundle, Scenario, analyze_events, default_scenario,
                        load_scenario, run_scenario, run_sweep, save_scenario,
                        scenario_digest, simulate)

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from .errors import EstimationError, FitError, ParameterError
-from .montecarlo import EventStream
+from .montecarlo import EventStream, GatingSequence
 
 TWO_PI = 2.0 * math.pi
 
@@ -305,29 +305,30 @@ class G2Estimate:
     upper_bound: float | None = None
 
 
-def g2_estimate(events: EventStream, window: float, center: float) -> G2Estimate:
+def g2_estimate(events: EventStream, window: float, center: float,
+                gating: GatingSequence | None) -> G2Estimate:
     """Normalized cross-correlation g2 = C T / (S I window).
 
     C counts idler-start, signal-stop pairs with delay inside the window;
-    S and I are the singles counts inside measurement phases; T is the
-    live measurement time.  Error bars propagate Poisson counting noise.
+    S and I are the singles counts inside the measurement phases of
+    ``gating`` (None: always measuring); T is the live measurement time.
+    Error bars propagate Poisson counting noise.
     """
     starts = events.times_s("idler")
     stops = events.times_s("signal")
     if len(starts) == 0 or len(stops) == 0:
-        raise EstimationError("both channels must be nonempty")
+        raise EstimationError("signal and idler must both be nonempty")
     lo, hi = center - window / 2, center + window / 2
     # pairs with t + lo <= s <= t + hi, counted per stop s as the starts
     # with fl(t + lo) <= s less those with fl(t + hi) < s
     c = int((np.searchsorted(starts + lo, stops, side="right")
              - np.searchsorted(starts + hi, stops, side="left")).sum())
-    g = events.gating()
-    if g is not None:
-        s_n = int(np.count_nonzero(g.measuring_mask(starts)))
-        i_n = int(np.count_nonzero(g.measuring_mask(stops)))
+    if gating is not None:
+        s_n = int(np.count_nonzero(gating.measuring_mask(starts)))
+        i_n = int(np.count_nonzero(gating.measuring_mask(stops)))
+        t_live = gating.live_total(events.duration_s)
     else:
-        s_n, i_n = len(starts), len(stops)
-    t_live = events.live_time_s()
+        s_n, i_n, t_live = len(starts), len(stops), events.duration_s
     if s_n == 0 or i_n == 0:
         raise EstimationError("no singles inside measurement phases")
     scale = t_live / (s_n * i_n * window)
@@ -359,29 +360,6 @@ def effective_modes(rate_multi: tuple[float, float],
     ratio = rm / rs
     err = abs(ratio) * math.sqrt((em / rm) ** 2 + (es / rs) ** 2) if rm != 0 else es / rs
     return ratio, err
-
-
-def shuffle_channel(events: EventStream, channel: str, seed: int) -> EventStream:
-    """Destroy correlations by re-drawing one channel's timestamps
-    uniformly over the measurement phases."""
-    from .montecarlo import CHANNEL_NAMES, make_rng  # local to avoid cycle
-
-    rng = make_rng(seed)
-    code = CHANNEL_NAMES[channel]
-    n = int(np.count_nonzero(events.channels == code))
-    g = events.gating()
-    live = events.live_time_s()
-    t = rng.random(n) * live
-    if g is not None:
-        t = g.live_to_abs(t)
-    new_ps = np.rint(t * 1e12).astype(np.uint64)
-    ts = events.timestamps_ps.copy()
-    ts[events.channels == code] = np.sort(new_ps)
-    order = np.lexsort((events.channels, ts))
-    meta = dict(events.metadata)
-    meta["shuffled_channel"] = channel
-    return EventStream(channels=events.channels[order], timestamps_ps=ts[order],
-                       metadata=meta)
 
 
 @dataclass

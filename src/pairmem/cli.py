@@ -28,7 +28,10 @@ EXIT_FORMAT = 5
 
 
 def _read_scenario(path, seed_override=None):
-    text = "" if path is None else open(path).read()
+    text = ""
+    if path is not None:
+        with open(path) as f:
+            text = f.read()
     s = load_scenario(text)
     if seed_override is not None:
         from dataclasses import replace

@@ -18,17 +18,13 @@ import functools
 import hashlib
 import json
 import math
-from dataclasses import dataclass, asdict, field, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .cavity import BiphotonSpectrum, CavityParams, TWO_PI
 from .errors import ParameterError
 from .memory import AfcProfile, FilterSpec, chain_transmission
-
-CH_SIGNAL = 0
-CH_IDLER = 1
-CHANNEL_NAMES = {"signal": CH_SIGNAL, "idler": CH_IDLER}
 
 _DELAY_TABLE_BITS = 17  # in-period density resolution: 1/FSR / 2^17 (~62 fs)
 _GUIDE_STEPS = 4  # vectorized forward steps before a key falls back to bisection
@@ -275,42 +271,25 @@ def split_seed(seed: int, index: int) -> int:
 
 @dataclass
 class EventStream:
-    """Channel-tagged detection timestamps in integer picoseconds.
+    """Detection timestamps of one run in integer picoseconds, one sorted
+    array per channel, and the header fields of its event file.  Treat as
+    immutable after generation."""
 
-    Events are sorted by (timestamp, channel); per-channel timestamps are
-    therefore nondecreasing.  Treat as immutable after generation.
-    """
-
-    channels: np.ndarray
-    timestamps_ps: np.ndarray
-    metadata: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        self.channels = np.asarray(self.channels, dtype=np.uint8)
-        self.timestamps_ps = np.asarray(self.timestamps_ps, dtype=np.uint64)
-        if self.channels.shape != self.timestamps_ps.shape:
-            raise ParameterError("channel/timestamp arrays must match")
+    signal_ps: np.ndarray
+    idler_ps: np.ndarray
+    duration_ps: int
+    seed: int
+    model_digest: str
 
     def __len__(self):
-        return len(self.timestamps_ps)
-
-    def times_ps(self, channel: str) -> np.ndarray:
-        return self.timestamps_ps[self.channels == CHANNEL_NAMES[channel]]
+        return len(self.signal_ps) + len(self.idler_ps)
 
     def times_s(self, channel: str) -> np.ndarray:
-        return self.times_ps(channel).astype(float) * 1e-12
+        return getattr(self, f"{channel}_ps") * 1e-12
 
     @property
     def duration_s(self) -> float:
-        return self.metadata["duration_ps"] * 1e-12
-
-    def gating(self) -> GatingSequence | None:
-        g = self.metadata.get("gating")
-        return GatingSequence(**g) if g else None
-
-    def live_time_s(self) -> float:
-        g = self.gating()
-        return g.live_total(self.duration_s) if g else self.duration_s
+        return self.duration_ps * 1e-12
 
 
 def model_digest(*models) -> str:
@@ -381,20 +360,6 @@ def _count_reached(u: np.ndarray, rows: np.ndarray, idx: np.ndarray) -> np.ndarr
     for row in rows:
         count += u >= row[idx]
     return count
-
-
-def _merge_channels(sig_ps: np.ndarray, idl_ps: np.ndarray):
-    """(channels, timestamps) of two sorted channels merged, ordered as
-    ``np.lexsort((ch, ts))`` orders them: by timestamp, signal first.  A
-    signal event lands after the signal events before it and the idler
-    events strictly earlier."""
-    at = np.arange(len(sig_ps)) + np.searchsorted(idl_ps, sig_ps, side="left")
-    ch = np.full(len(sig_ps) + len(idl_ps), CH_IDLER, np.uint8)
-    ch[at] = CH_SIGNAL
-    ts = np.empty(len(ch), np.uint64)
-    ts[at] = sig_ps
-    ts[ch == CH_IDLER] = idl_ps
-    return ch, ts
 
 
 def generate_events(source: SourceModel, memory: AfcProfile | None,
@@ -476,26 +441,18 @@ def generate_events(source: SourceModel, memory: AfcProfile | None,
     if memory is not None:
         t_sig += branch[alive] * memory.storage_time
     sig = finish(t_sig, det_s)
-    if gating is not None and len(sig) and len(idler):
-        # idler-conditioned gate: sequential post-pass over the idler history
-        idx = np.searchsorted(idler, sig, side="right") - 1
-        dt = sig - np.where(idx >= 0, idler[np.maximum(idx, 0)], np.inf)
-        inside = (idx >= 0) & (dt >= gating.conditional_gate_on) \
+    if gating is not None:
+        # idler-conditioned gate, timed from the last idler click before each
+        # signal event; with none before it dt is NaN, inside no gate
+        dt = sig - np.r_[np.nan, idler][np.searchsorted(idler, sig, side="right")]
+        inside = (dt >= gating.conditional_gate_on) \
             & (dt <= gating.conditional_gate_off)
         sig = sig[inside | (rng.random(len(sig)) < gating.off_gate_attenuation)]
-    elif gating is not None and len(sig):
-        sig = sig[rng.random(len(sig)) < gating.off_gate_attenuation]
     sig = sig[_prune_dead_time(sig, det_s.dead_time)]
 
     duration_ps = int(round(duration * 1e12))
-    sig_ps = np.clip(np.rint(sig * 1e12), 0, duration_ps).astype(np.uint64)
-    idl_ps = np.clip(np.rint(idler * 1e12), 0, duration_ps).astype(np.uint64)
-    ch, ts = _merge_channels(sig_ps, idl_ps)
-
-    meta = {
-        "seed": int(seed),
-        "duration_ps": duration_ps,
-        "model_digest": model_digest(source, memory, filters, detectors, gating),
-        "gating": asdict(gating) if gating else None,
-    }
-    return EventStream(channels=ch, timestamps_ps=ts, metadata=meta)
+    return EventStream(
+        signal_ps=np.clip(np.rint(sig * 1e12), 0, duration_ps).astype(np.uint64),
+        idler_ps=np.clip(np.rint(idler * 1e12), 0, duration_ps).astype(np.uint64),
+        duration_ps=duration_ps, seed=int(seed),
+        model_digest=model_digest(source, memory, filters, detectors, gating))

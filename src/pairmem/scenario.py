@@ -13,7 +13,7 @@ from __future__ import annotations
 import configparser
 import hashlib
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -433,13 +433,8 @@ def _window_and_floor(s: Scenario, hist: an.CorrelationHistogram):
 
 def analyze_events(s: Scenario, events: EventStream,
                    rate_single: tuple[float, float] | None = None):
-    """Histogram an event stream and derive the full report."""
-    # event files carry no gating block; the scenario is the source of
-    # truth for live-time normalization.  Patch a copy, not the caller's
-    # stream (the arrays are shared, not copied).
-    if "gating" not in events.metadata and s.gating is not None:
-        events = replace(events, metadata={**events.metadata,
-                                           "gating": asdict(s.gating)})
+    """Histogram an event stream and derive the full report; the live
+    time and singles are those of the scenario's gating."""
     hist = _histogram(s, events)
     echo_delay, center, (floor, floor_err) = _window_and_floor(s, hist)
     prom = s.analysis.min_prominence
@@ -466,7 +461,7 @@ def analyze_events(s: Scenario, events: EventStream,
 
     rate = an.coincidence_rate(hist, s.analysis.window_s, center,
                                floor, floor_err)
-    g2 = an.g2_estimate(events, s.analysis.window_s, center)
+    g2 = an.g2_estimate(events, s.analysis.window_s, center, s.gating)
 
     if rate_single is not None:
         try:
@@ -497,8 +492,8 @@ def analyze_events(s: Scenario, events: EventStream,
         nonclassical=bool(g2.value - g2.error > climit),
         provenance={
             "scenario_digest": scenario_digest(s),
-            "seed": events.metadata.get("seed"),
-            "model_digest": events.metadata.get("model_digest"),
+            "seed": events.seed,
+            "model_digest": events.model_digest,
             "version": 1,
         })
     return hist, report
@@ -544,26 +539,18 @@ def _reference_rate(ref: Scenario, source: SourceModel) -> tuple[float, float]:
     return reference_rate(ref, simulate(ref, source))
 
 
-def _analyzed(s: Scenario, events: EventStream,
-              rate_single: tuple[float, float] | None) -> RunBundle:
+def _run_point(s: Scenario, source: SourceModel,
+               rate_single: tuple[float, float] | None) -> RunBundle:
+    events = simulate(s, source)
     hist, report = analyze_events(s, events, rate_single=rate_single)
     return RunBundle(scenario=s, events=events, histogram=hist, report=report)
 
 
-def _run_point(s: Scenario, source: SourceModel,
-               rate_single: tuple[float, float] | None) -> RunBundle:
-    return _analyzed(s, simulate(s, source), rate_single)
-
-
 def run_scenario(s: Scenario) -> RunBundle:
     """Deterministic end-to-end pipeline: spectrum, AFC, events, histogram,
-    report."""
-    # the reference keeps the source: both runs share its spectrum and sampler
-    source = source_model(s)
-    events = simulate(s, source)
-    ref = _reference(s)
-    rate_single = None if ref is None else _reference_rate(ref, source)
-    return _analyzed(s, events, rate_single)
+    report.  A single-mode reference, when ``s`` takes one, runs first and
+    from the same source."""
+    return _run_points([s], map)[0]
 
 
 def sweep_scenarios(s: Scenario) -> list[Scenario]:

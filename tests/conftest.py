@@ -1,7 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from pairmem import CavityParams, PhaseMatching, comb_spectrum
+from pairmem import CavityParams, PhaseMatching, comb_spectrum, make_rng
 
 
 @pytest.fixture
@@ -39,3 +41,16 @@ def brute_force_g2(spec, cavity, tau):
                 total += wa * wb * np.cos((ia - ib) * omega * t)
         out[n] = np.exp(-2.0 * np.pi * lw * abs(t)) * total
     return out
+
+
+def shuffle_channel(events, channel, seed, gating):
+    """Uncorrelated control: ``events`` with one channel's timestamps
+    re-drawn uniformly over the measurement phases of ``gating`` (None:
+    the whole run)."""
+    t = make_rng(seed).random(len(getattr(events, f"{channel}_ps")))
+    if gating is None:
+        t = t * events.duration_s
+    else:
+        t = gating.live_to_abs(t * gating.live_total(events.duration_s))
+    new_ps = np.sort(np.rint(t * 1e12).astype(np.uint64))
+    return replace(events, **{f"{channel}_ps": new_ps})

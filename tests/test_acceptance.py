@@ -17,6 +17,8 @@ import pairmem as pm
 from pairmem.analysis import CorrelationHistogram
 from pairmem.montecarlo import DelaySampler
 
+from conftest import shuffle_channel
+
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
 BIN = 0.2e-9
@@ -124,10 +126,11 @@ def test_criterion_5_classical_limit_behavior(calibration_bundle):
     limit33 = pm.classical_limit(33)
 
     # uncorrelated control: shuffle the idler channel of the same run
-    shuffled = pm.shuffle_channel(calibration_bundle.events, "idler", seed=404)
-    center = rep.echo_delay_s
     s = calibration_bundle.scenario
-    g2_ctrl = pm.g2_estimate(shuffled, s.analysis.window_s, center)
+    shuffled = shuffle_channel(calibration_bundle.events, "idler", seed=404,
+                               gating=s.gating)
+    center = rep.echo_delay_s
+    g2_ctrl = pm.g2_estimate(shuffled, s.analysis.window_s, center, s.gating)
 
     print(f"criterion 5: g2 = {rep.g2:.2f} +- {rep.g2_err:.2f} "
           f"(in [5, 10], nonclassical), control g2 = "
@@ -236,18 +239,14 @@ def test_criterion_7_determinism_and_merge_laws():
                              range=(s.analysis.hist_min_s,
                                     s.analysis.hist_max_s))
     whole = pm.build_histogram(ev, cfg)
-    cut = np.uint64(ev.metadata["duration_ps"] // 2)
-    from pairmem.montecarlo import CH_IDLER, EventStream
+    cut = np.uint64(ev.duration_ps // 2)
 
     def shard(keep_start):
-        drop = (ev.channels == CH_IDLER) & ~keep_start
-        return EventStream(channels=ev.channels[~drop],
-                           timestamps_ps=ev.timestamps_ps[~drop],
-                           metadata=dict(ev.metadata))
+        return replace(ev, idler_ps=ev.idler_ps[keep_start])
 
     merged = pm.merge_histograms(
-        pm.build_histogram(shard(ev.timestamps_ps < cut), cfg),
-        pm.build_histogram(shard(ev.timestamps_ps >= cut), cfg))
+        pm.build_histogram(shard(ev.idler_ps < cut), cfg),
+        pm.build_histogram(shard(ev.idler_ps >= cut), cfg))
     assert np.array_equal(merged.counts, whole.counts)
     print("criterion 7: byte-identical reports and exact shard merge; "
           "module invariant suites run in this same session")

@@ -11,19 +11,15 @@ from pairmem.analysis import (FsrEstimate, RateEstimate, _find_peaks,
 from pairmem.errors import EstimationError, FitError, ParameterError
 from pairmem.montecarlo import EventStream
 
+from conftest import shuffle_channel
 
-def make_stream(signal_s, idler_s, duration_s=1.0, gating=None):
-    from dataclasses import asdict
-    sig = np.rint(np.asarray(signal_s, dtype=float) * 1e12).astype(np.uint64)
-    idl = np.rint(np.asarray(idler_s, dtype=float) * 1e12).astype(np.uint64)
-    ch = np.concatenate([np.zeros(len(sig), np.uint8),
-                         np.ones(len(idl), np.uint8)])
-    ts = np.concatenate([sig, idl])
-    order = np.lexsort((ch, ts))
-    meta = {"duration_ps": int(round(duration_s * 1e12)),
-            "gating": asdict(gating) if gating else None}
-    return EventStream(channels=ch[order], timestamps_ps=ts[order],
-                       metadata=meta)
+
+def make_stream(signal_s, idler_s, duration_s=1.0):
+    def ps(t):
+        return np.sort(np.rint(np.asarray(t, dtype=float) * 1e12).astype(np.uint64))
+    return EventStream(signal_ps=ps(signal_s), idler_ps=ps(idler_s),
+                       duration_ps=int(round(duration_s * 1e12)), seed=0,
+                       model_digest="00" * 32)
 
 
 def naive_histogram(starts, stops, edges):
@@ -161,12 +157,6 @@ class FloatTimes:
     def times_s(self, channel):
         return self._times[channel]
 
-    def gating(self):
-        return None
-
-    def live_time_s(self):
-        return self.duration_s
-
 
 @st.composite
 def coincidence_cases(draw):
@@ -192,12 +182,12 @@ def assert_matches_start_keyed(events, cfg, window, center):
     assert np.array_equal(hist.counts,
                           start_keyed_histogram(starts, stops, cfg.bin_edges))
     if len(starts) and len(stops):
-        est = pm.g2_estimate(events, window, center)
+        est = pm.g2_estimate(events, window, center, None)
         assert est.coincidences == start_keyed_coincidences(
             starts, stops, window, center)
     else:
         with pytest.raises(EstimationError):
-            pm.g2_estimate(events, window, center)
+            pm.g2_estimate(events, window, center, None)
 
 
 @settings(max_examples=300, deadline=None)
@@ -412,7 +402,7 @@ def test_g2_uncorrelated_is_unity():
     sig = np.sort(rng.random(40_000) * T)
     idl = np.sort(rng.random(40_000) * T)
     ev = make_stream(sig, idl, duration_s=T)
-    est = pm.g2_estimate(ev, window=1e-6, center=0.0)
+    est = pm.g2_estimate(ev, window=1e-6, center=0.0, gating=None)
     assert est.value == pytest.approx(1.0, abs=5 * est.error)
     assert est.error < 0.15
     assert not est.undefined
@@ -424,7 +414,7 @@ def test_g2_correlated_pairs():
     idl = np.sort(rng.random(5_000) * T)
     sig = idl + 100e-9  # every idler heralds one signal
     ev = make_stream(sig, idl, duration_s=T)
-    est = pm.g2_estimate(ev, window=1e-6, center=0.0)
+    est = pm.g2_estimate(ev, window=1e-6, center=0.0, gating=None)
     # C >= N_pairs while accidentals contribute ~N^2 window/T
     expect = 5_000 * T / (5_000 * 5_000 * 1e-6)
     assert est.value == pytest.approx(expect, rel=0.05)
@@ -435,7 +425,7 @@ def test_g2_counts_and_error_formula():
     idl = np.array([1.0, 2.0, 3.0])
     sig = np.array([1.0, 2.0])
     ev = make_stream(sig, idl, duration_s=10.0)
-    est = pm.g2_estimate(ev, window=1e-3, center=0.0)
+    est = pm.g2_estimate(ev, window=1e-3, center=0.0, gating=None)
     assert est.coincidences == 2
     assert est.starts == 3 and est.stops == 2
     expect = 2 * 10.0 / (3 * 2 * 1e-3)
@@ -446,7 +436,7 @@ def test_g2_counts_and_error_formula():
 
 def test_g2_zero_coincidences_upper_bound():
     ev = make_stream([9.0], [1.0], duration_s=10.0)
-    est = pm.g2_estimate(ev, window=1e-6, center=0.0)
+    est = pm.g2_estimate(ev, window=1e-6, center=0.0, gating=None)
     assert est.undefined and est.value == 0.0
     assert est.upper_bound == pytest.approx(10.0 / 1e-6)
 
@@ -454,19 +444,21 @@ def test_g2_zero_coincidences_upper_bound():
 def test_g2_empty_channel_raises():
     ev = make_stream([], [1.0], duration_s=1.0)
     with pytest.raises(EstimationError):
-        pm.g2_estimate(ev, window=1e-6, center=0.0)
+        pm.g2_estimate(ev, window=1e-6, center=0.0, gating=None)
 
 
 def test_g2_live_time_normalization():
-    # same events, but gating metadata shrinks the live time
+    # same events, but the gating shrinks the live time
     g = pm.GatingSequence()
     rng = np.random.default_rng(7)
     T = 1.0
     live = np.sort(rng.random(20_000) * g.live_total(T))
     t = g.live_to_abs(live)
-    ev_gated = make_stream(t, t.copy(), duration_s=T, gating=g)
-    est = pm.g2_estimate(ev_gated, window=1e-6, center=0.0)
+    ev = make_stream(t, t.copy(), duration_s=T)
+    est = pm.g2_estimate(ev, window=1e-6, center=0.0, gating=g)
     assert est.live_time == pytest.approx(0.45)
+    assert pm.g2_estimate(ev, window=1e-6, center=0.0,
+                          gating=None).live_time == T
 
 
 # ---------------------------------------------------------------------------
@@ -500,14 +492,14 @@ def test_shuffle_destroys_correlations():
     idl = np.sort(rng.random(20_000) * T)
     sig = idl + 50e-9
     ev = make_stream(sig, idl, duration_s=T)
-    before = pm.g2_estimate(ev, window=1e-6, center=0.0)
-    shuffled = pm.shuffle_channel(ev, "idler", seed=1)
-    after = pm.g2_estimate(shuffled, window=1e-6, center=0.0)
+    before = pm.g2_estimate(ev, window=1e-6, center=0.0, gating=None)
+    shuffled = shuffle_channel(ev, "idler", seed=1, gating=None)
+    after = pm.g2_estimate(shuffled, window=1e-6, center=0.0, gating=None)
     assert before.value > 50
     assert after.value == pytest.approx(1.0, abs=5 * max(after.error, 0.02))
-    # counts preserved, only times moved
-    assert len(shuffled) == len(ev)
-    assert np.array_equal(np.sort(shuffled.channels), np.sort(ev.channels))
+    # counts preserved, only idler times moved
+    assert len(shuffled.idler_ps) == len(ev.idler_ps)
+    assert shuffled.signal_ps is ev.signal_ps
 
 
 # ---------------------------------------------------------------------------

@@ -3,29 +3,30 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import pairmem as pm
-from pairmem.eventio import read_events, write_events
+from pairmem.eventio import (CH_IDLER, CH_SIGNAL, MAGIC, VERSION, _HEADER,
+                             _RECORD_DTYPE, _merge_channels, read_events,
+                             write_events)
 from pairmem.errors import EventFormatError
 from pairmem.montecarlo import EventStream
 
 
-def make_stream(channels, times_ps, seed=7, duration_ps=10**12):
-    return EventStream(
-        channels=np.asarray(channels, dtype=np.uint8),
-        timestamps_ps=np.asarray(times_ps, dtype=np.uint64),
-        metadata={"seed": seed, "duration_ps": duration_ps,
-                  "model_digest": "ab" * 32})
+def make_stream(signal_ps, idler_ps, seed=7, duration_ps=10**12):
+    return EventStream(signal_ps=np.asarray(signal_ps, dtype=np.uint64),
+                       idler_ps=np.asarray(idler_ps, dtype=np.uint64),
+                       duration_ps=duration_ps, seed=seed,
+                       model_digest="ab" * 32)
 
 
 def test_binary_roundtrip(tmp_path):
-    ev = make_stream([0, 1, 0, 1], [100, 200, 300, 400])
+    ev = make_stream([100, 300], [200, 400])
     path = tmp_path / "events.bin"
     write_events(ev, path)
     back = read_events(path)
-    assert np.array_equal(back.channels, ev.channels)
-    assert np.array_equal(back.timestamps_ps, ev.timestamps_ps)
-    assert back.metadata["seed"] == 7
-    assert back.metadata["duration_ps"] == 10**12
-    assert back.metadata["model_digest"] == "ab" * 32
+    assert np.array_equal(back.signal_ps, ev.signal_ps)
+    assert np.array_equal(back.idler_ps, ev.idler_ps)
+    assert back.seed == 7
+    assert back.duration_ps == 10**12
+    assert back.model_digest == "ab" * 32
 
 
 def test_binary_empty_stream(tmp_path):
@@ -36,20 +37,50 @@ def test_binary_empty_stream(tmp_path):
     assert len(back) == 0
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 6), max_size=12),
+       st.lists(st.integers(0, 6), max_size=12))
+def test_merge_channels_matches_lexsort(sig, idl):
+    # few distinct values: equal timestamps within and across channels
+    sig_ps = np.sort(np.array(sig, dtype=np.uint64))
+    idl_ps = np.sort(np.array(idl, dtype=np.uint64))
+    ch = np.concatenate([np.full(len(sig_ps), CH_SIGNAL, np.uint8),
+                         np.full(len(idl_ps), CH_IDLER, np.uint8)])
+    ts = np.concatenate([sig_ps, idl_ps])
+    order = np.lexsort((ch, ts))
+    got_ch, got_ts = _merge_channels(sig_ps, idl_ps)
+    assert got_ch.dtype == np.uint8 and got_ts.dtype == np.uint64
+    assert np.array_equal(got_ch, ch[order])
+    assert np.array_equal(got_ts, ts[order])
+
+
 @settings(max_examples=50, deadline=None)
-@given(st.lists(st.tuples(st.integers(min_value=0, max_value=1),
-                          st.integers(min_value=0, max_value=2**60)),
-                max_size=50))
-def test_binary_roundtrip_property(tmp_path_factory, records):
-    records = sorted(records, key=lambda r: r[1])  # the format is time-ordered
-    ch = [c for c, _ in records]
-    ts = [t for _, t in records]
+@given(st.lists(st.integers(0, 2**60), min_size=1, max_size=8),
+       st.lists(st.integers(0, 20), max_size=30),
+       st.lists(st.integers(0, 20), max_size=30),
+       st.integers(0, 2**64 - 1), st.integers(0, 2**64 - 1), st.binary(min_size=32, max_size=32))
+def test_binary_roundtrip_property(tmp_path_factory, values, sig, idl, seed,
+                                   duration_ps, digest):
+    # timestamps drawn from a few values: ties within and across channels
+    sig_ps = np.sort(np.array([values[i % len(values)] for i in sig], np.uint64))
+    idl_ps = np.sort(np.array([values[i % len(values)] for i in idl], np.uint64))
+    ev = EventStream(signal_ps=sig_ps, idler_ps=idl_ps, duration_ps=duration_ps,
+                     seed=seed, model_digest=digest.hex())
     path = tmp_path_factory.mktemp("ev") / "r.bin"
-    ev = make_stream(ch, ts)
     write_events(ev, path)
     back = read_events(path)
-    assert back.channels.tolist() == ch
-    assert back.timestamps_ps.tolist() == ts
+    assert np.array_equal(back.signal_ps, sig_ps)
+    assert np.array_equal(back.idler_ps, idl_ps)
+    assert (back.duration_ps, back.seed, back.model_digest) \
+        == (duration_ps, seed, digest.hex())
+    # the records are both channels in np.lexsort((ch, ts)) order
+    ch = np.repeat(np.array([CH_SIGNAL, CH_IDLER], np.uint8),
+                   [len(sig_ps), len(idl_ps)])
+    ts = np.concatenate([sig_ps, idl_ps])
+    order = np.lexsort((ch, ts))
+    rec = np.empty(len(ts), dtype=_RECORD_DTYPE)
+    rec["channel"], rec["timestamp_ps"] = ch[order], ts[order]
+    assert path.read_bytes()[_HEADER.size:] == rec.tobytes()
 
 
 def test_binary_rejects_bad_magic(tmp_path):
@@ -60,7 +91,7 @@ def test_binary_rejects_bad_magic(tmp_path):
 
 
 def test_binary_rejects_truncation(tmp_path):
-    ev = make_stream([0, 1], [1, 2])
+    ev = make_stream([1], [2])
     path = tmp_path / "t.bin"
     write_events(ev, path)
     raw = path.read_bytes()
@@ -77,7 +108,7 @@ def test_binary_rejects_short_header(tmp_path):
 
 
 def test_binary_rejects_future_version(tmp_path):
-    ev = make_stream([0], [1])
+    ev = make_stream([1], [])
     path = tmp_path / "v.bin"
     write_events(ev, path)
     raw = bytearray(path.read_bytes())
@@ -88,7 +119,7 @@ def test_binary_rejects_future_version(tmp_path):
 
 
 def test_binary_rejects_unknown_channel(tmp_path):
-    ev = make_stream([0, 1, 0], [1, 2, 3])
+    ev = make_stream([1, 3], [2])
     path = tmp_path / "ch.bin"
     write_events(ev, path)
     raw = bytearray(path.read_bytes())
@@ -99,13 +130,17 @@ def test_binary_rejects_unknown_channel(tmp_path):
 
 
 def test_binary_rejects_backwards_timestamps(tmp_path):
+    # write_events only writes ordered files: build the records by hand
     path = tmp_path / "order.bin"
-    write_events(make_stream([0, 1, 0, 1], [5, 9, 7, 11]), path)
+    rec = np.array([(0, 5), (1, 9), (0, 7), (1, 11)], dtype=_RECORD_DTYPE)
+    path.write_bytes(_HEADER.pack(MAGIC, VERSION, 7, 10**12, bytes(32), len(rec))
+                     + rec.tobytes())
     with pytest.raises(EventFormatError, match="record 2: timestamp 7 ps"):
         read_events(path)
     # equal timestamps are allowed (a signal and an idler in one picosecond)
-    write_events(make_stream([0, 1, 1], [5, 5, 6]), path)
-    assert read_events(path).timestamps_ps.tolist() == [5, 5, 6]
+    write_events(make_stream([5], [5, 6]), path)
+    back = read_events(path)
+    assert (back.signal_ps.tolist(), back.idler_ps.tolist()) == ([5], [5, 6])
 
 
 def test_binary_matches_simulation_output(tmp_path):
@@ -115,8 +150,9 @@ def test_binary_matches_simulation_output(tmp_path):
     path = tmp_path / "sim.bin"
     write_events(ev, path)
     back = read_events(path)
-    assert np.array_equal(back.timestamps_ps, ev.timestamps_ps)
-    assert back.metadata["model_digest"] == ev.metadata["model_digest"]
+    assert np.array_equal(back.signal_ps, ev.signal_ps)
+    assert np.array_equal(back.idler_ps, ev.idler_ps)
+    assert back.model_digest == ev.model_digest
 
 
 def test_binary_reserialization_byte_identical_large(tmp_path):
@@ -124,7 +160,7 @@ def test_binary_reserialization_byte_identical_large(tmp_path):
     n = 1_000_000
     ts = np.sort(rng.integers(0, 2**50, size=n, dtype=np.uint64))
     ch = rng.integers(0, 2, size=n, dtype=np.uint8)
-    ev = make_stream(ch, ts)
+    ev = make_stream(ts[ch == CH_SIGNAL], ts[ch == CH_IDLER])
     p1, p2 = tmp_path / "a.bin", tmp_path / "b.bin"
     write_events(ev, p1)
     write_events(read_events(p1), p2)

@@ -6,10 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import pairmem as pm
-from pairmem.montecarlo import (CH_IDLER, CH_SIGNAL, DelaySampler,
-                                _count_reached, _guide_table, _guided_search,
-                                _merge_channels, _prune_dead_time,
-                                model_digest)
+from pairmem.eventio import _merge_channels
+from pairmem.montecarlo import (DelaySampler, _count_reached, _guide_table,
+                                _guided_search, _prune_dead_time, model_digest)
 from pairmem.errors import ParameterError
 from pairmem.scenario import build_spectrum
 
@@ -326,23 +325,6 @@ def test_count_reached_matches_gathered_count(orders, seed, n_modes, n):
     assert np.array_equal(got, np.count_nonzero(u >= rows[:, idx], axis=0))
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.lists(st.integers(0, 6), max_size=12),
-       st.lists(st.integers(0, 6), max_size=12))
-def test_merge_channels_matches_lexsort(sig, idl):
-    # few distinct values: equal timestamps within and across channels
-    sig_ps = np.sort(np.array(sig, dtype=np.uint64))
-    idl_ps = np.sort(np.array(idl, dtype=np.uint64))
-    ch = np.concatenate([np.full(len(sig_ps), CH_SIGNAL, np.uint8),
-                         np.full(len(idl_ps), CH_IDLER, np.uint8)])
-    ts = np.concatenate([sig_ps, idl_ps])
-    order = np.lexsort((ch, ts))
-    got_ch, got_ts = _merge_channels(sig_ps, idl_ps)
-    assert got_ch.dtype == np.uint8 and got_ts.dtype == np.uint64
-    assert np.array_equal(got_ch, ch[order])
-    assert np.array_equal(got_ts, ts[order])
-
-
 # ---------------------------------------------------------------------------
 # event generation
 
@@ -350,29 +332,28 @@ def test_generate_events_deterministic(cavity):
     src = flat_source(cavity)
     a = pm.generate_events(src, None, None, None, None, 0.05, seed=5)
     b = pm.generate_events(src, None, None, None, None, 0.05, seed=5)
-    assert np.array_equal(a.channels, b.channels)
-    assert np.array_equal(a.timestamps_ps, b.timestamps_ps)
-    assert a.metadata["model_digest"] == b.metadata["model_digest"]
+    assert np.array_equal(a.signal_ps, b.signal_ps)
+    assert np.array_equal(a.idler_ps, b.idler_ps)
+    assert a.model_digest == b.model_digest
     c = pm.generate_events(src, None, None, None, None, 0.05, seed=6)
-    assert not np.array_equal(a.timestamps_ps, c.timestamps_ps)
+    assert not np.array_equal(a.idler_ps, c.idler_ps)
 
 
 def test_event_stream_sorted_and_typed(cavity):
     ev = pm.generate_events(flat_source(cavity), None, None, None, None,
                             0.05, seed=1)
-    assert ev.channels.dtype == np.uint8
-    assert ev.timestamps_ps.dtype == np.uint64
-    assert np.all(np.diff(ev.timestamps_ps.astype(np.int64)) >= 0)
-    assert set(np.unique(ev.channels)) <= {CH_SIGNAL, CH_IDLER}
-    assert np.all(ev.timestamps_ps <= ev.metadata["duration_ps"])
+    for ts in (ev.signal_ps, ev.idler_ps):
+        assert ts.dtype == np.uint64
+        assert np.all(np.diff(ts.astype(np.int64)) >= 0)
+        assert np.all(ts <= ev.duration_ps)
 
 
 def test_ideal_chain_pair_count(cavity):
     # no loss anywhere: every pair yields one signal and one idler
     ev = pm.generate_events(flat_source(cavity, rate=2e4), None, None, None,
                             None, 0.5, seed=9)
-    n_s = len(ev.times_ps("signal"))
-    n_i = len(ev.times_ps("idler"))
+    n_s = len(ev.signal_ps)
+    n_i = len(ev.idler_ps)
     assert n_s == n_i
     assert n_s == pytest.approx(2e4 * 0.5, rel=0.05)
 
@@ -383,14 +364,14 @@ def test_detector_efficiency_thins(cavity):
     dets = {"signal": pm.DetectorModel(efficiency=0.3),
             "idler": pm.DetectorModel(efficiency=1.0)}
     thin = pm.generate_events(src, None, None, dets, None, 0.5, seed=2)
-    n_full = len(full.times_ps("signal"))
-    n_thin = len(thin.times_ps("signal"))
+    n_full = len(full.signal_ps)
+    n_thin = len(thin.signal_ps)
     assert n_thin == pytest.approx(0.3 * n_full, rel=0.1)
     # thinning is monotone in efficiency on average
     mid = pm.generate_events(src, None, None,
                              {"signal": pm.DetectorModel(efficiency=0.6)},
                              None, 0.5, seed=2)
-    assert n_thin < len(mid.times_ps("signal")) <= n_full
+    assert n_thin < len(mid.signal_ps) <= n_full
 
 
 def test_dark_counts_only():
@@ -401,9 +382,9 @@ def test_dark_counts_only():
                          cavity=cav)
     dets = {"signal": pm.DetectorModel(dark_rate=5e4)}
     ev = pm.generate_events(src, None, None, dets, None, 1.0, seed=3)
-    n = len(ev.times_ps("signal"))
+    n = len(ev.signal_ps)
     assert n == pytest.approx(5e4, rel=0.05)
-    assert len(ev.times_ps("idler")) == 0
+    assert len(ev.idler_ps) == 0
 
 
 def test_dead_time_enforced_in_stream(cavity):
@@ -429,6 +410,38 @@ def test_gating_confines_photons_not_darks(cavity):
                              g, 1.0, seed=8)
     ti = ev2.times_s("idler")
     assert len(ti) and np.all(g.measuring_mask(ti))
+
+
+# signal timestamps of test_conditional_gate_without_idlers: the gate's
+# path for signal events with no idler click before them
+GOLDEN_GATE_NO_IDLER = (
+    1_188, "33a8bd6da4f91463dedf56d7a169c040073dad4e375289c02094d454ee8e9a00")
+
+
+def test_conditional_gate_without_idlers():
+    # signal darks only, no idler clicks: no signal event falls inside a
+    # conditional gate, so each passes with off_gate_attenuation
+    cav = pm.CavityParams(fsr_signal=123e6, fsr_idler=122.9e6,
+                          linewidth_signal=2.28e6, linewidth_idler=1.52e6,
+                          signal_center=494.7e12, idler_center=193.4e12)
+    src = pm.SourceModel(pair_rate=0.0, spectrum=pm.comb_spectrum(cav, 3),
+                         cavity=cav)
+    dets = {"signal": pm.DetectorModel(dark_rate=2e4)}
+
+    def run(**gate):
+        return pm.generate_events(src, None, None, dets,
+                                  pm.GatingSequence(**gate), 0.2, seed=21)
+
+    ev = run(off_gate_attenuation=0.3)
+    assert len(ev.idler_ps) == 0
+    digest = hashlib.sha256(ev.signal_ps.tobytes()).hexdigest()
+    assert (len(ev.signal_ps), digest) == GOLDEN_GATE_NO_IDLER
+    darks = run(off_gate_attenuation=1.0).signal_ps
+    assert np.isin(ev.signal_ps, darks).all()
+    assert len(ev.signal_ps) == pytest.approx(0.3 * len(darks), rel=0.1)
+    # a gate that never closes is still opened only by an idler click
+    assert len(run(off_gate_attenuation=0.0,
+                   conditional_gate_off=math.inf).signal_ps) == 0
 
 
 def test_memory_splits_transmit_and_echo(cavity):
@@ -475,9 +488,10 @@ def test_conditional_gate_suppresses_out_of_window(cavity):
     assert prompt < 0.15 * echo
 
 
-# SHA-256 of channels + timestamps of the ideal chain (no memory, filters,
-# detectors or gating) on the default spectrum, the one path no scenario
-# takes; update it only on purpose, and say so in CHANGES.md
+# SHA-256 of the merged channels + timestamps (the event-file record order)
+# of the ideal chain (no memory, filters, detectors or gating) on the
+# default spectrum, the one path no scenario takes; update it only on
+# purpose, and say so in CHANGES.md
 GOLDEN_IDEAL_CHAIN = (
     19_518, "49cc3102da499fb44a441e54f7c6224c7fd03054c8e282ba78f151f9406f4ee3")
 
@@ -486,8 +500,8 @@ def test_ideal_chain_golden():
     s = pm.default_scenario()
     src = pm.SourceModel(2e5, build_spectrum(s), s.cavity)
     ev = pm.generate_events(src, None, None, None, None, 0.05, 3)
-    digest = hashlib.sha256(ev.channels.tobytes()
-                            + ev.timestamps_ps.tobytes()).hexdigest()
+    ch, ts = _merge_channels(ev.signal_ps, ev.idler_ps)
+    digest = hashlib.sha256(ch.tobytes() + ts.tobytes()).hexdigest()
     assert (len(ev), digest) == GOLDEN_IDEAL_CHAIN
 
 

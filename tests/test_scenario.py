@@ -231,8 +231,8 @@ def test_single_mode_reference():
 def test_simulate_deterministic():
     s = fast(pm.default_scenario())
     a, b = pm.simulate(s), pm.simulate(s)
-    assert np.array_equal(a.timestamps_ps, b.timestamps_ps)
-    assert np.array_equal(a.channels, b.channels)
+    assert np.array_equal(a.signal_ps, b.signal_ps)
+    assert np.array_equal(a.idler_ps, b.idler_ps)
 
 
 def test_run_scenario_bundle():
@@ -274,18 +274,15 @@ def test_report_json_fields_serializable():
     assert back.g2 == report.g2
 
 
-def test_analyze_events_leaves_caller_metadata_alone(tmp_path):
-    # event files carry no gating block; analyze_events takes it from the
-    # scenario without writing it into the caller's stream
+def test_analyze_events_read_back_file_matches_stream(tmp_path):
+    # the gating comes from the scenario, the rest from the file: a
+    # written and read-back stream gives the in-memory stream's report
     s = fast(pm.default_scenario(), duration=0.1)
     simulated = pm.simulate(s)
     pm.write_events(simulated, tmp_path / "events.bin")
     events = pm.read_events(tmp_path / "events.bin")
-    before = dict(events.metadata)
-    assert "gating" not in before
-    _, report = pm.analyze_events(s, events)
-    assert events.metadata == before
-    assert report.g2 == pm.analyze_events(s, simulated)[1].g2
+    assert (pm.analyze_events(s, events)[1].to_json()
+            == pm.analyze_events(s, simulated)[1].to_json())
 
 
 # ---------------------------------------------------------------------------
@@ -813,8 +810,9 @@ def test_run_sweep_points_match_run_scenario():
         r = bundle.report
         assert (r.n_effective, r.n_effective_err) == pm.effective_modes(
             (r.coincidence_rate_cps, r.coincidence_rate_err), shared)
-        assert np.array_equal(bundle.events.timestamps_ps,
-                              pm.simulate(p).timestamps_ps)
+        events = pm.simulate(p)
+        assert np.array_equal(bundle.events.signal_ps, events.signal_ps)
+        assert np.array_equal(bundle.events.idler_ps, events.idler_ps)
 
 
 @pytest.mark.parametrize("setting, code", [
@@ -913,9 +911,10 @@ def test_run_sweep_process_pool_matches_serial():
     assert [b.scenario for b in pooled] == [b.scenario for b in serial]
     for a, b in zip(serial, pooled, strict=True):
         assert b.report.to_json() == a.report.to_json()
-        assert np.array_equal(b.events.channels, a.events.channels)
-        assert np.array_equal(b.events.timestamps_ps, a.events.timestamps_ps)
-        assert b.events.metadata == a.events.metadata
+        assert np.array_equal(b.events.signal_ps, a.events.signal_ps)
+        assert np.array_equal(b.events.idler_ps, a.events.idler_ps)
+        assert ((b.events.duration_ps, b.events.seed, b.events.model_digest)
+                == (a.events.duration_ps, a.events.seed, a.events.model_digest))
 
 
 @pytest.mark.parametrize("jobs, pools", [
