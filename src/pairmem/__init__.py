@@ -9,8 +9,7 @@ from .cavity import (BiphotonSpectrum, CavityParams, ClusterSpectrum,
 from .memory import (AfcPlan, AfcProfile, FilterSpec, design_afc,
                      filter_transmission)
 from .montecarlo import (DetectorModel, EventStream, GatingSequence,
-                         SourceModel, generate_events, make_rng,
-                         sequence_phase, split_seed)
+                         SourceModel, generate_events, make_rng, split_seed)
 from .analysis import (AnalysisReport, CorrelationHistogram, HistogramConfig,
                        build_histogram, classical_limit, coincidence_rate,
                        detect_peaks, effective_modes, estimate_fsr,

@@ -19,71 +19,67 @@ TWO_PI = 2.0 * math.pi
 
 @dataclass(frozen=True)
 class HistogramConfig:
-    bin_width: float = 0.2e-9
-    range: tuple[float, float] = (-0.5e-6, 2.2e-6)
+    """Bins of ``bin_width_ps`` from ``range_ps[0]`` on, as many as cover
+    ``range_ps``: integer picoseconds, the event files' time base."""
+
+    bin_width_ps: int = 200
+    range_ps: tuple[int, int] = (-500_000, 2_200_000)
 
     def __post_init__(self):
-        if not self.bin_width > 0:   # also rejects NaN
-            raise ParameterError("bin_width must be > 0")
-        if not self.range[0] < self.range[1]:
+        if not self.bin_width_ps > 0:   # also rejects NaN
+            raise ParameterError("bin_width_ps must be > 0")
+        if not self.range_ps[0] < self.range_ps[1]:
             raise ParameterError("histogram range min must be < max")
 
     @property
-    def bin_edges(self) -> np.ndarray:
-        lo, hi = self.range
-        n = int(math.ceil((hi - lo) / self.bin_width - 1e-9))
-        return lo + np.arange(n + 1) * self.bin_width
+    def bin_edges_ps(self) -> np.ndarray:
+        lo, hi = self.range_ps
+        n = -((lo - hi) // self.bin_width_ps)   # ceil((hi - lo) / width)
+        return lo + np.arange(n + 1, dtype=np.int64) * self.bin_width_ps
 
 
 @dataclass
 class CorrelationHistogram:
-    """Binned start-stop delay counts; the TIA emulation."""
+    """Binned start-stop delay counts; the TIA emulation.  Bin i counts the
+    delays in [bin_edges_ps[i], bin_edges_ps[i + 1]) picoseconds."""
 
     counts: np.ndarray
-    bin_edges: np.ndarray
+    bin_edges_ps: np.ndarray
     total_start_counts: int
     total_stop_counts: int
     duration: float
 
     def __post_init__(self):
         self.counts = np.asarray(self.counts, dtype=np.int64)
+        self.bin_edges_ps = np.asarray(self.bin_edges_ps, dtype=np.int64)
         if np.any(self.counts < 0):
             raise ParameterError("histogram counts must be nonnegative")
 
     @property
-    def bin_centers(self) -> np.ndarray:
-        return 0.5 * (self.bin_edges[:-1] + self.bin_edges[1:])
-
-    @property
-    def bin_width(self) -> float:
-        return float(self.bin_edges[1] - self.bin_edges[0])
+    def bin_width_ps(self) -> int:
+        return int(self.bin_edges_ps[1] - self.bin_edges_ps[0])
 
 
 def build_histogram(events: EventStream, cfg: HistogramConfig) -> CorrelationHistogram:
     """Multi-stop start-stop histogram of idler starts and signal stops:
     every stop in range counts, for every start."""
-    starts = events.times_s("idler")
-    stops = events.times_s("signal")
-    edges = cfg.bin_edges
-    lo, hi = edges[0], edges[-1]
-    counts = np.zeros(len(edges) - 1, dtype=np.int64)
-    if len(starts) and len(stops):
-        # fl(t + c) does not decrease as t grows, so the starts t that pair
-        # with one stop s (t + lo <= s < t + hi) are one run [j0, j1) of the
-        # sorted starts.  Stops are the sparse channel: search each of them.
-        j0 = np.searchsorted(starts + hi, stops, side="right")
-        j1 = np.searchsorted(starts + lo, stops, side="right")
-        n_per = j1 - j0
-        total = int(n_per.sum())
-        if total:
-            flat = np.arange(total) - np.repeat(np.cumsum(n_per) - n_per - j0, n_per)
-            delays = np.repeat(stops, n_per) - starts[flat]
-            counts, _ = np.histogram(delays, bins=edges)
-            counts = counts.astype(np.int64)
+    # read_events admits no timestamp past 2**63 ps, so int64 views are exact
+    starts = events.idler_ps.view(np.int64)
+    stops = events.signal_ps.view(np.int64)
+    edges = cfg.bin_edges_ps
+    # the starts t that pair with one stop s (lo <= s - t < hi) are the run
+    # s - hi < t <= s - lo of the sorted starts.  Stops are the sparse
+    # channel: search each of them.
+    from_lo = stops - int(edges[0])
+    j0 = np.searchsorted(starts, stops - int(edges[-1]), side="right")
+    n_per = np.searchsorted(starts, from_lo, side="right") - j0
+    flat = np.arange(n_per.sum()) - np.repeat(np.cumsum(n_per) - n_per - j0, n_per)
+    counts = np.bincount((np.repeat(from_lo, n_per) - starts[flat]) // cfg.bin_width_ps,
+                         minlength=len(edges) - 1)
     return CorrelationHistogram(
-        counts=counts, bin_edges=edges,
+        counts=counts, bin_edges_ps=edges,
         total_start_counts=len(starts), total_stop_counts=len(stops),
-        duration=events.duration_s if len(events) else 0.0)
+        duration=events.duration_ps * 1e-12 if len(events) else 0.0)
 
 
 def merge_histograms(a: CorrelationHistogram, b: CorrelationHistogram) -> CorrelationHistogram:
@@ -93,12 +89,12 @@ def merge_histograms(a: CorrelationHistogram, b: CorrelationHistogram) -> Correl
     and start counts add, while the stop count and the duration are the
     run's own and must agree.
     """
-    if not np.array_equal(a.bin_edges, b.bin_edges):
+    if not np.array_equal(a.bin_edges_ps, b.bin_edges_ps):
         raise ParameterError("histograms must share bin edges")
     if (a.total_stop_counts, a.duration) != (b.total_stop_counts, b.duration):
         raise ParameterError("shards must share every stop and the duration")
     return CorrelationHistogram(
-        counts=a.counts + b.counts, bin_edges=a.bin_edges,
+        counts=a.counts + b.counts, bin_edges_ps=a.bin_edges_ps,
         total_start_counts=a.total_start_counts + b.total_start_counts,
         total_stop_counts=a.total_stop_counts, duration=a.duration)
 
@@ -168,13 +164,12 @@ def detect_peaks(hist: CorrelationHistogram, min_prominence: float) -> list[tupl
     y = hist.counts.astype(float)
     if len(y) == 0:
         raise ParameterError("histogram is empty")
-    centers = hist.bin_centers
     out = []
     # peaks are never at the array ends, so both neighbours exist
     for i in _find_peaks(y, min_prominence):
         denom = y[i - 1] - 2.0 * y[i] + y[i + 1]
         d = 0.5 * (y[i - 1] - y[i + 1]) / denom if denom != 0 else 0.0
-        delay = centers[i] + d * hist.bin_width
+        delay = (int(hist.bin_edges_ps[i]) + (0.5 + d) * hist.bin_width_ps) * 1e-12
         height = y[i] - 0.25 * (y[i - 1] - y[i + 1]) * d
         out.append((float(delay), float(height)))
     out.sort()
@@ -232,7 +227,7 @@ def fit_envelope(hist: CorrelationHistogram, side: str, *, floor: float = 0.0,
     if min_prominence is None:
         min_prominence = default_prominence(floor)
     return fit_peak_envelope(detect_peaks(hist, min_prominence), side,
-                             half_bin=hist.bin_width / 2, floor=floor)
+                             half_bin=hist.bin_width_ps * 0.5e-12, floor=floor)
 
 
 def fit_peak_envelope(peaks: list[tuple[float, float]], side: str, *,
@@ -255,13 +250,14 @@ def fit_peak_envelope(peaks: list[tuple[float, float]], side: str, *,
     return -float(coef[0]) / TWO_PI, float(math.sqrt(cov[0, 0])) / TWO_PI
 
 
-def noise_floor(hist: CorrelationHistogram, region: tuple[float, float]) -> tuple[float, float]:
-    """Mean and standard error of the bin counts over a quiet delay region."""
-    rmin, rmax = region
-    edges = hist.bin_edges
-    if rmin < edges[0] - 1e-15 or rmax > edges[-1] + 1e-15:
+def noise_floor(hist: CorrelationHistogram, region_ps: tuple[int, int]) -> tuple[float, float]:
+    """Mean and standard error of the counts of the bins that lie inside a
+    quiet delay region [min, max] (picoseconds)."""
+    rmin, rmax = region_ps
+    edges = hist.bin_edges_ps
+    if rmin < edges[0] or rmax > edges[-1]:
         raise ParameterError("floor region lies outside the histogram range")
-    sel = (edges[:-1] >= rmin - 1e-15) & (edges[1:] <= rmax + 1e-15)
+    sel = (edges[:-1] >= rmin) & (edges[1:] <= rmax)
     n = int(np.count_nonzero(sel))
     if n < 10:
         raise ParameterError("floor region must contain at least 10 bins")
@@ -276,14 +272,15 @@ class RateEstimate:
     clamped: bool = False
 
 
-def coincidence_rate(hist: CorrelationHistogram, window: float, center: float,
+def coincidence_rate(hist: CorrelationHistogram, window_ps: int, center_ps: int,
                      floor: float, floor_err: float = 0.0) -> RateEstimate:
-    """Floor-subtracted coincidence rate inside the window, counts/s."""
-    lo, hi = center - window / 2, center + window / 2
-    edges = hist.bin_edges
-    if lo < edges[0] - 1e-15 or hi > edges[-1] + 1e-15:
+    """Floor-subtracted coincidence rate, counts/s, over the bins whose
+    every delay lies in the window of ``g2_estimate``."""
+    lo, hi = center_ps - window_ps // 2, center_ps + window_ps // 2
+    edges = hist.bin_edges_ps
+    if lo < edges[0] or hi >= edges[-1]:
         raise ParameterError("coincidence window does not fit in the histogram")
-    sel = (edges[:-1] >= lo - 1e-15) & (edges[1:] <= hi + 1e-15)
+    sel = (edges[:-1] >= lo) & (edges[1:] <= hi + 1)
     raw = float(hist.counts[sel].sum())
     n = int(np.count_nonzero(sel))
     net = raw - floor * n
@@ -305,33 +302,33 @@ class G2Estimate:
     upper_bound: float | None = None
 
 
-def g2_estimate(events: EventStream, window: float, center: float,
+def g2_estimate(events: EventStream, window_ps: int, center_ps: int,
                 gating: GatingSequence | None) -> G2Estimate:
     """Normalized cross-correlation g2 = C T / (S I window).
 
-    C counts idler-start, signal-stop pairs with delay inside the window;
-    S and I are the singles counts inside the measurement phases of
-    ``gating`` (None: always measuring); T is the live measurement time.
-    Error bars propagate Poisson counting noise.
+    C counts idler-start, signal-stop pairs whose whole-ps delay lies within
+    window / 2 of the center, ends included; S and I are the singles counts
+    inside the measurement phases of ``gating`` (None: always measuring); T
+    is the live measurement time.  Error bars propagate Poisson counting noise.
     """
-    starts = events.times_s("idler")
-    stops = events.times_s("signal")
+    starts = events.idler_ps.view(np.int64)
+    stops = events.signal_ps.view(np.int64)
     if len(starts) == 0 or len(stops) == 0:
         raise EstimationError("signal and idler must both be nonempty")
-    lo, hi = center - window / 2, center + window / 2
-    # pairs with t + lo <= s <= t + hi, counted per stop s as the starts
-    # with fl(t + lo) <= s less those with fl(t + hi) < s
-    c = int((np.searchsorted(starts + lo, stops, side="right")
-             - np.searchsorted(starts + hi, stops, side="left")).sum())
+    lo, hi = center_ps - window_ps // 2, center_ps + window_ps // 2
+    # pairs with lo <= s - t <= hi: per stop s, the starts in [s - hi, s - lo]
+    c = int((np.searchsorted(starts, stops - lo, side="right")
+             - np.searchsorted(starts, stops - hi, side="left")).sum())
     if gating is not None:
-        s_n = int(np.count_nonzero(gating.measuring_mask(starts)))
-        i_n = int(np.count_nonzero(gating.measuring_mask(stops)))
-        t_live = gating.live_total(events.duration_s)
+        cycle, measure = gating.cycle_ps, gating.measure_ps
+        s_n = int(np.count_nonzero(starts % cycle < measure))
+        i_n = int(np.count_nonzero(stops % cycle < measure))
+        t_live = gating.live_total(events.duration_ps * 1e-12)
     else:
-        s_n, i_n, t_live = len(starts), len(stops), events.duration_s
+        s_n, i_n, t_live = len(starts), len(stops), events.duration_ps * 1e-12
     if s_n == 0 or i_n == 0:
         raise EstimationError("no singles inside measurement phases")
-    scale = t_live / (s_n * i_n * window)
+    scale = t_live / (s_n * i_n * window_ps * 1e-12)
     if c == 0:
         return G2Estimate(value=0.0, error=0.0, coincidences=0, starts=s_n,
                           stops=i_n, live_time=t_live, undefined=True,

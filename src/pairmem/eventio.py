@@ -4,9 +4,10 @@ Binary layout (little-endian): magic ``PMEV``, version u16, seed u64,
 duration u64 (ps), model digest (32 raw sha256 bytes), record count u64,
 then per record a channel byte (0 = signal, 1 = idler) and a u64
 timestamp in picoseconds, records sorted by timestamp, signal first among
-equal ones.  Readers reject other channel codes and timestamps that go
-backwards.  Only this module knows the merged order: write_events merges
-a stream's two channel arrays, and read_events splits them again.
+equal ones.  Readers reject other channel codes, timestamps that go
+backwards or past the duration, and durations from 2**63 ps.  Only this
+module knows the merged order: write_events merges a stream's two
+channel arrays, and read_events splits them again.
 """
 
 from __future__ import annotations
@@ -67,6 +68,8 @@ def read_events(path) -> EventStream:
         raise EventFormatError(f"bad magic {magic!r}")
     if version != VERSION:
         raise EventFormatError(f"unsupported event-format version {version}")
+    if duration_ps >= 2 ** 63:   # the estimators read timestamps as int64
+        raise EventFormatError(f"duration {duration_ps} ps is not below 2**63")
     n_bytes = len(raw) - _HEADER.size
     if n_bytes != count * _RECORD_DTYPE.itemsize:
         raise EventFormatError(
@@ -83,6 +86,10 @@ def read_events(path) -> EventStream:
         i = back[0] + 1
         raise EventFormatError(
             f"record {i}: timestamp {ts[i]} ps precedes {ts[i - 1]} ps")
+    i = int(np.searchsorted(ts, np.uint64(duration_ps), side="right"))
+    if i < len(ts):
+        raise EventFormatError(f"record {i}: timestamp {ts[i]} ps exceeds "
+                               f"the duration {duration_ps} ps")
     sig = channels == CH_SIGNAL
     return EventStream(signal_ps=ts[sig], idler_ps=ts[~sig],
                        duration_ps=duration_ps, seed=seed,

@@ -14,10 +14,9 @@ SWEEP_KINDS = {"fig4b": "afc_modes", "fig4c": "pump_power"}
 
 
 def _histogram_csv(hist: an.CorrelationHistogram) -> str:
-    # tolist() gives Python floats and ints, whose repr is the text that
-    # per-element numpy scalar conversion would give, without its cost
-    rows = zip(hist.bin_centers.tolist(), hist.counts.tolist())
-    return "bin_center_s,counts\n" + "".join(f"{c!r},{n}\n" for c, n in rows)
+    # a row's bin holds the delays in [bin_start_ps, bin_start_ps + width)
+    rows = zip(hist.bin_edges_ps[:-1].tolist(), hist.counts.tolist())
+    return "bin_start_ps,counts\n" + "".join(f"{a},{n}\n" for a, n in rows)
 
 
 def emit_figure_data(bundle, figure: str) -> dict[str, str]:

@@ -106,6 +106,15 @@ class DetectorModel:
                 raise ParameterError(f"detector {name} must be finite and >= 0")
 
 
+def whole_ps(seconds: float, name: str) -> int:
+    """``seconds`` in whole picoseconds, the estimators' time base;
+    ParameterError unless it is one, up to the rounding of the float."""
+    ps = seconds * 1e12
+    if not (math.isfinite(ps) and math.isclose(ps, round(ps), rel_tol=1e-12)):
+        raise ParameterError(f"{name} must be a whole number of ps, not {seconds!r} s")
+    return round(ps)
+
+
 @dataclass(frozen=True)
 class GatingSequence:
     """Measurement/locking alternation plus the idler-conditioned gate.
@@ -114,7 +123,8 @@ class GatingSequence:
     sub-stage occupies ``measure_fraction`` of the cycle.  After each idler
     click the signal channel is fully open only for delays inside
     [conditional_gate_on, conditional_gate_off]; outside, events pass with
-    probability ``off_gate_attenuation``.
+    probability ``off_gate_attenuation``.  Cycle, measurement stage and
+    breaks are whole picoseconds: the estimators gate in integer time.
     """
 
     cycle: float = 100e-6
@@ -129,7 +139,7 @@ class GatingSequence:
             raise ParameterError("need 0 < break_time < cycle")
         if not (0 < self.measure_fraction < 1):
             raise ParameterError("measure_fraction must lie in (0, 1)")
-        if self.measure_len + 2 * self.break_time > self.cycle + 1e-15:
+        if self.measure_ps + 2 * whole_ps(self.break_time, "break_time") > self.cycle_ps:
             raise ParameterError("measure stage plus breaks exceed the cycle")
         if not (self.conditional_gate_on < self.conditional_gate_off):
             raise ParameterError("conditional gate must open before it closes")
@@ -139,6 +149,14 @@ class GatingSequence:
     @property
     def measure_len(self) -> float:
         return self.measure_fraction * self.cycle
+
+    @property
+    def cycle_ps(self) -> int:
+        return whole_ps(self.cycle, "cycle")
+
+    @property
+    def measure_ps(self) -> int:
+        return whole_ps(self.measure_len, "measurement stage")
 
     def live_total(self, duration: float) -> float:
         """Total measurement-phase time within [0, duration]."""
@@ -152,21 +170,6 @@ class GatingSequence:
 
     def measuring_mask(self, t: np.ndarray) -> np.ndarray:
         return np.mod(t, self.cycle) < self.measure_len
-
-
-def sequence_phase(t: float, gating: GatingSequence) -> str:
-    """Phase of the gating cycle at time t: measuring, break, or locking."""
-    if t < 0:
-        raise ParameterError("t must be >= 0")
-    r = math.fmod(t, gating.cycle)
-    m = gating.measure_len
-    if r < m:
-        return "measuring"
-    if r < m + gating.break_time:
-        return "break"
-    if r < gating.cycle - gating.break_time:
-        return "locking"
-    return "break"
 
 
 class DelaySampler:
@@ -283,13 +286,6 @@ class EventStream:
 
     def __len__(self):
         return len(self.signal_ps) + len(self.idler_ps)
-
-    def times_s(self, channel: str) -> np.ndarray:
-        return getattr(self, f"{channel}_ps") * 1e-12
-
-    @property
-    def duration_s(self) -> float:
-        return self.duration_ps * 1e-12
 
 
 def model_digest(*models) -> str:

@@ -23,7 +23,7 @@ from .cavity import (CavityParams, PhaseMatching, cluster_spectrum,
 from .errors import ParameterError, ScenarioError, SimulationError
 from .memory import AfcPlan, AfcProfile, FilterSpec, design_afc
 from .montecarlo import (DetectorModel, EventStream, GatingSequence,
-                         SourceModel, generate_events, split_seed)
+                         SourceModel, generate_events, split_seed, whole_ps)
 
 # FSR_i chosen so the Vernier cluster spacing is 200 GHz at FSR_s = 123 MHz
 _DEFAULT_FSR_SIGNAL = 123.0e6
@@ -59,10 +59,13 @@ class AnalysisSettings:
             raise ScenarioError("[analysis] need finite hist_min_s < hist_max_s")
         if not -math.inf < self.floor_min_s < self.floor_max_s < math.inf:
             raise ScenarioError("[analysis] need finite floor_min_s < floor_max_s")
-        for name in ("window_center_s", "min_prominence"):   # None: auto
-            value = getattr(self, name)
-            if value is not None and not -math.inf < value < math.inf:
-                raise ScenarioError(f"[analysis] {name} must be finite")
+        prom = self.min_prominence   # None: auto
+        if prom is not None and not -math.inf < prom < math.inf:
+            raise ScenarioError("[analysis] min_prominence must be finite")
+        # self.ps: every time setting but an auto center, in whole ps
+        object.__setattr__(self, "ps", {
+            k: whole_ps(v, f"[analysis] {k}")
+            for k, v in vars(self).items() if k.endswith("_s") and v is not None})
 
 
 @dataclass
@@ -400,35 +403,35 @@ def simulate(s: Scenario, source: SourceModel | None = None) -> EventStream:
 
 
 def _histogram(s: Scenario, events: EventStream) -> an.CorrelationHistogram:
-    cfg = an.HistogramConfig(bin_width=s.analysis.bin_width_s,
-                             range=(s.analysis.hist_min_s, s.analysis.hist_max_s))
+    ps = s.analysis.ps
+    cfg = an.HistogramConfig(bin_width_ps=ps["bin_width_s"],
+                             range_ps=(ps["hist_min_s"], ps["hist_max_s"]))
     return an.build_histogram(events, cfg)
 
 
-def _comb_view(hist: an.CorrelationHistogram, center: float,
-               halfspan: float) -> an.CorrelationHistogram:
-    """Histogram restricted to |delay - center| <= halfspan, re-zeroed on
-    the center."""
-    edges = hist.bin_edges - center
-    sel = (edges[:-1] >= -halfspan) & (edges[1:] <= halfspan)
-    i = np.flatnonzero(sel)
-    if not len(i):
-        raise ParameterError(f"comb view {center:g} +- {halfspan:g} s has no bin")
+def _comb_view(hist: an.CorrelationHistogram, center_ps: int,
+               halfspan_ps: int) -> an.CorrelationHistogram:
+    """The floor(halfspan / width) bins on either side of the bin edge
+    nearest the center, within the histogram, re-zeroed on the center."""
+    edges, w = hist.bin_edges_ps, hist.bin_width_ps
+    k, m = (2 * (center_ps - int(edges[0])) + w) // (2 * w), halfspan_ps // w
+    i0, i1 = max(k - m, 0), min(k + m, len(hist.counts))
+    if i0 >= i1:
+        raise ParameterError(f"comb view {center_ps} +- {halfspan_ps} ps has no bin")
     return an.CorrelationHistogram(
-        counts=hist.counts[i[0]:i[-1] + 1], bin_edges=edges[i[0]:i[-1] + 2],
+        counts=hist.counts[i0:i1], bin_edges_ps=edges[i0:i1 + 1] - center_ps,
         total_start_counts=hist.total_start_counts,
         total_stop_counts=hist.total_stop_counts, duration=hist.duration)
 
 
 def _window_and_floor(s: Scenario, hist: an.CorrelationHistogram):
-    """Echo delay (None without memory), analysis window center (the echo
-    delay, or 0 without memory, unless set) and noise floor (value, error)."""
-    echo_delay = s.afc_plan.storage_time if s.afc_plan is not None else None
-    center = s.analysis.window_center_s
+    """Analysis window center in ps (unless set, the echo delay rounded to
+    the nearest ps, or 0 without memory) and noise floor (value, error)."""
+    ps = s.analysis.ps
+    center = ps.get("window_center_s")
     if center is None:
-        center = echo_delay if echo_delay is not None else 0.0
-    return echo_delay, center, an.noise_floor(
-        hist, (s.analysis.floor_min_s, s.analysis.floor_max_s))
+        center = 0 if s.afc_plan is None else round(s.afc_plan.storage_time * 1e12)
+    return center, an.noise_floor(hist, (ps["floor_min_s"], ps["floor_max_s"]))
 
 
 def analyze_events(s: Scenario, events: EventStream,
@@ -436,20 +439,20 @@ def analyze_events(s: Scenario, events: EventStream,
     """Histogram an event stream and derive the full report; the live
     time and singles are those of the scenario's gating."""
     hist = _histogram(s, events)
-    echo_delay, center, (floor, floor_err) = _window_and_floor(s, hist)
+    center, (floor, floor_err) = _window_and_floor(s, hist)
     prom = s.analysis.min_prominence
     if prom is None:
         prom = an.default_prominence(floor)
 
     # comb estimators work on delays relative to the analysis feature, and
     # share one peak list
-    comb_hist = _comb_view(hist, center, s.analysis.comb_fit_halfspan_s)
+    comb_hist = _comb_view(hist, center, s.analysis.ps["comb_fit_halfspan_s"])
     peaks = an.detect_peaks(comb_hist, prom)
     try:
         fsr = an.estimate_fsr(peaks, k_max=s.analysis.fsr_peak_count)
     except an.EstimationError:
         fsr = an.FsrEstimate(None, None, None, None)
-    half_bin = comb_hist.bin_width / 2
+    half_bin = comb_hist.bin_width_ps * 0.5e-12
     lw_s = lw_i = (None, None)
     try:
         lw_s = an.fit_peak_envelope(peaks, "positive", half_bin=half_bin,
@@ -459,9 +462,9 @@ def analyze_events(s: Scenario, events: EventStream,
     except an.FitError:
         pass
 
-    rate = an.coincidence_rate(hist, s.analysis.window_s, center,
-                               floor, floor_err)
-    g2 = an.g2_estimate(events, s.analysis.window_s, center, s.gating)
+    window = s.analysis.ps["window_s"]
+    rate = an.coincidence_rate(hist, window, center, floor, floor_err)
+    g2 = an.g2_estimate(events, window, center, s.gating)
 
     if rate_single is not None:
         try:
@@ -483,7 +486,7 @@ def analyze_events(s: Scenario, events: EventStream,
         interval_s=fsr.interval_s, interval_err_s=fsr.interval_err_s,
         linewidth_signal_hz=lw_s[0], linewidth_signal_err_hz=lw_s[1],
         linewidth_idler_hz=lw_i[0], linewidth_idler_err_hz=lw_i[1],
-        echo_delay_s=echo_delay,
+        echo_delay_s=None if s.afc_plan is None else s.afc_plan.storage_time,
         noise_floor_counts=floor, noise_floor_err=floor_err,
         coincidence_rate_cps=rate.rate, coincidence_rate_err=rate.error,
         g2=g2.value, g2_err=g2.error,
@@ -517,10 +520,9 @@ def single_mode_reference(s: Scenario) -> Scenario:
 def reference_rate(s: Scenario, ref_events: EventStream) -> tuple[float, float]:
     """Floor-subtracted coincidence rate (value, error) of a single-mode
     reference run, analyzed with the settings of scenario ``s``."""
-    ref_hist = _histogram(s, ref_events)
-    _, center, (floor, floor_err) = _window_and_floor(s, ref_hist)
-    r = an.coincidence_rate(ref_hist, s.analysis.window_s, center,
-                            floor, floor_err)
+    hist = _histogram(s, ref_events)
+    center, floor = _window_and_floor(s, hist)
+    r = an.coincidence_rate(hist, s.analysis.ps["window_s"], center, *floor)
     return r.rate, r.error
 
 

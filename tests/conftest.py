@@ -1,9 +1,11 @@
+import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from pairmem import CavityParams, PhaseMatching, comb_spectrum, make_rng
+from pairmem.errors import ParameterError
 
 
 @pytest.fixture
@@ -48,9 +50,32 @@ def shuffle_channel(events, channel, seed, gating):
     re-drawn uniformly over the measurement phases of ``gating`` (None:
     the whole run)."""
     t = make_rng(seed).random(len(getattr(events, f"{channel}_ps")))
+    duration_s = events.duration_ps * 1e-12
     if gating is None:
-        t = t * events.duration_s
+        t = t * duration_s
     else:
-        t = gating.live_to_abs(t * gating.live_total(events.duration_s))
+        t = gating.live_to_abs(t * gating.live_total(duration_s))
     new_ps = np.sort(np.rint(t * 1e12).astype(np.uint64))
     return replace(events, **{f"{channel}_ps": new_ps})
+
+
+def sequence_phase(t, gating):
+    """Phase of the gating cycle at time t: measuring, break, or locking.
+    ``t`` is in seconds, or in picoseconds when it is an int, where the
+    phase arithmetic is exact."""
+    if t < 0:
+        raise ParameterError("t must be >= 0")
+    if isinstance(t, int):
+        cycle, m, brk = gating.cycle_ps, gating.measure_ps, \
+            round(gating.break_time * 1e12)
+        r = t % cycle
+    else:
+        cycle, m, brk = gating.cycle, gating.measure_len, gating.break_time
+        r = math.fmod(t, cycle)
+    if r < m:
+        return "measuring"
+    if r < m + brk:
+        return "break"
+    if r < cycle - brk:
+        return "locking"
+    return "break"

@@ -41,7 +41,8 @@ def delay_run(cavity):
     counts, _ = np.histogram(tau, bins=edges)
     elapsed = time.perf_counter() - t0
     hist = CorrelationHistogram(counts=counts.astype(np.int64),
-                                bin_edges=edges, total_start_counts=1,
+                                bin_edges_ps=np.rint(edges * 1e12),
+                                total_start_counts=1,
                                 total_stop_counts=1, duration=1.0)
     return spec, hist, elapsed
 
@@ -56,8 +57,8 @@ def test_criterion_1_sampler_matches_analytic_curve(cavity, delay_run):
     spec, hist, elapsed = delay_run
     # bin-averaged analytic curve (8 sub-samples per 0.2 ns bin)
     sub = 8
-    fine = hist.bin_edges[0] + (np.arange(len(hist.counts) * sub) + 0.5) \
-        * (BIN / sub)
+    fine = hist.bin_edges_ps[0] * 1e-12 \
+        + (np.arange(len(hist.counts) * sub) + 0.5) * (BIN / sub)
     g = pm.analytic_g2(spec, cavity, fine).reshape(-1, sub).mean(axis=1)
     h = hist.counts.astype(float)
     scale = float(h @ g) / float(g @ g)
@@ -105,17 +106,17 @@ def test_criterion_4_echo_timing(calibration_bundle):
     bundle = pm.run_scenario(s)
     hist = bundle.histogram
     expect = 1.0 / 920e3
-    floor, _ = pm.noise_floor(hist, (1.6e-6, 1.8e-6))
+    floor, _ = pm.noise_floor(hist, (1_600_000, 1_800_000))
     prom = max(5.0 * math.sqrt(max(floor, 0.0)), 1.0)
     peaks = pm.detect_peaks(hist, prom)
     # leading echo peak: the tallest comb tooth near the storage time
     near = [(d, h) for d, h in peaks if abs(d - expect) < 20e-9]
     assert near, "no comb peak near the storage time"
     d, _ = max(near, key=lambda p: p[1])
-    off_bins = (d - expect) / hist.bin_width
+    off_bins = (d - expect) / (hist.bin_width_ps * 1e-12)
     print(f"criterion 4: echo peak at {d * 1e9:.2f} ns, "
           f"offset {off_bins:+.2f} bins (|offset| <= 2)")
-    assert abs(d - expect) <= 2 * hist.bin_width
+    assert abs(d - expect) <= 2 * hist.bin_width_ps * 1e-12
     assert calibration_bundle.report.echo_delay_s == pytest.approx(expect)
 
 
@@ -129,8 +130,9 @@ def test_criterion_5_classical_limit_behavior(calibration_bundle):
     s = calibration_bundle.scenario
     shuffled = shuffle_channel(calibration_bundle.events, "idler", seed=404,
                                gating=s.gating)
-    center = rep.echo_delay_s
-    g2_ctrl = pm.g2_estimate(shuffled, s.analysis.window_s, center, s.gating)
+    center = round(rep.echo_delay_s * 1e12)
+    g2_ctrl = pm.g2_estimate(shuffled, s.analysis.ps["window_s"], center,
+                             s.gating)
 
     print(f"criterion 5: g2 = {rep.g2:.2f} +- {rep.g2_err:.2f} "
           f"(in [5, 10], nonclassical), control g2 = "
@@ -235,9 +237,9 @@ def test_criterion_7_determinism_and_merge_laws():
 
     # shard-merge: split the starts, keep every stop in both shards
     ev = a.events
-    cfg = pm.HistogramConfig(bin_width=s.analysis.bin_width_s,
-                             range=(s.analysis.hist_min_s,
-                                    s.analysis.hist_max_s))
+    cfg = pm.HistogramConfig(bin_width_ps=s.analysis.ps["bin_width_s"],
+                             range_ps=(s.analysis.ps["hist_min_s"],
+                                       s.analysis.ps["hist_max_s"]))
     whole = pm.build_histogram(ev, cfg)
     cut = np.uint64(ev.duration_ps // 2)
 

@@ -1,4 +1,5 @@
 import math
+from bisect import bisect_left, bisect_right
 
 import numpy as np
 import pytest
@@ -11,26 +12,63 @@ from pairmem.analysis import (FsrEstimate, RateEstimate, _find_peaks,
 from pairmem.errors import EstimationError, FitError, ParameterError
 from pairmem.montecarlo import EventStream
 
-from conftest import shuffle_channel
+from conftest import sequence_phase, shuffle_channel
+
+
+def ps_stream(signal_ps, idler_ps, duration_ps=10**12):
+    return EventStream(signal_ps=np.sort(np.asarray(signal_ps, dtype=np.uint64)),
+                       idler_ps=np.sort(np.asarray(idler_ps, dtype=np.uint64)),
+                       duration_ps=duration_ps, seed=0, model_digest="00" * 32)
 
 
 def make_stream(signal_s, idler_s, duration_s=1.0):
     def ps(t):
-        return np.sort(np.rint(np.asarray(t, dtype=float) * 1e12).astype(np.uint64))
-    return EventStream(signal_ps=ps(signal_s), idler_ps=ps(idler_s),
-                       duration_ps=int(round(duration_s * 1e12)), seed=0,
-                       model_digest="00" * 32)
+        return np.rint(np.asarray(t, dtype=float) * 1e12).astype(np.uint64)
+    return ps_stream(ps(signal_s), ps(idler_s), int(round(duration_s * 1e12)))
 
 
-def naive_histogram(starts, stops, edges):
-    """O(n^2) all-pairs oracle for the multi-stop histogram."""
-    counts = np.zeros(len(edges) - 1, dtype=np.int64)
-    for a in starts:
-        for b in stops:
-            d = b - a
-            if edges[0] <= d < edges[-1]:
-                counts[np.searchsorted(edges, d, side="right") - 1] += 1
+def all_pairs_histogram(starts, stops, cfg):
+    """O(n^2) Python-int oracle for the multi-stop histogram: the pair
+    delay s - t lands in bin (s - t - lo) // width."""
+    lo, w = cfg.range_ps[0], cfg.bin_width_ps
+    counts = [0] * (len(cfg.bin_edges_ps) - 1)
+    for t in map(int, starts):
+        for s in map(int, stops):
+            k = (s - t - lo) // w
+            if 0 <= k < len(counts):
+                counts[k] += 1
     return counts
+
+
+def start_keyed_histogram(starts, stops, cfg):
+    """Python-int oracle keyed the other way round: for each start t, the
+    sorted stops in [t + lo, t + hi) found by bisection, binned as
+    (s - t - lo) // width."""
+    lo, hi = cfg.range_ps
+    w = cfg.bin_width_ps
+    stops = sorted(map(int, stops))
+    counts = [0] * (len(cfg.bin_edges_ps) - 1)
+    for t in map(int, starts):
+        for s in stops[bisect_left(stops, t + lo):bisect_left(stops, t + hi)]:
+            counts[(s - t - lo) // w] += 1
+    return counts
+
+
+def start_keyed_coincidences(starts, stops, window, center):
+    """Python-int oracle for the g2 window count, one bisection per start:
+    the stops within window / 2 of t + center, ends included."""
+    stops = sorted(map(int, stops))
+    half = window // 2
+    return sum(bisect_right(stops, t + center + half)
+               - bisect_left(stops, t + center - half)
+               for t in map(int, starts))
+
+
+def all_pairs_coincidences(starts, stops, window, center):
+    """O(n^2) Python-int oracle for the g2 window count: the pairs whose
+    delay lies within window / 2 of the center, ends included."""
+    return sum(2 * abs(s - t - center) <= window
+               for t in map(int, starts) for s in map(int, stops))
 
 
 # ---------------------------------------------------------------------------
@@ -41,12 +79,10 @@ def test_histogram_matches_all_pairs_oracle():
     starts = np.sort(rng.random(40) * 1e-3)
     stops = np.sort(rng.random(60) * 1e-3)
     ev = make_stream(stops, starts, duration_s=1e-3)
-    cfg = pm.HistogramConfig(bin_width=1e-6, range=(-20e-6, 20e-6))
+    cfg = pm.HistogramConfig(bin_width_ps=10**6, range_ps=(-20 * 10**6, 20 * 10**6))
     hist = pm.build_histogram(ev, cfg)
-    # floats survive the ps round trip at this scale
-    expect = naive_histogram(ev.times_s("idler"), ev.times_s("signal"),
-                             cfg.bin_edges)
-    assert np.array_equal(hist.counts, expect)
+    assert hist.counts.tolist() == all_pairs_histogram(ev.idler_ps, ev.signal_ps,
+                                                       cfg)
     assert hist.total_start_counts == 40
     assert hist.total_stop_counts == 60
 
@@ -54,7 +90,7 @@ def test_histogram_matches_all_pairs_oracle():
 def test_histogram_multi_stop_counts_every_pair():
     # one start, three stops inside range: all three are recorded
     ev = make_stream([10e-6, 11e-6, 12e-6], [9e-6], duration_s=1e-3)
-    cfg = pm.HistogramConfig(bin_width=1e-6, range=(0.0, 5e-6))
+    cfg = pm.HistogramConfig(bin_width_ps=10**6, range_ps=(0, 5 * 10**6))
     hist = pm.build_histogram(ev, cfg)
     assert hist.counts.sum() == 3
 
@@ -67,21 +103,21 @@ def test_histogram_empty_channels():
 
 def test_histogram_config_validation():
     with pytest.raises(ParameterError):
-        pm.HistogramConfig(bin_width=0.0)
+        pm.HistogramConfig(bin_width_ps=0)
     with pytest.raises(ParameterError):
-        pm.HistogramConfig(range=(1.0, 0.0))
+        pm.HistogramConfig(range_ps=(1, 0))
 
 
 def test_histogram_config_rejects_nan_bin_width():
     with pytest.raises(ParameterError):
-        pm.HistogramConfig(bin_width=float("nan"))
+        pm.HistogramConfig(bin_width_ps=float("nan"))
 
 
 def test_merge_equals_whole():
     rng = np.random.default_rng(1)
     starts = np.sort(rng.random(200) * 1e-3)
     stops = np.sort(rng.random(200) * 1e-3)
-    cfg = pm.HistogramConfig(bin_width=1e-6, range=(-10e-6, 10e-6))
+    cfg = pm.HistogramConfig(bin_width_ps=10**6, range_ps=(-10**7, 10**7))
     whole = pm.build_histogram(make_stream(stops, starts, 1e-3), cfg)
     # shard by start time, keeping all stops in each shard: pairings with
     # out-of-shard stops are preserved, so the merge is exact
@@ -96,7 +132,7 @@ def test_merge_equals_whole():
 
 
 def test_merge_rejects_shards_of_different_runs():
-    cfg = pm.HistogramConfig(bin_width=1e-6, range=(-10e-6, 10e-6))
+    cfg = pm.HistogramConfig(bin_width_ps=10**6, range_ps=(-10**7, 10**7))
     a = pm.build_histogram(make_stream([1e-4, 2e-4], [1.5e-4], 1e-3), cfg)
     fewer_stops = pm.build_histogram(make_stream([1e-4], [1.6e-4], 1e-3), cfg)
     longer = pm.build_histogram(make_stream([1e-4, 2e-4], [1.6e-4], 2e-3), cfg)
@@ -107,109 +143,96 @@ def test_merge_rejects_shards_of_different_runs():
 
 def test_merge_rejects_mismatched_edges():
     ev = make_stream([], [], 1.0)
-    a = pm.build_histogram(ev, pm.HistogramConfig(bin_width=1e-9))
-    b = pm.build_histogram(ev, pm.HistogramConfig(bin_width=2e-9))
+    a = pm.build_histogram(ev, pm.HistogramConfig(bin_width_ps=1000))
+    b = pm.build_histogram(ev, pm.HistogramConfig(bin_width_ps=2000))
     with pytest.raises(ParameterError):
         pm.merge_histograms(a, b)
 
 
 # ---------------------------------------------------------------------------
-# stop-keyed coincidence search against the start-keyed formulas it replaced
-
-def start_keyed_histogram(starts, stops, edges):
-    """Former build_histogram search, one binary search per start: oracle."""
-    lo, hi = edges[0], edges[-1]
-    counts = np.zeros(len(edges) - 1, dtype=np.int64)
-    if len(starts) and len(stops):
-        i0 = np.searchsorted(stops, starts + lo, side="left")
-        i1 = np.searchsorted(stops, starts + hi, side="left")
-        n_per = i1 - i0
-        total = int(n_per.sum())
-        if total:
-            flat = np.arange(total) - np.repeat(np.cumsum(n_per) - n_per, n_per) \
-                + np.repeat(i0, n_per)
-            delays = stops[flat] - np.repeat(starts, n_per)
-            counts, _ = np.histogram(delays, bins=edges)
-            counts = counts.astype(np.int64)
-    return counts
-
-
-def start_keyed_coincidences(starts, stops, window, center):
-    """Former g2_estimate coincidence count, one search per start: oracle."""
-    lo, hi = center - window / 2, center + window / 2
-    return int((np.searchsorted(stops, starts + hi, side="right")
-                - np.searchsorted(stops, starts + lo, side="left")).sum())
-
-
-class FloatTimes:
-    """What the coincidence search reads of an EventStream, holding float
-    times, so that a stop can sit exactly on fl(t + lo) or fl(t + hi) of a
-    start t; picosecond timestamps land there only by chance."""
-
-    duration_s = 1.0
-
-    def __init__(self, starts, stops):
-        self._times = {"idler": np.sort(starts), "signal": np.sort(stops)}
-
-    def __len__(self):
-        return sum(map(len, self._times.values()))
-
-    def times_s(self, channel):
-        return self._times[channel]
-
+# integer search and binning against the Python-int oracles
 
 @st.composite
-def coincidence_cases(draw):
+def coincidence_cases(draw, on_edges=False):
     """Integer-picosecond channels 1 us from zero; the narrow range makes
     ties and timestamps shared by both channels common, either channel may
-    be empty or the larger, and windows reach past the run on either side."""
-    times = st.lists(st.integers(0, 400), max_size=30)
+    be empty or the larger, and the histogram and the window reach past
+    the run on either side.  With on_edges, extra stops sit on every bin
+    edge, range end and window end of some starts, and one ps to either
+    side of it."""
+    times = st.lists(st.integers(10**6, 10**6 + 400), max_size=30)
     starts = draw(times)
     stops = draw(times) + starts[:draw(st.integers(0, len(starts)))]
-    lo = draw(st.integers(-600, 500))
-    hi = lo + draw(st.integers(1, 1200))
-    ps = 1e-12
-    ev = make_stream((10**6 + np.array(stops, dtype=float)) * ps,
-                     (10**6 + np.array(starts, dtype=float)) * ps)
-    cfg = pm.HistogramConfig(bin_width=(hi - lo) * ps / draw(st.integers(1, 40)),
-                             range=(lo * ps, hi * ps))
-    return ev, cfg, (hi - lo) * ps, (hi + lo) * ps / 2
+    lo, w, n = (draw(st.integers(-600, 500)), draw(st.integers(1, 60)),
+                draw(st.integers(1, 40)))
+    window, center = draw(st.integers(1, 1200)), draw(st.integers(-600, 600))
+    if on_edges:
+        # the window's last whole-ps delays on either side
+        edges = [lo + k * w for k in range(n + 1)] \
+            + [center - window // 2, center + window // 2]
+        picks = draw(st.lists(st.sampled_from(starts), max_size=3)) \
+            if starts else []
+        stops += [t + e + d for t in picks for e in edges for d in (-1, 0, 1)]
+    cfg = pm.HistogramConfig(bin_width_ps=w, range_ps=(lo, lo + n * w))
+    return starts, stops, cfg, window, center
 
 
-def assert_matches_start_keyed(events, cfg, window, center):
-    starts, stops = events.times_s("idler"), events.times_s("signal")
-    hist = pm.build_histogram(events, cfg)
-    assert np.array_equal(hist.counts,
-                          start_keyed_histogram(starts, stops, cfg.bin_edges))
-    if len(starts) and len(stops):
-        est = pm.g2_estimate(events, window, center, None)
-        assert est.coincidences == start_keyed_coincidences(
-            starts, stops, window, center)
+def assert_search_matches(case, histogram_oracle, coincidence_oracle):
+    starts, stops, cfg, window, center = case
+    ev = ps_stream(stops, starts)
+    hist = pm.build_histogram(ev, cfg)
+    assert hist.counts.tolist() == histogram_oracle(starts, stops, cfg)
+    if starts and stops:
+        est = pm.g2_estimate(ev, window, center, None)
+        assert est.coincidences == coincidence_oracle(starts, stops,
+                                                      window, center)
     else:
         with pytest.raises(EstimationError):
-            pm.g2_estimate(events, window, center, None)
+            pm.g2_estimate(ev, window, center, None)
 
 
 @settings(max_examples=300, deadline=None)
 @given(case=coincidence_cases())
 def test_stop_keyed_search_matches_start_keyed_oracle(case):
-    assert_matches_start_keyed(*case)
+    assert_search_matches(case, start_keyed_histogram,
+                          start_keyed_coincidences)
 
 
 @settings(max_examples=300, deadline=None)
-@given(case=coincidence_cases(), data=st.data())
-def test_stop_keyed_search_exact_at_window_edges(case, data):
-    ev, cfg, window, center = case
-    starts = ev.times_s("idler")
-    edges = (cfg.bin_edges[0], cfg.bin_edges[-1],
-             center - window / 2, center + window / 2)
-    picks = data.draw(st.lists(st.sampled_from(starts), max_size=4)) \
-        if len(starts) else []
-    # every edge of a picked start, and one ulp to either side of it
-    on_edge = [np.nextafter(t + e, t + e + d)
-               for t in picks for e in edges for d in (-1.0, 0.0, 1.0)]
-    stops = np.concatenate([ev.times_s("signal"), on_edge])
-    assert_matches_start_keyed(FloatTimes(starts, stops), cfg, window, center)
+@given(case=coincidence_cases(on_edges=True))
+def test_stop_keyed_search_exact_at_window_edges(case):
+    assert_search_matches(case, all_pairs_histogram, all_pairs_coincidences)
+
+
+@settings(max_examples=100, deadline=None)
+@given(extra=st.lists(st.integers(0, 3 * 10**8), max_size=50))
+def test_g2_measuring_singles_match_sequence_phase(extra):
+    # every phase boundary of three default cycles, one ps to either side
+    # of it, and arbitrary times; a per-event oracle counts the measuring ones
+    g = pm.GatingSequence()
+    cycle, m, brk = g.cycle_ps, g.measure_ps, round(g.break_time * 1e12)
+    bounds = [k * cycle + b for k in range(3)
+              for b in (0, m, m + brk, cycle - brk)]
+    times = [t + d for t in bounds for d in (-1, 0, 1) if t + d >= 0] + extra
+    est = pm.g2_estimate(ps_stream(times, times, duration_ps=3 * cycle),
+                         400_000, 0, g)
+    expect = sum(sequence_phase(t, g) == "measuring" for t in times)
+    assert est.starts == est.stops == expect
+
+
+@pytest.mark.parametrize("window", [10, 11])
+def test_window_ends_are_inclusive_in_g2_and_rate(window):
+    # a stop at every delay 0..99 ps: the window holds 45..55 ps, within
+    # window / 2 of the center (for an odd window the ends fall between
+    # whole ps), and with 1 ps bins the rate sums exactly those delays
+    t = 10**6
+    ev = ps_stream([t + d for d in range(100)], [t])
+    hist = pm.build_histogram(ev, pm.HistogramConfig(bin_width_ps=1,
+                                                     range_ps=(0, 100)))
+    est = pm.g2_estimate(ev, window, 50, None)
+    assert est.coincidences == 11
+    assert pm.coincidence_rate(hist, window, 50, floor=0.0).rate \
+        * hist.duration == pytest.approx(11)
 
 
 # ---------------------------------------------------------------------------
@@ -229,7 +252,8 @@ def synthetic_comb(fsr=123e6, lw_s=2.28e6, lw_i=1.52e6, amp=1e4,
         y += h * np.exp(-0.5 * ((mids - c) / sigma) ** 2)
     from pairmem.analysis import CorrelationHistogram
     return CorrelationHistogram(counts=np.rint(y).astype(np.int64),
-                                bin_edges=edges, total_start_counts=1,
+                                bin_edges_ps=np.rint(edges * 1e12),
+                                total_start_counts=1,
                                 total_stop_counts=1, duration=1.0)
 
 
@@ -288,13 +312,24 @@ def test_find_peaks_short_and_flat_arrays():
         assert_peaks_match_oracle(np.full(n, 7.0))
 
 
-def test_find_peaks_default_comb_view():
-    from pairmem.scenario import _comb_view, _histogram, build_profile
+def default_comb_view():
+    from pairmem.scenario import _comb_view, _histogram, _window_and_floor
     s = pm.default_scenario()
     hist = _histogram(s, pm.simulate(s))
-    view = _comb_view(hist, build_profile(s).storage_time,
-                      s.analysis.comb_fit_halfspan_s)
-    assert_peaks_match_oracle(view.counts)
+    center, _ = _window_and_floor(s, hist)
+    return _comb_view(hist, center, s.analysis.ps["comb_fit_halfspan_s"])
+
+
+def test_find_peaks_default_comb_view():
+    assert_peaks_match_oracle(default_comb_view().counts)
+
+
+def test_default_comb_view_holds_2500_bins():
+    # +-250 ns of 0.2 ns bins, about the echo delay 1/920 kHz, which is not
+    # on the bin grid: 1250 bins on either side of the nearest bin edge
+    view = default_comb_view()
+    assert len(view.counts) == 2500
+    assert view.bin_edges_ps[0] == -249_957 and view.bin_edges_ps[-1] == 250_043
 
 
 def test_estimate_fsr_recovers_configured_value():
@@ -359,37 +394,37 @@ def test_fit_envelope_needs_enough_peaks():
 
 def test_noise_floor_mean_and_error():
     from pairmem.analysis import CorrelationHistogram
-    edges = np.arange(0.0, 101.0)
+    edges = np.arange(101)
     counts = np.full(100, 7, dtype=np.int64)
-    hist = CorrelationHistogram(counts=counts, bin_edges=edges,
+    hist = CorrelationHistogram(counts=counts, bin_edges_ps=edges,
                                 total_start_counts=1, total_stop_counts=1,
                                 duration=1.0)
-    mean, err = noise_floor(hist, (10.0, 60.0))
+    mean, err = noise_floor(hist, (10, 60))
     assert mean == pytest.approx(7.0)
     assert err == 0.0
     with pytest.raises(ParameterError):
-        noise_floor(hist, (95.0, 99.0))  # < 10 bins
+        noise_floor(hist, (95, 99))  # < 10 bins
     with pytest.raises(ParameterError):
-        noise_floor(hist, (-5.0, 60.0))  # outside range
+        noise_floor(hist, (-5, 60))  # outside range
 
 
 def test_coincidence_rate_floor_subtracted():
     from pairmem.analysis import CorrelationHistogram
-    edges = np.arange(-50.0e-9, 450.0e-9, 1e-9)
+    edges = np.arange(-50_000, 450_000, 1_000)
     counts = np.full(len(edges) - 1, 3, dtype=np.int64)
     # put 1000 extra counts in the 100 bins around t = 200 ns
     mids = 0.5 * (edges[:-1] + edges[1:])
-    feature = np.abs(mids - 200e-9) <= 50e-9
+    feature = np.abs(mids - 200_000) <= 50_000
     counts[feature] += 10
-    hist = CorrelationHistogram(counts=counts, bin_edges=edges,
+    hist = CorrelationHistogram(counts=counts, bin_edges_ps=edges,
                                 total_start_counts=1, total_stop_counts=1,
                                 duration=2.0)
-    r = pm.coincidence_rate(hist, 100e-9, 200e-9, floor=3.0)
+    r = pm.coincidence_rate(hist, 100_000, 200_000, floor=3.0)
     n_feature = int(np.count_nonzero(feature))
     assert r.rate == pytest.approx(10 * n_feature / 2.0)
     assert not r.clamped
     # floor over-subtraction clamps at zero and flags it
-    r2 = pm.coincidence_rate(hist, 100e-9, 0.0, floor=50.0)
+    r2 = pm.coincidence_rate(hist, 100_000, 0, floor=50.0)
     assert r2.rate == 0.0 and r2.clamped
 
 
@@ -402,7 +437,7 @@ def test_g2_uncorrelated_is_unity():
     sig = np.sort(rng.random(40_000) * T)
     idl = np.sort(rng.random(40_000) * T)
     ev = make_stream(sig, idl, duration_s=T)
-    est = pm.g2_estimate(ev, window=1e-6, center=0.0, gating=None)
+    est = pm.g2_estimate(ev, window_ps=10**6, center_ps=0, gating=None)
     assert est.value == pytest.approx(1.0, abs=5 * est.error)
     assert est.error < 0.15
     assert not est.undefined
@@ -414,7 +449,7 @@ def test_g2_correlated_pairs():
     idl = np.sort(rng.random(5_000) * T)
     sig = idl + 100e-9  # every idler heralds one signal
     ev = make_stream(sig, idl, duration_s=T)
-    est = pm.g2_estimate(ev, window=1e-6, center=0.0, gating=None)
+    est = pm.g2_estimate(ev, window_ps=10**6, center_ps=0, gating=None)
     # C >= N_pairs while accidentals contribute ~N^2 window/T
     expect = 5_000 * T / (5_000 * 5_000 * 1e-6)
     assert est.value == pytest.approx(expect, rel=0.05)
@@ -425,7 +460,7 @@ def test_g2_counts_and_error_formula():
     idl = np.array([1.0, 2.0, 3.0])
     sig = np.array([1.0, 2.0])
     ev = make_stream(sig, idl, duration_s=10.0)
-    est = pm.g2_estimate(ev, window=1e-3, center=0.0, gating=None)
+    est = pm.g2_estimate(ev, window_ps=10**9, center_ps=0, gating=None)
     assert est.coincidences == 2
     assert est.starts == 3 and est.stops == 2
     expect = 2 * 10.0 / (3 * 2 * 1e-3)
@@ -436,7 +471,7 @@ def test_g2_counts_and_error_formula():
 
 def test_g2_zero_coincidences_upper_bound():
     ev = make_stream([9.0], [1.0], duration_s=10.0)
-    est = pm.g2_estimate(ev, window=1e-6, center=0.0, gating=None)
+    est = pm.g2_estimate(ev, window_ps=10**6, center_ps=0, gating=None)
     assert est.undefined and est.value == 0.0
     assert est.upper_bound == pytest.approx(10.0 / 1e-6)
 
@@ -444,7 +479,7 @@ def test_g2_zero_coincidences_upper_bound():
 def test_g2_empty_channel_raises():
     ev = make_stream([], [1.0], duration_s=1.0)
     with pytest.raises(EstimationError):
-        pm.g2_estimate(ev, window=1e-6, center=0.0, gating=None)
+        pm.g2_estimate(ev, window_ps=10**6, center_ps=0, gating=None)
 
 
 def test_g2_live_time_normalization():
@@ -455,9 +490,9 @@ def test_g2_live_time_normalization():
     live = np.sort(rng.random(20_000) * g.live_total(T))
     t = g.live_to_abs(live)
     ev = make_stream(t, t.copy(), duration_s=T)
-    est = pm.g2_estimate(ev, window=1e-6, center=0.0, gating=g)
+    est = pm.g2_estimate(ev, window_ps=10**6, center_ps=0, gating=g)
     assert est.live_time == pytest.approx(0.45)
-    assert pm.g2_estimate(ev, window=1e-6, center=0.0,
+    assert pm.g2_estimate(ev, window_ps=10**6, center_ps=0,
                           gating=None).live_time == T
 
 
@@ -492,9 +527,9 @@ def test_shuffle_destroys_correlations():
     idl = np.sort(rng.random(20_000) * T)
     sig = idl + 50e-9
     ev = make_stream(sig, idl, duration_s=T)
-    before = pm.g2_estimate(ev, window=1e-6, center=0.0, gating=None)
+    before = pm.g2_estimate(ev, window_ps=10**6, center_ps=0, gating=None)
     shuffled = shuffle_channel(ev, "idler", seed=1, gating=None)
-    after = pm.g2_estimate(shuffled, window=1e-6, center=0.0, gating=None)
+    after = pm.g2_estimate(shuffled, window_ps=10**6, center_ps=0, gating=None)
     assert before.value > 50
     assert after.value == pytest.approx(1.0, abs=5 * max(after.error, 0.02))
     # counts preserved, only idler times moved

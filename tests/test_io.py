@@ -58,12 +58,14 @@ def test_merge_channels_matches_lexsort(sig, idl):
 @given(st.lists(st.integers(0, 2**60), min_size=1, max_size=8),
        st.lists(st.integers(0, 20), max_size=30),
        st.lists(st.integers(0, 20), max_size=30),
-       st.integers(0, 2**64 - 1), st.integers(0, 2**64 - 1), st.binary(min_size=32, max_size=32))
+       st.integers(0, 2**64 - 1), st.integers(0, 2**62), st.binary(min_size=32, max_size=32))
 def test_binary_roundtrip_property(tmp_path_factory, values, sig, idl, seed,
-                                   duration_ps, digest):
-    # timestamps drawn from a few values: ties within and across channels
+                                   past_last, digest):
+    # timestamps drawn from a few values: ties within and across channels;
+    # the run lasts at least until the last of them
     sig_ps = np.sort(np.array([values[i % len(values)] for i in sig], np.uint64))
     idl_ps = np.sort(np.array([values[i % len(values)] for i in idl], np.uint64))
+    duration_ps = max(values) + past_last
     ev = EventStream(signal_ps=sig_ps, idler_ps=idl_ps, duration_ps=duration_ps,
                      seed=seed, model_digest=digest.hex())
     path = tmp_path_factory.mktemp("ev") / "r.bin"
@@ -143,6 +145,21 @@ def test_binary_rejects_backwards_timestamps(tmp_path):
     assert (back.signal_ps.tolist(), back.idler_ps.tolist()) == ([5], [5, 6])
 
 
+def test_binary_rejects_timestamps_past_duration(tmp_path):
+    path = tmp_path / "long.bin"
+    write_events(make_stream([5, 10], [10], duration_ps=10), path)
+    back = read_events(path)   # a timestamp may equal the duration
+    assert back.signal_ps.tolist() == [5, 10]
+    write_events(make_stream([5, 11], [10], duration_ps=10), path)
+    with pytest.raises(EventFormatError,
+                       match="record 2: timestamp 11 ps exceeds the duration"):
+        read_events(path)
+    # int64 views of the timestamps are exact: no duration reaches 2**63
+    write_events(make_stream([5], [], duration_ps=2**63), path)
+    with pytest.raises(EventFormatError, match="2\\*\\*63"):
+        read_events(path)
+
+
 def test_binary_matches_simulation_output(tmp_path):
     from dataclasses import replace
     s = replace(pm.default_scenario(), duration_s=0.02, reference_run=False)
@@ -160,7 +177,7 @@ def test_binary_reserialization_byte_identical_large(tmp_path):
     n = 1_000_000
     ts = np.sort(rng.integers(0, 2**50, size=n, dtype=np.uint64))
     ch = rng.integers(0, 2, size=n, dtype=np.uint8)
-    ev = make_stream(ts[ch == CH_SIGNAL], ts[ch == CH_IDLER])
+    ev = make_stream(ts[ch == CH_SIGNAL], ts[ch == CH_IDLER], duration_ps=2**50)
     p1, p2 = tmp_path / "a.bin", tmp_path / "b.bin"
     write_events(ev, p1)
     write_events(read_events(p1), p2)

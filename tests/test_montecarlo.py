@@ -12,6 +12,8 @@ from pairmem.montecarlo import (DelaySampler, _count_reached, _guide_table,
 from pairmem.errors import ParameterError
 from pairmem.scenario import build_spectrum
 
+from conftest import sequence_phase
+
 
 # model_digest of the models in test_model_digest_pinned: digest strings
 # are provenance in event files and reports and must not drift
@@ -49,15 +51,16 @@ def test_split_seed_stable_and_distinct():
 def test_sequence_phase_layout():
     g = pm.GatingSequence()
     # default: 45 us measuring | 10 us break | 35 us locking | 10 us break
-    assert pm.sequence_phase(0.0, g) == "measuring"
-    assert pm.sequence_phase(44.9e-6, g) == "measuring"
-    assert pm.sequence_phase(50e-6, g) == "break"
-    assert pm.sequence_phase(60e-6, g) == "locking"
-    assert pm.sequence_phase(89e-6, g) == "locking"
-    assert pm.sequence_phase(95e-6, g) == "break"
-    assert pm.sequence_phase(100e-6, g) == "measuring"  # next cycle
+    assert sequence_phase(0.0, g) == "measuring"
+    assert sequence_phase(44.9e-6, g) == "measuring"
+    assert sequence_phase(50e-6, g) == "break"
+    assert sequence_phase(60e-6, g) == "locking"
+    assert sequence_phase(89e-6, g) == "locking"
+    assert sequence_phase(95e-6, g) == "break"
+    assert sequence_phase(100e-6, g) == "measuring"  # next cycle
+    assert (g.cycle_ps, g.measure_ps) == (100_000_000, 45_000_000)
     with pytest.raises(ParameterError):
-        pm.sequence_phase(-1e-9, g)
+        sequence_phase(-1e-9, g)
 
 
 def test_gating_validation():
@@ -67,6 +70,11 @@ def test_gating_validation():
         pm.GatingSequence(break_time=0.0)
     with pytest.raises(ParameterError):
         pm.GatingSequence(conditional_gate_on=2e-6, conditional_gate_off=1e-6)
+    # the estimators gate in whole picoseconds
+    with pytest.raises(ParameterError, match="whole number of ps"):
+        pm.GatingSequence(cycle=100.0000005e-6)
+    with pytest.raises(ParameterError, match="whole number of ps"):
+        pm.GatingSequence(break_time=10.0000005e-6)
 
 
 def test_live_total_and_roundtrip():
@@ -83,12 +91,19 @@ def test_live_total_and_roundtrip():
 
 
 @settings(max_examples=50, deadline=None)
-@given(t=st.floats(min_value=0, max_value=1e-2))
-def test_phase_partition(t):
+@given(t=st.floats(min_value=0, max_value=1e-2),
+       t_ps=st.integers(min_value=0, max_value=10**10))
+def test_phase_partition(t, t_ps):
     g = pm.GatingSequence()
-    assert pm.sequence_phase(t, g) in ("measuring", "break", "locking")
+    assert sequence_phase(t, g) in ("measuring", "break", "locking")
     assert g.measuring_mask(np.array([t]))[0] == (
-        pm.sequence_phase(t, g) == "measuring")
+        sequence_phase(t, g) == "measuring")
+    # the estimators' integer phase test of a picosecond timestamp
+    assert sequence_phase(t_ps, g) in ("measuring", "break", "locking")
+    assert (np.uint64(t_ps) % g.cycle_ps < g.measure_ps) == (
+        sequence_phase(t_ps, g) == "measuring")
+
+
 
 
 # ---------------------------------------------------------------------------
@@ -391,7 +406,7 @@ def test_dead_time_enforced_in_stream(cavity):
     dets = {"idler": pm.DetectorModel(dead_time=1e-6)}
     ev = pm.generate_events(flat_source(cavity, rate=5e5), None, None, dets,
                             None, 0.05, seed=4)
-    t = ev.times_s("idler")
+    t = ev.idler_ps * 1e-12
     assert np.all(np.diff(t) >= 1e-6 - 2e-12)  # ps rounding slack
 
 
@@ -401,14 +416,14 @@ def test_gating_confines_photons_not_darks(cavity):
     src = pm.SourceModel(pair_rate=0.0, spectrum=pm.comb_spectrum(cavity, 3),
                          cavity=cavity)
     ev = pm.generate_events(src, None, None, dets, g, 1.0, seed=8)
-    t = ev.times_s("signal")
+    t = ev.signal_ps * 1e-12
     # dark counts ignore the optical shutters: some land outside measuring
     assert 0 < np.count_nonzero(g.measuring_mask(t)) < len(t)
 
     # photons are confined to the measuring phases
     ev2 = pm.generate_events(flat_source(cavity, rate=2e4), None, None, None,
                              g, 1.0, seed=8)
-    ti = ev2.times_s("idler")
+    ti = ev2.idler_ps * 1e-12
     assert len(ti) and np.all(g.measuring_mask(ti))
 
 
@@ -450,8 +465,8 @@ def test_memory_splits_transmit_and_echo(cavity):
     src = pm.SourceModel(pair_rate=5e4,
                          spectrum=pm.comb_spectrum(cavity, 5), cavity=cavity)
     ev = pm.generate_events(src, profile, None, None, None, 0.5, seed=12)
-    starts = ev.times_s("idler")
-    stops = ev.times_s("signal")
+    starts = ev.idler_ps * 1e-12
+    stops = ev.signal_ps * 1e-12
     # coincidence clusters at 0 and at the storage time
     i0 = np.searchsorted(stops, starts - 50e-9)
     i1 = np.searchsorted(stops, starts + 50e-9)
@@ -475,8 +490,8 @@ def test_conditional_gate_suppresses_out_of_window(cavity):
     src = pm.SourceModel(pair_rate=5e4,
                          spectrum=pm.comb_spectrum(cavity, 5), cavity=cavity)
     ev = pm.generate_events(src, profile, None, None, g, 0.5, seed=13)
-    starts = ev.times_s("idler")
-    stops = ev.times_s("signal")
+    starts = ev.idler_ps * 1e-12
+    stops = ev.signal_ps * 1e-12
     prompt = int(np.sum(np.searchsorted(stops, starts + 50e-9)
                         - np.searchsorted(stops, starts - 50e-9)))
     echo = int(np.sum(

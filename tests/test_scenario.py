@@ -295,7 +295,7 @@ def test_emit_histogram_figures():
         (name, text), = docs.items()
         assert name == f"{fig}.csv"
         lines = text.splitlines()
-        assert lines[0] == "bin_center_s,counts"
+        assert lines[0] == "bin_start_ps,counts"
         assert len(lines) - 1 == len(bundle.histogram.counts)
 
 
@@ -409,7 +409,7 @@ def test_cli_validate_rejects_negative_duration(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command", ["validate", "simulate"])
-@pytest.mark.parametrize("width", ["nan", "inf", "0"])
+@pytest.mark.parametrize("width", ["nan", "inf", "0", "2.5e-13"])
 def test_cli_rejects_bad_bin_width(tmp_path, capsys, command, width):
     cfg = tmp_path / "s.cfg"
     cfg.write_text(f"[analysis]\nbin_width_s = {width}\n"
@@ -462,7 +462,11 @@ def test_cli_rejects_bad_analysis_settings(tmp_path, capsys, command, key,
     ("afc", "background_od = nan", 3, "background_od"),
     ("afc", "efficiency_override = nan", 3, "efficiencies"),
     ("afc", "taper = gaussian\ntaper_fwhm_hz = nan", 3, "taper_fwhm_hz"),
-    ("afc", "echo_orders = -1", 3, "echo_orders")])
+    ("afc", "echo_orders = -1", 3, "echo_orders"),
+    # the estimators find gating phases in whole picoseconds
+    ("gating", "cycle_s = 100.0000005e-6", 2, "whole number of ps"),
+    ("gating", "break_time_s = 10.0000005e-6", 2, "whole number of ps"),
+    ("gating", "measure_fraction = 0.4500000001", 2, "whole number of ps")])
 def test_cli_rejects_bad_model_values(tmp_path, capsys, section, setting,
                                       code, match):
     cfg = tmp_path / "s.cfg"
@@ -573,6 +577,21 @@ def test_cli_exit_5_format_error(tmp_path, capsys):
     assert "unknown channel" in capsys.readouterr().err
 
 
+def test_cli_rejects_events_past_duration(tmp_path, capsys):
+    # the calibration run's file with its header duration cut a hundredfold
+    cfg = str(SCENARIO_DIR / "calibration_1mw.cfg")
+    events = tmp_path / "events.bin"
+    assert run_cli(["simulate", "--scenario", cfg, "--out", str(tmp_path)]) == 0
+    raw = bytearray(events.read_bytes())
+    duration_ps = int.from_bytes(raw[14:22], "little")
+    raw[14:22] = (duration_ps // 100).to_bytes(8, "little")
+    events.write_bytes(bytes(raw))
+    capsys.readouterr()
+    assert run_cli(["analyze", "--scenario", cfg, "--events", str(events),
+                    "--out", str(tmp_path)]) == 5
+    assert "exceeds the duration" in capsys.readouterr().err
+
+
 # SHA-256 of `pairmem simulate --scenario scenarios/default.cfg` outputs.
 # Any change to how the event chain consumes random numbers moves these;
 # update them only on purpose, and say so in CHANGES.md.
@@ -580,9 +599,9 @@ GOLDEN_DEFAULT = {
     "events.bin":
         "297a3f11d313ebff8f1974902175cae971ef309df90f3a5ccbbcad5f3decfcc2",
     "histogram.csv":
-        "a91a5d4be2b271a03488ba6d61a6a95210d7b70548b4c4b1cd3d1efa0a88c1e8",
+        "020a499a0ea062f819c4b661c32c9b60b29e583fe5b9f8fdd39971b528340fb2",
     "report.json":
-        "6e909a3780ccdcad586b9d640ed4d76b485ddbd4adae67177b40a1790ca32a97",
+        "8bbd9bb7deded61701526afb5498ba969830161af10f3c24bd3331c283a9b0d7",
 }
 
 
@@ -601,9 +620,9 @@ GOLDEN_FIGURES = {
     "fig2": ("default", None,
              "10bf20b5bda718207eb0a9d2393576e5ad498c75bd4c40dec3c29a9331b0176c"),
     "fig4b": ("sweep_afc_modes", 0.5,
-              "ed447c876f875f3fb93181a0f6ef9b951713bc12adb3437d98d4c70f50071162"),
+              "ce99b6a1832e2042e73db50a5ecb44d2f3658bd74ab2d5545179c3be81072b81"),
     "fig4c": ("sweep_pump_power", 0.5,
-              "513adda8864415542ccfe1dd4ba1f83fe7bf8d11b0c3bdcca9d7bc6b7248badf"),
+              "be62097675c38de5e413694a3bea298b3f10a477d5a0588f7a71b0f142038c76"),
 }
 
 
@@ -635,7 +654,7 @@ GOLDEN_ROUTING = {
         {"events.bin":
             "12a6507407dab38aff6a6c76923219b4ed1d4ee3ff66683e3836b9d8765fb7ca",
          "report.json":
-            "e84e3c34ef551f4738f13b7653c4209784eb033b757c2e1adc91a142fe468bd2"}),
+            "8eb3a803db6e47317d99a567451f479511488d79c7d379e2de83b76a1a262ca3"}),
     "orders2_override_ungated": (
         "[afc]\necho_orders = 2\nefficiency_override = 0.3\n"
         "[gating]\nenabled = false\n"
@@ -643,7 +662,7 @@ GOLDEN_ROUTING = {
         {"events.bin":
             "446e78402ef746b8d48e442672844ac0313adcee0f66cd715ed7277ae84fec6b",
          "report.json":
-            "9ddeed69ca2715ab9c1ff78c9a93c2372130631c2534499d3176458fc258c37f"}),
+            "df01ec876aedc8a7e8a09637927df3ab4091d3197d839fbac268eef62b5c5ceb"}),
     # no memory and an ideal signal detector: every signal photon the
     # etalon passes is detected, and none is delayed by an echo
     "afc_off_ideal_signal": (
@@ -654,7 +673,7 @@ GOLDEN_ROUTING = {
         {"events.bin":
             "468b6668c565cff995ded2d3ac3586be5e5da2ead5b65ea323be060ce6634d8a",
          "report.json":
-            "1d33bfc36adc2112b3c11c4b32e60810f8f2a38a7695a54076cd08e21cffb64d"}),
+            "5500cb904b43ae4a7f234121df1031d171829a05aa1cb81f73381538997404e6"}),
     # a memory with no echo: stored photons are lost, and the reference
     # run keeps its single-mode AFC
     "echo_orders0": (
@@ -662,7 +681,7 @@ GOLDEN_ROUTING = {
         {"events.bin":
             "616f04eb522733c387ed201ad0b2e79dfbca4d5164ae892939b0b04a719792c1",
          "report.json":
-            "eda6089c7340cb735ab26b123143c4475c29a2406648bd0d76671b393030a83c"}),
+            "7ba01e9c3d03876dda1a930a8cce23c7dfcb0304e59f1d7bd3bd0ccacd111f28"}),
 }
 
 
@@ -992,9 +1011,9 @@ def test_figure_csv_numeric_roundtrip(tmp_path):
     bundle = pm.run_scenario(fast(pm.default_scenario(), duration=0.1))
     docs = pm.emit_figure_data(bundle, "fig1b")
     arr = np.genfromtxt(_io.StringIO(docs["fig1b.csv"]), delimiter=",",
-                        names=True)
-    assert np.allclose(arr["counts"], bundle.histogram.counts)
-    assert np.allclose(arr["bin_center_s"], bundle.histogram.bin_centers)
+                        names=True, dtype=np.int64)
+    assert np.array_equal(arr["counts"], bundle.histogram.counts)
+    assert np.array_equal(arr["bin_start_ps"], bundle.histogram.bin_edges_ps[:-1])
 
 
 from hypothesis import given, settings, strategies as st
@@ -1005,7 +1024,7 @@ from hypothesis import given, settings, strategies as st
        pump=st.floats(min_value=0.1, max_value=5.0),
        modes=st.integers(min_value=1, max_value=120),
        tooth=st.floats(min_value=1e5, max_value=3e6),
-       binw=st.floats(min_value=1e-10, max_value=1e-9))
+       binw=st.integers(100, 1000).map(lambda ps: ps * 1e-12))
 def test_save_load_roundtrip_property(seed, pump, modes, tooth, binw):
     doc = (f"[run]\nseed = {seed}\npump_mw = {pump!r}\n"
            f"[afc]\nmode_count = {modes}\ntooth_spacing_hz = {tooth!r}\n"
