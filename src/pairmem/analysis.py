@@ -307,9 +307,10 @@ def g2_estimate(events: EventStream, window_ps: int, center_ps: int,
     """Normalized cross-correlation g2 = C T / (S I window).
 
     C counts idler-start, signal-stop pairs whose whole-ps delay lies within
-    window / 2 of the center, ends included; S and I are the singles counts
-    inside the measurement phases of ``gating`` (None: always measuring); T
-    is the live measurement time.  Error bars propagate Poisson counting noise.
+    window / 2 of the center, ends included, and the window is the count of
+    such delays in ps; S and I are the singles counts inside the measurement
+    phases of ``gating`` (None: always measuring); T is the live measurement
+    time.  Error bars propagate Poisson counting noise.
     """
     starts = events.idler_ps.view(np.int64)
     stops = events.signal_ps.view(np.int64)
@@ -328,7 +329,7 @@ def g2_estimate(events: EventStream, window_ps: int, center_ps: int,
         s_n, i_n, t_live = len(starts), len(stops), events.duration_ps * 1e-12
     if s_n == 0 or i_n == 0:
         raise EstimationError("no singles inside measurement phases")
-    scale = t_live / (s_n * i_n * window_ps * 1e-12)
+    scale = t_live / (s_n * i_n * (hi - lo + 1) * 1e-12)
     if c == 0:
         return G2Estimate(value=0.0, error=0.0, coincidences=0, starts=s_n,
                           stops=i_n, live_time=t_live, undefined=True,

@@ -6,7 +6,8 @@ import io
 
 from . import analysis as an
 from .errors import ScenarioError
-from .scenario import RunBundle, Scenario, build_profile
+from .memory import od_spectrum
+from .scenario import RunBundle, Scenario
 
 FIGURES = ("fig1b", "fig2", "fig4a", "fig4b", "fig4c")
 # sweep figure -> the sweep kind it plots
@@ -37,12 +38,11 @@ def emit_figure_data(bundle, figure: str) -> dict[str, str]:
     if figure == "fig2":
         if not isinstance(bundle, Scenario):
             raise ScenarioError("fig2 needs a scenario")
-        profile = build_profile(bundle)
-        if profile is None:
+        if bundle.afc_plan is None:
             raise ScenarioError("fig2 needs a scenario with the AFC enabled")
         buf = io.StringIO()
         buf.write("freq_hz,optical_depth\n")
-        for f, od in zip(profile.sample_freqs, profile.sample_od):
+        for f, od in zip(*od_spectrum(bundle.afc_plan)):
             buf.write(f"{float(f)!r},{float(od)!r}\n")
         return {"fig2.csv": buf.getvalue()}
 

@@ -21,7 +21,10 @@ class AfcPlan:
 
     ``mode_count`` blocks spaced ``mode_spacing`` apart, each block a tooth
     comb of spacing ``tooth_spacing`` across ``per_mode_bandwidth``.  Modes
-    are indexed -floor(M/2) .. ceil(M/2)-1.
+    are indexed -floor(M/2) .. ceil(M/2)-1.  ``taper='gaussian'`` rolls the
+    preparation envelope off with FWHM ``taper_fwhm`` across the mode grid;
+    ``efficiency_override`` replaces the echo-efficiency law in every block;
+    echoes up to order ``echo_orders`` are re-emitted.
     """
 
     mode_count: int = 83
@@ -31,6 +34,11 @@ class AfcPlan:
     finesse: float = 2.0
     peak_optical_depth: float = 2.0
     center_freq: float = 494.7e12  # ~606 nm
+    background_od: float = 0.0
+    efficiency_override: float | None = None
+    taper: str = "flat"            # "flat" | "gaussian"
+    taper_fwhm: float | None = None
+    echo_orders: int = 1
 
     def __post_init__(self):
         if self.mode_count < 1:
@@ -40,10 +48,20 @@ class AfcPlan:
                 "need tooth_spacing < per_mode_bandwidth < mode_spacing")
         if not self.finesse > 1.0:   # also rejects NaN
             raise ParameterError("AFC finesse must exceed 1")
-        if not 0 <= self.peak_optical_depth < math.inf:
-            raise ParameterError("AFC peak_optical_depth must be finite and >= 0")
+        for name in ("peak_optical_depth", "background_od"):
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ParameterError(f"AFC {name} must be finite and >= 0")
         if not abs(self.center_freq) < math.inf:
             raise ParameterError("AFC center_freq must be finite")
+        eff = self.efficiency_override
+        if eff is not None and not 0 <= eff <= 1:
+            raise ParameterError("AFC efficiency_override must lie in [0, 1]")
+        if self.taper not in ("flat", "gaussian"):
+            raise ParameterError(f"unknown AFC taper {self.taper!r}")
+        if self.taper == "gaussian" and not 0 < (self.taper_fwhm or 0) < math.inf:
+            raise ParameterError("a gaussian AFC taper needs a finite taper_fwhm > 0")
+        if self.echo_orders < 0:
+            raise ParameterError("AFC echo_orders must be >= 0")
 
     @property
     def mode_indices(self) -> np.ndarray:
@@ -73,30 +91,15 @@ def echo_efficiency(optical_depth: float, finesse: float,
 
 @dataclass
 class AfcProfile:
-    """Prepared absorption comb plus its derived storage response."""
+    """Prepared comb: the per-mode tables the event generator reads."""
 
     plan: AfcPlan
-    sample_freqs: np.ndarray       # sampled absorption spectrum
-    sample_od: np.ndarray
-    storage_time: float            # = plan.storage_time
     per_mode_efficiency: np.ndarray
     per_mode_od_eff: np.ndarray    # spectrally averaged OD seen in each block
-    background_od: float = 0.0
-    echo_orders: int = 1
 
     def __post_init__(self):
-        if self.echo_orders < 0:
-            raise ParameterError("echo_orders must be >= 0")
-        # negated comparisons, so that NaN fails every check
-        if not np.all(self.sample_od >= 0):
-            raise ParameterError("optical depth must be nonnegative")
-        if abs(self.storage_time * self.plan.tooth_spacing - 1.0) > 1e-9:
-            raise ParameterError("storage_time must equal 1/tooth_spacing")
-        eff = np.asarray(self.per_mode_efficiency, dtype=float)
-        if not np.all((eff >= 0) & (eff <= 1)):
-            raise ParameterError("per-mode efficiencies must lie in [0, 1]")
-        trans = np.exp(-(self.per_mode_od_eff + self.background_od))
-        if not np.all(trans + eff <= 1.0 + 1e-12):
+        trans = np.exp(-(self.per_mode_od_eff + self.plan.background_od))
+        if not np.all(trans + self.per_mode_efficiency <= 1.0 + 1e-12):
             raise ParameterError("transmit + echo probability exceeds 1 in a block")
 
     def block_index(self, freq) -> np.ndarray:
@@ -115,67 +118,48 @@ class AfcProfile:
         f = np.atleast_1d(np.asarray(freq, dtype=float))
         blk = self.block_index(f)
         inside = blk >= 0
-        transmit = np.full(f.shape, math.exp(-self.background_od))
+        background_od = self.plan.background_od
+        transmit = np.full(f.shape, math.exp(-background_od))
         echo = np.zeros(f.shape)
         if np.any(inside):
             b = blk[inside]
-            transmit[inside] = np.exp(-(self.per_mode_od_eff[b] + self.background_od))
+            transmit[inside] = np.exp(-(self.per_mode_od_eff[b] + background_od))
             echo[inside] = self.per_mode_efficiency[b]
         return transmit, echo
 
 
-def design_afc(plan: AfcPlan, *, efficiency_override=None, taper: str = "flat",
-               taper_fwhm_hz: float | None = None, background_od: float = 0.0,
-               samples_per_block: int = 64, echo_orders: int = 1) -> AfcProfile:
-    """Prepare the comb described by ``plan``.
+def _peak_od(plan: AfcPlan) -> np.ndarray:
+    """Peak optical depth of each block under the plan's taper."""
+    if plan.taper == "flat":
+        return np.full(plan.mode_count, plan.peak_optical_depth)
+    x = (plan.block_centers - plan.center_freq) / plan.taper_fwhm
+    return plan.peak_optical_depth * np.exp(-4.0 * math.log(2.0) * x * x)
 
-    Per-mode efficiency comes from the square-tooth echo-efficiency law
-    unless ``efficiency_override`` (scalar or per-mode array) is given.
-    ``taper='gaussian'`` rolls the preparation envelope off with the stated
-    FWHM across the mode grid; default is flat.
-    """
-    if not 0 <= background_od < math.inf:   # also rejects NaN
-        raise ParameterError("background_od must be finite and >= 0")
-    m = plan.mode_count
-    centers = plan.block_centers
 
-    if taper == "flat":
-        taper_w = np.ones(m)
-    elif taper == "gaussian":
-        if not 0 < (taper_fwhm_hz or 0) < math.inf:
-            raise ParameterError("gaussian taper needs finite taper_fwhm_hz > 0")
-        x = (centers - plan.center_freq) / taper_fwhm_hz
-        taper_w = np.exp(-4.0 * math.log(2.0) * x * x)
-    else:
-        raise ParameterError(f"unknown taper {taper!r}")
-
-    od_peak = plan.peak_optical_depth * taper_w
+def design_afc(plan: AfcPlan) -> AfcProfile:
+    """Prepare the comb described by ``plan``: per-mode efficiency from the
+    square-tooth echo-efficiency law, unless the plan overrides it."""
+    od_peak = _peak_od(plan)
     od_eff = od_peak / plan.finesse  # spectral average over square teeth
-    if efficiency_override is not None:
-        eff = np.broadcast_to(np.asarray(efficiency_override, dtype=float), (m,)).copy()
+    if plan.efficiency_override is not None:
+        eff = np.full(plan.mode_count, plan.efficiency_override)
     else:
-        eff = np.array([echo_efficiency(d, plan.finesse, background_od)
+        eff = np.array([echo_efficiency(d, plan.finesse, plan.background_od)
                         for d in od_peak])
+    return AfcProfile(plan=plan, per_mode_efficiency=eff, per_mode_od_eff=od_eff)
 
-    # sampled spectrum: fixed samples_per_block grid across each block
+
+def od_spectrum(plan: AfcPlan, samples_per_block: int = 64):
+    """(frequencies, optical depth) of the prepared comb, sampled on a fixed
+    grid of ``samples_per_block`` points across each block."""
     half_bw = plan.per_mode_bandwidth / 2
     offs = np.linspace(-half_bw, half_bw, samples_per_block)
     tooth_half = plan.tooth_spacing / (2.0 * plan.finesse)
     dist = np.abs(offs - np.rint(offs / plan.tooth_spacing) * plan.tooth_spacing)
     in_tooth = dist <= tooth_half
-    freqs = (centers[:, None] + offs[None, :]).ravel()
-    od = (od_peak[:, None] * in_tooth[None, :] + background_od).ravel()
-
-    return AfcProfile(
-        plan=plan,
-        sample_freqs=freqs,
-        sample_od=od,
-        storage_time=plan.storage_time,
-        per_mode_efficiency=eff,
-        per_mode_od_eff=od_eff,
-        background_od=background_od,
-        echo_orders=echo_orders,
-    )
+    freqs = (plan.block_centers[:, None] + offs[None, :]).ravel()
+    od = (_peak_od(plan)[:, None] * in_tooth[None, :] + plan.background_od).ravel()
+    return freqs, od
 
 
 @dataclass(frozen=True)

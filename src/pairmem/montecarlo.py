@@ -400,10 +400,10 @@ def generate_events(source: SourceModel, memory: AfcProfile | None,
         alive = np.arange(n_pairs)
     else:
         tp, ep = memory.response_arrays(spec.signal_freqs)
-        cum = np.cumsum([tp] + [ep ** m for m in range(1, memory.echo_orders + 1)],
-                        axis=0)
+        orders = memory.plan.echo_orders
+        cum = np.cumsum([tp] + [ep ** m for m in range(1, orders + 1)], axis=0)
         branch = _count_reached(rng.random(n_pairs), cum, midx)
-        alive = np.flatnonzero(branch <= memory.echo_orders)
+        alive = np.flatnonzero(branch <= orders)
 
     def thin(modes, freqs, flt, det):
         """Mask of the photons that pass the filter and the detector
@@ -435,7 +435,7 @@ def generate_events(source: SourceModel, memory: AfcProfile | None,
     alive = alive[thin(midx, spec.signal_freqs, filters.get("signal"), det_s)]
     t_sig = t_idl[alive] + source.sampler.delays(draws, alive)
     if memory is not None:
-        t_sig += branch[alive] * memory.storage_time
+        t_sig += branch[alive] * memory.plan.storage_time
     sig = finish(t_sig, det_s)
     if gating is not None:
         # idler-conditioned gate, timed from the last idler click before each

@@ -75,11 +75,6 @@ class Scenario:
     spectrum_source: str
     comb_modes: int
     afc_plan: AfcPlan | None               # None: [afc] switched off
-    afc_background_od: float
-    afc_efficiency_override: float | None
-    afc_taper: str
-    afc_taper_fwhm_hz: float | None
-    afc_echo_orders: int
     filters: dict
     detectors: dict
     gating: GatingSequence | None
@@ -184,11 +179,11 @@ _SCHEMA = {
         "finesse": (float, 2.0, "afc_plan.finesse"),
         "peak_optical_depth": (float, 2.0, "afc_plan.peak_optical_depth"),
         "center_freq_hz": (_maybe(float), None, "afc_plan.center_freq"),
-        "background_od": (float, 0.0, "afc_background_od"),
-        "efficiency_override": (_maybe(float), None, "afc_efficiency_override"),
-        "taper": (str, "flat", "afc_taper"),
-        "taper_fwhm_hz": (_maybe(float), None, "afc_taper_fwhm_hz"),
-        "echo_orders": (int, 1, "afc_echo_orders"),
+        "background_od": (float, 0.0, "afc_plan.background_od"),
+        "efficiency_override": (_maybe(float), None, "afc_plan.efficiency_override"),
+        "taper": (str, "flat", "afc_plan.taper"),
+        "taper_fwhm_hz": (_maybe(float), None, "afc_plan.taper_fwhm"),
+        "echo_orders": (int, 1, "afc_plan.echo_orders"),
     },
     "filter.signal": {
         "kind": (str, "etalon", "filters.signal.kind"),
@@ -369,13 +364,7 @@ def build_spectrum(s: Scenario):
 
 
 def build_profile(s: Scenario) -> AfcProfile | None:
-    if s.afc_plan is None:
-        return None
-    return design_afc(
-        s.afc_plan,
-        efficiency_override=s.afc_efficiency_override,
-        taper=s.afc_taper, taper_fwhm_hz=s.afc_taper_fwhm_hz,
-        background_od=s.afc_background_od, echo_orders=s.afc_echo_orders)
+    return None if s.afc_plan is None else design_afc(s.afc_plan)
 
 
 def source_model(s: Scenario) -> SourceModel:

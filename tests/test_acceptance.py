@@ -100,7 +100,7 @@ def test_criterion_4_echo_timing(calibration_bundle):
     s = replace(
         s, spectrum_source="comb", duration_s=1.0, seed=4001,
         reference_run=False,
-        afc_efficiency_override=0.4,
+        afc_plan=replace(s.afc_plan, efficiency_override=0.4),
         filters={"signal": pm.FilterSpec(), "idler": pm.FilterSpec()},
         detectors={"signal": pm.DetectorModel(), "idler": pm.DetectorModel()})
     bundle = pm.run_scenario(s)
@@ -152,8 +152,8 @@ def _n_eff_scenario(mode_count, *, flat, seed):
     s = replace(
         s,
         spectrum_source="comb",
-        afc_plan=replace(s.afc_plan, mode_count=mode_count),
-        afc_efficiency_override=0.6,
+        afc_plan=replace(s.afc_plan, mode_count=mode_count,
+                         efficiency_override=0.6),
         brightness_pairs_per_s_per_mw=1.25e5,
         duration_s=6.0,
         seed=seed,

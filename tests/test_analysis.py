@@ -231,6 +231,9 @@ def test_window_ends_are_inclusive_in_g2_and_rate(window):
                                                      range_ps=(0, 100)))
     est = pm.g2_estimate(ev, window, 50, None)
     assert est.coincidences == 11
+    # g2 normalises by those 11 ps, so both windows give one value:
+    # C T / (S I 11 ps) with one start, 100 stops and T = 1 s
+    assert est.value == pytest.approx(11 * 1.0 / (1 * 100 * 11e-12), rel=1e-12)
     assert pm.coincidence_rate(hist, window, 50, floor=0.0).rate \
         * hist.duration == pytest.approx(11)
 
@@ -463,7 +466,7 @@ def test_g2_counts_and_error_formula():
     est = pm.g2_estimate(ev, window_ps=10**9, center_ps=0, gating=None)
     assert est.coincidences == 2
     assert est.starts == 3 and est.stops == 2
-    expect = 2 * 10.0 / (3 * 2 * 1e-3)
+    expect = 2 * 10.0 / (3 * 2 * (10**9 + 1) * 1e-12)   # 10**9 + 1 whole ps
     assert est.value == pytest.approx(expect)
     assert est.error == pytest.approx(
         est.value * math.sqrt(1 / 2 + 1 / 3 + 1 / 2))
@@ -473,7 +476,8 @@ def test_g2_zero_coincidences_upper_bound():
     ev = make_stream([9.0], [1.0], duration_s=10.0)
     est = pm.g2_estimate(ev, window_ps=10**6, center_ps=0, gating=None)
     assert est.undefined and est.value == 0.0
-    assert est.upper_bound == pytest.approx(10.0 / 1e-6)
+    assert est.upper_bound == pytest.approx(10.0 / ((10**6 + 1) * 1e-12),
+                                            rel=1e-12)
 
 
 def test_g2_empty_channel_raises():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import pairmem as pm
-from pairmem.memory import chain_transmission, echo_efficiency
+from pairmem.memory import chain_transmission, echo_efficiency, od_spectrum
 from pairmem.errors import ParameterError
 
 
@@ -31,6 +31,17 @@ def test_plan_rejects_bad_layout():
         pm.AfcPlan(finesse=1.0)
     with pytest.raises(ParameterError):
         pm.AfcPlan(mode_count=0)
+
+
+@pytest.mark.parametrize("kw", [
+    {"background_od": math.nan}, {"background_od": -0.1},
+    {"efficiency_override": math.nan}, {"efficiency_override": 1.5},
+    {"taper": "cosine"}, {"taper": "gaussian", "taper_fwhm": math.inf},
+    {"taper": "gaussian", "taper_fwhm": 0.0}, {"echo_orders": -1}])
+def test_plan_rejects_bad_design_values(kw):
+    # every design value is checked on the plan, before any design
+    with pytest.raises(ParameterError):
+        pm.AfcPlan(**kw)
 
 
 # ---------------------------------------------------------------------------
@@ -68,9 +79,9 @@ def test_echo_efficiency_is_probability(d, F, d0):
 # design_afc / storage response
 
 def test_storage_time_is_inverse_tooth_spacing():
-    profile = pm.design_afc(pm.AfcPlan())
-    assert profile.storage_time == pytest.approx(1.0 / 920e3)
-    assert profile.storage_time == pytest.approx(1.0870e-6, rel=1e-4)
+    plan = pm.design_afc(pm.AfcPlan()).plan
+    assert plan.storage_time == pytest.approx(1.0 / 920e3)
+    assert plan.storage_time == pytest.approx(1.0870e-6, rel=1e-4)
 
 
 def test_design_afc_flat_taper_uniform():
@@ -83,22 +94,18 @@ def test_design_afc_flat_taper_uniform():
 
 
 def test_design_afc_gaussian_taper_rolls_off():
-    plan = pm.AfcPlan(mode_count=21)
-    profile = pm.design_afc(plan, taper="gaussian",
-                            taper_fwhm_hz=10 * plan.mode_spacing)
+    plan = pm.AfcPlan(mode_count=21, taper="gaussian", taper_fwhm=10 * 123e6)
+    profile = pm.design_afc(plan)
     eff = profile.per_mode_efficiency
     assert eff[10] == max(eff)
     assert eff[0] < eff[10] and eff[-1] < eff[10]
     with pytest.raises(ParameterError):
-        pm.design_afc(plan, taper="gaussian")  # fwhm required
+        pm.AfcPlan(mode_count=21, taper="gaussian")  # fwhm required
 
 
 def test_design_afc_efficiency_override():
-    plan = pm.AfcPlan(mode_count=5)
-    profile = pm.design_afc(plan, efficiency_override=0.25)
-    assert np.allclose(profile.per_mode_efficiency, 0.25)
-    per_mode = pm.design_afc(plan, efficiency_override=[0.1, 0.2, 0.3, 0.2, 0.1])
-    assert per_mode.per_mode_efficiency.tolist() == [0.1, 0.2, 0.3, 0.2, 0.1]
+    profile = pm.design_afc(pm.AfcPlan(mode_count=5, efficiency_override=0.25))
+    assert profile.per_mode_efficiency.tolist() == [0.25] * 5
 
 
 def test_sampled_spectrum_duty_cycle():
@@ -106,9 +113,8 @@ def test_sampled_spectrum_duty_cycle():
     # cancels and the on-fraction is exactly 1/finesse
     plan = pm.AfcPlan(mode_count=3, finesse=2.0, tooth_spacing=1e6,
                       per_mode_bandwidth=4e6)
-    profile = pm.design_afc(plan, samples_per_block=4096)
-    on = np.count_nonzero(profile.sample_od > 0)
-    frac = on / len(profile.sample_od)
+    _, od = od_spectrum(plan, samples_per_block=4096)
+    frac = np.count_nonzero(od > 0) / len(od)
     assert frac == pytest.approx(1.0 / plan.finesse, abs=0.02)
 
 
@@ -133,7 +139,7 @@ def test_block_index_and_response():
 @settings(max_examples=50, deadline=None)
 @given(off=st.floats(min_value=-80e6, max_value=80e6))
 def test_response_probabilities_sum_below_one(off):
-    profile = pm.design_afc(pm.AfcPlan(mode_count=7), background_od=0.3)
+    profile = pm.design_afc(pm.AfcPlan(mode_count=7, background_od=0.3))
     f = profile.plan.center_freq + off
     t, e = profile.response_arrays(f)
     assert 0.0 <= t[0] <= 1.0 and 0.0 <= e[0] <= 1.0

@@ -1,5 +1,6 @@
 import hashlib
 import math
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -460,8 +461,9 @@ def test_conditional_gate_without_idlers():
 
 
 def test_memory_splits_transmit_and_echo(cavity):
-    plan = pm.AfcPlan(mode_count=5, mode_spacing=cavity.fsr_signal)
-    profile = pm.design_afc(plan, efficiency_override=0.4)
+    plan = pm.AfcPlan(mode_count=5, mode_spacing=cavity.fsr_signal,
+                      efficiency_override=0.4)
+    profile = pm.design_afc(plan)
     src = pm.SourceModel(pair_rate=5e4,
                          spectrum=pm.comb_spectrum(cavity, 5), cavity=cavity)
     ev = pm.generate_events(src, profile, None, None, None, 0.5, seed=12)
@@ -471,8 +473,8 @@ def test_memory_splits_transmit_and_echo(cavity):
     i0 = np.searchsorted(stops, starts - 50e-9)
     i1 = np.searchsorted(stops, starts + 50e-9)
     prompt = int(np.sum(i1 - i0))
-    j0 = np.searchsorted(stops, starts + profile.storage_time - 50e-9)
-    j1 = np.searchsorted(stops, starts + profile.storage_time + 50e-9)
+    j0 = np.searchsorted(stops, starts + plan.storage_time - 50e-9)
+    j1 = np.searchsorted(stops, starts + plan.storage_time + 50e-9)
     echo = int(np.sum(j1 - j0))
     # the finite window truncates the delay envelope identically for the
     # prompt and the echo cluster, so only the ratio is a clean oracle
@@ -484,8 +486,9 @@ def test_memory_splits_transmit_and_echo(cavity):
 def test_conditional_gate_suppresses_out_of_window(cavity):
     # with echo delay inside [gate_on, gate_off], echoes pass and prompt
     # transmissions are attenuated to ~off_gate_attenuation
-    plan = pm.AfcPlan(mode_count=5, mode_spacing=cavity.fsr_signal)
-    profile = pm.design_afc(plan, efficiency_override=0.4)
+    plan = pm.AfcPlan(mode_count=5, mode_spacing=cavity.fsr_signal,
+                      efficiency_override=0.4)
+    profile = pm.design_afc(plan)
     g = pm.GatingSequence(off_gate_attenuation=0.0)
     src = pm.SourceModel(pair_rate=5e4,
                          spectrum=pm.comb_spectrum(cavity, 5), cavity=cavity)
@@ -495,8 +498,8 @@ def test_conditional_gate_suppresses_out_of_window(cavity):
     prompt = int(np.sum(np.searchsorted(stops, starts + 50e-9)
                         - np.searchsorted(stops, starts - 50e-9)))
     echo = int(np.sum(
-        np.searchsorted(stops, starts + profile.storage_time + 50e-9)
-        - np.searchsorted(stops, starts + profile.storage_time - 50e-9)))
+        np.searchsorted(stops, starts + plan.storage_time + 50e-9)
+        - np.searchsorted(stops, starts + plan.storage_time - 50e-9)))
     assert echo > 50
     # a prompt signal can still leak through when it lands in the window
     # opened by an earlier unrelated idler (~1.2 us * idler rate here)
@@ -534,6 +537,27 @@ def test_model_digest_sensitivity(cavity):
     d2 = model_digest(pm.DetectorModel(efficiency=0.5))
     d3 = model_digest(pm.DetectorModel(efficiency=0.6))
     assert d1 == d2 != d3
+
+
+def test_model_digest_sees_every_afc_key(monkeypatch):
+    # one changed value per AfcPlan field moves the digest of the designed
+    # comb; a flat taper ignores its FWHM, so the base sets one
+    base = pm.AfcPlan(taper_fwhm=5e9)
+    changed = {"mode_count": 41, "mode_spacing": 124e6, "tooth_spacing": 1e6,
+               "per_mode_bandwidth": 5e6, "finesse": 3.0,
+               "peak_optical_depth": 3.0, "center_freq": 494.8e12,
+               "background_od": 0.1, "efficiency_override": 0.3,
+               "taper": "gaussian", "taper_fwhm": 6e9, "echo_orders": 2}
+    assert set(changed) == {f.name for f in fields(pm.AfcPlan)}
+    digests = {model_digest(pm.design_afc(replace(base, **{k: v})))
+               for k, v in changed.items()}
+    digests.add(model_digest(pm.design_afc(base)))
+    assert len(digests) == len(changed) + 1
+    # the digest reads the plan and two 83-entry tables, no sampled spectrum
+    blobs, sha256 = [], hashlib.sha256
+    monkeypatch.setattr(hashlib, "sha256", lambda b: blobs.append(b) or sha256(b))
+    model_digest(pm.design_afc(base))
+    assert base.mode_count == 83 and len(blobs[0]) < 10_000
 
 
 def test_model_digest_pinned(cavity):

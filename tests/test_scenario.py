@@ -442,8 +442,8 @@ def test_cli_rejects_bad_analysis_settings(tmp_path, capsys, command, key,
     assert key in capsys.readouterr().err
 
 
-# models built at load reject a bad value as a scenario error (exit 2); the
-# AFC profile is designed at simulate time, so its values are exit 3
+# models built at load reject a bad value as a scenario error: validate and
+# simulate both exit with ``code``
 @pytest.mark.parametrize("section, setting, code, match", [
     ("detector.signal", "dark_rate_hz = nan", 2, "dark_rate"),
     ("detector.idler", "jitter_sigma_s = nan", 2, "jitter_sigma"),
@@ -459,10 +459,10 @@ def test_cli_rejects_bad_analysis_settings(tmp_path, capsys, command, key,
     ("afc", "finesse = nan", 2, "finesse"),
     ("afc", "peak_optical_depth = nan", 2, "peak_optical_depth"),
     ("afc", "center_freq_hz = nan", 2, "center_freq"),
-    ("afc", "background_od = nan", 3, "background_od"),
-    ("afc", "efficiency_override = nan", 3, "efficiencies"),
-    ("afc", "taper = gaussian\ntaper_fwhm_hz = nan", 3, "taper_fwhm_hz"),
-    ("afc", "echo_orders = -1", 3, "echo_orders"),
+    ("afc", "background_od = nan", 2, "background_od"),
+    ("afc", "efficiency_override = nan", 2, "efficiency_override"),
+    ("afc", "taper = gaussian\ntaper_fwhm_hz = nan", 2, "taper_fwhm"),
+    ("afc", "echo_orders = -1", 2, "echo_orders"),
     # the estimators find gating phases in whole picoseconds
     ("gating", "cycle_s = 100.0000005e-6", 2, "whole number of ps"),
     ("gating", "break_time_s = 10.0000005e-6", 2, "whole number of ps"),
@@ -472,8 +472,7 @@ def test_cli_rejects_bad_model_values(tmp_path, capsys, section, setting,
     cfg = tmp_path / "s.cfg"
     cfg.write_text(f"[{section}]\n{setting}\n"
                    "[run]\nduration_s = 0.01\nreference_run = false\n")
-    assert run_cli(["validate", "--scenario", str(cfg)]) == (
-        2 if code == 2 else 0)
+    assert run_cli(["validate", "--scenario", str(cfg)]) == code
     assert run_cli(["simulate", "--scenario", str(cfg),
                     "--out", str(tmp_path)]) == code
     assert match in capsys.readouterr().err
@@ -597,11 +596,11 @@ def test_cli_rejects_events_past_duration(tmp_path, capsys):
 # update them only on purpose, and say so in CHANGES.md.
 GOLDEN_DEFAULT = {
     "events.bin":
-        "297a3f11d313ebff8f1974902175cae971ef309df90f3a5ccbbcad5f3decfcc2",
+        "1c35f7b2551089098aac8de21dc05da3059900c64063709a27063fbcf011bf4f",
     "histogram.csv":
         "020a499a0ea062f819c4b661c32c9b60b29e583fe5b9f8fdd39971b528340fb2",
     "report.json":
-        "8bbd9bb7deded61701526afb5498ba969830161af10f3c24bd3331c283a9b0d7",
+        "8244fd1c02b75b82ef23e8fe56cc8d3357bae029f04fabd7dde14da9b831fdb2",
 }
 
 
@@ -622,7 +621,7 @@ GOLDEN_FIGURES = {
     "fig4b": ("sweep_afc_modes", 0.5,
               "ce99b6a1832e2042e73db50a5ecb44d2f3658bd74ab2d5545179c3be81072b81"),
     "fig4c": ("sweep_pump_power", 0.5,
-              "be62097675c38de5e413694a3bea298b3f10a477d5a0588f7a71b0f142038c76"),
+              "394aa7800b4b00d4ce3eac857ef59b5ff11812586ad20e49f0c4eb0221d9329c"),
 }
 
 
@@ -652,17 +651,17 @@ GOLDEN_ROUTING = {
         "background_od = 0.2\ntaper = gaussian\ntaper_fwhm_hz = 3e9\n"
         "[run]\nduration_s = 0.3\nreference_run = false\n",
         {"events.bin":
-            "12a6507407dab38aff6a6c76923219b4ed1d4ee3ff66683e3836b9d8765fb7ca",
+            "e8516b2d73f1baeb2d164c75156f8317c526b3fae46035f9d3ebdc11aacb42ac",
          "report.json":
-            "8eb3a803db6e47317d99a567451f479511488d79c7d379e2de83b76a1a262ca3"}),
+            "3245b13d5e7dc49e3f0aa47be41fb7242e9b81bb58e6aff3fb8e10807bcc404d"}),
     "orders2_override_ungated": (
         "[afc]\necho_orders = 2\nefficiency_override = 0.3\n"
         "[gating]\nenabled = false\n"
         "[run]\nduration_s = 0.1\nreference_run = false\n",
         {"events.bin":
-            "446e78402ef746b8d48e442672844ac0313adcee0f66cd715ed7277ae84fec6b",
+            "24339e89c0839e9353773888c15e0c8d664e846334b6b42e19d382e30496b869",
          "report.json":
-            "df01ec876aedc8a7e8a09637927df3ab4091d3197d839fbac268eef62b5c5ceb"}),
+            "d586c0eeaff9c433a9ab5f7e5d6ef4b5c71f4f35c274b73fafa6a95971b53fea"}),
     # no memory and an ideal signal detector: every signal photon the
     # etalon passes is detected, and none is delayed by an echo
     "afc_off_ideal_signal": (
@@ -673,15 +672,15 @@ GOLDEN_ROUTING = {
         {"events.bin":
             "468b6668c565cff995ded2d3ac3586be5e5da2ead5b65ea323be060ce6634d8a",
          "report.json":
-            "5500cb904b43ae4a7f234121df1031d171829a05aa1cb81f73381538997404e6"}),
+            "addd357b2d489a2fb63f79ada9676fe51836ce659bc115cfc24eb3948e5c4b27"}),
     # a memory with no echo: stored photons are lost, and the reference
     # run keeps its single-mode AFC
     "echo_orders0": (
         "[afc]\necho_orders = 0\n[run]\nduration_s = 0.2\n",
         {"events.bin":
-            "616f04eb522733c387ed201ad0b2e79dfbca4d5164ae892939b0b04a719792c1",
+            "5095e332d85e050f6027afbc66fb8d96a31482a543cb7b81f1e090061896144f",
          "report.json":
-            "7ba01e9c3d03876dda1a930a8cce23c7dfcb0304e59f1d7bd3bd0ccacd111f28"}),
+            "76e0f631d5435214224e004d11d8ca1a752a8b4abbf80d6b9b9fddd461b56b3d"}),
 }
 
 
@@ -991,7 +990,7 @@ def test_cli_out_env_var(tmp_path, monkeypatch):
 
 def test_tooth_spacing_sets_storage_time():
     s = pm.load_scenario("[afc]\ntooth_spacing_hz = 2e6\n")
-    assert build_profile(s).storage_time == pytest.approx(0.5e-6)
+    assert build_profile(s).plan.storage_time == pytest.approx(0.5e-6)
 
 
 def test_seed_variation_statistically_compatible():
