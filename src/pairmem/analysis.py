@@ -356,7 +356,8 @@ def effective_modes(rate_multi: tuple[float, float],
     if rs <= 0:
         raise EstimationError("single-mode reference rate must be positive")
     ratio = rm / rs
-    err = abs(ratio) * math.sqrt((em / rm) ** 2 + (es / rs) ** 2) if rm != 0 else es / rs
+    # at rm = 0 the error is its limit as rm -> 0, em / rs
+    err = abs(ratio) * math.sqrt((em / rm) ** 2 + (es / rs) ** 2) if rm != 0 else em / rs
     return ratio, err
 
 

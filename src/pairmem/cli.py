@@ -94,7 +94,7 @@ def cmd_figure(args) -> int:
     s = _read_scenario(args.scenario, args.seed)
     kind = figures.SWEEP_KINDS.get(args.figure)
     if args.figure == "fig2":
-        data = s   # the AFC profile is a model: no run needed
+        data = s   # the AFC plan is a model: no run needed
     elif kind is None:
         data = run_scenario(s)
     elif s.sweep_kind != kind:

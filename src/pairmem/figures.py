@@ -23,7 +23,7 @@ def _histogram_csv(hist: an.CorrelationHistogram) -> str:
 def emit_figure_data(bundle, figure: str) -> dict[str, str]:
     """CSV documents for one figure.
 
-    ``bundle`` is the Scenario for fig2 (its AFC profile needs no run), a
+    ``bundle`` is the Scenario for fig2 (its AFC plan needs no run), a
     RunBundle for fig1b/fig4a and a list of RunBundles (one per sweep
     point) for fig4b/fig4c.
     """

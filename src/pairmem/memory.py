@@ -24,7 +24,10 @@ class AfcPlan:
     are indexed -floor(M/2) .. ceil(M/2)-1.  ``taper='gaussian'`` rolls the
     preparation envelope off with FWHM ``taper_fwhm`` across the mode grid;
     ``efficiency_override`` replaces the echo-efficiency law in every block;
-    echoes up to order ``echo_orders`` are re-emitted.
+    echoes up to order ``echo_orders`` are re-emitted.  A plan builds the
+    per-mode echo-efficiency and effective-OD tables the event generator
+    reads, and rejects a block whose transmit and echo probabilities
+    exceed 1.
     """
 
     mode_count: int = 83
@@ -62,6 +65,22 @@ class AfcPlan:
             raise ParameterError("a gaussian AFC taper needs a finite taper_fwhm > 0")
         if self.echo_orders < 0:
             raise ParameterError("AFC echo_orders must be >= 0")
+        # the per-mode tables the event generator reads: the echo
+        # efficiency, by the square-tooth law unless overridden, and the
+        # spectrally averaged OD seen in each block.  They follow from the
+        # fields, so they are not fields: equality and digests see the keys
+        od_peak = _peak_od(self)
+        if eff is None:
+            eff = np.array([echo_efficiency(d, self.finesse, self.background_od)
+                            for d in od_peak])
+        else:
+            eff = np.full(self.mode_count, eff)
+        object.__setattr__(self, "per_mode_efficiency", eff)
+        object.__setattr__(self, "per_mode_od_eff", od_peak / self.finesse)
+        trans = np.exp(-(self.per_mode_od_eff + self.background_od))
+        if not np.all(trans + eff <= 1.0 + 1e-12):
+            raise ParameterError(
+                "AFC transmit + echo probability exceeds 1 in a block")
 
     @property
     def mode_indices(self) -> np.ndarray:
@@ -77,6 +96,30 @@ class AfcPlan:
         """Echo delay of the comb, 1 / tooth_spacing."""
         return 1.0 / self.tooth_spacing
 
+    def block_index(self, freq) -> np.ndarray:
+        """Index into the mode arrays for each frequency, -1 if outside."""
+        f = np.atleast_1d(np.asarray(freq, dtype=float))
+        k = np.rint((f - self.center_freq) / self.mode_spacing).astype(int)
+        lo, hi = self.mode_indices[0], self.mode_indices[-1]
+        centers = self.center_freq + k * self.mode_spacing
+        inside = (k >= lo) & (k <= hi) & \
+            (np.abs(f - centers) <= self.per_mode_bandwidth / 2)
+        return np.where(inside, k - lo, -1)
+
+    def response_arrays(self, freq):
+        """(transmit_prob, echo_prob) per frequency, vectorized."""
+        f = np.atleast_1d(np.asarray(freq, dtype=float))
+        blk = self.block_index(f)
+        inside = blk >= 0
+        transmit = np.full(f.shape, math.exp(-self.background_od))
+        echo = np.zeros(f.shape)
+        if np.any(inside):
+            b = blk[inside]
+            transmit[inside] = np.exp(-(self.per_mode_od_eff[b]
+                                        + self.background_od))
+            echo[inside] = self.per_mode_efficiency[b]
+        return transmit, echo
+
 
 def echo_efficiency(optical_depth: float, finesse: float,
                     background_od: float = 0.0) -> float:
@@ -89,64 +132,12 @@ def echo_efficiency(optical_depth: float, finesse: float,
         * math.exp(-background_od)
 
 
-@dataclass
-class AfcProfile:
-    """Prepared comb: the per-mode tables the event generator reads."""
-
-    plan: AfcPlan
-    per_mode_efficiency: np.ndarray
-    per_mode_od_eff: np.ndarray    # spectrally averaged OD seen in each block
-
-    def __post_init__(self):
-        trans = np.exp(-(self.per_mode_od_eff + self.plan.background_od))
-        if not np.all(trans + self.per_mode_efficiency <= 1.0 + 1e-12):
-            raise ParameterError("transmit + echo probability exceeds 1 in a block")
-
-    def block_index(self, freq) -> np.ndarray:
-        """Index into the mode arrays for each frequency, -1 if outside."""
-        f = np.atleast_1d(np.asarray(freq, dtype=float))
-        plan = self.plan
-        k = np.rint((f - plan.center_freq) / plan.mode_spacing).astype(int)
-        lo, hi = plan.mode_indices[0], plan.mode_indices[-1]
-        centers = plan.center_freq + k * plan.mode_spacing
-        inside = (k >= lo) & (k <= hi) & \
-            (np.abs(f - centers) <= plan.per_mode_bandwidth / 2)
-        return np.where(inside, k - lo, -1)
-
-    def response_arrays(self, freq):
-        """(transmit_prob, echo_prob) per frequency, vectorized."""
-        f = np.atleast_1d(np.asarray(freq, dtype=float))
-        blk = self.block_index(f)
-        inside = blk >= 0
-        background_od = self.plan.background_od
-        transmit = np.full(f.shape, math.exp(-background_od))
-        echo = np.zeros(f.shape)
-        if np.any(inside):
-            b = blk[inside]
-            transmit[inside] = np.exp(-(self.per_mode_od_eff[b] + background_od))
-            echo[inside] = self.per_mode_efficiency[b]
-        return transmit, echo
-
-
 def _peak_od(plan: AfcPlan) -> np.ndarray:
     """Peak optical depth of each block under the plan's taper."""
     if plan.taper == "flat":
         return np.full(plan.mode_count, plan.peak_optical_depth)
     x = (plan.block_centers - plan.center_freq) / plan.taper_fwhm
     return plan.peak_optical_depth * np.exp(-4.0 * math.log(2.0) * x * x)
-
-
-def design_afc(plan: AfcPlan) -> AfcProfile:
-    """Prepare the comb described by ``plan``: per-mode efficiency from the
-    square-tooth echo-efficiency law, unless the plan overrides it."""
-    od_peak = _peak_od(plan)
-    od_eff = od_peak / plan.finesse  # spectral average over square teeth
-    if plan.efficiency_override is not None:
-        eff = np.full(plan.mode_count, plan.efficiency_override)
-    else:
-        eff = np.array([echo_efficiency(d, plan.finesse, plan.background_od)
-                        for d in od_peak])
-    return AfcProfile(plan=plan, per_mode_efficiency=eff, per_mode_od_eff=od_eff)
 
 
 def od_spectrum(plan: AfcPlan, samples_per_block: int = 64):

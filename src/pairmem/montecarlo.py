@@ -24,7 +24,7 @@ import numpy as np
 
 from .cavity import BiphotonSpectrum, CavityParams, TWO_PI
 from .errors import ParameterError
-from .memory import AfcProfile, FilterSpec, chain_transmission
+from .memory import AfcPlan, FilterSpec, chain_transmission
 
 _DELAY_TABLE_BITS = 17  # in-period density resolution: 1/FSR / 2^17 (~62 fs)
 _GUIDE_STEPS = 4  # vectorized forward steps before a key falls back to bisection
@@ -74,15 +74,11 @@ def _guided_search(table, v: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SourceModel:
-    """Pair-emission model: Poisson rate plus the joint spectrum."""
+    """Pair source: the joint spectrum and the cavity that shapes the pair
+    delays.  The pair rate is the pump's, an argument of each run."""
 
-    pair_rate: float
     spectrum: BiphotonSpectrum
     cavity: CavityParams
-
-    def __post_init__(self):
-        if self.pair_rate < 0:
-            raise ParameterError("pair_rate must be >= 0")
 
     @functools.cached_property
     def sampler(self) -> DelaySampler:
@@ -298,12 +294,6 @@ def model_digest(*models) -> str:
             return float(repr(obj))
         if isinstance(obj, np.ndarray):
             return obj.tolist()
-        if isinstance(obj, BiphotonSpectrum):
-            # per-mode records: the layout of every recorded model digest
-            return {"modes": [
-                {"index": i, "signal_freq": fs, "idler_freq": fi, "weight": w}
-                for i, fs, fi, w in zip(obj.index.tolist(), obj.signal_freqs.tolist(),
-                                        obj.idler_freqs.tolist(), obj.weights.tolist())]}
         if isinstance(obj, (list, tuple)):
             return [conv(x) for x in obj]
         if isinstance(obj, dict):
@@ -358,16 +348,20 @@ def _count_reached(u: np.ndarray, rows: np.ndarray, idx: np.ndarray) -> np.ndarr
     return count
 
 
-def generate_events(source: SourceModel, memory: AfcProfile | None,
-                    filters: dict | None, detectors: dict | None,
-                    gating: GatingSequence | None, duration: float,
-                    seed: int) -> EventStream:
+def generate_events(source: SourceModel, pair_rate: float,
+                    memory: AfcPlan | None, filters: dict | None,
+                    detectors: dict | None, gating: GatingSequence | None,
+                    duration: float, seed: int) -> EventStream:
     """Run the full source -> memory -> filter -> detector chain.
 
-    Deterministic for a fixed seed.  ``filters`` maps channel name to a
-    FilterSpec; ``detectors`` maps channel name to DetectorModel; either
-    may be None for ideal components.
+    Deterministic for a fixed seed.  Pairs are emitted at ``pair_rate``
+    per second of measurement time; ``memory`` is the AFC plan, None for
+    no memory.  ``filters`` maps channel name to a FilterSpec;
+    ``detectors`` maps channel name to DetectorModel; either may be None
+    for ideal components.
     """
+    if not pair_rate >= 0:   # also rejects NaN
+        raise ParameterError("pair_rate must be >= 0")
     if duration < 0:
         raise ParameterError("duration must be >= 0")
     filters = filters or {}
@@ -379,7 +373,7 @@ def generate_events(source: SourceModel, memory: AfcProfile | None,
     spec = source.spectrum
 
     live_total = gating.live_total(duration) if gating else duration
-    n_pairs = int(rng.poisson(source.pair_rate * live_total)) if live_total > 0 else 0
+    n_pairs = int(rng.poisson(pair_rate * live_total)) if live_total > 0 else 0
 
     t_idl = np.sort(rng.random(n_pairs)) * live_total
     if gating is not None:
@@ -400,7 +394,7 @@ def generate_events(source: SourceModel, memory: AfcProfile | None,
         alive = np.arange(n_pairs)
     else:
         tp, ep = memory.response_arrays(spec.signal_freqs)
-        orders = memory.plan.echo_orders
+        orders = memory.echo_orders
         cum = np.cumsum([tp] + [ep ** m for m in range(1, orders + 1)], axis=0)
         branch = _count_reached(rng.random(n_pairs), cum, midx)
         alive = np.flatnonzero(branch <= orders)
@@ -435,7 +429,7 @@ def generate_events(source: SourceModel, memory: AfcProfile | None,
     alive = alive[thin(midx, spec.signal_freqs, filters.get("signal"), det_s)]
     t_sig = t_idl[alive] + source.sampler.delays(draws, alive)
     if memory is not None:
-        t_sig += branch[alive] * memory.plan.storage_time
+        t_sig += branch[alive] * memory.storage_time
     sig = finish(t_sig, det_s)
     if gating is not None:
         # idler-conditioned gate, timed from the last idler click before each
@@ -451,4 +445,5 @@ def generate_events(source: SourceModel, memory: AfcProfile | None,
         signal_ps=np.clip(np.rint(sig * 1e12), 0, duration_ps).astype(np.uint64),
         idler_ps=np.clip(np.rint(idler * 1e12), 0, duration_ps).astype(np.uint64),
         duration_ps=duration_ps, seed=int(seed),
-        model_digest=model_digest(source, memory, filters, detectors, gating))
+        model_digest=model_digest(source, pair_rate, memory, filters, detectors,
+                                  gating))

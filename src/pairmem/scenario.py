@@ -21,7 +21,7 @@ from . import analysis as an
 from .cavity import (CavityParams, PhaseMatching, cluster_spectrum,
                      comb_spectrum, mode_weights)
 from .errors import ParameterError, ScenarioError, SimulationError
-from .memory import AfcPlan, AfcProfile, FilterSpec, design_afc
+from .memory import AfcPlan, FilterSpec
 from .montecarlo import (DetectorModel, EventStream, GatingSequence,
                          SourceModel, generate_events, split_seed, whole_ps)
 
@@ -53,8 +53,10 @@ class AnalysisSettings:
         for name in ("bin_width_s", "window_s", "comb_fit_halfspan_s"):
             if not 0 < getattr(self, name) < math.inf:    # also rejects NaN
                 raise ScenarioError(f"[analysis] {name} must be finite and > 0")
-        if self.fsr_peak_count < 1:
-            raise ScenarioError("[analysis] fsr_peak_count must be >= 1")
+        for name in ("fsr_peak_count", "classical_mode_count"):
+            n = getattr(self, name)   # None: auto
+            if n is not None and n < 1:
+                raise ScenarioError(f"[analysis] {name} must be >= 1")
         if not -math.inf < self.hist_min_s < self.hist_max_s < math.inf:
             raise ScenarioError("[analysis] need finite hist_min_s < hist_max_s")
         if not -math.inf < self.floor_min_s < self.floor_max_s < math.inf:
@@ -112,9 +114,11 @@ class Scenario:
                     "[sweep] pump_power values must be finite and >= 0")
         elif self.sweep_kind is not None:
             raise ScenarioError(f"unknown sweep kind {self.sweep_kind!r}")
+        if self.comb_modes < 1:
+            raise ScenarioError("[spectrum] comb_modes must be >= 1")
         for name in ("duration_s", "pump_mw", "brightness_pairs_per_s_per_mw"):
-            if not getattr(self, name) >= 0:   # also rejects NaN
-                raise ScenarioError(f"[run] {name} must be >= 0")
+            if not 0 <= getattr(self, name) < math.inf:   # also rejects NaN
+                raise ScenarioError(f"[run] {name} must be finite and >= 0")
         if not 0 <= self.seed < 2 ** 64:   # event files store it as u64
             raise ScenarioError("[run] seed must lie in [0, 2**64)")
 
@@ -363,17 +367,12 @@ def build_spectrum(s: Scenario):
     return mode_weights(clusters, s.phase_matching, s.cavity)
 
 
-def build_profile(s: Scenario) -> AfcProfile | None:
-    return None if s.afc_plan is None else design_afc(s.afc_plan)
-
-
 def source_model(s: Scenario) -> SourceModel:
     """Pair source of a scenario.  A spectrum the scenario describes but
     cannot build (an envelope that misses every cluster) raises
     SimulationError."""
     try:
-        return SourceModel(pair_rate=s.pair_rate, spectrum=build_spectrum(s),
-                           cavity=s.cavity)
+        return SourceModel(spectrum=build_spectrum(s), cavity=s.cavity)
     except ParameterError as exc:
         raise SimulationError(str(exc)) from exc
 
@@ -385,7 +384,7 @@ def simulate(s: Scenario, source: SourceModel | None = None) -> EventStream:
     if source is None:
         source = source_model(s)
     try:
-        return generate_events(source, build_profile(s), s.filters,
+        return generate_events(source, s.pair_rate, s.afc_plan, s.filters,
                                s.detectors, s.gating, s.duration_s, s.seed)
     except ParameterError as exc:
         raise SimulationError(str(exc)) from exc
@@ -560,14 +559,13 @@ def sweep_scenarios(s: Scenario) -> list[Scenario]:
 
 
 def _run_points(points: list[Scenario], mapper) -> list[RunBundle]:
-    """Bundles of ``points``: one source per pair rate, one reference run
-    per reference scenario, then every point, each step through
-    ``mapper``."""
-    sources = {}
+    """Bundles of ``points``: one reference run per reference scenario,
+    then every point, each step through ``mapper``.  All run from the
+    first point's source: a sweep varies the AFC mode count or the pump,
+    and neither changes the spectrum."""
+    source = source_model(points[0])
     refs, keys = {}, []   # seedless reference text -> first point's reference
     for p in points:
-        if p.pair_rate not in sources:
-            sources[p.pair_rate] = source_model(p)
         ref = _reference(p)
         keys.append(None if ref is None
                     else save_scenario(replace(ref, seed=0)))
@@ -575,29 +573,23 @@ def _run_points(points: list[Scenario], mapper) -> list[RunBundle]:
             refs.setdefault(keys[-1], ref)
     runs = list(refs.values())
     rates = dict(zip(refs, mapper(_reference_rate, runs,
-                                  [sources[r.pair_rate] for r in runs])))
-    return list(mapper(_run_point, points,
-                       [sources[p.pair_rate] for p in points],
+                                  [source] * len(runs))))
+    return list(mapper(_run_point, points, [source] * len(points),
                        [rates.get(k) for k in keys]))
 
 
 def run_sweep(s: Scenario, jobs: int = 1) -> list[RunBundle]:
-    """Every point of the sweep, in order.  Points whose single-mode
-    references differ only in their seed share one reference run, which
-    takes the seed the first of them would give its own; points with one
-    pair rate share one source.  ``jobs`` > 1 runs the references, then
-    the points, in a pool of at most one process per point."""
+    """Every point of the sweep, in order, from one source.  Points whose
+    single-mode references differ only in their seed share one reference
+    run, which takes the seed the first of them would give its own.
+    ``jobs`` > 1 runs the references, then the points, in a pool of at
+    most one process per point."""
     points = sweep_scenarios(s)
     workers = min(jobs, len(points))
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        # tasks carry unbuilt sources: each process builds its own sampler
+        # tasks carry the unbuilt source: each process builds its own sampler
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return _run_points(points, pool.map)
-    # one pair rate at a time, so that one built sampler is alive at once
-    out = {}
-    for rate in dict.fromkeys(p.pair_rate for p in points):
-        group = [i for i, p in enumerate(points) if p.pair_rate == rate]
-        out.update(zip(group, _run_points([points[i] for i in group], map)))
-    return [out[i] for i in range(len(points))]
+    return _run_points(points, map)

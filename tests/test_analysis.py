@@ -525,6 +525,14 @@ def test_effective_modes_ratio():
         pm.effective_modes((1.0, 0.1), (0.0, 0.0))
 
 
+def test_effective_modes_error_at_zero_multi_rate():
+    # a zero net multi-mode rate takes the error's limit as the rate -> 0+,
+    # em / rs: the multi-mode error over the reference rate
+    n, err = pm.effective_modes((0.0, 5.0), (100.0, 1.0))
+    assert (n, err) == (0.0, 0.05)
+    assert err == pytest.approx(pm.effective_modes((1e-9, 5.0), (100.0, 1.0))[1])
+
+
 def test_shuffle_destroys_correlations():
     rng = np.random.default_rng(8)
     T = 5.0

@@ -37,9 +37,11 @@ def test_plan_rejects_bad_layout():
     {"background_od": math.nan}, {"background_od": -0.1},
     {"efficiency_override": math.nan}, {"efficiency_override": 1.5},
     {"taper": "cosine"}, {"taper": "gaussian", "taper_fwhm": math.inf},
-    {"taper": "gaussian", "taper_fwhm": 0.0}, {"echo_orders": -1}])
+    {"taper": "gaussian", "taper_fwhm": 0.0}, {"echo_orders": -1},
+    # transmit exp(-d/F) = 0.37 plus echo 0.9 exceeds 1 in every block
+    {"efficiency_override": 0.9}])
 def test_plan_rejects_bad_design_values(kw):
-    # every design value is checked on the plan, before any design
+    # every design value is checked when the plan is built
     with pytest.raises(ParameterError):
         pm.AfcPlan(**kw)
 
@@ -76,27 +78,24 @@ def test_echo_efficiency_is_probability(d, F, d0):
 
 
 # ---------------------------------------------------------------------------
-# design_afc / storage response
+# per-mode tables / storage response
 
 def test_storage_time_is_inverse_tooth_spacing():
-    plan = pm.design_afc(pm.AfcPlan()).plan
+    plan = pm.AfcPlan()
     assert plan.storage_time == pytest.approx(1.0 / 920e3)
     assert plan.storage_time == pytest.approx(1.0870e-6, rel=1e-4)
 
 
 def test_design_afc_flat_taper_uniform():
     plan = pm.AfcPlan(mode_count=11)
-    profile = pm.design_afc(plan)
-    assert np.allclose(profile.per_mode_efficiency,
-                       profile.per_mode_efficiency[0])
-    assert np.allclose(profile.per_mode_od_eff,
+    assert np.allclose(plan.per_mode_efficiency, plan.per_mode_efficiency[0])
+    assert np.allclose(plan.per_mode_od_eff,
                        plan.peak_optical_depth / plan.finesse)
 
 
 def test_design_afc_gaussian_taper_rolls_off():
     plan = pm.AfcPlan(mode_count=21, taper="gaussian", taper_fwhm=10 * 123e6)
-    profile = pm.design_afc(plan)
-    eff = profile.per_mode_efficiency
+    eff = plan.per_mode_efficiency
     assert eff[10] == max(eff)
     assert eff[0] < eff[10] and eff[-1] < eff[10]
     with pytest.raises(ParameterError):
@@ -104,8 +103,8 @@ def test_design_afc_gaussian_taper_rolls_off():
 
 
 def test_design_afc_efficiency_override():
-    profile = pm.design_afc(pm.AfcPlan(mode_count=5, efficiency_override=0.25))
-    assert profile.per_mode_efficiency.tolist() == [0.25] * 5
+    plan = pm.AfcPlan(mode_count=5, efficiency_override=0.25)
+    assert plan.per_mode_efficiency.tolist() == [0.25] * 5
 
 
 def test_sampled_spectrum_duty_cycle():
@@ -120,16 +119,15 @@ def test_sampled_spectrum_duty_cycle():
 
 def test_block_index_and_response():
     plan = pm.AfcPlan(mode_count=5)
-    profile = pm.design_afc(plan)
     centers = plan.block_centers
-    idx = profile.block_index(centers)
+    idx = plan.block_index(centers)
     assert idx.tolist() == [0, 1, 2, 3, 4]
     # between blocks: outside
     gap = centers[0] + plan.mode_spacing / 2
-    assert profile.block_index(gap)[0] == -1
-    t_out, e_out = profile.response_arrays(gap)
+    assert plan.block_index(gap)[0] == -1
+    t_out, e_out = plan.response_arrays(gap)
     assert t_out[0] == pytest.approx(1.0) and e_out[0] == 0.0
-    t_in, e_in = profile.response_arrays(centers[2])
+    t_in, e_in = plan.response_arrays(centers[2])
     assert e_in[0] == pytest.approx(
         echo_efficiency(plan.peak_optical_depth, plan.finesse))
     assert t_in[0] == pytest.approx(
@@ -139,9 +137,9 @@ def test_block_index_and_response():
 @settings(max_examples=50, deadline=None)
 @given(off=st.floats(min_value=-80e6, max_value=80e6))
 def test_response_probabilities_sum_below_one(off):
-    profile = pm.design_afc(pm.AfcPlan(mode_count=7, background_od=0.3))
-    f = profile.plan.center_freq + off
-    t, e = profile.response_arrays(f)
+    plan = pm.AfcPlan(mode_count=7, background_od=0.3)
+    f = plan.center_freq + off
+    t, e = plan.response_arrays(f)
     assert 0.0 <= t[0] <= 1.0 and 0.0 <= e[0] <= 1.0
     assert t[0] + e[0] <= 1.0 + 1e-12
 

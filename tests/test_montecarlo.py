@@ -19,12 +19,11 @@ from conftest import sequence_phase
 # model_digest of the models in test_model_digest_pinned: digest strings
 # are provenance in event files and reports and must not drift
 PINNED_MODEL_DIGEST = \
-    "3855b4713aa8b545e25559055a0664cad422e0667f0a40c8cf67ef9f1e5b3b1f"
+    "76f1523717c1afe66ab881340bf74406953a812d6f2abd072d0972db93a8dbc6"
 
 
-def flat_source(cavity, n_modes=5, rate=1e5):
-    return pm.SourceModel(pair_rate=rate,
-                          spectrum=pm.comb_spectrum(cavity, n_modes),
+def flat_source(cavity, n_modes=5):
+    return pm.SourceModel(spectrum=pm.comb_spectrum(cavity, n_modes),
                           cavity=cavity)
 
 
@@ -346,17 +345,20 @@ def test_count_reached_matches_gathered_count(orders, seed, n_modes, n):
 
 def test_generate_events_deterministic(cavity):
     src = flat_source(cavity)
-    a = pm.generate_events(src, None, None, None, None, 0.05, seed=5)
-    b = pm.generate_events(src, None, None, None, None, 0.05, seed=5)
+    a = pm.generate_events(src, 1e5, None, None, None, None, 0.05, seed=5)
+    b = pm.generate_events(src, 1e5, None, None, None, None, 0.05, seed=5)
     assert np.array_equal(a.signal_ps, b.signal_ps)
     assert np.array_equal(a.idler_ps, b.idler_ps)
     assert a.model_digest == b.model_digest
-    c = pm.generate_events(src, None, None, None, None, 0.05, seed=6)
+    c = pm.generate_events(src, 1e5, None, None, None, None, 0.05, seed=6)
     assert not np.array_equal(a.idler_ps, c.idler_ps)
+    # the pair rate is part of the model the file's digest names
+    d = pm.generate_events(src, 2e5, None, None, None, None, 0.05, seed=5)
+    assert d.model_digest != a.model_digest
 
 
 def test_event_stream_sorted_and_typed(cavity):
-    ev = pm.generate_events(flat_source(cavity), None, None, None, None,
+    ev = pm.generate_events(flat_source(cavity), 1e5, None, None, None, None,
                             0.05, seed=1)
     for ts in (ev.signal_ps, ev.idler_ps):
         assert ts.dtype == np.uint64
@@ -366,7 +368,7 @@ def test_event_stream_sorted_and_typed(cavity):
 
 def test_ideal_chain_pair_count(cavity):
     # no loss anywhere: every pair yields one signal and one idler
-    ev = pm.generate_events(flat_source(cavity, rate=2e4), None, None, None,
+    ev = pm.generate_events(flat_source(cavity), 2e4, None, None, None,
                             None, 0.5, seed=9)
     n_s = len(ev.signal_ps)
     n_i = len(ev.idler_ps)
@@ -375,16 +377,16 @@ def test_ideal_chain_pair_count(cavity):
 
 
 def test_detector_efficiency_thins(cavity):
-    src = flat_source(cavity, rate=2e4)
-    full = pm.generate_events(src, None, None, None, None, 0.5, seed=2)
+    src = flat_source(cavity)
+    full = pm.generate_events(src, 2e4, None, None, None, None, 0.5, seed=2)
     dets = {"signal": pm.DetectorModel(efficiency=0.3),
             "idler": pm.DetectorModel(efficiency=1.0)}
-    thin = pm.generate_events(src, None, None, dets, None, 0.5, seed=2)
+    thin = pm.generate_events(src, 2e4, None, None, dets, None, 0.5, seed=2)
     n_full = len(full.signal_ps)
     n_thin = len(thin.signal_ps)
     assert n_thin == pytest.approx(0.3 * n_full, rel=0.1)
     # thinning is monotone in efficiency on average
-    mid = pm.generate_events(src, None, None,
+    mid = pm.generate_events(src, 2e4, None, None,
                              {"signal": pm.DetectorModel(efficiency=0.6)},
                              None, 0.5, seed=2)
     assert n_thin < len(mid.signal_ps) <= n_full
@@ -394,10 +396,9 @@ def test_dark_counts_only():
     cav = pm.CavityParams(fsr_signal=123e6, fsr_idler=122.9e6,
                           linewidth_signal=2.28e6, linewidth_idler=1.52e6,
                           signal_center=494.7e12, idler_center=193.4e12)
-    src = pm.SourceModel(pair_rate=0.0, spectrum=pm.comb_spectrum(cav, 3),
-                         cavity=cav)
+    src = pm.SourceModel(spectrum=pm.comb_spectrum(cav, 3), cavity=cav)
     dets = {"signal": pm.DetectorModel(dark_rate=5e4)}
-    ev = pm.generate_events(src, None, None, dets, None, 1.0, seed=3)
+    ev = pm.generate_events(src, 0.0, None, None, dets, None, 1.0, seed=3)
     n = len(ev.signal_ps)
     assert n == pytest.approx(5e4, rel=0.05)
     assert len(ev.idler_ps) == 0
@@ -405,7 +406,7 @@ def test_dark_counts_only():
 
 def test_dead_time_enforced_in_stream(cavity):
     dets = {"idler": pm.DetectorModel(dead_time=1e-6)}
-    ev = pm.generate_events(flat_source(cavity, rate=5e5), None, None, dets,
+    ev = pm.generate_events(flat_source(cavity), 5e5, None, None, dets,
                             None, 0.05, seed=4)
     t = ev.idler_ps * 1e-12
     assert np.all(np.diff(t) >= 1e-6 - 2e-12)  # ps rounding slack
@@ -414,15 +415,14 @@ def test_dead_time_enforced_in_stream(cavity):
 def test_gating_confines_photons_not_darks(cavity):
     g = pm.GatingSequence(off_gate_attenuation=1.0)  # disable cond. gate
     dets = {"signal": pm.DetectorModel(dark_rate=2e4)}
-    src = pm.SourceModel(pair_rate=0.0, spectrum=pm.comb_spectrum(cavity, 3),
-                         cavity=cavity)
-    ev = pm.generate_events(src, None, None, dets, g, 1.0, seed=8)
+    src = pm.SourceModel(spectrum=pm.comb_spectrum(cavity, 3), cavity=cavity)
+    ev = pm.generate_events(src, 0.0, None, None, dets, g, 1.0, seed=8)
     t = ev.signal_ps * 1e-12
     # dark counts ignore the optical shutters: some land outside measuring
     assert 0 < np.count_nonzero(g.measuring_mask(t)) < len(t)
 
     # photons are confined to the measuring phases
-    ev2 = pm.generate_events(flat_source(cavity, rate=2e4), None, None, None,
+    ev2 = pm.generate_events(flat_source(cavity), 2e4, None, None, None,
                              g, 1.0, seed=8)
     ti = ev2.idler_ps * 1e-12
     assert len(ti) and np.all(g.measuring_mask(ti))
@@ -440,12 +440,11 @@ def test_conditional_gate_without_idlers():
     cav = pm.CavityParams(fsr_signal=123e6, fsr_idler=122.9e6,
                           linewidth_signal=2.28e6, linewidth_idler=1.52e6,
                           signal_center=494.7e12, idler_center=193.4e12)
-    src = pm.SourceModel(pair_rate=0.0, spectrum=pm.comb_spectrum(cav, 3),
-                         cavity=cav)
+    src = pm.SourceModel(spectrum=pm.comb_spectrum(cav, 3), cavity=cav)
     dets = {"signal": pm.DetectorModel(dark_rate=2e4)}
 
     def run(**gate):
-        return pm.generate_events(src, None, None, dets,
+        return pm.generate_events(src, 0.0, None, None, dets,
                                   pm.GatingSequence(**gate), 0.2, seed=21)
 
     ev = run(off_gate_attenuation=0.3)
@@ -463,10 +462,8 @@ def test_conditional_gate_without_idlers():
 def test_memory_splits_transmit_and_echo(cavity):
     plan = pm.AfcPlan(mode_count=5, mode_spacing=cavity.fsr_signal,
                       efficiency_override=0.4)
-    profile = pm.design_afc(plan)
-    src = pm.SourceModel(pair_rate=5e4,
-                         spectrum=pm.comb_spectrum(cavity, 5), cavity=cavity)
-    ev = pm.generate_events(src, profile, None, None, None, 0.5, seed=12)
+    src = flat_source(cavity)
+    ev = pm.generate_events(src, 5e4, plan, None, None, None, 0.5, seed=12)
     starts = ev.idler_ps * 1e-12
     stops = ev.signal_ps * 1e-12
     # coincidence clusters at 0 and at the storage time
@@ -488,11 +485,9 @@ def test_conditional_gate_suppresses_out_of_window(cavity):
     # transmissions are attenuated to ~off_gate_attenuation
     plan = pm.AfcPlan(mode_count=5, mode_spacing=cavity.fsr_signal,
                       efficiency_override=0.4)
-    profile = pm.design_afc(plan)
     g = pm.GatingSequence(off_gate_attenuation=0.0)
-    src = pm.SourceModel(pair_rate=5e4,
-                         spectrum=pm.comb_spectrum(cavity, 5), cavity=cavity)
-    ev = pm.generate_events(src, profile, None, None, g, 0.5, seed=13)
+    src = flat_source(cavity)
+    ev = pm.generate_events(src, 5e4, plan, None, None, g, 0.5, seed=13)
     starts = ev.idler_ps * 1e-12
     stops = ev.signal_ps * 1e-12
     prompt = int(np.sum(np.searchsorted(stops, starts + 50e-9)
@@ -516,20 +511,27 @@ GOLDEN_IDEAL_CHAIN = (
 
 def test_ideal_chain_golden():
     s = pm.default_scenario()
-    src = pm.SourceModel(2e5, build_spectrum(s), s.cavity)
-    ev = pm.generate_events(src, None, None, None, None, 0.05, 3)
+    src = pm.SourceModel(build_spectrum(s), s.cavity)
+    ev = pm.generate_events(src, 2e5, None, None, None, None, 0.05, 3)
     ch, ts = _merge_channels(ev.signal_ps, ev.idler_ps)
     digest = hashlib.sha256(ch.tobytes() + ts.tobytes()).hexdigest()
     assert (len(ev), digest) == GOLDEN_IDEAL_CHAIN
 
 
 def test_generate_events_zero_duration(cavity):
-    ev = pm.generate_events(flat_source(cavity), None, None, None, None,
+    ev = pm.generate_events(flat_source(cavity), 1e5, None, None, None, None,
                             0.0, seed=1)
     assert len(ev) == 0
     with pytest.raises(ParameterError):
-        pm.generate_events(flat_source(cavity), None, None, None, None,
+        pm.generate_events(flat_source(cavity), 1e5, None, None, None, None,
                            -1.0, seed=1)
+
+
+@pytest.mark.parametrize("rate", [-1.0, math.nan])
+def test_generate_events_rejects_bad_pair_rate(cavity, rate):
+    with pytest.raises(ParameterError, match="pair_rate"):
+        pm.generate_events(flat_source(cavity), rate, None, None, None, None,
+                           0.01, seed=1)
 
 
 def test_model_digest_sensitivity(cavity):
@@ -540,8 +542,8 @@ def test_model_digest_sensitivity(cavity):
 
 
 def test_model_digest_sees_every_afc_key(monkeypatch):
-    # one changed value per AfcPlan field moves the digest of the designed
-    # comb; a flat taper ignores its FWHM, so the base sets one
+    # one changed value per AfcPlan field moves the digest of the plan; a
+    # flat taper ignores its FWHM, so the base sets one
     base = pm.AfcPlan(taper_fwhm=5e9)
     changed = {"mode_count": 41, "mode_spacing": 124e6, "tooth_spacing": 1e6,
                "per_mode_bandwidth": 5e6, "finesse": 3.0,
@@ -549,20 +551,23 @@ def test_model_digest_sees_every_afc_key(monkeypatch):
                "background_od": 0.1, "efficiency_override": 0.3,
                "taper": "gaussian", "taper_fwhm": 6e9, "echo_orders": 2}
     assert set(changed) == {f.name for f in fields(pm.AfcPlan)}
-    digests = {model_digest(pm.design_afc(replace(base, **{k: v})))
+    digests = {model_digest(replace(base, **{k: v}))
                for k, v in changed.items()}
-    digests.add(model_digest(pm.design_afc(base)))
+    digests.add(model_digest(base))
     assert len(digests) == len(changed) + 1
-    # the digest reads the plan and two 83-entry tables, no sampled spectrum
+    # the digest reads the plan's fields, not its derived per-mode tables
+    # or a sampled spectrum
     blobs, sha256 = [], hashlib.sha256
     monkeypatch.setattr(hashlib, "sha256", lambda b: blobs.append(b) or sha256(b))
-    model_digest(pm.design_afc(base))
+    model_digest(base)
     assert base.mode_count == 83 and len(blobs[0]) < 10_000
 
 
 def test_model_digest_pinned(cavity):
-    # walks nested dataclasses, lists, dicts and None; the string is pinned
+    # walks nested dataclasses, arrays, floats, lists, dicts and None, in
+    # generate_events' order: source, pair rate, memory, filters,
+    # detectors, gating; the string is pinned
     src = flat_source(cavity, n_modes=3)
     dets = {"signal": pm.DetectorModel(efficiency=0.5, dead_time=1e-8)}
-    digest = model_digest(src, None, {}, dets, pm.GatingSequence())
+    digest = model_digest(src, 1e5, None, {}, dets, pm.GatingSequence())
     assert digest == PINNED_MODEL_DIGEST

@@ -8,7 +8,7 @@ import pytest
 
 import pairmem as pm
 from pairmem.errors import ScenarioError, SimulationError
-from pairmem.scenario import (build_profile, build_spectrum, reference_rate,
+from pairmem.scenario import (build_spectrum, reference_rate,
                               single_mode_reference, sweep_scenarios)
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
@@ -110,7 +110,8 @@ def test_bad_histogram_settings_rejected(text, match):
 ALL_AUTO_KEYS_SET = (
     "[phase_matching]\nenvelope_center_hz = 494.75e12\n"
     "[afc]\nmode_spacing_hz = 123e6\ncenter_freq_hz = 494.701e12\n"
-    "efficiency_override = 0.3\ntaper = gaussian\ntaper_fwhm_hz = 5e9\n"
+    # an override small enough for transmit + echo <= 1 in the outer blocks
+    "efficiency_override = 0.05\ntaper = gaussian\ntaper_fwhm_hz = 5e9\n"
     "[filter.signal]\ncenter_hz = 494.702e12\n"
     "[filter.idler]\ncenter_hz = 193.401e12\n"
     "[analysis]\nwindow_center_s = 1.087e-6\nmin_prominence = 12.5\n"
@@ -142,7 +143,7 @@ CANONICAL_SHA256 = {
     "gating_disabled":
         "3363f3757030d2220d111689724f82b7dc7c830c460d4d3e0aee37ae3eef0bac",
     "all_auto_keys_set":
-        "d6f741d90e7b40d91718c0ba4cc66a1768252048a6dae94af948bc03091a947c",
+        "78d6522a0260668929fec974979ec50cf4cf671df932ec3e907319297312e5db",
 }
 
 
@@ -163,9 +164,11 @@ def test_canonical_text_pinned():
 
 
 def test_disabled_blocks_save_table_defaults():
-    no_afc = pm.save_scenario(pm.load_scenario("[afc]\nenabled = false\n"))
-    assert "enabled = false\nmode_count = 1\nmode_spacing_hz = auto\n" in no_afc
-    assert "tooth_spacing_hz = 920000.0\n" in no_afc
+    no_afc = pm.load_scenario("[afc]\nenabled = false\n")
+    assert no_afc.afc_plan is None
+    saved = pm.save_scenario(no_afc)
+    assert "enabled = false\nmode_count = 1\nmode_spacing_hz = auto\n" in saved
+    assert "tooth_spacing_hz = 920000.0\n" in saved
     no_gate = pm.load_scenario("[gating]\nenabled = false\ncycle_s = 5e-5\n")
     assert no_gate.gating is None
     assert "[gating]\nenabled = false\ncycle_s = 0.0001\n" in \
@@ -218,8 +221,19 @@ def test_cluster_spacing_default_is_200ghz():
 
 
 def test_build_profile_disabled():
+    # a disabled [afc] block is no memory: with ideal components every
+    # signal photon arrives, while the default comb absorbs some of them
+    from pairmem.montecarlo import generate_events
+    from pairmem.scenario import source_model
     s = replace(pm.default_scenario(), afc_plan=None)
-    assert build_profile(s) is None
+    source = source_model(s)
+    counts = [(len(ev.signal_ps), len(ev.idler_ps)) for ev in (
+        generate_events(source, s.pair_rate, plan, None, None, None, 0.01,
+                        s.seed)
+        for plan in (s.afc_plan, pm.default_scenario().afc_plan))]
+    (bare_sig, bare_idl), (afc_sig, afc_idl) = counts
+    assert bare_sig == bare_idl == afc_idl > 0
+    assert afc_sig < bare_sig
 
 
 def test_single_mode_reference():
@@ -425,7 +439,7 @@ def test_cli_rejects_bad_bin_width(tmp_path, capsys, command, width):
 @pytest.mark.parametrize("key, value", [
     ("window_s", "0"), ("window_s", "-1"), ("window_s", "nan"),
     ("comb_fit_halfspan_s", "0"), ("comb_fit_halfspan_s", "nan"),
-    ("fsr_peak_count", "0"),
+    ("fsr_peak_count", "0"), ("classical_mode_count", "0"),
     ("min_prominence", "nan"), ("min_prominence", "inf"),
     ("window_center_s", "nan"), ("window_center_s", "-inf"),
     ("floor_min_s", "nan"), ("floor_max_s", "inf"),
@@ -461,17 +475,27 @@ def test_cli_rejects_bad_analysis_settings(tmp_path, capsys, command, key,
     ("afc", "center_freq_hz = nan", 2, "center_freq"),
     ("afc", "background_od = nan", 2, "background_od"),
     ("afc", "efficiency_override = nan", 2, "efficiency_override"),
+    ("afc", "efficiency_override = 0.9", 2, "transmit + echo"),
     ("afc", "taper = gaussian\ntaper_fwhm_hz = nan", 2, "taper_fwhm"),
     ("afc", "echo_orders = -1", 2, "echo_orders"),
     # the estimators find gating phases in whole picoseconds
     ("gating", "cycle_s = 100.0000005e-6", 2, "whole number of ps"),
     ("gating", "break_time_s = 10.0000005e-6", 2, "whole number of ps"),
-    ("gating", "measure_fraction = 0.4500000001", 2, "whole number of ps")])
+    ("gating", "measure_fraction = 0.4500000001", 2, "whole number of ps"),
+    ("spectrum", "source = comb\ncomb_modes = 0", 2, "comb_modes"),
+    ("run", "duration_s = inf", 2, "duration_s"),
+    ("run", "pump_mw = inf", 2, "pump_mw"),
+    ("run", "brightness_pairs_per_s_per_mw = inf", 2, "brightness")])
 def test_cli_rejects_bad_model_values(tmp_path, capsys, section, setting,
                                       code, match):
+    text, run = f"[{section}]\n{setting}\n", {"duration_s": "0.01",
+                                               "reference_run": "false"}
+    if section == "run":   # the setting replaces the short run's own line
+        key, value = setting.split(" = ")
+        text, run[key] = "", value
     cfg = tmp_path / "s.cfg"
-    cfg.write_text(f"[{section}]\n{setting}\n"
-                   "[run]\nduration_s = 0.01\nreference_run = false\n")
+    cfg.write_text(text + "[run]\n"
+                   + "".join(f"{k} = {v}\n" for k, v in run.items()))
     assert run_cli(["validate", "--scenario", str(cfg)]) == code
     assert run_cli(["simulate", "--scenario", str(cfg),
                     "--out", str(tmp_path)]) == code
@@ -596,11 +620,11 @@ def test_cli_rejects_events_past_duration(tmp_path, capsys):
 # update them only on purpose, and say so in CHANGES.md.
 GOLDEN_DEFAULT = {
     "events.bin":
-        "1c35f7b2551089098aac8de21dc05da3059900c64063709a27063fbcf011bf4f",
+        "72a39a899c094c5b9227b5543119c3c086685fe9fb8a85fbabad2f1d3cf2a629",
     "histogram.csv":
         "020a499a0ea062f819c4b661c32c9b60b29e583fe5b9f8fdd39971b528340fb2",
     "report.json":
-        "8244fd1c02b75b82ef23e8fe56cc8d3357bae029f04fabd7dde14da9b831fdb2",
+        "6f437c6808a31fb63144443f1415652a32d858cf41ca397e67e25ae613a8d304",
 }
 
 
@@ -651,17 +675,17 @@ GOLDEN_ROUTING = {
         "background_od = 0.2\ntaper = gaussian\ntaper_fwhm_hz = 3e9\n"
         "[run]\nduration_s = 0.3\nreference_run = false\n",
         {"events.bin":
-            "e8516b2d73f1baeb2d164c75156f8317c526b3fae46035f9d3ebdc11aacb42ac",
+            "e1950e926c909476572470a3993c90d8694645c1fe042b71f998699bbc480aa5",
          "report.json":
-            "3245b13d5e7dc49e3f0aa47be41fb7242e9b81bb58e6aff3fb8e10807bcc404d"}),
+            "c78aa2d8599ba461a8b73abb61fc6a90b179e87fa203192fa771d124fb5e420e"}),
     "orders2_override_ungated": (
         "[afc]\necho_orders = 2\nefficiency_override = 0.3\n"
         "[gating]\nenabled = false\n"
         "[run]\nduration_s = 0.1\nreference_run = false\n",
         {"events.bin":
-            "24339e89c0839e9353773888c15e0c8d664e846334b6b42e19d382e30496b869",
+            "841b597d2256a483d9df962f71b32cbdac2cc2454a25bd49fb6f7d19443ce0ec",
          "report.json":
-            "d586c0eeaff9c433a9ab5f7e5d6ef4b5c71f4f35c274b73fafa6a95971b53fea"}),
+            "adb0d1b7fb191ab38e0ac25ade7c4ed2985e329692dbe9ae322848ad49ae9450"}),
     # no memory and an ideal signal detector: every signal photon the
     # etalon passes is detected, and none is delayed by an echo
     "afc_off_ideal_signal": (
@@ -670,17 +694,17 @@ GOLDEN_ROUTING = {
         "jitter_sigma_s = 0.0\ndead_time_s = 0.0\n"
         "[run]\nduration_s = 0.2\nreference_run = false\n",
         {"events.bin":
-            "468b6668c565cff995ded2d3ac3586be5e5da2ead5b65ea323be060ce6634d8a",
+            "52d902e2026f42b43a82600c5842893c3de849fdc5922f04fb58ea0198fca7b7",
          "report.json":
-            "addd357b2d489a2fb63f79ada9676fe51836ce659bc115cfc24eb3948e5c4b27"}),
+            "93bf5479e07c6ee9ea7cb00a367f31d1f79c5bbc93b8942cc90f8e59164419d1"}),
     # a memory with no echo: stored photons are lost, and the reference
     # run keeps its single-mode AFC
     "echo_orders0": (
         "[afc]\necho_orders = 0\n[run]\nduration_s = 0.2\n",
         {"events.bin":
-            "5095e332d85e050f6027afbc66fb8d96a31482a543cb7b81f1e090061896144f",
+            "3b4556f5f1708672d46e379a5d0154bc8b02b0709194155488e1450b0beb7dd3",
          "report.json":
-            "76e0f631d5435214224e004d11d8ca1a752a8b4abbf80d6b9b9fddd461b56b3d"}),
+            "af6fcb48281b7c86483a0bac80f89b3aa60bd64ac3d22b31940a29e8486de2ae"}),
 }
 
 
@@ -698,14 +722,14 @@ def test_routing_branches_golden(tmp_path, capsys, name):
 
 def test_models_are_evaluated_per_mode_and_built_once(monkeypatch):
     # photons carry only a mode index: memory and filter responses are
-    # tables over the spectrum's modes, and only simulate designs the AFC
+    # tables over the spectrum's modes, and only simulate reads the memory
     s = replace(pm.load_scenario(
         (SCENARIO_DIR / "calibration_1mw.cfg").read_text()), duration_s=0.05)
-    sizes, designs = [], []
-    response, chain = pm.AfcProfile.response_arrays, pm.montecarlo.chain_transmission
-    design = pm.scenario.design_afc
+    sizes, responses = [], []
+    response, chain = pm.AfcPlan.response_arrays, pm.montecarlo.chain_transmission
 
     def sized_response(self, freq):
+        responses.append(self.mode_count)
         sizes.append(np.size(freq))
         return response(self, freq)
 
@@ -713,19 +737,14 @@ def test_models_are_evaluated_per_mode_and_built_once(monkeypatch):
         sizes.append(np.size(freq))
         return chain(filters, freq)
 
-    def counted_design(*args, **kwargs):
-        designs.append(args)
-        return design(*args, **kwargs)
-
-    monkeypatch.setattr(pm.AfcProfile, "response_arrays", sized_response)
+    monkeypatch.setattr(pm.AfcPlan, "response_arrays", sized_response)
     monkeypatch.setattr(pm.montecarlo, "chain_transmission", sized_chain)
-    monkeypatch.setattr(pm.scenario, "design_afc", counted_design)
     bundle = pm.run_scenario(s)
-    assert len(designs) == 2   # main run and single-mode reference
+    assert responses == [1, 83]   # single-mode reference, then main run
     assert sizes and set(sizes) == {build_spectrum(s).N}
-    del designs[:]
+    del responses[:]
     pm.analyze_events(s, bundle.events)
-    assert designs == []
+    assert responses == []
 
 
 def _count_builds(monkeypatch):
@@ -767,7 +786,7 @@ def _shipped_sweep(name, **changes):
 def test_run_sweep_shares_reference_and_source(monkeypatch):
     # the five multi-mode points of fig4b's sweep share one single-mode
     # reference, and all six points one source; a pump sweep keeps one
-    # source and one reference per pump.  Nothing is kept between sweeps.
+    # reference per pump and one source.  Nothing is kept between sweeps.
     afc = _shipped_sweep("sweep_afc_modes", duration_s=0.02)
     pump = _shipped_sweep("sweep_pump_power", duration_s=0.02,
                           sweep_values=(0.5, 1.0))
@@ -778,27 +797,18 @@ def test_run_sweep_shares_reference_and_source(monkeypatch):
     assert calls == {"simulate": 14, "spectrum": 2, "sampler": 2}
     calls.update(dict.fromkeys(calls, 0))
     pm.run_sweep(pump)
-    assert calls == {"simulate": 4, "spectrum": 2, "sampler": 2}
+    assert calls == {"simulate": 4, "spectrum": 1, "sampler": 1}
 
 
-def test_serial_sweep_keeps_one_sampler_alive(monkeypatch):
-    # a serial sweep runs one pair rate at a time, so each pump's sampler
-    # is gone before the next pump's is built
-    import gc
-    import weakref
-
-    built, alive = [], []
-    init = pm.montecarlo.DelaySampler.__init__
-
-    def tracked_init(self, *args, **kwargs):
-        gc.collect()
-        alive.append(sum(ref() is not None for ref in built))
-        built.append(weakref.ref(self))
-        init(self, *args, **kwargs)
-
-    monkeypatch.setattr(pm.montecarlo.DelaySampler, "__init__", tracked_init)
-    pm.run_sweep(_shipped_sweep("sweep_pump_power", duration_s=0.02))
-    assert alive == [0, 0, 0, 0]
+@pytest.mark.parametrize("name", ["sweep_afc_modes", "sweep_pump_power"])
+def test_serial_sweep_builds_one_source(monkeypatch, name):
+    # neither the AFC mode count nor the pump changes the spectrum, so a
+    # whole serial sweep of either kind runs from one spectrum and sampler
+    s = _shipped_sweep(name, duration_s=0.02)
+    calls = _count_builds(monkeypatch)
+    bundles = pm.run_sweep(s)
+    assert len(bundles) == len(s.sweep_values) > 1
+    assert (calls["spectrum"], calls["sampler"]) == (1, 1)
 
 
 def test_run_sweep_points_match_run_scenario():
@@ -837,7 +847,7 @@ def test_run_sweep_points_match_run_scenario():
     ("", 0), ("[afc]\nenabled = false\n", 2)])
 def test_cli_fig2_runs_no_simulation(tmp_path, capsys, monkeypatch, setting,
                                      code):
-    # fig2 plots the AFC profile, a model: nothing is simulated for it
+    # fig2 plots the AFC plan, a model: nothing is simulated for it
     cfg = tmp_path / "s.cfg"
     cfg.write_text(setting + "[run]\nduration_s = 2.0\n")
     calls = []
@@ -990,7 +1000,7 @@ def test_cli_out_env_var(tmp_path, monkeypatch):
 
 def test_tooth_spacing_sets_storage_time():
     s = pm.load_scenario("[afc]\ntooth_spacing_hz = 2e6\n")
-    assert build_profile(s).plan.storage_time == pytest.approx(0.5e-6)
+    assert s.afc_plan.storage_time == pytest.approx(0.5e-6)
 
 
 def test_seed_variation_statistically_compatible():
