@@ -9,11 +9,10 @@ from .cavity import (BiphotonSpectrum, CavityParams, ClusterSpectrum,
 from .memory import AfcPlan, FilterSpec, filter_transmission
 from .montecarlo import (DetectorModel, EventStream, GatingSequence,
                          SourceModel, generate_events, make_rng, split_seed)
-from .analysis import (AnalysisReport, CorrelationHistogram, HistogramConfig,
-                       build_histogram, classical_limit, coincidence_rate,
-                       detect_peaks, effective_modes, estimate_fsr,
-                       fit_envelope, g2_estimate, merge_histograms,
-                       noise_floor)
+from .analysis import (AnalysisReport, CorrelationHistogram, build_histogram,
+                       classical_limit, coincidence_rate, detect_peaks,
+                       effective_modes, estimate_fsr, fit_envelope,
+                       g2_estimate, merge_histograms, noise_floor)
 from .scenario import (RunBundle, Scenario, analyze_events, default_scenario,
                        load_scenario, run_scenario, run_sweep, save_scenario,
                        scenario_digest, simulate)

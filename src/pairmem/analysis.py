@@ -17,27 +17,6 @@ from .montecarlo import EventStream, GatingSequence
 TWO_PI = 2.0 * math.pi
 
 
-@dataclass(frozen=True)
-class HistogramConfig:
-    """Bins of ``bin_width_ps`` from ``range_ps[0]`` on, as many as cover
-    ``range_ps``: integer picoseconds, the event files' time base."""
-
-    bin_width_ps: int = 200
-    range_ps: tuple[int, int] = (-500_000, 2_200_000)
-
-    def __post_init__(self):
-        if not self.bin_width_ps > 0:   # also rejects NaN
-            raise ParameterError("bin_width_ps must be > 0")
-        if not self.range_ps[0] < self.range_ps[1]:
-            raise ParameterError("histogram range min must be < max")
-
-    @property
-    def bin_edges_ps(self) -> np.ndarray:
-        lo, hi = self.range_ps
-        n = -((lo - hi) // self.bin_width_ps)   # ceil((hi - lo) / width)
-        return lo + np.arange(n + 1, dtype=np.int64) * self.bin_width_ps
-
-
 @dataclass
 class CorrelationHistogram:
     """Binned start-stop delay counts; the TIA emulation.  Bin i counts the
@@ -60,21 +39,40 @@ class CorrelationHistogram:
         return int(self.bin_edges_ps[1] - self.bin_edges_ps[0])
 
 
-def build_histogram(events: EventStream, cfg: HistogramConfig) -> CorrelationHistogram:
-    """Multi-stop start-stop histogram of idler starts and signal stops:
-    every stop in range counts, for every start."""
+def histogram_edges(bin_width_ps: int, range_ps: tuple[int, int]) -> np.ndarray:
+    """Edges of the bins of ``bin_width_ps`` from ``range_ps[0]`` on, as
+    many as cover ``range_ps``: integer picoseconds, the event files' time
+    base."""
+    lo, hi = range_ps
+    if not bin_width_ps > 0:   # also rejects NaN
+        raise ParameterError("bin_width_ps must be > 0")
+    if not lo < hi:
+        raise ParameterError("histogram range min must be < max")
+    n = -((lo - hi) // bin_width_ps)   # ceil((hi - lo) / width)
+    try:
+        return lo + np.arange(n + 1, dtype=np.int64) * bin_width_ps
+    except MemoryError as exc:
+        raise ParameterError(f"a histogram of {n} bins does not fit in memory") from exc
+
+
+def build_histogram(events: EventStream, bin_width_ps: int,
+                    range_ps: tuple[int, int]) -> CorrelationHistogram:
+    """Multi-stop start-stop histogram of idler starts and signal stops
+    over ``histogram_edges(bin_width_ps, range_ps)``: every stop in range
+    counts, for every start."""
+    edges = histogram_edges(bin_width_ps, range_ps)
+    lo = int(edges[0])
     # read_events admits no timestamp past 2**63 ps, so int64 views are exact
     starts = events.idler_ps.view(np.int64)
     stops = events.signal_ps.view(np.int64)
-    edges = cfg.bin_edges_ps
     # the starts t that pair with one stop s (lo <= s - t < hi) are the run
     # s - hi < t <= s - lo of the sorted starts.  Stops are the sparse
     # channel: search each of them.
-    from_lo = stops - int(edges[0])
+    from_lo = stops - lo
     j0 = np.searchsorted(starts, stops - int(edges[-1]), side="right")
     n_per = np.searchsorted(starts, from_lo, side="right") - j0
     flat = np.arange(n_per.sum()) - np.repeat(np.cumsum(n_per) - n_per - j0, n_per)
-    counts = np.bincount((np.repeat(from_lo, n_per) - starts[flat]) // cfg.bin_width_ps,
+    counts = np.bincount((np.repeat(from_lo, n_per) - starts[flat]) // bin_width_ps,
                          minlength=len(edges) - 1)
     return CorrelationHistogram(
         counts=counts, bin_edges_ps=edges,
@@ -250,19 +248,23 @@ def fit_peak_envelope(peaks: list[tuple[float, float]], side: str, *,
     return -float(coef[0]) / TWO_PI, float(math.sqrt(cov[0, 0])) / TWO_PI
 
 
-def noise_floor(hist: CorrelationHistogram, region_ps: tuple[int, int]) -> tuple[float, float]:
-    """Mean and standard error of the counts of the bins that lie inside a
-    quiet delay region [min, max] (picoseconds)."""
+def floor_bins(edges: np.ndarray, region_ps: tuple[int, int]) -> np.ndarray:
+    """Mask of the bins that lie inside a quiet delay region [min, max]
+    (picoseconds), which must lie in the histogram and hold at least 10."""
     rmin, rmax = region_ps
-    edges = hist.bin_edges_ps
     if rmin < edges[0] or rmax > edges[-1]:
         raise ParameterError("floor region lies outside the histogram range")
     sel = (edges[:-1] >= rmin) & (edges[1:] <= rmax)
-    n = int(np.count_nonzero(sel))
-    if n < 10:
+    if np.count_nonzero(sel) < 10:
         raise ParameterError("floor region must contain at least 10 bins")
-    c = hist.counts[sel].astype(float)
-    return float(np.mean(c)), float(np.std(c, ddof=1) / math.sqrt(n))
+    return sel
+
+
+def noise_floor(hist: CorrelationHistogram, region_ps: tuple[int, int]) -> tuple[float, float]:
+    """Mean and standard error of the counts of the ``floor_bins`` of a
+    quiet delay region [min, max] (picoseconds)."""
+    c = hist.counts[floor_bins(hist.bin_edges_ps, region_ps)].astype(float)
+    return float(np.mean(c)), float(np.std(c, ddof=1) / math.sqrt(len(c)))
 
 
 @dataclass(frozen=True)
@@ -272,15 +274,20 @@ class RateEstimate:
     clamped: bool = False
 
 
-def coincidence_rate(hist: CorrelationHistogram, window_ps: int, center_ps: int,
-                     floor: float, floor_err: float = 0.0) -> RateEstimate:
-    """Floor-subtracted coincidence rate, counts/s, over the bins whose
-    every delay lies in the window of ``g2_estimate``."""
+def window_bins(edges: np.ndarray, window_ps: int, center_ps: int) -> np.ndarray:
+    """Mask of the bins whose every delay lies in the window of
+    ``g2_estimate``, which must fit in the histogram."""
     lo, hi = center_ps - window_ps // 2, center_ps + window_ps // 2
-    edges = hist.bin_edges_ps
     if lo < edges[0] or hi >= edges[-1]:
         raise ParameterError("coincidence window does not fit in the histogram")
-    sel = (edges[:-1] >= lo) & (edges[1:] <= hi + 1)
+    return (edges[:-1] >= lo) & (edges[1:] <= hi + 1)
+
+
+def coincidence_rate(hist: CorrelationHistogram, window_ps: int, center_ps: int,
+                     floor: float, floor_err: float = 0.0) -> RateEstimate:
+    """Floor-subtracted coincidence rate, counts/s, over the
+    ``window_bins`` of the window."""
+    sel = window_bins(hist.bin_edges_ps, window_ps, center_ps)
     raw = float(hist.counts[sel].sum())
     n = int(np.count_nonzero(sel))
     net = raw - floor * n

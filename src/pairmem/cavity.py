@@ -67,7 +67,7 @@ class PhaseMatching:
 
     envelope_center: float
     envelope_fwhm: float
-    envelope_shape: str = "sinc_squared"  # or "gaussian"
+    envelope_shape: str                    # "sinc_squared" | "gaussian"
 
     def __post_init__(self):
         if not (self.envelope_fwhm > 0 and math.isfinite(self.envelope_fwhm)):
@@ -119,19 +119,14 @@ class BiphotonSpectrum:
         return len(self.index)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ClusterSpectrum:
-    """Double-resonance clusters: (center_hz, width_hz) pairs plus spacing."""
+    """Double-resonance clusters: the sorted comb indices of the doubly
+    resonant signal modes inside the envelope, and the Vernier spacing of
+    the clusters they form."""
 
-    clusters: list[tuple[float, float]]
+    index: np.ndarray
     cluster_spacing: float
-
-    def __post_init__(self):
-        centers = [c for c, _ in self.clusters]
-        if centers != sorted(centers):
-            raise ParameterError("clusters must be sorted by center")
-        if any(w <= 0 for _, w in self.clusters):
-            raise ParameterError("cluster widths must be positive")
 
 
 def _mode_mismatch(cavity: CavityParams, k: np.ndarray) -> np.ndarray:
@@ -147,7 +142,7 @@ def cluster_spectrum(cavity: CavityParams, pm: PhaseMatching) -> ClusterSpectrum
 
     A signal mode k is doubly resonant when its idler mismatch is below the
     joint linewidth (lw_s + lw_i)/2.  Contiguous resonant runs form
-    clusters; the Vernier coincidence period gives the cluster spacing.
+    clusters; the Vernier coincidence period gives their spacing.
     """
     if cavity.fsr_signal == cavity.fsr_idler:
         raise DegenerateClusterError(
@@ -166,19 +161,7 @@ def cluster_spectrum(cavity: CavityParams, pm: PhaseMatching) -> ClusterSpectrum
     freqs = cavity.signal_center + k * cavity.fsr_signal
     resonant &= pm.amplitude(freqs) >= _ENVELOPE_FLOOR
 
-    clusters = []
-    idx = np.flatnonzero(resonant)
-    if idx.size:
-        breaks = np.flatnonzero(np.diff(idx) > 1)
-        starts = np.concatenate(([0], breaks + 1))
-        ends = np.concatenate((breaks, [idx.size - 1]))
-        for a, b in zip(starts, ends):
-            k_run = k[idx[a]:idx[b] + 1]
-            center = cavity.signal_center + 0.5 * (k_run[0] + k_run[-1]) * cavity.fsr_signal
-            width = len(k_run) * cavity.fsr_signal
-            clusters.append((center, width))
-    clusters.sort()
-    return ClusterSpectrum(clusters=clusters, cluster_spacing=spacing)
+    return ClusterSpectrum(index=k[resonant], cluster_spacing=spacing)
 
 
 def mode_weights(cluster: ClusterSpectrum, pm: PhaseMatching,
@@ -189,12 +172,8 @@ def mode_weights(cluster: ClusterSpectrum, pm: PhaseMatching,
     Lorentzian double-resonance overlap factor; the result is normalized so
     sum(s_n^2) = 1.
     """
-    f0, fsr = cavity.signal_center, cavity.fsr_signal
-    runs = [np.arange(math.ceil((center - width / 2 - f0) / fsr - 1e-9),
-                      math.floor((center + width / 2 - f0) / fsr + 1e-9) + 1)
-            for center, width in cluster.clusters]
-    k = np.sort(np.concatenate(runs or [np.zeros(0, dtype=np.int64)]))
-    fs = f0 + k * fsr
+    k = cluster.index
+    fs = cavity.signal_center + k * cavity.fsr_signal
     mism = _mode_mismatch(cavity, k)
     overlap = 1.0 / (1.0 + (mism / cavity.joint_linewidth) ** 2)
     s = pm.amplitude(fs) * overlap

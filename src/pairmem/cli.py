@@ -92,13 +92,13 @@ def cmd_figure(args) -> int:
     if args.jobs < 1:
         raise ScenarioError(f"--jobs must be >= 1, not {args.jobs}")
     s = _read_scenario(args.scenario, args.seed)
-    kind = figures.SWEEP_KINDS.get(args.figure)
-    if args.figure == "fig2":
-        data = s   # the AFC plan is a model: no run needed
-    elif kind is None:
+    reads, _ = figures.FIGURES[args.figure]
+    if reads == "scenario":
+        data = s
+    elif reads == "run":
         data = run_scenario(s)
-    elif s.sweep_kind != kind:
-        raise ScenarioError(f"{args.figure} needs a {kind} sweep block, "
+    elif s.sweep_kind != reads:
+        raise ScenarioError(f"{args.figure} needs a {reads} sweep block, "
                             f"not {s.sweep_kind or 'none'}")
     else:
         data = run_sweep(s, jobs=args.jobs)

@@ -30,18 +30,18 @@ class AfcPlan:
     exceed 1.
     """
 
-    mode_count: int = 83
-    mode_spacing: float = 123e6
-    tooth_spacing: float = 920e3
-    per_mode_bandwidth: float = 4e6
-    finesse: float = 2.0
-    peak_optical_depth: float = 2.0
-    center_freq: float = 494.7e12  # ~606 nm
-    background_od: float = 0.0
-    efficiency_override: float | None = None
-    taper: str = "flat"            # "flat" | "gaussian"
-    taper_fwhm: float | None = None
-    echo_orders: int = 1
+    mode_count: int
+    mode_spacing: float
+    tooth_spacing: float
+    per_mode_bandwidth: float
+    finesse: float
+    peak_optical_depth: float
+    center_freq: float
+    background_od: float
+    efficiency_override: float | None
+    taper: str                     # "flat" | "gaussian"
+    taper_fwhm: float | None
+    echo_orders: int
 
     def __post_init__(self):
         if self.mode_count < 1:

@@ -28,6 +28,9 @@ from .memory import AfcPlan, FilterSpec, chain_transmission
 
 _DELAY_TABLE_BITS = 17  # in-period density resolution: 1/FSR / 2^17 (~62 fs)
 _GUIDE_STEPS = 4  # vectorized forward steps before a key falls back to bisection
+# numpy's Generator.poisson rejects a larger mean: int64 max less ten of its
+# standard deviations
+_MAX_POISSON_MEAN = np.iinfo(np.int64).max - 10 * math.sqrt(np.iinfo(np.int64).max)
 
 
 def _guide_table(cdf: np.ndarray):
@@ -123,12 +126,12 @@ class GatingSequence:
     breaks are whole picoseconds: the estimators gate in integer time.
     """
 
-    cycle: float = 100e-6
-    measure_fraction: float = 0.45
-    break_time: float = 10e-6
-    conditional_gate_on: float = 700e-9
-    conditional_gate_off: float = 1900e-9
-    off_gate_attenuation: float = 0.05
+    cycle: float
+    measure_fraction: float
+    break_time: float
+    conditional_gate_on: float
+    conditional_gate_off: float
+    off_gate_attenuation: float
 
     def __post_init__(self):
         if not (0 < self.break_time < self.cycle):
@@ -369,10 +372,16 @@ def generate_events(source: SourceModel, pair_rate: float,
     det_s = detectors.get("signal", DetectorModel())
     det_i = detectors.get("idler", DetectorModel())
 
+    live_total = gating.live_total(duration) if gating else duration
+    for name, mean in (("pair", pair_rate * live_total),
+                       ("signal dark", det_s.dark_rate * duration),
+                       ("idler dark", det_i.dark_rate * duration)):
+        if not mean <= _MAX_POISSON_MEAN:
+            raise ParameterError(
+                f"expected {name} count {mean:.3g} is too large to draw")
+
     rng = make_rng(seed)
     spec = source.spectrum
-
-    live_total = gating.live_total(duration) if gating else duration
     n_pairs = int(rng.poisson(pair_rate * live_total)) if live_total > 0 else 0
 
     t_idl = np.sort(rng.random(n_pairs)) * live_total

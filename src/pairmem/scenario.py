@@ -2,10 +2,7 @@
 
 Scenarios are flat, sectioned key-value documents (INI syntax) with units
 spelled out in the key names.  An empty document resolves to the default
-experiment: 123 MHz comb, 920 kHz AFC tooth spacing, 0.2 ns TIA bins,
-400 ns coincidence window, 100 us gating cycle with 10 us breaks, a
-5.58 GHz / 166 GHz / 50% etalon on the signal arm and a 10 GHz / 92% VBG
-on the idler arm.
+experiment, whose every value is a default of the schema table ``_SCHEMA``.
 """
 
 from __future__ import annotations
@@ -32,7 +29,9 @@ _DEFAULT_FSR_IDLER = _DEFAULT_FSR_SIGNAL / (
     1.0 + _DEFAULT_FSR_SIGNAL / _DEFAULT_CLUSTER_SPACING)
 
 
-# no field defaults here: load_scenario builds both classes from _SCHEMA
+# no field defaults here, nor on the records load_scenario builds from
+# _SCHEMA (but DetectorModel and FilterSpec, whose defaults are the ideal
+# component): the schema holds the only defaults
 @dataclass(frozen=True)
 class AnalysisSettings:
     bin_width_s: float
@@ -121,10 +120,30 @@ class Scenario:
                 raise ScenarioError(f"[run] {name} must be finite and >= 0")
         if not 0 <= self.seed < 2 ** 64:   # event files store it as u64
             raise ScenarioError("[run] seed must lie in [0, 2**64)")
+        # the analysis geometry, checked by the estimators' own bin selections
+        ps, center = self.analysis.ps, self.window_center_ps
+        try:
+            edges = an.histogram_edges(ps["bin_width_s"],
+                                       (ps["hist_min_s"], ps["hist_max_s"]))
+            an.floor_bins(edges, (ps["floor_min_s"], ps["floor_max_s"]))
+            an.window_bins(edges, ps["window_s"], center)
+            _comb_bins(edges, center, ps["comb_fit_halfspan_s"])
+        except ParameterError as exc:
+            raise ScenarioError(f"[analysis] {exc}") from exc
 
     @property
     def pair_rate(self) -> float:
         return self.pump_mw * self.brightness_pairs_per_s_per_mw
+
+    @property
+    def window_center_ps(self) -> int:
+        """Analysis window center in ps: as set, else the echo delay
+        rounded to the nearest ps, or 0 without memory."""
+        center = self.analysis.ps.get("window_center_s")
+        if center is None:
+            center = 0 if self.afc_plan is None \
+                else round(self.afc_plan.storage_time * 1e12)
+        return center
 
 
 def default_scenario() -> Scenario:
@@ -390,44 +409,49 @@ def simulate(s: Scenario, source: SourceModel | None = None) -> EventStream:
         raise SimulationError(str(exc)) from exc
 
 
-def _histogram(s: Scenario, events: EventStream) -> an.CorrelationHistogram:
-    ps = s.analysis.ps
-    cfg = an.HistogramConfig(bin_width_ps=ps["bin_width_s"],
-                             range_ps=(ps["hist_min_s"], ps["hist_max_s"]))
-    return an.build_histogram(events, cfg)
+def _comb_bins(edges: np.ndarray, center_ps: int,
+               halfspan_ps: int) -> tuple[int, int]:
+    """Bin range [i0, i1) of the comb view: the floor(halfspan / width)
+    bins on either side of the edge nearest the center, within the
+    histogram."""
+    w = int(edges[1] - edges[0])
+    k, m = (2 * (center_ps - int(edges[0])) + w) // (2 * w), halfspan_ps // w
+    i0, i1 = max(k - m, 0), min(k + m, len(edges) - 1)
+    if i0 >= i1:
+        raise ParameterError(f"comb view {center_ps} +- {halfspan_ps} ps has no bin")
+    return i0, i1
 
 
 def _comb_view(hist: an.CorrelationHistogram, center_ps: int,
                halfspan_ps: int) -> an.CorrelationHistogram:
-    """The floor(halfspan / width) bins on either side of the bin edge
-    nearest the center, within the histogram, re-zeroed on the center."""
-    edges, w = hist.bin_edges_ps, hist.bin_width_ps
-    k, m = (2 * (center_ps - int(edges[0])) + w) // (2 * w), halfspan_ps // w
-    i0, i1 = max(k - m, 0), min(k + m, len(hist.counts))
-    if i0 >= i1:
-        raise ParameterError(f"comb view {center_ps} +- {halfspan_ps} ps has no bin")
+    """The ``_comb_bins`` of the histogram, re-zeroed on the center."""
+    i0, i1 = _comb_bins(hist.bin_edges_ps, center_ps, halfspan_ps)
     return an.CorrelationHistogram(
-        counts=hist.counts[i0:i1], bin_edges_ps=edges[i0:i1 + 1] - center_ps,
+        counts=hist.counts[i0:i1],
+        bin_edges_ps=hist.bin_edges_ps[i0:i1 + 1] - center_ps,
         total_start_counts=hist.total_start_counts,
         total_stop_counts=hist.total_stop_counts, duration=hist.duration)
 
 
-def _window_and_floor(s: Scenario, hist: an.CorrelationHistogram):
-    """Analysis window center in ps (unless set, the echo delay rounded to
-    the nearest ps, or 0 without memory) and noise floor (value, error)."""
+def _floor_and_rate(s: Scenario, events: EventStream):
+    """The steps a report and a single-mode reference share: the histogram
+    of ``events`` under the analysis settings of ``s``, its noise floor
+    (value, error) and the floor-subtracted coincidence rate in the window
+    about ``s.window_center_ps``."""
     ps = s.analysis.ps
-    center = ps.get("window_center_s")
-    if center is None:
-        center = 0 if s.afc_plan is None else round(s.afc_plan.storage_time * 1e12)
-    return center, an.noise_floor(hist, (ps["floor_min_s"], ps["floor_max_s"]))
+    hist = an.build_histogram(events, ps["bin_width_s"],
+                              (ps["hist_min_s"], ps["hist_max_s"]))
+    floor = an.noise_floor(hist, (ps["floor_min_s"], ps["floor_max_s"]))
+    rate = an.coincidence_rate(hist, ps["window_s"], s.window_center_ps, *floor)
+    return hist, floor, rate
 
 
 def analyze_events(s: Scenario, events: EventStream,
                    rate_single: tuple[float, float] | None = None):
     """Histogram an event stream and derive the full report; the live
     time and singles are those of the scenario's gating."""
-    hist = _histogram(s, events)
-    center, (floor, floor_err) = _window_and_floor(s, hist)
+    hist, (floor, floor_err), rate = _floor_and_rate(s, events)
+    center = s.window_center_ps
     prom = s.analysis.min_prominence
     if prom is None:
         prom = an.default_prominence(floor)
@@ -450,9 +474,7 @@ def analyze_events(s: Scenario, events: EventStream,
     except an.FitError:
         pass
 
-    window = s.analysis.ps["window_s"]
-    rate = an.coincidence_rate(hist, window, center, floor, floor_err)
-    g2 = an.g2_estimate(events, window, center, s.gating)
+    g2 = an.g2_estimate(events, s.analysis.ps["window_s"], center, s.gating)
 
     if rate_single is not None:
         try:
@@ -508,10 +530,8 @@ def single_mode_reference(s: Scenario) -> Scenario:
 def reference_rate(s: Scenario, ref_events: EventStream) -> tuple[float, float]:
     """Floor-subtracted coincidence rate (value, error) of a single-mode
     reference run, analyzed with the settings of scenario ``s``."""
-    hist = _histogram(s, ref_events)
-    center, floor = _window_and_floor(s, hist)
-    r = an.coincidence_rate(hist, s.analysis.ps["window_s"], center, *floor)
-    return r.rate, r.error
+    rate = _floor_and_rate(s, ref_events)[2]
+    return rate.rate, rate.error
 
 
 def _reference(s: Scenario) -> Scenario | None:

@@ -1,10 +1,11 @@
+import functools
 import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from pairmem import CavityParams, PhaseMatching, comb_spectrum, make_rng
+from pairmem import CavityParams, comb_spectrum, default_scenario, make_rng
 from pairmem.errors import ParameterError
 
 
@@ -16,9 +17,21 @@ def cavity():
         signal_center=494.7e12, idler_center=193.4e12)
 
 
+@functools.cache
+def _default_scenario():
+    return default_scenario()
+
+
+def default_record(name, **changes):
+    """Record ``name`` of the default experiment (``"afc_plan"``,
+    ``"gating"``, ``"phase_matching"``, ...) with ``changes``: the scenario
+    schema holds the only defaults of these records."""
+    return replace(getattr(_default_scenario(), name), **changes)
+
+
 @pytest.fixture
 def envelope():
-    return PhaseMatching(envelope_center=494.7e12, envelope_fwhm=150e9)
+    return default_record("phase_matching")
 
 
 @pytest.fixture

@@ -237,18 +237,17 @@ def test_criterion_7_determinism_and_merge_laws():
 
     # shard-merge: split the starts, keep every stop in both shards
     ev = a.events
-    cfg = pm.HistogramConfig(bin_width_ps=s.analysis.ps["bin_width_s"],
-                             range_ps=(s.analysis.ps["hist_min_s"],
-                                       s.analysis.ps["hist_max_s"]))
-    whole = pm.build_histogram(ev, cfg)
+    ps = s.analysis.ps
+    bins = (ps["bin_width_s"], (ps["hist_min_s"], ps["hist_max_s"]))
+    whole = pm.build_histogram(ev, *bins)
     cut = np.uint64(ev.duration_ps // 2)
 
     def shard(keep_start):
         return replace(ev, idler_ps=ev.idler_ps[keep_start])
 
     merged = pm.merge_histograms(
-        pm.build_histogram(shard(ev.idler_ps < cut), cfg),
-        pm.build_histogram(shard(ev.idler_ps >= cut), cfg))
+        pm.build_histogram(shard(ev.idler_ps < cut), *bins),
+        pm.build_histogram(shard(ev.idler_ps >= cut), *bins))
     assert np.array_equal(merged.counts, whole.counts)
     print("criterion 7: byte-identical reports and exact shard merge; "
           "module invariant suites run in this same session")

@@ -12,7 +12,7 @@ from pairmem.analysis import (FsrEstimate, RateEstimate, _find_peaks,
 from pairmem.errors import EstimationError, FitError, ParameterError
 from pairmem.montecarlo import EventStream
 
-from conftest import sequence_phase, shuffle_channel
+from conftest import default_record, sequence_phase, shuffle_channel
 
 
 def ps_stream(signal_ps, idler_ps, duration_ps=10**12):
@@ -27,11 +27,18 @@ def make_stream(signal_s, idler_s, duration_s=1.0):
     return ps_stream(ps(signal_s), ps(idler_s), int(round(duration_s * 1e12)))
 
 
-def all_pairs_histogram(starts, stops, cfg):
+def bin_count(bins):
+    """Number of bins of ``bins = (width, (lo, hi))``: as many as cover
+    [lo, hi)."""
+    w, (lo, hi) = bins
+    return -((lo - hi) // w)
+
+
+def all_pairs_histogram(starts, stops, bins):
     """O(n^2) Python-int oracle for the multi-stop histogram: the pair
     delay s - t lands in bin (s - t - lo) // width."""
-    lo, w = cfg.range_ps[0], cfg.bin_width_ps
-    counts = [0] * (len(cfg.bin_edges_ps) - 1)
+    w, (lo, _) = bins
+    counts = [0] * bin_count(bins)
     for t in map(int, starts):
         for s in map(int, stops):
             k = (s - t - lo) // w
@@ -40,14 +47,13 @@ def all_pairs_histogram(starts, stops, cfg):
     return counts
 
 
-def start_keyed_histogram(starts, stops, cfg):
+def start_keyed_histogram(starts, stops, bins):
     """Python-int oracle keyed the other way round: for each start t, the
     sorted stops in [t + lo, t + hi) found by bisection, binned as
     (s - t - lo) // width."""
-    lo, hi = cfg.range_ps
-    w = cfg.bin_width_ps
+    w, (lo, hi) = bins
     stops = sorted(map(int, stops))
-    counts = [0] * (len(cfg.bin_edges_ps) - 1)
+    counts = [0] * bin_count(bins)
     for t in map(int, starts):
         for s in stops[bisect_left(stops, t + lo):bisect_left(stops, t + hi)]:
             counts[(s - t - lo) // w] += 1
@@ -79,10 +85,10 @@ def test_histogram_matches_all_pairs_oracle():
     starts = np.sort(rng.random(40) * 1e-3)
     stops = np.sort(rng.random(60) * 1e-3)
     ev = make_stream(stops, starts, duration_s=1e-3)
-    cfg = pm.HistogramConfig(bin_width_ps=10**6, range_ps=(-20 * 10**6, 20 * 10**6))
-    hist = pm.build_histogram(ev, cfg)
+    bins = (10**6, (-20 * 10**6, 20 * 10**6))
+    hist = pm.build_histogram(ev, *bins)
     assert hist.counts.tolist() == all_pairs_histogram(ev.idler_ps, ev.signal_ps,
-                                                       cfg)
+                                                       bins)
     assert hist.total_start_counts == 40
     assert hist.total_stop_counts == 60
 
@@ -90,40 +96,42 @@ def test_histogram_matches_all_pairs_oracle():
 def test_histogram_multi_stop_counts_every_pair():
     # one start, three stops inside range: all three are recorded
     ev = make_stream([10e-6, 11e-6, 12e-6], [9e-6], duration_s=1e-3)
-    cfg = pm.HistogramConfig(bin_width_ps=10**6, range_ps=(0, 5 * 10**6))
-    hist = pm.build_histogram(ev, cfg)
+    hist = pm.build_histogram(ev, 10**6, (0, 5 * 10**6))
     assert hist.counts.sum() == 3
 
 
 def test_histogram_empty_channels():
     ev = make_stream([], [], duration_s=1.0)
-    hist = pm.build_histogram(ev, pm.HistogramConfig())
+    hist = pm.build_histogram(ev, 200, (-500_000, 2_200_000))
     assert hist.counts.sum() == 0
+    assert len(hist.counts) == 13_500
 
 
 def test_histogram_config_validation():
+    ev = make_stream([], [], duration_s=1.0)
     with pytest.raises(ParameterError):
-        pm.HistogramConfig(bin_width_ps=0)
+        pm.build_histogram(ev, 0, (0, 10))
     with pytest.raises(ParameterError):
-        pm.HistogramConfig(range_ps=(1, 0))
+        pm.build_histogram(ev, 1, (1, 0))
 
 
 def test_histogram_config_rejects_nan_bin_width():
     with pytest.raises(ParameterError):
-        pm.HistogramConfig(bin_width_ps=float("nan"))
+        pm.build_histogram(make_stream([], [], duration_s=1.0),
+                           float("nan"), (0, 10))
 
 
 def test_merge_equals_whole():
     rng = np.random.default_rng(1)
     starts = np.sort(rng.random(200) * 1e-3)
     stops = np.sort(rng.random(200) * 1e-3)
-    cfg = pm.HistogramConfig(bin_width_ps=10**6, range_ps=(-10**7, 10**7))
-    whole = pm.build_histogram(make_stream(stops, starts, 1e-3), cfg)
+    bins = (10**6, (-10**7, 10**7))
+    whole = pm.build_histogram(make_stream(stops, starts, 1e-3), *bins)
     # shard by start time, keeping all stops in each shard: pairings with
     # out-of-shard stops are preserved, so the merge is exact
     cut = 0.5e-3
-    a = pm.build_histogram(make_stream(stops, starts[starts < cut], 1e-3), cfg)
-    b = pm.build_histogram(make_stream(stops, starts[starts >= cut], 1e-3), cfg)
+    a = pm.build_histogram(make_stream(stops, starts[starts < cut], 1e-3), *bins)
+    b = pm.build_histogram(make_stream(stops, starts[starts >= cut], 1e-3), *bins)
     merged = pm.merge_histograms(a, b)
     from dataclasses import fields
     for f in fields(whole):
@@ -132,10 +140,10 @@ def test_merge_equals_whole():
 
 
 def test_merge_rejects_shards_of_different_runs():
-    cfg = pm.HistogramConfig(bin_width_ps=10**6, range_ps=(-10**7, 10**7))
-    a = pm.build_histogram(make_stream([1e-4, 2e-4], [1.5e-4], 1e-3), cfg)
-    fewer_stops = pm.build_histogram(make_stream([1e-4], [1.6e-4], 1e-3), cfg)
-    longer = pm.build_histogram(make_stream([1e-4, 2e-4], [1.6e-4], 2e-3), cfg)
+    bins = (10**6, (-10**7, 10**7))
+    a = pm.build_histogram(make_stream([1e-4, 2e-4], [1.5e-4], 1e-3), *bins)
+    fewer_stops = pm.build_histogram(make_stream([1e-4], [1.6e-4], 1e-3), *bins)
+    longer = pm.build_histogram(make_stream([1e-4, 2e-4], [1.6e-4], 2e-3), *bins)
     for b in (fewer_stops, longer):
         with pytest.raises(ParameterError, match="shards"):
             pm.merge_histograms(a, b)
@@ -143,8 +151,8 @@ def test_merge_rejects_shards_of_different_runs():
 
 def test_merge_rejects_mismatched_edges():
     ev = make_stream([], [], 1.0)
-    a = pm.build_histogram(ev, pm.HistogramConfig(bin_width_ps=1000))
-    b = pm.build_histogram(ev, pm.HistogramConfig(bin_width_ps=2000))
+    a = pm.build_histogram(ev, 1000, (-500_000, 2_200_000))
+    b = pm.build_histogram(ev, 2000, (-500_000, 2_200_000))
     with pytest.raises(ParameterError):
         pm.merge_histograms(a, b)
 
@@ -173,15 +181,14 @@ def coincidence_cases(draw, on_edges=False):
         picks = draw(st.lists(st.sampled_from(starts), max_size=3)) \
             if starts else []
         stops += [t + e + d for t in picks for e in edges for d in (-1, 0, 1)]
-    cfg = pm.HistogramConfig(bin_width_ps=w, range_ps=(lo, lo + n * w))
-    return starts, stops, cfg, window, center
+    return starts, stops, (w, (lo, lo + n * w)), window, center
 
 
 def assert_search_matches(case, histogram_oracle, coincidence_oracle):
-    starts, stops, cfg, window, center = case
+    starts, stops, bins, window, center = case
     ev = ps_stream(stops, starts)
-    hist = pm.build_histogram(ev, cfg)
-    assert hist.counts.tolist() == histogram_oracle(starts, stops, cfg)
+    hist = pm.build_histogram(ev, *bins)
+    assert hist.counts.tolist() == histogram_oracle(starts, stops, bins)
     if starts and stops:
         est = pm.g2_estimate(ev, window, center, None)
         assert est.coincidences == coincidence_oracle(starts, stops,
@@ -209,7 +216,7 @@ def test_stop_keyed_search_exact_at_window_edges(case):
 def test_g2_measuring_singles_match_sequence_phase(extra):
     # every phase boundary of three default cycles, one ps to either side
     # of it, and arbitrary times; a per-event oracle counts the measuring ones
-    g = pm.GatingSequence()
+    g = default_record("gating")
     cycle, m, brk = g.cycle_ps, g.measure_ps, round(g.break_time * 1e12)
     bounds = [k * cycle + b for k in range(3)
               for b in (0, m, m + brk, cycle - brk)]
@@ -227,8 +234,7 @@ def test_window_ends_are_inclusive_in_g2_and_rate(window):
     # whole ps), and with 1 ps bins the rate sums exactly those delays
     t = 10**6
     ev = ps_stream([t + d for d in range(100)], [t])
-    hist = pm.build_histogram(ev, pm.HistogramConfig(bin_width_ps=1,
-                                                     range_ps=(0, 100)))
+    hist = pm.build_histogram(ev, 1, (0, 100))
     est = pm.g2_estimate(ev, window, 50, None)
     assert est.coincidences == 11
     # g2 normalises by those 11 ps, so both windows give one value:
@@ -316,11 +322,12 @@ def test_find_peaks_short_and_flat_arrays():
 
 
 def default_comb_view():
-    from pairmem.scenario import _comb_view, _histogram, _window_and_floor
+    from pairmem.scenario import _comb_view
     s = pm.default_scenario()
-    hist = _histogram(s, pm.simulate(s))
-    center, _ = _window_and_floor(s, hist)
-    return _comb_view(hist, center, s.analysis.ps["comb_fit_halfspan_s"])
+    ps = s.analysis.ps
+    hist = pm.build_histogram(pm.simulate(s), ps["bin_width_s"],
+                              (ps["hist_min_s"], ps["hist_max_s"]))
+    return _comb_view(hist, s.window_center_ps, ps["comb_fit_halfspan_s"])
 
 
 def test_find_peaks_default_comb_view():
@@ -488,7 +495,7 @@ def test_g2_empty_channel_raises():
 
 def test_g2_live_time_normalization():
     # same events, but the gating shrinks the live time
-    g = pm.GatingSequence()
+    g = default_record("gating")
     rng = np.random.default_rng(7)
     T = 1.0
     live = np.sort(rng.random(20_000) * g.live_total(T))

@@ -10,7 +10,7 @@ from pairmem.errors import (DegenerateClusterError, EmptySpectrumError,
                             ParameterError)
 from pairmem.scenario import build_spectrum
 
-from conftest import brute_force_g2
+from conftest import brute_force_g2, default_record
 
 # SHA-256 of the index, signal, idler and weight arrays (tobytes(), in mode
 # order); the simulated events depend on every byte of the spectrum
@@ -53,11 +53,12 @@ def test_pump_and_joint_linewidth(cavity):
 
 def test_phase_matching_shapes():
     with pytest.raises(ParameterError):
-        pm.PhaseMatching(envelope_center=5e14, envelope_fwhm=1e9,
-                         envelope_shape="lorentzian")
-    g = pm.PhaseMatching(envelope_center=5e14, envelope_fwhm=1e9,
-                         envelope_shape="gaussian")
-    s = pm.PhaseMatching(envelope_center=5e14, envelope_fwhm=1e9)
+        default_record("phase_matching", envelope_center=5e14,
+                       envelope_fwhm=1e9, envelope_shape="lorentzian")
+    g = default_record("phase_matching", envelope_center=5e14,
+                       envelope_fwhm=1e9, envelope_shape="gaussian")
+    s = default_record("phase_matching", envelope_center=5e14,
+                       envelope_fwhm=1e9, envelope_shape="sinc_squared")
     for env in (g, s):
         assert env.amplitude(5e14) == pytest.approx(1.0)
         # FWHM definition: half amplitude at half the FWHM off center
@@ -110,16 +111,13 @@ def test_mode_weights_normalized(cavity, envelope):
 
 
 def test_mode_weights_empty_overlap_raises(cavity):
-    narrow = pm.PhaseMatching(envelope_center=494.7e12 + 60e9,
-                              envelope_fwhm=1e9, envelope_shape="gaussian")
+    # a narrow envelope between two clusters holds no doubly resonant mode
+    narrow = default_record("phase_matching", envelope_center=494.7e12 + 60e9,
+                            envelope_fwhm=1e9, envelope_shape="gaussian")
     clusters = pm.cluster_spectrum(cavity, narrow)
-    if not clusters.clusters:
-        with pytest.raises(ParameterError):
-            pm.ClusterSpectrum(clusters=[(5e14, -1.0)], cluster_spacing=1.0)
-        return
-    # clusters found means weights exist; force the empty case instead
+    assert len(clusters.index) == 0
     with pytest.raises(EmptySpectrumError):
-        pm.BiphotonSpectrum(*(np.zeros(0) for _ in range(4)))
+        pm.mode_weights(clusters, narrow, cavity)
 
 
 # ---------------------------------------------------------------------------
@@ -135,9 +133,9 @@ def test_comb_spectrum_flat_weights(cavity):
 
 
 def test_comb_spectrum_envelope_weighting(cavity):
-    env = pm.PhaseMatching(envelope_center=cavity.signal_center,
-                           envelope_fwhm=10 * cavity.fsr_signal,
-                           envelope_shape="gaussian")
+    env = default_record("phase_matching", envelope_center=cavity.signal_center,
+                         envelope_fwhm=10 * cavity.fsr_signal,
+                         envelope_shape="gaussian")
     spec = pm.comb_spectrum(cavity, 21, env)
     w = spec.weights
     assert w[10] == max(w)          # center mode heaviest
@@ -161,8 +159,8 @@ def test_analytic_g2_matches_double_sum(cavity, small_spectrum):
 
 
 def test_analytic_g2_double_sum_weighted(cavity, envelope):
-    spec = pm.comb_spectrum(cavity, 9, pm.PhaseMatching(
-        envelope_center=cavity.signal_center,
+    spec = pm.comb_spectrum(cavity, 9, default_record(
+        "phase_matching", envelope_center=cavity.signal_center,
         envelope_fwhm=5 * cavity.fsr_signal, envelope_shape="gaussian"))
     tau = np.linspace(-25e-9, 25e-9, 101)
     assert np.allclose(pm.analytic_g2(spec, cavity, tau),

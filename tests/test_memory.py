@@ -8,12 +8,14 @@ import pairmem as pm
 from pairmem.memory import chain_transmission, echo_efficiency, od_spectrum
 from pairmem.errors import ParameterError
 
+from conftest import default_record
+
 
 # ---------------------------------------------------------------------------
 # AFC plan validation and geometry
 
 def test_plan_defaults_geometry():
-    plan = pm.AfcPlan()
+    plan = default_record("afc_plan")
     assert plan.mode_count == 83
     assert len(plan.block_centers) == 83
     assert np.allclose(np.diff(plan.block_centers), plan.mode_spacing)
@@ -24,13 +26,13 @@ def test_plan_defaults_geometry():
 
 def test_plan_rejects_bad_layout():
     with pytest.raises(ParameterError):
-        pm.AfcPlan(tooth_spacing=5e6, per_mode_bandwidth=4e6)
+        default_record("afc_plan", tooth_spacing=5e6, per_mode_bandwidth=4e6)
     with pytest.raises(ParameterError):
-        pm.AfcPlan(per_mode_bandwidth=200e6, mode_spacing=123e6)
+        default_record("afc_plan", per_mode_bandwidth=200e6, mode_spacing=123e6)
     with pytest.raises(ParameterError):
-        pm.AfcPlan(finesse=1.0)
+        default_record("afc_plan", finesse=1.0)
     with pytest.raises(ParameterError):
-        pm.AfcPlan(mode_count=0)
+        default_record("afc_plan", mode_count=0)
 
 
 @pytest.mark.parametrize("kw", [
@@ -43,7 +45,7 @@ def test_plan_rejects_bad_layout():
 def test_plan_rejects_bad_design_values(kw):
     # every design value is checked when the plan is built
     with pytest.raises(ParameterError):
-        pm.AfcPlan(**kw)
+        default_record("afc_plan", **kw)
 
 
 # ---------------------------------------------------------------------------
@@ -81,44 +83,45 @@ def test_echo_efficiency_is_probability(d, F, d0):
 # per-mode tables / storage response
 
 def test_storage_time_is_inverse_tooth_spacing():
-    plan = pm.AfcPlan()
+    plan = default_record("afc_plan")
     assert plan.storage_time == pytest.approx(1.0 / 920e3)
     assert plan.storage_time == pytest.approx(1.0870e-6, rel=1e-4)
 
 
 def test_design_afc_flat_taper_uniform():
-    plan = pm.AfcPlan(mode_count=11)
+    plan = default_record("afc_plan", mode_count=11)
     assert np.allclose(plan.per_mode_efficiency, plan.per_mode_efficiency[0])
     assert np.allclose(plan.per_mode_od_eff,
                        plan.peak_optical_depth / plan.finesse)
 
 
 def test_design_afc_gaussian_taper_rolls_off():
-    plan = pm.AfcPlan(mode_count=21, taper="gaussian", taper_fwhm=10 * 123e6)
+    plan = default_record("afc_plan", mode_count=21, taper="gaussian",
+                          taper_fwhm=10 * 123e6)
     eff = plan.per_mode_efficiency
     assert eff[10] == max(eff)
     assert eff[0] < eff[10] and eff[-1] < eff[10]
     with pytest.raises(ParameterError):
-        pm.AfcPlan(mode_count=21, taper="gaussian")  # fwhm required
+        default_record("afc_plan", mode_count=21, taper="gaussian")  # fwhm required
 
 
 def test_design_afc_efficiency_override():
-    plan = pm.AfcPlan(mode_count=5, efficiency_override=0.25)
+    plan = default_record("afc_plan", mode_count=5, efficiency_override=0.25)
     assert plan.per_mode_efficiency.tolist() == [0.25] * 5
 
 
 def test_sampled_spectrum_duty_cycle():
     # tooth period divides the block bandwidth evenly, so edge clipping
     # cancels and the on-fraction is exactly 1/finesse
-    plan = pm.AfcPlan(mode_count=3, finesse=2.0, tooth_spacing=1e6,
-                      per_mode_bandwidth=4e6)
+    plan = default_record("afc_plan", mode_count=3, finesse=2.0,
+                          tooth_spacing=1e6, per_mode_bandwidth=4e6)
     _, od = od_spectrum(plan, samples_per_block=4096)
     frac = np.count_nonzero(od > 0) / len(od)
     assert frac == pytest.approx(1.0 / plan.finesse, abs=0.02)
 
 
 def test_block_index_and_response():
-    plan = pm.AfcPlan(mode_count=5)
+    plan = default_record("afc_plan", mode_count=5)
     centers = plan.block_centers
     idx = plan.block_index(centers)
     assert idx.tolist() == [0, 1, 2, 3, 4]
@@ -137,7 +140,7 @@ def test_block_index_and_response():
 @settings(max_examples=50, deadline=None)
 @given(off=st.floats(min_value=-80e6, max_value=80e6))
 def test_response_probabilities_sum_below_one(off):
-    plan = pm.AfcPlan(mode_count=7, background_od=0.3)
+    plan = default_record("afc_plan", mode_count=7, background_od=0.3)
     f = plan.center_freq + off
     t, e = plan.response_arrays(f)
     assert 0.0 <= t[0] <= 1.0 and 0.0 <= e[0] <= 1.0

@@ -13,7 +13,7 @@ from pairmem.montecarlo import (DelaySampler, _count_reached, _guide_table,
 from pairmem.errors import ParameterError
 from pairmem.scenario import build_spectrum
 
-from conftest import sequence_phase
+from conftest import default_record, sequence_phase
 
 
 # model_digest of the models in test_model_digest_pinned: digest strings
@@ -49,7 +49,7 @@ def test_split_seed_stable_and_distinct():
 # gating sequence
 
 def test_sequence_phase_layout():
-    g = pm.GatingSequence()
+    g = default_record("gating")
     # default: 45 us measuring | 10 us break | 35 us locking | 10 us break
     assert sequence_phase(0.0, g) == "measuring"
     assert sequence_phase(44.9e-6, g) == "measuring"
@@ -65,20 +65,21 @@ def test_sequence_phase_layout():
 
 def test_gating_validation():
     with pytest.raises(ParameterError):
-        pm.GatingSequence(measure_fraction=0.95)  # breaks no longer fit
+        default_record("gating", measure_fraction=0.95)  # breaks no longer fit
     with pytest.raises(ParameterError):
-        pm.GatingSequence(break_time=0.0)
+        default_record("gating", break_time=0.0)
     with pytest.raises(ParameterError):
-        pm.GatingSequence(conditional_gate_on=2e-6, conditional_gate_off=1e-6)
+        default_record("gating", conditional_gate_on=2e-6,
+                       conditional_gate_off=1e-6)
     # the estimators gate in whole picoseconds
     with pytest.raises(ParameterError, match="whole number of ps"):
-        pm.GatingSequence(cycle=100.0000005e-6)
+        default_record("gating", cycle=100.0000005e-6)
     with pytest.raises(ParameterError, match="whole number of ps"):
-        pm.GatingSequence(break_time=10.0000005e-6)
+        default_record("gating", break_time=10.0000005e-6)
 
 
 def test_live_total_and_roundtrip():
-    g = pm.GatingSequence()
+    g = default_record("gating")
     assert g.live_total(1.0) == pytest.approx(0.45)
     assert g.live_total(100e-6) == pytest.approx(45e-6)
     assert g.live_total(20e-6) == pytest.approx(20e-6)  # inside first stage
@@ -94,7 +95,7 @@ def test_live_total_and_roundtrip():
 @given(t=st.floats(min_value=0, max_value=1e-2),
        t_ps=st.integers(min_value=0, max_value=10**10))
 def test_phase_partition(t, t_ps):
-    g = pm.GatingSequence()
+    g = default_record("gating")
     assert sequence_phase(t, g) in ("measuring", "break", "locking")
     assert g.measuring_mask(np.array([t]))[0] == (
         sequence_phase(t, g) == "measuring")
@@ -413,7 +414,7 @@ def test_dead_time_enforced_in_stream(cavity):
 
 
 def test_gating_confines_photons_not_darks(cavity):
-    g = pm.GatingSequence(off_gate_attenuation=1.0)  # disable cond. gate
+    g = default_record("gating", off_gate_attenuation=1.0)  # disable cond. gate
     dets = {"signal": pm.DetectorModel(dark_rate=2e4)}
     src = pm.SourceModel(spectrum=pm.comb_spectrum(cavity, 3), cavity=cavity)
     ev = pm.generate_events(src, 0.0, None, None, dets, g, 1.0, seed=8)
@@ -445,7 +446,8 @@ def test_conditional_gate_without_idlers():
 
     def run(**gate):
         return pm.generate_events(src, 0.0, None, None, dets,
-                                  pm.GatingSequence(**gate), 0.2, seed=21)
+                                  default_record("gating", **gate), 0.2,
+                                  seed=21)
 
     ev = run(off_gate_attenuation=0.3)
     assert len(ev.idler_ps) == 0
@@ -460,8 +462,9 @@ def test_conditional_gate_without_idlers():
 
 
 def test_memory_splits_transmit_and_echo(cavity):
-    plan = pm.AfcPlan(mode_count=5, mode_spacing=cavity.fsr_signal,
-                      efficiency_override=0.4)
+    plan = default_record("afc_plan", mode_count=5,
+                          mode_spacing=cavity.fsr_signal,
+                          efficiency_override=0.4)
     src = flat_source(cavity)
     ev = pm.generate_events(src, 5e4, plan, None, None, None, 0.5, seed=12)
     starts = ev.idler_ps * 1e-12
@@ -483,9 +486,10 @@ def test_memory_splits_transmit_and_echo(cavity):
 def test_conditional_gate_suppresses_out_of_window(cavity):
     # with echo delay inside [gate_on, gate_off], echoes pass and prompt
     # transmissions are attenuated to ~off_gate_attenuation
-    plan = pm.AfcPlan(mode_count=5, mode_spacing=cavity.fsr_signal,
-                      efficiency_override=0.4)
-    g = pm.GatingSequence(off_gate_attenuation=0.0)
+    plan = default_record("afc_plan", mode_count=5,
+                          mode_spacing=cavity.fsr_signal,
+                          efficiency_override=0.4)
+    g = default_record("gating", off_gate_attenuation=0.0)
     src = flat_source(cavity)
     ev = pm.generate_events(src, 5e4, plan, None, None, g, 0.5, seed=13)
     starts = ev.idler_ps * 1e-12
@@ -544,7 +548,7 @@ def test_model_digest_sensitivity(cavity):
 def test_model_digest_sees_every_afc_key(monkeypatch):
     # one changed value per AfcPlan field moves the digest of the plan; a
     # flat taper ignores its FWHM, so the base sets one
-    base = pm.AfcPlan(taper_fwhm=5e9)
+    base = default_record("afc_plan", taper_fwhm=5e9)
     changed = {"mode_count": 41, "mode_spacing": 124e6, "tooth_spacing": 1e6,
                "per_mode_bandwidth": 5e6, "finesse": 3.0,
                "peak_optical_depth": 3.0, "center_freq": 494.8e12,
@@ -569,5 +573,5 @@ def test_model_digest_pinned(cavity):
     # detectors, gating; the string is pinned
     src = flat_source(cavity, n_modes=3)
     dets = {"signal": pm.DetectorModel(efficiency=0.5, dead_time=1e-8)}
-    digest = model_digest(src, 1e5, None, {}, dets, pm.GatingSequence())
+    digest = model_digest(src, 1e5, None, {}, dets, default_record("gating"))
     assert digest == PINNED_MODEL_DIGEST

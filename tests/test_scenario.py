@@ -341,13 +341,16 @@ def test_emit_sweep_figures():
 
 
 def test_figure_argument_validation():
-    bundle = pm.run_scenario(fast(pm.default_scenario(), duration=0.02))
-    with pytest.raises(ScenarioError):
-        pm.emit_figure_data(bundle, "fig9")
-    with pytest.raises(ScenarioError):
-        pm.emit_figure_data(bundle, "fig4b")  # needs a bundle list
-    with pytest.raises(ScenarioError):
-        pm.emit_figure_data([], "fig4c")
+    s = pm.default_scenario()
+    with pytest.raises(ScenarioError, match="unknown figure"):
+        pm.emit_figure_data(s, "fig9")
+    with pytest.raises(ScenarioError, match="AFC enabled"):
+        pm.emit_figure_data(replace(s, afc_plan=None), "fig2")
+    # the table names what each figure reads: the scenario, one run, or
+    # the bundles of its sweep kind
+    assert {f: reads for f, (reads, _) in pm.figures.FIGURES.items()} == {
+        "fig1b": "run", "fig2": "scenario", "fig4a": "run",
+        "fig4b": "afc_modes", "fig4c": "pump_power"}
 
 
 # ---------------------------------------------------------------------------
@@ -485,7 +488,17 @@ def test_cli_rejects_bad_analysis_settings(tmp_path, capsys, command, key,
     ("spectrum", "source = comb\ncomb_modes = 0", 2, "comb_modes"),
     ("run", "duration_s = inf", 2, "duration_s"),
     ("run", "pump_mw = inf", 2, "pump_mw"),
-    ("run", "brightness_pairs_per_s_per_mw = inf", 2, "brightness")])
+    ("run", "brightness_pairs_per_s_per_mw = inf", 2, "brightness"),
+    # the analysis geometry, checked against the histogram by the
+    # estimators' own bin selections: a floor region outside it, a window
+    # that does not fit in it, and a comb view narrower than a bin
+    ("analysis", "floor_min_s = 3e-6\nfloor_max_s = 3.2e-6", 2, "floor region"),
+    ("analysis", "window_center_s = 2.1e-6", 2, "coincidence window"),
+    ("analysis", "window_center_s = 5e-6", 2, "coincidence window"),
+    ("afc", "tooth_spacing_hz = 1e5", 2, "coincidence window"),   # 10 us echo
+    ("analysis", "comb_fit_halfspan_s = 1e-10", 2, "comb view"),
+    # 1e17 bins: past any address space, so the allocation fails at once
+    ("analysis", "bin_width_s = 1e-12\nhist_max_s = 1e5", 2, "fit in memory")])
 def test_cli_rejects_bad_model_values(tmp_path, capsys, section, setting,
                                       code, match):
     text, run = f"[{section}]\n{setting}\n", {"duration_s": "0.01",
@@ -500,19 +513,6 @@ def test_cli_rejects_bad_model_values(tmp_path, capsys, section, setting,
     assert run_cli(["simulate", "--scenario", str(cfg),
                     "--out", str(tmp_path)]) == code
     assert match in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("setting", ["comb_fit_halfspan_s = 1e-10",
-                                     "window_center_s = 5e-6"])
-def test_cli_empty_comb_view_is_analysis_error(tmp_path, capsys, setting):
-    # a view narrower than a bin, or outside the histogram, holds no bin
-    cfg = tmp_path / "s.cfg"
-    cfg.write_text(f"[analysis]\n{setting}\n"
-                   "[run]\nduration_s = 0.01\nreference_run = false\n")
-    assert run_cli(["validate", "--scenario", str(cfg)]) == 0
-    assert run_cli(["simulate", "--scenario", str(cfg),
-                    "--out", str(tmp_path)]) == 4
-    assert "comb view" in capsys.readouterr().err
 
 
 def test_analyze_events_detects_peaks_once(monkeypatch):
@@ -574,6 +574,19 @@ def test_cli_exit_3_simulation_error(tmp_path, capsys):
     assert run_cli(["simulate", "--scenario", str(cfg),
                     "--out", str(tmp_path)]) == 3
     assert "simulation error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("setting, name", [
+    ("[run]\nduration_s = 1e15\n", "pair"),
+    ("[detector.signal]\ndark_rate_hz = 1e300\n", "signal dark")])
+def test_cli_too_long_run_is_simulation_error(tmp_path, capsys, setting, name):
+    # an expected count past what numpy's Poisson draw takes is rejected
+    # before any draw, not left to a traceback
+    cfg = tmp_path / "s.cfg"
+    cfg.write_text(setting)
+    assert run_cli(["simulate", "--scenario", str(cfg),
+                    "--out", str(tmp_path)]) == 3
+    assert f"expected {name} count" in capsys.readouterr().err
 
 
 def test_cli_exit_4_analysis_error(tmp_path, capsys):
@@ -905,7 +918,7 @@ def test_cli_sweep_figure_needs_its_sweep_kind(tmp_path, capsys, monkeypatch,
     monkeypatch.setattr(pm.cli, "run_sweep", lambda *a, **k: calls.append(a))
     assert run_cli(["figure", "--scenario", str(cfg), "--figure", figure,
                     "--out", str(tmp_path)]) == 2
-    assert f"needs a {pm.figures.SWEEP_KINDS[figure]} sweep block" in \
+    assert f"needs a {pm.figures.FIGURES[figure][0]} sweep block" in \
         capsys.readouterr().err
     assert calls == []   # rejected before any sweep point runs
 
@@ -1032,7 +1045,9 @@ from hypothesis import given, settings, strategies as st
 @given(seed=st.integers(min_value=0, max_value=2**32),
        pump=st.floats(min_value=0.1, max_value=5.0),
        modes=st.integers(min_value=1, max_value=120),
-       tooth=st.floats(min_value=1e5, max_value=3e6),
+       # below 5e5 Hz the echo, and so the window about it, lies past the
+       # default histogram, which the load rejects
+       tooth=st.floats(min_value=5.5e5, max_value=3e6),
        binw=st.integers(100, 1000).map(lambda ps: ps * 1e-12))
 def test_save_load_roundtrip_property(seed, pump, modes, tooth, binw):
     doc = (f"[run]\nseed = {seed}\npump_mw = {pump!r}\n"
