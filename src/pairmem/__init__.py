@@ -5,7 +5,7 @@ __version__ = "0.1.0"
 
 from .cavity import (BiphotonSpectrum, CavityParams, ClusterSpectrum,
                      PhaseMatching, analytic_g2, cluster_spectrum,
-                     comb_spectrum, g2_envelope, mode_weights)
+                     comb_spectrum, mode_weights)
 from .memory import AfcPlan, FilterSpec, filter_transmission
 from .montecarlo import (DetectorModel, EventStream, GatingSequence,
                          SourceModel, generate_events, make_rng, split_seed)

@@ -328,10 +328,9 @@ def g2_estimate(events: EventStream, window_ps: int, center_ps: int,
     c = int((np.searchsorted(starts, stops - lo, side="right")
              - np.searchsorted(starts, stops - hi, side="left")).sum())
     if gating is not None:
-        cycle, measure = gating.cycle_ps, gating.measure_ps
-        s_n = int(np.count_nonzero(starts % cycle < measure))
-        i_n = int(np.count_nonzero(stops % cycle < measure))
-        t_live = gating.live_total(events.duration_ps * 1e-12)
+        s_n = int(np.count_nonzero(gating.measuring(starts)))
+        i_n = int(np.count_nonzero(gating.measuring(stops)))
+        t_live = gating.live_ps(events.duration_ps) * 1e-12
     else:
         s_n, i_n, t_live = len(starts), len(stops), events.duration_ps * 1e-12
     if s_n == 0 or i_n == 0:

@@ -201,15 +201,6 @@ def comb_spectrum(cavity: CavityParams, n_modes: int,
     return BiphotonSpectrum(k, fs, cavity.pump_freq - fs, s * norm)
 
 
-def g2_envelope(cavity: CavityParams, tau) -> np.ndarray | float:
-    """Two-sided exponential envelope of the cross-correlation."""
-    t = np.asarray(tau, dtype=float)
-    out = np.where(t >= 0,
-                   np.exp(-TWO_PI * cavity.linewidth_signal * t),
-                   np.exp(TWO_PI * cavity.linewidth_idler * t))
-    return out if out.ndim else float(out)
-
-
 def analytic_g2(spec: BiphotonSpectrum, cavity: CavityParams, tau_grid) -> np.ndarray:
     """Unnormalized G2(tau): exponential envelope times the mode-beat comb.
 

@@ -95,7 +95,7 @@ class DetectorModel:
     efficiency: float = 1.0
     dark_rate: float = 0.0
     jitter_sigma: float = 0.0
-    dead_time: float = 0.0
+    dead_time: float = 0.0   # s, a whole number of ps
 
     def __post_init__(self):
         if not (0.0 <= self.efficiency <= 1.0):
@@ -103,10 +103,15 @@ class DetectorModel:
         for name in ("dark_rate", "jitter_sigma", "dead_time"):
             if not 0.0 <= getattr(self, name) < math.inf:   # also rejects NaN
                 raise ParameterError(f"detector {name} must be finite and >= 0")
+        self.dead_time_ps   # whole ps, or ParameterError
+
+    @property
+    def dead_time_ps(self) -> int:
+        return whole_ps(self.dead_time, "dead_time")
 
 
 def whole_ps(seconds: float, name: str) -> int:
-    """``seconds`` in whole picoseconds, the estimators' time base;
+    """``seconds`` in whole picoseconds, the time base of every timestamp;
     ParameterError unless it is one, up to the rounding of the float."""
     ps = seconds * 1e12
     if not (math.isfinite(ps) and math.isclose(ps, round(ps), rel_tol=1e-12)):
@@ -122,8 +127,8 @@ class GatingSequence:
     sub-stage occupies ``measure_fraction`` of the cycle.  After each idler
     click the signal channel is fully open only for delays inside
     [conditional_gate_on, conditional_gate_off]; outside, events pass with
-    probability ``off_gate_attenuation``.  Cycle, measurement stage and
-    breaks are whole picoseconds: the estimators gate in integer time.
+    probability ``off_gate_attenuation``.  Its times are whole
+    picoseconds: the generator and the estimators gate in integer time.
     """
 
     cycle: float
@@ -134,20 +139,16 @@ class GatingSequence:
     off_gate_attenuation: float
 
     def __post_init__(self):
-        if not (0 < self.break_time < self.cycle):
-            raise ParameterError("need 0 < break_time < cycle")
         if not (0 < self.measure_fraction < 1):
             raise ParameterError("measure_fraction must lie in (0, 1)")
-        if self.measure_ps + 2 * whole_ps(self.break_time, "break_time") > self.cycle_ps:
-            raise ParameterError("measure stage plus breaks exceed the cycle")
-        if not (self.conditional_gate_on < self.conditional_gate_off):
+        brk = whole_ps(self.break_time, "break_time")
+        if not (brk > 0 and self.measure_ps + 2 * brk <= self.cycle_ps):
+            raise ParameterError("need break_time > 0 and measure + 2 breaks <= cycle")
+        on, off = self.conditional_gate_ps
+        if not on < off:
             raise ParameterError("conditional gate must open before it closes")
         if not (0.0 <= self.off_gate_attenuation <= 1.0):
             raise ParameterError("off_gate_attenuation must lie in [0, 1]")
-
-    @property
-    def measure_len(self) -> float:
-        return self.measure_fraction * self.cycle
 
     @property
     def cycle_ps(self) -> int:
@@ -155,20 +156,21 @@ class GatingSequence:
 
     @property
     def measure_ps(self) -> int:
-        return whole_ps(self.measure_len, "measurement stage")
+        return whole_ps(self.measure_fraction * self.cycle, "measurement stage")
 
-    def live_total(self, duration: float) -> float:
-        """Total measurement-phase time within [0, duration]."""
-        full, rem = divmod(duration, self.cycle)
-        return full * self.measure_len + min(rem, self.measure_len)
+    @property
+    def conditional_gate_ps(self) -> tuple[int, int]:
+        return (whole_ps(self.conditional_gate_on, "conditional_gate_on"),
+                whole_ps(self.conditional_gate_off, "conditional_gate_off"))
 
-    def live_to_abs(self, live_t: np.ndarray) -> np.ndarray:
-        """Map cumulative measurement-phase time to absolute time."""
-        idx = np.floor(live_t / self.measure_len)
-        return idx * self.cycle + (live_t - idx * self.measure_len)
+    def measuring(self, t_ps):
+        """Whether each timestamp ``t_ps`` (int ps) is in a measurement stage."""
+        return t_ps % self.cycle_ps < self.measure_ps
 
-    def measuring_mask(self, t: np.ndarray) -> np.ndarray:
-        return np.mod(t, self.cycle) < self.measure_len
+    def live_ps(self, duration_ps: int) -> int:
+        """Measurement time in [0, duration_ps), in ps."""
+        full, rem = divmod(duration_ps, self.cycle_ps)
+        return full * self.measure_ps + min(rem, self.measure_ps)
 
 
 class DelaySampler:
@@ -310,35 +312,28 @@ def model_digest(*models) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
-def _prune_dead_time(t: np.ndarray, dead: float) -> np.ndarray:
-    """Greedy dead-time mask over a sorted timestamp array.
+def _prune_dead_time(t: np.ndarray, dead: int) -> np.ndarray:
+    """Greedy dead-time mask over a sorted array of integer timestamps.
 
     Equal to the sequential rule "drop t[i] if t[i] - last kept < dead".
     Gaps >= dead split the stream into runs, and every run start is kept
-    (t[i] - last >= t[i] - t[i-1] >= dead, as float subtraction rounds
-    monotonically).  The element after a run start is always dropped, so
-    only elements behind two consecutive close gaps need the greedy walk,
-    anchored at their run start.
+    (t[i] - last >= t[i] - t[i-1] >= dead).  The element after a run start
+    is always dropped, so only elements behind two consecutive close gaps
+    need the greedy walk, anchored at their run start.
     """
     keep = np.ones(len(t), dtype=bool)
-    if dead <= 0 or len(t) < 2:
-        return keep
     close = np.diff(t) < dead
     keep[1:] = ~close
     deep = np.flatnonzero(close[1:] & close[:-1]) + 2
-    if len(deep):
-        fresh = np.diff(deep, prepend=-1) != 1
-        kept = []
-        for x, a, f in zip(t[deep].tolist(), t[deep - 2].tolist(),
-                           fresh.tolist()):
-            if f:
-                last = a
-            if x - last < dead:
-                kept.append(False)
-            else:
-                kept.append(True)
-                last = x
-        keep[deep] = kept
+    fresh = np.diff(deep, prepend=-1) != 1
+    kept = []
+    for x, a, f in zip(t[deep].tolist(), t[deep - 2].tolist(), fresh.tolist()):
+        if f:
+            last = a
+        kept.append(x - last >= dead)
+        if kept[-1]:
+            last = x
+    keep[deep] = kept
     return keep
 
 
@@ -361,19 +356,20 @@ def generate_events(source: SourceModel, pair_rate: float,
     per second of measurement time; ``memory`` is the AFC plan, None for
     no memory.  ``filters`` maps channel name to a FilterSpec;
     ``detectors`` maps channel name to DetectorModel; either may be None
-    for ideal components.
+    for ideal components.  Every time is an int64 count of ps.
     """
     if not pair_rate >= 0:   # also rejects NaN
         raise ParameterError("pair_rate must be >= 0")
-    if duration < 0:
-        raise ParameterError("duration must be >= 0")
+    if not 0 <= duration * 1e12 < 2 ** 63:   # also rejects NaN
+        raise ParameterError("duration must lie in [0, 2**63) ps")
     filters = filters or {}
     detectors = detectors or {}
     det_s = detectors.get("signal", DetectorModel())
     det_i = detectors.get("idler", DetectorModel())
 
-    live_total = gating.live_total(duration) if gating else duration
-    for name, mean in (("pair", pair_rate * live_total),
+    duration_ps = round(duration * 1e12)
+    live_ps = gating.live_ps(duration_ps) if gating else duration_ps
+    for name, mean in (("pair", pair_rate * live_ps * 1e-12),
                        ("signal dark", det_s.dark_rate * duration),
                        ("idler dark", det_i.dark_rate * duration)):
         if not mean <= _MAX_POISSON_MEAN:
@@ -382,11 +378,11 @@ def generate_events(source: SourceModel, pair_rate: float,
 
     rng = make_rng(seed)
     spec = source.spectrum
-    n_pairs = int(rng.poisson(pair_rate * live_total)) if live_total > 0 else 0
+    n_pairs = int(rng.poisson(pair_rate * live_ps * 1e-12))
 
-    t_idl = np.sort(rng.random(n_pairs)) * live_total
-    if gating is not None:
-        t_idl = gating.live_to_abs(t_idl)
+    t_idl = np.sort(rng.integers(live_ps, size=n_pairs))   # measurement time
+    if gating is not None:   # measurement stage k opens cycle k
+        t_idl = t_idl // gating.measure_ps * gating.cycle_ps + t_idl % gating.measure_ps
     # every pair's delay variates are drawn here, in generator order, but a
     # delay is evaluated only for a signal photon that reaches the detector
     draws = source.sampler.draw(rng, n_pairs)
@@ -420,39 +416,44 @@ def generate_events(source: SourceModel, pair_rate: float,
 
     def finish(t, det):
         """Jitter, shutters, dark counts and the range cut; sorted."""
-        if det.jitter_sigma > 0 and len(t):
-            t = t + rng.normal(0.0, det.jitter_sigma, len(t))
+        if det.jitter_sigma > 0 and len(t):   # t is the caller's own copy
+            jitter = rng.normal(0.0, det.jitter_sigma * 1e12, len(t))
+            np.add(t, np.rint(jitter, out=jitter), out=t, casting="unsafe")
+            del jitter
         if gating is not None and len(t):
-            t = t[gating.measuring_mask(t)]  # AOM shutters block other phases
+            t = t[gating.measuring(t)]  # AOM shutters block other phases
         n_dark = int(rng.poisson(det.dark_rate * duration))
         if n_dark:
-            t = np.concatenate([t, rng.random(n_dark) * duration])
-        t = t[(t >= 0) & (t <= duration)]
-        return np.sort(t)
+            t = np.concatenate([t, rng.integers(duration_ps + 1, size=n_dark)])
+        t = t[(t >= 0) & (t <= duration_ps)]
+        t.sort()
+        return t
 
     idler = finish(t_idl[thin(midx, spec.idler_freqs, filters.get("idler"),
                               det_i)], det_i)
-    idler = idler[_prune_dead_time(idler, det_i.dead_time)]
+    idler = idler[_prune_dead_time(idler, det_i.dead_time_ps)]
 
     midx = midx[alive]   # frees the modes of photons already gone
     alive = alive[thin(midx, spec.signal_freqs, filters.get("signal"), det_s)]
-    t_sig = t_idl[alive] + source.sampler.delays(draws, alive)
+    delay = source.sampler.delays(draws, alive)
     if memory is not None:
-        t_sig += branch[alive] * memory.storage_time
+        delay += branch[alive] * memory.storage_time
+    t_sig = t_idl[alive] + np.rint(delay * 1e12).astype(np.int64)
+    del delay, draws, t_idl
     sig = finish(t_sig, det_s)
     if gating is not None:
-        # idler-conditioned gate, timed from the last idler click before each
-        # signal event; with none before it dt is NaN, inside no gate
-        dt = sig - np.r_[np.nan, idler][np.searchsorted(idler, sig, side="right")]
-        inside = (dt >= gating.conditional_gate_on) \
-            & (dt <= gating.conditional_gate_off)
+        # idler-conditioned gate, timed from the last idler click at or
+        # before each signal event; with none (k = 0, where idler[k - 1]
+        # wraps) the event is inside no gate
+        k = np.searchsorted(idler, sig, side="right")
+        dt = sig - idler[k - 1] if len(idler) else 0
+        on, off = gating.conditional_gate_ps
+        inside = (k > 0) & (dt >= on) & (dt <= off)
         sig = sig[inside | (rng.random(len(sig)) < gating.off_gate_attenuation)]
-    sig = sig[_prune_dead_time(sig, det_s.dead_time)]
+    sig = sig[_prune_dead_time(sig, det_s.dead_time_ps)]
 
-    duration_ps = int(round(duration * 1e12))
     return EventStream(
-        signal_ps=np.clip(np.rint(sig * 1e12), 0, duration_ps).astype(np.uint64),
-        idler_ps=np.clip(np.rint(idler * 1e12), 0, duration_ps).astype(np.uint64),
+        signal_ps=sig.view(np.uint64), idler_ps=idler.view(np.uint64),
         duration_ps=duration_ps, seed=int(seed),
         model_digest=model_digest(source, pair_rate, memory, filters, detectors,
                                   gating))

@@ -118,6 +118,8 @@ class Scenario:
         for name in ("duration_s", "pump_mw", "brightness_pairs_per_s_per_mw"):
             if not 0 <= getattr(self, name) < math.inf:   # also rejects NaN
                 raise ScenarioError(f"[run] {name} must be finite and >= 0")
+        if not self.duration_s * 1e12 < 2 ** 63:   # the generator's int64 ps
+            raise ScenarioError("[run] duration_s must lie below 2**63 ps")
         if not 0 <= self.seed < 2 ** 64:   # event files store it as u64
             raise ScenarioError("[run] seed must lie in [0, 2**64)")
         # the analysis geometry, checked by the estimators' own bin selections
@@ -398,8 +400,8 @@ def source_model(s: Scenario) -> SourceModel:
 
 def simulate(s: Scenario, source: SourceModel | None = None) -> EventStream:
     """Event stream of a scenario, from ``source`` (default: the scenario's
-    own).  A model the scenario builds but cannot run raises
-    SimulationError."""
+    own).  A model the scenario builds but cannot run, or whose arrays do
+    not fit in memory, raises SimulationError."""
     if source is None:
         source = source_model(s)
     try:
@@ -407,6 +409,10 @@ def simulate(s: Scenario, source: SourceModel | None = None) -> EventStream:
                                s.detectors, s.gating, s.duration_s, s.seed)
     except ParameterError as exc:
         raise SimulationError(str(exc)) from exc
+    except MemoryError as exc:
+        d = round(s.duration_s * 1e12)
+        n = s.pair_rate * (s.gating.live_ps(d) if s.gating else d) * 1e-12
+        raise SimulationError(f"{n:.3g} expected pairs do not fit in memory") from exc
 
 
 def _comb_bins(edges: np.ndarray, center_ps: int,

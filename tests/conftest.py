@@ -1,5 +1,4 @@
 import functools
-import math
 from dataclasses import replace
 
 import numpy as np
@@ -7,6 +6,7 @@ import pytest
 
 from pairmem import CavityParams, comb_spectrum, default_scenario, make_rng
 from pairmem.errors import ParameterError
+from pairmem.montecarlo import whole_ps
 
 
 @pytest.fixture
@@ -60,35 +60,28 @@ def brute_force_g2(spec, cavity, tau):
 
 def shuffle_channel(events, channel, seed, gating):
     """Uncorrelated control: ``events`` with one channel's timestamps
-    re-drawn uniformly over the measurement phases of ``gating`` (None:
-    the whole run)."""
-    t = make_rng(seed).random(len(getattr(events, f"{channel}_ps")))
-    duration_s = events.duration_ps * 1e-12
+    re-drawn uniformly over the whole ps of the measurement phases of
+    ``gating`` (None: the whole run)."""
+    n = len(getattr(events, f"{channel}_ps"))
     if gating is None:
-        t = t * duration_s
+        t = make_rng(seed).integers(events.duration_ps, size=n)
     else:
-        t = gating.live_to_abs(t * gating.live_total(duration_s))
-    new_ps = np.sort(np.rint(t * 1e12).astype(np.uint64))
-    return replace(events, **{f"{channel}_ps": new_ps})
+        live = make_rng(seed).integers(gating.live_ps(events.duration_ps),
+                                       size=n)
+        t = live // gating.measure_ps * gating.cycle_ps + live % gating.measure_ps
+    return replace(events, **{f"{channel}_ps": np.sort(t).astype(np.uint64)})
 
 
-def sequence_phase(t, gating):
-    """Phase of the gating cycle at time t: measuring, break, or locking.
-    ``t`` is in seconds, or in picoseconds when it is an int, where the
-    phase arithmetic is exact."""
-    if t < 0:
+def sequence_phase(t_ps, gating):
+    """Phase of the gating cycle at the integer time ``t_ps``: measuring,
+    break, or locking."""
+    if t_ps < 0:
         raise ParameterError("t must be >= 0")
-    if isinstance(t, int):
-        cycle, m, brk = gating.cycle_ps, gating.measure_ps, \
-            round(gating.break_time * 1e12)
-        r = t % cycle
-    else:
-        cycle, m, brk = gating.cycle, gating.measure_len, gating.break_time
-        r = math.fmod(t, cycle)
-    if r < m:
+    if gating.measuring(t_ps):
         return "measuring"
-    if r < m + brk:
+    r, brk = t_ps % gating.cycle_ps, whole_ps(gating.break_time, "break_time")
+    if r < gating.measure_ps + brk:
         return "break"
-    if r < cycle - brk:
+    if r < gating.cycle_ps - brk:
         return "locking"
     return "break"

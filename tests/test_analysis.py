@@ -497,14 +497,13 @@ def test_g2_live_time_normalization():
     # same events, but the gating shrinks the live time
     g = default_record("gating")
     rng = np.random.default_rng(7)
-    T = 1.0
-    live = np.sort(rng.random(20_000) * g.live_total(T))
-    t = g.live_to_abs(live)
-    ev = make_stream(t, t.copy(), duration_s=T)
+    live = rng.integers(g.live_ps(10**12), size=20_000)
+    t = live // g.measure_ps * g.cycle_ps + live % g.measure_ps
+    ev = ps_stream(t, t, duration_ps=10**12)
     est = pm.g2_estimate(ev, window_ps=10**6, center_ps=0, gating=g)
     assert est.live_time == pytest.approx(0.45)
     assert pm.g2_estimate(ev, window_ps=10**6, center_ps=0,
-                          gating=None).live_time == T
+                          gating=None).live_time == 1.0
 
 
 # ---------------------------------------------------------------------------

@@ -51,16 +51,20 @@ def test_split_seed_stable_and_distinct():
 def test_sequence_phase_layout():
     g = default_record("gating")
     # default: 45 us measuring | 10 us break | 35 us locking | 10 us break
-    assert sequence_phase(0.0, g) == "measuring"
-    assert sequence_phase(44.9e-6, g) == "measuring"
-    assert sequence_phase(50e-6, g) == "break"
-    assert sequence_phase(60e-6, g) == "locking"
-    assert sequence_phase(89e-6, g) == "locking"
-    assert sequence_phase(95e-6, g) == "break"
-    assert sequence_phase(100e-6, g) == "measuring"  # next cycle
+    us = 1_000_000   # ps
+    assert sequence_phase(0, g) == "measuring"
+    assert sequence_phase(44_900_000, g) == "measuring"
+    assert sequence_phase(45 * us - 1, g) == "measuring"
+    assert sequence_phase(45 * us, g) == "break"
+    assert sequence_phase(50 * us, g) == "break"
+    assert sequence_phase(60 * us, g) == "locking"
+    assert sequence_phase(89 * us, g) == "locking"
+    assert sequence_phase(95 * us, g) == "break"
+    assert sequence_phase(100 * us, g) == "measuring"  # next cycle
     assert (g.cycle_ps, g.measure_ps) == (100_000_000, 45_000_000)
+    assert g.conditional_gate_ps == (700_000, 1_900_000)
     with pytest.raises(ParameterError):
-        sequence_phase(-1e-9, g)
+        sequence_phase(-1000, g)
 
 
 def test_gating_validation():
@@ -76,35 +80,39 @@ def test_gating_validation():
         default_record("gating", cycle=100.0000005e-6)
     with pytest.raises(ParameterError, match="whole number of ps"):
         default_record("gating", break_time=10.0000005e-6)
+    # the generator gates in whole picoseconds too: the conditional-gate
+    # edges and the dead time must be whole
+    with pytest.raises(ParameterError, match="whole number of ps"):
+        default_record("gating", conditional_gate_on=7.0000005e-7)
+    with pytest.raises(ParameterError, match="whole number of ps"):
+        default_record("gating", conditional_gate_off=math.inf)
+    with pytest.raises(ParameterError, match="whole number of ps"):
+        pm.DetectorModel(dead_time=2.45e-13)
+    assert pm.DetectorModel(dead_time=24e-9).dead_time_ps == 24_000
 
 
-def test_live_total_and_roundtrip():
+def test_live_ps_counts_measuring_ps():
     g = default_record("gating")
-    assert g.live_total(1.0) == pytest.approx(0.45)
-    assert g.live_total(100e-6) == pytest.approx(45e-6)
-    assert g.live_total(20e-6) == pytest.approx(20e-6)  # inside first stage
-    # live_to_abs lands every point in a measuring phase
-    live = np.linspace(0.0, 0.45 - 1e-9, 1000)
-    t_abs = g.live_to_abs(live)
-    assert np.all(g.measuring_mask(t_abs))
-    # and is monotonic
-    assert np.all(np.diff(t_abs) > 0)
+    assert g.live_ps(10**12) == 45 * 10**10
+    assert g.live_ps(100_000_000) == 45_000_000
+    assert g.live_ps(20_000_000) == 20_000_000   # inside the first stage
+    assert g.live_ps(60_000_000) == 45_000_000   # in the break after it
+    # a 100 ps cycle: live_ps(d) counts the measuring ps in [0, d)
+    tiny = default_record("gating", cycle=100e-12, break_time=10e-12)
+    measuring = np.cumsum(tiny.measuring(np.arange(1000)))
+    assert [tiny.live_ps(d) for d in range(1, 1001)] == measuring.tolist()
 
 
 @settings(max_examples=50, deadline=None)
-@given(t=st.floats(min_value=0, max_value=1e-2),
-       t_ps=st.integers(min_value=0, max_value=10**10))
-def test_phase_partition(t, t_ps):
+@given(t_ps=st.integers(min_value=0, max_value=10**10))
+def test_phase_partition(t_ps):
     g = default_record("gating")
-    assert sequence_phase(t, g) in ("measuring", "break", "locking")
-    assert g.measuring_mask(np.array([t]))[0] == (
-        sequence_phase(t, g) == "measuring")
-    # the estimators' integer phase test of a picosecond timestamp
     assert sequence_phase(t_ps, g) in ("measuring", "break", "locking")
-    assert (np.uint64(t_ps) % g.cycle_ps < g.measure_ps) == (
-        sequence_phase(t_ps, g) == "measuring")
-
-
+    # the one phase test, on a python int and on int64 and uint64 arrays
+    want = sequence_phase(t_ps, g) == "measuring"
+    assert g.measuring(t_ps) == want
+    for dtype in (np.int64, np.uint64):
+        assert g.measuring(np.array([t_ps], dtype))[0] == want
 
 
 # ---------------------------------------------------------------------------
@@ -161,11 +169,11 @@ def naive_dead_time(t, dead):
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.lists(st.floats(min_value=0, max_value=1e-3), min_size=0,
+@given(st.lists(st.integers(min_value=0, max_value=10**9), min_size=0,
                 max_size=60),
-       st.floats(min_value=0, max_value=1e-4))
+       st.integers(min_value=0, max_value=10**8))
 def test_prune_dead_time_matches_naive(times, dead):
-    t = np.sort(np.array(times))
+    t = np.sort(np.array(times, dtype=np.int64))
     keep = _prune_dead_time(t, dead)
     assert t[keep].tolist() == naive_dead_time(t.tolist(), dead)
     if dead > 0 and np.count_nonzero(keep) > 1:
@@ -177,20 +185,18 @@ def test_prune_dead_time_matches_naive(times, dead):
                 max_size=80),
        st.integers(min_value=1, max_value=6))
 def test_prune_dead_time_clustered(steps, dead_units):
-    # dyadic times make every gap exact: duplicates (step 0), gaps exactly
-    # equal to the dead time, and long runs of close gaps all occur
-    unit = 2.0 ** -30
-    t = np.cumsum(np.array(steps, dtype=float)) * unit
-    dead = dead_units * unit
-    keep = _prune_dead_time(t, dead)
-    assert t[keep].tolist() == naive_dead_time(t.tolist(), dead)
+    # small steps: duplicates (step 0), gaps exactly equal to the dead
+    # time, and long runs of close gaps all occur
+    t = np.cumsum(np.array(steps, dtype=np.int64))
+    keep = _prune_dead_time(t, dead_units)
+    assert t[keep].tolist() == naive_dead_time(t.tolist(), dead_units)
 
 
 def test_prune_dead_time_large_seeded():
     # mean gap equal to the dead time: most runs hold several close gaps
     rng = np.random.default_rng(2024)
-    dead = 40e-9
-    t = np.cumsum(rng.exponential(dead, 100_000))
+    dead = 40_000   # ps
+    t = np.cumsum(np.rint(rng.exponential(dead, 100_000)).astype(np.int64))
     t = np.sort(np.concatenate([t, t[rng.integers(0, len(t), 500)]]))
     keep = _prune_dead_time(t, dead)
     assert t[keep].tolist() == naive_dead_time(t.tolist(), dead)
@@ -266,11 +272,16 @@ def eager_sample(sampler, rng, size):
 
 
 @pytest.fixture(scope="module")
-def comb_sampler():
+def comb_source():
     cav = pm.CavityParams(fsr_signal=123.0e6, fsr_idler=122.92435e6,
                           linewidth_signal=2.28e6, linewidth_idler=1.52e6,
                           signal_center=494.7e12, idler_center=193.4e12)
-    return DelaySampler(pm.comb_spectrum(cav, 5), cav)
+    return pm.SourceModel(pm.comb_spectrum(cav, 5), cav)
+
+
+@pytest.fixture(scope="module")
+def comb_sampler(comb_source):
+    return comb_source.sampler
 
 
 def assert_lazy_matches_eager(sampler, seed, n, sel):
@@ -409,8 +420,7 @@ def test_dead_time_enforced_in_stream(cavity):
     dets = {"idler": pm.DetectorModel(dead_time=1e-6)}
     ev = pm.generate_events(flat_source(cavity), 5e5, None, None, dets,
                             None, 0.05, seed=4)
-    t = ev.idler_ps * 1e-12
-    assert np.all(np.diff(t) >= 1e-6 - 2e-12)  # ps rounding slack
+    assert np.all(np.diff(ev.idler_ps.astype(np.int64)) >= 1_000_000)
 
 
 def test_gating_confines_photons_not_darks(cavity):
@@ -418,21 +428,47 @@ def test_gating_confines_photons_not_darks(cavity):
     dets = {"signal": pm.DetectorModel(dark_rate=2e4)}
     src = pm.SourceModel(spectrum=pm.comb_spectrum(cavity, 3), cavity=cavity)
     ev = pm.generate_events(src, 0.0, None, None, dets, g, 1.0, seed=8)
-    t = ev.signal_ps * 1e-12
     # dark counts ignore the optical shutters: some land outside measuring
-    assert 0 < np.count_nonzero(g.measuring_mask(t)) < len(t)
+    assert 0 < np.count_nonzero(g.measuring(ev.signal_ps)) < len(ev.signal_ps)
 
     # photons are confined to the measuring phases
     ev2 = pm.generate_events(flat_source(cavity), 2e4, None, None, None,
                              g, 1.0, seed=8)
-    ti = ev2.idler_ps * 1e-12
-    assert len(ti) and np.all(g.measuring_mask(ti))
+    assert len(ev2.idler_ps) and np.all(g.measuring(ev2.idler_ps))
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 32), rate=st.floats(1e4, 1e7),
+       dead_ps=st.tuples(st.integers(0, 2_000_000), st.integers(0, 2_000_000)),
+       jitter=st.sampled_from([0.0, 0.35e-9, 5e-9]),
+       cycle_us=st.integers(2, 100), percent=st.integers(10, 80),
+       attenuation=st.floats(0.0, 1.0), afc=st.booleans())
+def test_kept_events_respect_dead_time_and_phase(
+        comb_source, seed, rate, dead_ps, jitter, cycle_us, percent,
+        attenuation, afc):
+    # no dark counts: every event is a photon, so it passed the shutters
+    # and the phase test holds for all of them, and the dead time holds
+    # exactly in integer ps on both channels
+    plan = default_record("afc_plan", mode_count=5,
+                          mode_spacing=comb_source.cavity.fsr_signal,
+                          efficiency_override=0.4) if afc else None
+    g = default_record("gating", cycle=cycle_us * 1e-6,
+                       measure_fraction=percent / 100, break_time=1e-7,
+                       off_gate_attenuation=attenuation)
+    dets = {ch: pm.DetectorModel(jitter_sigma=jitter, dead_time=d * 1e-12)
+            for ch, d in zip(("signal", "idler"), dead_ps)}
+    ev = pm.generate_events(comb_source, rate, plan, None, dets, g, 2e-3,
+                            seed)
+    for ch, ts in (("signal", ev.signal_ps), ("idler", ev.idler_ps)):
+        assert np.all(np.diff(ts.astype(np.int64)) >= dets[ch].dead_time_ps)
+        assert np.all(g.measuring(ts))
+        assert np.all(ts <= ev.duration_ps)
 
 
 # signal timestamps of test_conditional_gate_without_idlers: the gate's
 # path for signal events with no idler click before them
 GOLDEN_GATE_NO_IDLER = (
-    1_188, "33a8bd6da4f91463dedf56d7a169c040073dad4e375289c02094d454ee8e9a00")
+    1_188, "327e6a8c27baff4faa46d27861ff97cabfa2ec205ea265b8348d570b9627cbe2")
 
 
 def test_conditional_gate_without_idlers():
@@ -456,9 +492,9 @@ def test_conditional_gate_without_idlers():
     darks = run(off_gate_attenuation=1.0).signal_ps
     assert np.isin(ev.signal_ps, darks).all()
     assert len(ev.signal_ps) == pytest.approx(0.3 * len(darks), rel=0.1)
-    # a gate that never closes is still opened only by an idler click
+    # a gate that outlasts the run is still opened only by an idler click
     assert len(run(off_gate_attenuation=0.0,
-                   conditional_gate_off=math.inf).signal_ps) == 0
+                   conditional_gate_off=0.2).signal_ps) == 0
 
 
 def test_memory_splits_transmit_and_echo(cavity):
@@ -510,7 +546,7 @@ def test_conditional_gate_suppresses_out_of_window(cavity):
 # default spectrum, the one path no scenario takes; update it only on
 # purpose, and say so in CHANGES.md
 GOLDEN_IDEAL_CHAIN = (
-    19_518, "49cc3102da499fb44a441e54f7c6224c7fd03054c8e282ba78f151f9406f4ee3")
+    19_518, "0f705b5616610100f7a6fb59e46ca35e53c10f4675f7ecd360ba04e31d32f113")
 
 
 def test_ideal_chain_golden():

@@ -465,6 +465,8 @@ def test_cli_rejects_bad_analysis_settings(tmp_path, capsys, command, key,
     ("detector.signal", "dark_rate_hz = nan", 2, "dark_rate"),
     ("detector.idler", "jitter_sigma_s = nan", 2, "jitter_sigma"),
     ("detector.signal", "dead_time_s = nan", 2, "dead_time"),
+    # the generator counts whole picoseconds too
+    ("detector.signal", "dead_time_s = 2.45e-13", 2, "whole number of ps"),
     ("filter.signal", "center_hz = nan", 2, "center"),
     ("filter.idler", "center_hz = inf", 2, "center"),
     ("filter.idler", "bandwidth_hz = nan", 2, "bandwidth"),
@@ -485,8 +487,11 @@ def test_cli_rejects_bad_analysis_settings(tmp_path, capsys, command, key,
     ("gating", "cycle_s = 100.0000005e-6", 2, "whole number of ps"),
     ("gating", "break_time_s = 10.0000005e-6", 2, "whole number of ps"),
     ("gating", "measure_fraction = 0.4500000001", 2, "whole number of ps"),
+    ("gating", "conditional_gate_on_s = 7.0000005e-7", 2, "whole number of ps"),
+    ("gating", "conditional_gate_off_s = inf", 2, "whole number of ps"),
     ("spectrum", "source = comb\ncomb_modes = 0", 2, "comb_modes"),
     ("run", "duration_s = inf", 2, "duration_s"),
+    ("run", "duration_s = 1e8", 2, "2**63 ps"),   # past int64 ps
     ("run", "pump_mw = inf", 2, "pump_mw"),
     ("run", "brightness_pairs_per_s_per_mw = inf", 2, "brightness"),
     # the analysis geometry, checked against the histogram by the
@@ -577,7 +582,7 @@ def test_cli_exit_3_simulation_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("setting, name", [
-    ("[run]\nduration_s = 1e15\n", "pair"),
+    ("[run]\npump_mw = 1e15\n", "pair"),
     ("[detector.signal]\ndark_rate_hz = 1e300\n", "signal dark")])
 def test_cli_too_long_run_is_simulation_error(tmp_path, capsys, setting, name):
     # an expected count past what numpy's Poisson draw takes is rejected
@@ -587,6 +592,22 @@ def test_cli_too_long_run_is_simulation_error(tmp_path, capsys, setting, name):
     assert run_cli(["simulate", "--scenario", str(cfg),
                     "--out", str(tmp_path)]) == 3
     assert f"expected {name} count" in capsys.readouterr().err
+
+
+def test_cli_arrays_past_memory_are_simulation_error(tmp_path, capsys,
+                                                    monkeypatch):
+    # a pair count numpy can draw, but whose arrays cannot be held
+    def no_memory(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(pm.scenario, "generate_events", no_memory)
+    cfg = tmp_path / "s.cfg"
+    cfg.write_text("[run]\nduration_s = 1e6\nreference_run = false\n")
+    assert run_cli(["simulate", "--scenario", str(cfg),
+                    "--out", str(tmp_path)]) == 3
+    # 2.5e5 pairs/s over 0.45 of 1e6 s
+    assert "1.12e+11 expected pairs do not fit in memory" \
+        in capsys.readouterr().err
 
 
 def test_cli_exit_4_analysis_error(tmp_path, capsys):
@@ -633,11 +654,11 @@ def test_cli_rejects_events_past_duration(tmp_path, capsys):
 # update them only on purpose, and say so in CHANGES.md.
 GOLDEN_DEFAULT = {
     "events.bin":
-        "72a39a899c094c5b9227b5543119c3c086685fe9fb8a85fbabad2f1d3cf2a629",
+        "b8fefe3ab23dc1f9b39f265bbca2a68b258f482dff1c054ff9abfee28b852a72",
     "histogram.csv":
-        "020a499a0ea062f819c4b661c32c9b60b29e583fe5b9f8fdd39971b528340fb2",
+        "7df81e4aa51f763ae7dc10d0b498a7ca9c4a1baa880cd3b48b438b8f4868d4c0",
     "report.json":
-        "6f437c6808a31fb63144443f1415652a32d858cf41ca397e67e25ae613a8d304",
+        "2fb0f491b9c2ff214859cd9e6662b4b891721e2272ac589b6db61a5bf9e7b747",
 }
 
 
@@ -656,7 +677,7 @@ GOLDEN_FIGURES = {
     "fig2": ("default", None,
              "10bf20b5bda718207eb0a9d2393576e5ad498c75bd4c40dec3c29a9331b0176c"),
     "fig4b": ("sweep_afc_modes", 0.5,
-              "ce99b6a1832e2042e73db50a5ecb44d2f3658bd74ab2d5545179c3be81072b81"),
+              "1a00bb447ac2d35cad886685cd7744604ddcae7570b103c48437b1e2f0a31c6a"),
     "fig4c": ("sweep_pump_power", 0.5,
               "394aa7800b4b00d4ce3eac857ef59b5ff11812586ad20e49f0c4eb0221d9329c"),
 }
@@ -688,17 +709,17 @@ GOLDEN_ROUTING = {
         "background_od = 0.2\ntaper = gaussian\ntaper_fwhm_hz = 3e9\n"
         "[run]\nduration_s = 0.3\nreference_run = false\n",
         {"events.bin":
-            "e1950e926c909476572470a3993c90d8694645c1fe042b71f998699bbc480aa5",
+            "30097cebc327255e2f8e1f5c25e7188c886ea5720b74167330326c10795ad409",
          "report.json":
-            "c78aa2d8599ba461a8b73abb61fc6a90b179e87fa203192fa771d124fb5e420e"}),
+            "f380362bc647a0d97e8e1dc8024e67504155ef52d79d7bc0b9b7ecafed6c6e68"}),
     "orders2_override_ungated": (
         "[afc]\necho_orders = 2\nefficiency_override = 0.3\n"
         "[gating]\nenabled = false\n"
         "[run]\nduration_s = 0.1\nreference_run = false\n",
         {"events.bin":
-            "841b597d2256a483d9df962f71b32cbdac2cc2454a25bd49fb6f7d19443ce0ec",
+            "4f8c0788e50f7e8b3e3becb4a0bd239f9034e640df9bc3b37c38dbe3de195d5c",
          "report.json":
-            "adb0d1b7fb191ab38e0ac25ade7c4ed2985e329692dbe9ae322848ad49ae9450"}),
+            "ade3eb740c0251338dfb605e60b2208e9d9b803c1df0455285be5fafb6c1f679"}),
     # no memory and an ideal signal detector: every signal photon the
     # etalon passes is detected, and none is delayed by an echo
     "afc_off_ideal_signal": (
@@ -707,7 +728,7 @@ GOLDEN_ROUTING = {
         "jitter_sigma_s = 0.0\ndead_time_s = 0.0\n"
         "[run]\nduration_s = 0.2\nreference_run = false\n",
         {"events.bin":
-            "52d902e2026f42b43a82600c5842893c3de849fdc5922f04fb58ea0198fca7b7",
+            "af1b5e4bd0cd385101648a76b9ee3f49079f5e343a0cf21b61a1dc49db2ad203",
          "report.json":
             "93bf5479e07c6ee9ea7cb00a367f31d1f79c5bbc93b8942cc90f8e59164419d1"}),
     # a memory with no echo: stored photons are lost, and the reference
@@ -715,7 +736,7 @@ GOLDEN_ROUTING = {
     "echo_orders0": (
         "[afc]\necho_orders = 0\n[run]\nduration_s = 0.2\n",
         {"events.bin":
-            "3b4556f5f1708672d46e379a5d0154bc8b02b0709194155488e1450b0beb7dd3",
+            "436975d0aa1c5c9ba990448dd6340ec655255181db0e4743dc9cbec3a74c7e7f",
          "report.json":
             "af6fcb48281b7c86483a0bac80f89b3aa60bd64ac3d22b31940a29e8486de2ae"}),
 }
