@@ -1,15 +1,16 @@
 """Seeded Monte Carlo generation of detection-event streams.
 
 Pairs are emitted as a Poisson process during the measurement phases of the
-gating cycle; the signal-idler delay of each pair is drawn from the
-analytic cross-correlation curve; the signal photon then passes through the
-memory (transmit / echo / absorbed), both photons through their spectral
-filters and detectors, and the idler-conditioned gate attenuates the signal
-channel outside its window.
+gating cycle.  The signal photon passes through the memory (transmit / echo
+/ absorbed), both photons through their spectral filters and detectors, and
+the idler-conditioned gate attenuates the signal channel outside its window.
 
-Delay variates are drawn for every pair, but a delay is evaluated only for
-a signal photon that passes the memory, the filter and the detector
-efficiency: those fates depend on the photon's mode alone.
+A pair's fate (idler detected or not, signal detected in a memory branch or
+lost) depends on its mode alone, so the generator draws the fate first, from
+one table summed over the modes, and draws only pairs that leave a photon
+(Poisson thinning, Lewis & Shedler 1979).  The signal-idler delay, drawn
+from the analytic cross-correlation curve, is drawn only for the signal
+photons that reach the detector.
 """
 
 from __future__ import annotations
@@ -213,53 +214,31 @@ class DelaySampler:
             })
         self.p_positive = weights[0] / (weights[0] + weights[1])
 
-    def draw(self, rng: np.random.Generator, size: int):
-        """Every variate of ``size`` delays, in draw order: the branch
-        signs, then for each branch with draws its whole periods and its
-        in-period CDF keys.  ``delays`` turns them into delays."""
+    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        """``size`` signed delays.  Draw order: the branch signs, then for
+        each branch with draws its whole periods and its in-period CDF
+        keys."""
         pos = rng.random(size) < self.p_positive
-        n_pos = int(np.count_nonzero(pos))
-        keys = []
-        for b, n in zip(self._branches, (n_pos, size - n_pos)):
+        out = np.empty(size)
+        for i, (sel, sign) in enumerate(((pos, 1.0), (~pos, -1.0))):
+            n = int(np.count_nonzero(sel))
             if n:
+                b = self._branches[i]
                 lam = b["gamma"] * b["period"]
-                keys.append((np.floor(rng.exponential(scale=1.0 / lam, size=n)),
-                             rng.random(n) * b["cdf"][-1]))
-            else:
-                keys.append(None)
-        return pos, keys
-
-    def delays(self, draws, sel: np.ndarray) -> np.ndarray:
-        """Delays of the pairs ``sel`` (increasing indices into ``draws``).
-
-        Each delay is elementwise in its own draws, so a subset gets the
-        bits it would get among all pairs.  A positive pair is draw
-        ``rank - 1`` of its branch and a negative one draw ``sel - rank``,
-        where rank counts the positive pairs up to and including it
-        (int32: 2**31 pairs would not fit in memory).
-        """
-        pos, keys = draws
-        rank = np.cumsum(pos, dtype=np.int32)[sel]
-        up = pos[sel]
-        out = np.empty(len(sel))
-        if up.any():
-            out[up] = self._branch_delays(0, keys, rank[up] - 1)
-        if not up.all():
-            down = ~up
-            out[down] = -self._branch_delays(1, keys, sel[down] - rank[down])
+                k = np.floor(rng.exponential(scale=1.0 / lam, size=n))
+                v = rng.random(n) * b["cdf"][-1]
+                out[sel] = sign * self._branch_delays(i, k, v)
         return out
 
-    def _branch_delays(self, i: int, keys, at: np.ndarray) -> np.ndarray:
+    def _branch_delays(self, i: int, k: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """Unsigned delays of branch ``i`` from whole periods ``k`` and
+        in-period CDF keys ``v``."""
         b = self._branches[i]
-        k, v = keys[i][0][at], keys[i][1][at]
         j = _guided_search(b["guide"], v)
         lower = np.where(j > 0, b["cdf"][j - 1], 0.0)   # CDF below entry j
         frac = (v - lower) / b["dens"][j]
         u = (j + frac) * b["du"]
         return k * b["period"] + u
-
-    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        return self.delays(self.draw(rng, size), np.arange(size))
 
 
 def make_rng(seed: int) -> np.random.Generator:
@@ -337,13 +316,41 @@ def _prune_dead_time(t: np.ndarray, dead: int) -> np.ndarray:
     return keep
 
 
-def _count_reached(u: np.ndarray, rows: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """``np.count_nonzero(u >= rows[:, idx], axis=0)`` one row at a time,
-    without the (rows x photons) gather, in the smallest unsigned type."""
-    count = np.zeros(len(u), np.min_scalar_type(len(rows)))
-    for row in rows:
-        count += u >= row[idx]
-    return count
+def _fate_classes(spec: BiphotonSpectrum, memory: AfcPlan | None,
+                  filters: dict, det_s: DetectorModel,
+                  det_i: DetectorModel) -> np.ndarray:
+    """Probability of each pair fate, summed over the modes (weights w^2).
+
+    Row 0 is the idler lost, row 1 the idler detected (filter x
+    efficiency).  Column m <= echo_orders is the signal detected in memory
+    branch m (0 transmitted, m an order-m echo), times its filter and
+    efficiency; the last column is the signal lost.  Branch m's probability
+    is the increment of the cumulative table [tp, ep, ep^2, ...] clipped at
+    1, so a plan with tp + ep + ... > 1 routes as one uniform compared with
+    that table does.  The pair that loses both photons is not a class: its
+    entry is 0.
+    """
+    w2 = spec.weights ** 2
+
+    def detected(channel, freqs, det):
+        flt = filters.get(channel)
+        passed = np.full(len(freqs), det.efficiency)
+        return passed if flt is None else passed * chain_transmission([flt], freqs)
+
+    if memory is None:
+        reached = np.ones((1, len(w2)))
+    else:
+        tp, ep = memory.response_arrays(spec.signal_freqs)
+        reached = np.minimum(np.cumsum(
+            [tp] + [ep ** m for m in range(1, memory.echo_orders + 1)],
+            axis=0), 1.0)
+    sig = detected("signal", spec.signal_freqs, det_s)
+    idl = detected("idler", spec.idler_freqs, det_i)
+    signal_fates = np.vstack([np.diff(reached, axis=0, prepend=0.0) * sig,
+                              1.0 - reached[-1] * sig])
+    table = (np.stack([1.0 - idl, idl]) * (w2 / w2.sum())) @ signal_fates.T
+    table[0, -1] = 0.0
+    return table
 
 
 def generate_events(source: SourceModel, pair_rate: float,
@@ -377,42 +384,28 @@ def generate_events(source: SourceModel, pair_rate: float,
                 f"expected {name} count {mean:.3g} is too large to draw")
 
     rng = make_rng(seed)
-    spec = source.spectrum
-    n_pairs = int(rng.poisson(pair_rate * live_ps * 1e-12))
-
-    t_idl = np.sort(rng.integers(live_ps, size=n_pairs))   # measurement time
+    fates = _fate_classes(source.spectrum, memory, filters, det_s, det_i)
+    n_fates = fates.shape[1]   # signal: memory branch 0..echo_orders, or lost
+    cdf = np.cumsum(fates)
+    # thinning: the pairs that leave a photon are a Poisson process of
+    # rate pair_rate * P_any, each taking a class with probability
+    # proportional to its entry (side="right" never takes an empty class)
+    n_pairs = int(rng.poisson(pair_rate * cdf[-1] * live_ps * 1e-12))
+    t = np.sort(rng.integers(live_ps, size=n_pairs))   # measurement time
     if gating is not None:   # measurement stage k opens cycle k
-        t_idl = t_idl // gating.measure_ps * gating.cycle_ps + t_idl % gating.measure_ps
-    # every pair's delay variates are drawn here, in generator order, but a
-    # delay is evaluated only for a signal photon that reaches the detector
-    draws = source.sampler.draw(rng, n_pairs)
-    # a photon's fate depends only on its mode: every probability below is
-    # a per-mode table gathered by the mode index
-    w2 = spec.weights ** 2
-    midx = _guided_search(_guide_table(np.cumsum(w2 / w2.sum())),
-                          rng.random(n_pairs))
-
-    # memory routing on the signal photon: branch 0 is transmitted, branch
-    # m <= echo_orders an order-m echo (probability eta^m), the rest absorbed.
-    # alive holds the pair index of each signal photon still in the chain.
-    if memory is None:
-        alive = np.arange(n_pairs)
-    else:
-        tp, ep = memory.response_arrays(spec.signal_freqs)
-        orders = memory.echo_orders
-        cum = np.cumsum([tp] + [ep ** m for m in range(1, orders + 1)], axis=0)
-        branch = _count_reached(rng.random(n_pairs), cum, midx)
-        alive = np.flatnonzero(branch <= orders)
-
-    def thin(modes, freqs, flt, det):
-        """Mask of the photons that pass the filter and the detector
-        efficiency: a draw per photon, and nothing else about it."""
-        keep = np.ones(len(modes), dtype=bool)
-        if flt is not None:
-            keep &= rng.random(len(modes)) < chain_transmission([flt], freqs)[modes]
-        if det.efficiency < 1.0:
-            keep &= rng.random(len(modes)) < det.efficiency
-        return keep
+        t = t // gating.measure_ps * gating.cycle_ps + t % gating.measure_ps
+    fate = np.searchsorted(cdf, rng.random(n_pairs) * cdf[-1], side="right")
+    idler = t[fate >= n_fates]
+    branch = fate % n_fates
+    del fate
+    hit = np.flatnonzero(branch < n_fates - 1)   # signal detected
+    # under the all-mode G2 a delay does not depend on the mode, so it is
+    # drawn only for the signal photons that reach the detector
+    delay = source.sampler.sample(rng, len(hit))
+    if memory is not None:
+        delay += branch[hit] * memory.storage_time
+    t_sig = t[hit] + np.rint(delay * 1e12).astype(np.int64)
+    del t, branch, hit, delay
 
     def finish(t, det):
         """Jitter, shutters, dark counts and the range cut; sorted."""
@@ -426,21 +419,13 @@ def generate_events(source: SourceModel, pair_rate: float,
         if n_dark:
             t = np.concatenate([t, rng.integers(duration_ps + 1, size=n_dark)])
         t = t[(t >= 0) & (t <= duration_ps)]
-        t.sort()
+        t.sort(kind="stable")   # timsort: jittered times are nearly sorted
         return t
 
-    idler = finish(t_idl[thin(midx, spec.idler_freqs, filters.get("idler"),
-                              det_i)], det_i)
+    idler = finish(idler, det_i)
     idler = idler[_prune_dead_time(idler, det_i.dead_time_ps)]
-
-    midx = midx[alive]   # frees the modes of photons already gone
-    alive = alive[thin(midx, spec.signal_freqs, filters.get("signal"), det_s)]
-    delay = source.sampler.delays(draws, alive)
-    if memory is not None:
-        delay += branch[alive] * memory.storage_time
-    t_sig = t_idl[alive] + np.rint(delay * 1e12).astype(np.int64)
-    del delay, draws, t_idl
     sig = finish(t_sig, det_s)
+    del t_sig
     if gating is not None:
         # idler-conditioned gate, timed from the last idler click at or
         # before each signal event; with none (k = 0, where idler[k - 1]

@@ -4,13 +4,14 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import pairmem as pm
 from pairmem.eventio import _merge_channels
-from pairmem.montecarlo import (DelaySampler, _count_reached, _guide_table,
+from pairmem.montecarlo import (DelaySampler, _fate_classes, _guide_table,
                                 _guided_search, _prune_dead_time, model_digest)
 from pairmem.errors import ParameterError
+from pairmem.memory import chain_transmission
 from pairmem.scenario import build_spectrum
 
 from conftest import default_record, sequence_phase
@@ -240,8 +241,8 @@ def test_guided_search_delay_table_and_fallback(cavity, small_spectrum):
 
 
 # ---------------------------------------------------------------------------
-# lazy delays, row-wise branch counts and the channel merge against the
-# formulas they replaced
+# the sampler against the formulas it replaced, and pair fates against the
+# per-pair routing they replaced
 
 def eager_delays(b, k, v):
     """Delays of one branch from whole periods k and CDF keys v, with the
@@ -284,72 +285,103 @@ def comb_sampler(comb_source):
     return comb_source.sampler
 
 
-def assert_lazy_matches_eager(sampler, seed, n, sel):
-    sel = np.asarray(sel, dtype=np.intp)
-    eager_rng, lazy_rng = pm.make_rng(seed), pm.make_rng(seed)
-    want = eager_sample(sampler, eager_rng, n)[sel]
-    got = sampler.delays(sampler.draw(lazy_rng, n), sel)
-    assert got.tobytes() == want.tobytes()    # bit for bit, signed zeros too
-    # the same variates were taken: both generators are at the same state
-    assert lazy_rng.random() == eager_rng.random()
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.integers(0, 2 ** 32), st.integers(0, 60), st.data())
-def test_lazy_delays_match_eager_sample(comb_sampler, seed, n, data):
-    picked = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
-    assert_lazy_matches_eager(comb_sampler, seed, n, np.flatnonzero(picked))
-
-
-def test_lazy_delays_edge_selections(comb_sampler):
-    n = 5000
-    for sel in ([], np.arange(n), [0], [n - 1], [1234]):
-        assert_lazy_matches_eager(comb_sampler, 17, n, sel)
-    # one pair: one of the two branches draws nothing
-    for seed in range(20):
-        assert_lazy_matches_eager(comb_sampler, seed, 1, [0])
-        assert_lazy_matches_eager(comb_sampler, seed, 1, [])
-    # no pairs at all
-    assert_lazy_matches_eager(comb_sampler, 3, 0, [])
-
-
 def test_delays_at_table_edges(comb_sampler):
     # keys in the first table entry (j = 0, no CDF below it), on entry
     # boundaries and at the top of the table
-    for i, sign in ((0, 1.0), (1, -1.0)):
+    for i in (0, 1):
         cdf = comb_sampler._branches[i]["cdf"]
         v = np.array([0.0, cdf[0] / 2, cdf[0], np.nextafter(cdf[0], np.inf),
                       cdf[1], cdf[-2], cdf[-1]])
         k = np.arange(len(v), dtype=float)
-        pos = np.full(len(v), i == 0)
-        keys = [(k, v), None] if i == 0 else [None, (k, v)]
-        got = comb_sampler.delays((pos, keys), np.arange(len(v)))
-        want = sign * eager_delays(comb_sampler._branches[i], k, v)
+        got = comb_sampler._branch_delays(i, k, v)
+        want = eager_delays(comb_sampler._branches[i], k, v)
         assert got.tobytes() == want.tobytes()
 
 
 def test_sample_is_draw_then_every_delay(comb_sampler):
-    a = comb_sampler.sample(pm.make_rng(9), 1000)
-    b = eager_sample(comb_sampler, pm.make_rng(9), 1000)
-    assert a.tobytes() == b.tobytes()
+    # bit for bit, signed zeros too, and the same variates taken: both
+    # generators end at the same state; one pair leaves one branch empty
+    for seed, size in [(9, 1000), (17, 5000), (3, 0)] + [(s, 1) for s in range(20)]:
+        rng, eager_rng = pm.make_rng(seed), pm.make_rng(seed)
+        a = comb_sampler.sample(rng, size)
+        b = eager_sample(comb_sampler, eager_rng, size)
+        assert a.tobytes() == b.tobytes()
+        assert rng.random() == eager_rng.random()
 
 
-@settings(max_examples=100, deadline=None)
-@given(st.sampled_from([0, 1, 3]), st.integers(0, 2 ** 32),
-       st.integers(1, 8), st.integers(0, 50))
-def test_count_reached_matches_gathered_count(orders, seed, n_modes, n):
-    rng = np.random.default_rng(seed)
-    # nondecreasing per column, as a cumulative branch table is
-    rows = np.cumsum(rng.random((orders + 1, n_modes)) / (orders + 1), axis=0)
-    idx = rng.integers(0, n_modes, n)
-    u = rng.random(n)
-    # some keys sit exactly on a threshold, or just beside one
-    on = rng.random(n) < 0.5
-    u[on] = rows[rng.integers(0, orders + 1, n)[on], idx[on]]
-    u[::7] = np.nextafter(u[::7], 0.0)
-    got = _count_reached(u, rows, idx)
-    assert got.dtype.kind == "u"
-    assert np.array_equal(got, np.count_nonzero(u >= rows[:, idx], axis=0))
+def routed_fates(spec, plan, filters, dets, n, rng):
+    """(idler detected, signal fate) of n pairs drawn as the generator once
+    drew them: a mode index per pair, one memory uniform counted against
+    the cumulative branch table, and a uniform per filter and efficiency."""
+    w2 = spec.weights ** 2
+    mode = rng.choice(len(w2), size=n, p=w2 / w2.sum())
+
+    def passes(channel, freqs):
+        keep = np.ones(n, dtype=bool)
+        if channel in filters:
+            t = chain_transmission([filters[channel]], freqs)
+            keep &= rng.random(n) < t[mode]
+        return keep & (rng.random(n) < dets[channel].efficiency)
+
+    orders = plan.echo_orders if plan else 0
+    branch = np.zeros(n, dtype=int)
+    if plan is not None:
+        tp, ep = plan.response_arrays(spec.signal_freqs)
+        cum = np.cumsum([tp] + [ep ** m for m in range(1, orders + 1)], axis=0)
+        u = rng.random(n)
+        branch = np.count_nonzero(u >= cum[:, mode], axis=0)
+    signal = np.where((branch <= orders) & passes("signal", spec.signal_freqs),
+                      branch, orders + 1)
+    return passes("idler", spec.idler_freqs), signal
+
+
+# echo_orders >= 2 with tp + ep + ep^2 > 1 on every memory mode (tp =
+# exp(-0.8) = 0.449, ep = 0.54): the cumulative table passes 1, and the
+# clipped increments must route as the uniform compared against it did
+OVERFULL = dict(efficiency_override=0.54, echo_orders=3, peak_optical_depth=1.6)
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2 ** 32),
+       plan=st.one_of(st.none(), st.just(OVERFULL), st.fixed_dictionaries({
+           "efficiency_override": st.sampled_from([None, 0.2, 0.5]),
+           "echo_orders": st.integers(0, 3)}), st.fixed_dictionaries({
+           "taper": st.just("gaussian"), "taper_fwhm": st.just(2e9),
+           "echo_orders": st.integers(0, 3)})),
+       effs=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+       filtered=st.tuples(st.booleans(), st.booleans()))
+@example(seed=1, plan=OVERFULL, effs=(0.8, 0.6), filtered=(True, True))
+def test_fate_classes_match_per_pair_routing(comb_source, seed, plan, effs,
+                                            filtered):
+    # the fate table is the per-mode routing summed over the modes: the
+    # per-pair draws it replaced land in each class as often as its entry
+    # says, within 5 sigma
+    cavity = comb_source.cavity
+    spec = pm.comb_spectrum(cavity, 41)
+    if plan is not None:
+        overfull = plan == OVERFULL
+        plan = default_record("afc_plan", mode_count=31,
+                              mode_spacing=cavity.fsr_signal, **plan)
+        if overfull:   # the case reaches the clipping
+            tp, ep = plan.response_arrays(spec.signal_freqs)
+            assert np.max(tp + ep + ep ** 2) > 1.0
+    flt = pm.default_scenario().filters   # centered on the cavity's modes
+    flt = {"signal": flt["signal"], "idler": replace(flt["idler"], bandwidth=2e9)}
+    filters = {ch: flt[ch] for ch, on in zip(("signal", "idler"), filtered) if on}
+    dets = {"signal": pm.DetectorModel(efficiency=effs[0]),
+            "idler": pm.DetectorModel(efficiency=effs[1])}
+    table = _fate_classes(spec, plan, filters, dets["signal"], dets["idler"])
+    orders = plan.echo_orders if plan else 0
+    assert table.shape == (2, orders + 2)
+    assert table[0, -1] == 0.0 and np.all(table >= 0.0)
+    n = 200_000
+    idler, signal = routed_fates(spec, plan, filters, dets, n, pm.make_rng(seed))
+    counts = np.zeros((2, orders + 2))
+    np.add.at(counts, (idler.astype(int), signal), 1)
+    counts[0, -1] = 0.0
+    # (+3: the Poisson tail of a near-empty class)
+    sigma = np.sqrt(n * table * (1 - table))
+    assert np.all(np.abs(counts - n * table) <= 5 * sigma + 3)
 
 
 # ---------------------------------------------------------------------------
@@ -414,6 +446,55 @@ def test_dark_counts_only():
     n = len(ev.signal_ps)
     assert n == pytest.approx(5e4, rel=0.05)
     assert len(ev.idler_ps) == 0
+
+
+@pytest.mark.parametrize("lost_by", ["efficiency", "filter"])
+def test_nothing_detectable_draws_no_pairs(cavity, lost_by):
+    # no fate class can be detected (P_any = 0): no pair is drawn, so the
+    # run is bit for bit the dark counts of a run without pump, and no 0/0
+    # is divided (a RuntimeWarning is an error here)
+    darks = {"signal": pm.DetectorModel(dark_rate=5e3),
+             "idler": pm.DetectorModel(dark_rate=2e3)}
+    dets, filters = darks, None
+    if lost_by == "efficiency":
+        dets = {ch: replace(d, efficiency=0.0) for ch, d in darks.items()}
+    else:
+        filters = {ch: replace(f, peak_transmittance=0.0)
+                   for ch, f in pm.default_scenario().filters.items()}
+    plan = default_record("afc_plan", mode_count=5,
+                          mode_spacing=cavity.fsr_signal)
+    g = default_record("gating", off_gate_attenuation=0.5)
+    src = flat_source(cavity)
+    ev = pm.generate_events(src, 1e6, plan, filters, dets, g, 0.1, seed=4)
+    dark = pm.generate_events(src, 0.0, None, None, darks, g, 0.1, seed=4)
+    assert len(ev.signal_ps) > 100 and len(ev.idler_ps) > 100
+    assert ev.signal_ps.tobytes() == dark.signal_ps.tobytes()
+    assert ev.idler_ps.tobytes() == dark.idler_ps.tobytes()
+
+
+def test_delays_drawn_once_for_detected_signals(comb_source, monkeypatch):
+    # one DelaySampler.sample call per run, sized to the signal-detected
+    # pairs: with no jitter, darks, gating or dead time each of them is
+    # one signal event, and the idler events are the idler-detected pairs
+    sizes, sample = [], DelaySampler.sample
+    monkeypatch.setattr(DelaySampler, "sample", lambda self, rng, size:
+                        sizes.append(size) or sample(self, rng, size))
+    plan = default_record("afc_plan", mode_count=5, echo_orders=3,
+                          mode_spacing=comb_source.cavity.fsr_signal,
+                          efficiency_override=0.4)
+    dets = {"signal": pm.DetectorModel(efficiency=0.5),
+            "idler": pm.DetectorModel(efficiency=0.8)}
+    rate, duration = 4e4, 0.5
+    ev = pm.generate_events(comb_source, rate, plan, None, dets, None,
+                            duration, seed=7)
+    assert sizes == [len(ev.signal_ps)]
+    # each channel's count is Poisson with the mean its fate classes give
+    table = _fate_classes(comb_source.spectrum, plan, {}, dets["signal"],
+                          dets["idler"])
+    for n, p in ((len(ev.signal_ps), table[:, :-1].sum()),
+                 (len(ev.idler_ps), table[1].sum())):
+        mean = rate * duration * p
+        assert abs(n - mean) < 5 * math.sqrt(mean)
 
 
 def test_dead_time_enforced_in_stream(cavity):
@@ -546,7 +627,7 @@ def test_conditional_gate_suppresses_out_of_window(cavity):
 # default spectrum, the one path no scenario takes; update it only on
 # purpose, and say so in CHANGES.md
 GOLDEN_IDEAL_CHAIN = (
-    19_518, "0f705b5616610100f7a6fb59e46ca35e53c10f4675f7ecd360ba04e31d32f113")
+    19_518, "2086d1ff0078f109fad24c142c3cfd374229c5a6fd41519a346fd02145a232bf")
 
 
 def test_ideal_chain_golden():

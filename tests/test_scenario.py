@@ -8,7 +8,7 @@ import pytest
 
 import pairmem as pm
 from pairmem.errors import ScenarioError, SimulationError
-from pairmem.scenario import (build_spectrum, reference_rate,
+from pairmem.scenario import (analyze_events, build_spectrum, reference_rate,
                               single_mode_reference, sweep_scenarios)
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
@@ -654,11 +654,11 @@ def test_cli_rejects_events_past_duration(tmp_path, capsys):
 # update them only on purpose, and say so in CHANGES.md.
 GOLDEN_DEFAULT = {
     "events.bin":
-        "b8fefe3ab23dc1f9b39f265bbca2a68b258f482dff1c054ff9abfee28b852a72",
+        "46e9cc0780359d9aa488e817d68d30b9be92ec6e850ca4f6ebe230746e7b3af6",
     "histogram.csv":
-        "7df81e4aa51f763ae7dc10d0b498a7ca9c4a1baa880cd3b48b438b8f4868d4c0",
+        "57b39442ed2d2b9c4adc8897682679ab198a82e19386affa885eb8105502f6e2",
     "report.json":
-        "2fb0f491b9c2ff214859cd9e6662b4b891721e2272ac589b6db61a5bf9e7b747",
+        "473dae09061944879297e20169ead27afa93c9621634c828c19f8c2bed94bfce",
 }
 
 
@@ -677,9 +677,9 @@ GOLDEN_FIGURES = {
     "fig2": ("default", None,
              "10bf20b5bda718207eb0a9d2393576e5ad498c75bd4c40dec3c29a9331b0176c"),
     "fig4b": ("sweep_afc_modes", 0.5,
-              "1a00bb447ac2d35cad886685cd7744604ddcae7570b103c48437b1e2f0a31c6a"),
+              "d91f1e1cc45f4694d9ce7cfce3518aab8053ae87088170b3e0ea7a67b790a7bd"),
     "fig4c": ("sweep_pump_power", 0.5,
-              "394aa7800b4b00d4ce3eac857ef59b5ff11812586ad20e49f0c4eb0221d9329c"),
+              "89db8960aaa97d78ce40d1a9997d61d037b556b9601da86b4b904c99e509383f"),
 }
 
 
@@ -709,17 +709,17 @@ GOLDEN_ROUTING = {
         "background_od = 0.2\ntaper = gaussian\ntaper_fwhm_hz = 3e9\n"
         "[run]\nduration_s = 0.3\nreference_run = false\n",
         {"events.bin":
-            "30097cebc327255e2f8e1f5c25e7188c886ea5720b74167330326c10795ad409",
+            "8e3a0d2bd7d7a1965f7055a29005726a1e52ee513bf8edfe64f869d54aedefa7",
          "report.json":
-            "f380362bc647a0d97e8e1dc8024e67504155ef52d79d7bc0b9b7ecafed6c6e68"}),
+            "6f8f3dd34f5a8a2971b1f8f6cea8f5eb70e68acd0f17fc5228cd99e0181b3ab9"}),
     "orders2_override_ungated": (
         "[afc]\necho_orders = 2\nefficiency_override = 0.3\n"
         "[gating]\nenabled = false\n"
         "[run]\nduration_s = 0.1\nreference_run = false\n",
         {"events.bin":
-            "4f8c0788e50f7e8b3e3becb4a0bd239f9034e640df9bc3b37c38dbe3de195d5c",
+            "9e3a7aab7018a118ccfffe2d6bb32b102062395bb98e9c9213f06ce8bc797570",
          "report.json":
-            "ade3eb740c0251338dfb605e60b2208e9d9b803c1df0455285be5fafb6c1f679"}),
+            "d147ac2d2acaf275dd7b0d3b065feac5dcc4d36b668af14c99ad5ec17d77bfdf"}),
     # no memory and an ideal signal detector: every signal photon the
     # etalon passes is detected, and none is delayed by an echo
     "afc_off_ideal_signal": (
@@ -728,17 +728,17 @@ GOLDEN_ROUTING = {
         "jitter_sigma_s = 0.0\ndead_time_s = 0.0\n"
         "[run]\nduration_s = 0.2\nreference_run = false\n",
         {"events.bin":
-            "af1b5e4bd0cd385101648a76b9ee3f49079f5e343a0cf21b61a1dc49db2ad203",
+            "108fc2bfabe1f9f0590b81b6334c3d4ac6c143da73ed384bfd3810e726d6681f",
          "report.json":
-            "93bf5479e07c6ee9ea7cb00a367f31d1f79c5bbc93b8942cc90f8e59164419d1"}),
+            "39d2d39062e5f901c51d86370835d415b5e8733401a62220b26a26a5e9cead93"}),
     # a memory with no echo: stored photons are lost, and the reference
     # run keeps its single-mode AFC
     "echo_orders0": (
         "[afc]\necho_orders = 0\n[run]\nduration_s = 0.2\n",
         {"events.bin":
-            "436975d0aa1c5c9ba990448dd6340ec655255181db0e4743dc9cbec3a74c7e7f",
+            "f313cfe37feab47818ffac5f8c9f2bd767db0be7680f8607bb28a8112e625cad",
          "report.json":
-            "af6fcb48281b7c86483a0bac80f89b3aa60bd64ac3d22b31940a29e8486de2ae"}),
+            "9426a79ecc7a70ce4dddb7e3f469da30a2297e3f9a714fa0aee7db99684b34b8"}),
 }
 
 
@@ -845,7 +845,7 @@ def test_serial_sweep_builds_one_source(monkeypatch, name):
     assert (calls["spectrum"], calls["sampler"]) == (1, 1)
 
 
-def test_run_sweep_points_match_run_scenario():
+def test_run_sweep_points_match_run_scenario(monkeypatch):
     # a pump sweep's references keep the pump, so every point runs as
     # run_scenario runs it.  In an afc_modes sweep only the first
     # multi-mode point does; every later one divides by its reference rate.
@@ -858,21 +858,25 @@ def test_run_sweep_points_match_run_scenario():
     afc = _shipped_sweep("sweep_afc_modes", duration_s=0.5,
                          sweep_values=(1, 5, 11, 21))
     points = sweep_scenarios(afc)
-    bundles = pm.run_sweep(afc)
-    r = bundles[0].report
-    assert (r.n_effective, r.n_effective_err) == (1.0, 0.0)
     first = points[1]
-    assert (bundles[1].report.to_json()
-            == pm.run_scenario(first).report.to_json())
     ref = replace(single_mode_reference(first),
                   seed=pm.split_seed(first.seed, 0x5EF))
     shared = reference_rate(first, pm.simulate(ref))
-    assert shared[0] > 0
+    passed, run_point = [], pm.scenario._run_point
+    monkeypatch.setattr(pm.scenario, "_run_point", lambda p, source, rate:
+                        passed.append(rate) or run_point(p, source, rate))
+    bundles = pm.run_sweep(afc)
+    # the shared (rate, error) reaches every multi-mode point, whatever
+    # the sign of this one reference's net count
+    assert passed == [None] + [shared] * 3
+    r = bundles[0].report
+    assert (r.n_effective, r.n_effective_err) == (1.0, 0.0)
+    assert (bundles[1].report.to_json()
+            == pm.run_scenario(first).report.to_json())
     for bundle, p in zip(bundles[1:], points[1:]):
-        r = bundle.report
-        assert (r.n_effective, r.n_effective_err) == pm.effective_modes(
-            (r.coincidence_rate_cps, r.coincidence_rate_err), shared)
         events = pm.simulate(p)
+        assert (bundle.report.to_json() == analyze_events(
+            p, events, rate_single=shared)[1].to_json())
         assert np.array_equal(bundle.events.signal_ps, events.signal_ps)
         assert np.array_equal(bundle.events.idler_ps, events.idler_ps)
 
