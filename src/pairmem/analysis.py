@@ -271,7 +271,6 @@ def noise_floor(hist: CorrelationHistogram, region_ps: tuple[int, int]) -> tuple
 class RateEstimate:
     rate: float
     error: float
-    clamped: bool = False
 
 
 def window_bins(edges: np.ndarray, window_ps: int, center_ps: int) -> np.ndarray:
@@ -292,9 +291,8 @@ def coincidence_rate(hist: CorrelationHistogram, window_ps: int, center_ps: int,
     n = int(np.count_nonzero(sel))
     net = raw - floor * n
     err = math.sqrt(raw + (floor_err * n) ** 2) / hist.duration if hist.duration else 0.0
-    clamped = net < 0
     rate = max(net, 0.0) / hist.duration if hist.duration else 0.0
-    return RateEstimate(rate=rate, error=err, clamped=clamped)
+    return RateEstimate(rate=rate, error=err)
 
 
 @dataclass(frozen=True)
@@ -305,8 +303,6 @@ class G2Estimate:
     starts: int
     stops: int
     live_time: float
-    undefined: bool = False
-    upper_bound: float | None = None
 
 
 def g2_estimate(events: EventStream, window_ps: int, center_ps: int,
@@ -336,12 +332,8 @@ def g2_estimate(events: EventStream, window_ps: int, center_ps: int,
     if s_n == 0 or i_n == 0:
         raise EstimationError("no singles inside measurement phases")
     scale = t_live / (s_n * i_n * (hi - lo + 1) * 1e-12)
-    if c == 0:
-        return G2Estimate(value=0.0, error=0.0, coincidences=0, starts=s_n,
-                          stops=i_n, live_time=t_live, undefined=True,
-                          upper_bound=scale)
     val = c * scale
-    err = val * math.sqrt(1.0 / c + 1.0 / s_n + 1.0 / i_n)
+    err = val * math.sqrt(1.0 / c + 1.0 / s_n + 1.0 / i_n) if c else 0.0
     return G2Estimate(value=val, error=err, coincidences=c, starts=s_n,
                       stops=i_n, live_time=t_live)
 

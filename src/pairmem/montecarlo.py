@@ -27,53 +27,10 @@ from .cavity import BiphotonSpectrum, CavityParams, TWO_PI
 from .errors import ParameterError
 from .memory import AfcPlan, FilterSpec, chain_transmission
 
-_DELAY_TABLE_BITS = 17  # in-period density resolution: 1/FSR / 2^17 (~62 fs)
-_GUIDE_STEPS = 4  # vectorized forward steps before a key falls back to bisection
+_DELAY_TABLE_BITS = 17  # 2^17 in-period density steps (~62 fs) and quantile steps
 # numpy's Generator.poisson rejects a larger mean: int64 max less ten of its
 # standard deviations
 _MAX_POISSON_MEAN = np.iinfo(np.int64).max - 10 * math.sqrt(np.iinfo(np.int64).max)
-
-
-def _guide_table(cdf: np.ndarray):
-    """Guide table (Chen & Asau 1974) for exact inverse-CDF lookups.
-
-    Keys and CDF entries share one bucketing, ``floor(x * len(cdf) /
-    cdf[-1])``, and ``guide[k]`` counts the entries in buckets below k.
-    Rounded multiplication is monotone, so an entry in a lower bucket than
-    a key is smaller than the key: ``guide[bucket(v)]`` never passes
-    ``searchsorted(cdf, v)``.  Returns (cdf padded with +inf, guide, scale)
-    for ``_guided_search``.
-    """
-    m = len(cdf)
-    total = float(cdf[-1])
-    scale = m / total if total > 0 else 0.0
-    counts = np.bincount(_bucket(cdf, scale, m), minlength=m + 1)
-    guide = np.concatenate(([0], np.cumsum(counts[:m])))
-    return np.append(cdf, np.inf), guide, scale
-
-
-def _bucket(x: np.ndarray, scale: float, m: int) -> np.ndarray:
-    return np.clip(x * scale, 0, m).astype(np.intp)
-
-
-def _guided_search(table, v: np.ndarray) -> np.ndarray:
-    """``np.searchsorted(cdf, v)`` (side="left"), via the guide table.
-
-    From the guide entry of its bucket, each index steps forward while
-    ``cdf[j] < v``; keys still unresolved after a few vectorized steps are
-    bisected on their own.
-    """
-    cdf, guide, scale = table
-    j = guide[_bucket(v, scale, len(guide) - 1)]
-    idx = np.flatnonzero(cdf[j] < v)
-    for _ in range(_GUIDE_STEPS):
-        if not len(idx):
-            return j
-        j[idx] += 1
-        idx = idx[cdf[j[idx]] < v[idx]]
-    if len(idx):
-        j[idx] = np.searchsorted(cdf[:-1], v[idx])
-    return j
 
 
 @dataclass(frozen=True)
@@ -175,70 +132,64 @@ class GatingSequence:
 
 
 class DelaySampler:
-    """Exact sampler for the signed pair delay distributed as G2(tau).
+    """Sampler for the signed pair delay distributed as G2(tau).
 
     G2 factorizes into a periodic comb times an exponential envelope, so a
-    delay is the sum of a geometric number of comb periods plus an
-    in-period offset drawn by inverse CDF from a dense table (looked up
-    through a guide table).  Branch signs are chosen by the closed-form
+    delay is a geometric number of comb periods plus an in-period offset,
+    read from a table of in-period quantiles at 2^17 equal probability
+    steps, linearly interpolated (Devroye 1986, ch. 2): its CDF is within
+    2^-17 of the dense table's.  Branch signs are chosen by the closed-form
     integral weight of each side.
     """
 
     def __init__(self, spec: BiphotonSpectrum, cavity: CavityParams):
-        idx, w = spec.index - spec.index.min(), spec.weights
-        npts = 1 << _DELAY_TABLE_BITS
-        # comb factor on midpoint grid u_m = (m + 1/2) P/npts:
-        #   |sum_j s_j exp(i 2 pi j (m + 1/2)/npts)|^2
-        # evaluated for all m at once with one inverse DFT
-        lattice = np.zeros(npts, dtype=complex)
-        np.add.at(lattice, np.mod(idx, npts),
-                  w * np.exp(1j * math.pi * idx / npts))
-        comb = np.abs(np.fft.ifft(lattice) * npts) ** 2
-        self._branches = []
+        self._branches = []   # per side: (gamma * period, period, quantiles)
         weights = []
-        for fsr, lw in ((cavity.fsr_signal, cavity.linewidth_signal),
-                        (cavity.fsr_idler, cavity.linewidth_idler)):
-            gamma = TWO_PI * lw
-            period = 1.0 / fsr
-            du = period / npts
-            u = (np.arange(npts) + 0.5) * du
-            dens = np.exp(-gamma * u) * comb
-            guide = _guide_table(np.cumsum(dens))
-            cdf = guide[0][:-1]   # a view: a run keeps its sampler, so one copy
+        for gamma, period, cdf in _period_cdfs(spec, cavity):
+            du = period / (len(cdf) - 1)
             # total branch mass: one-period integral times the geometric
             # tail over later periods
             weights.append(cdf[-1] * du / (1.0 - math.exp(-gamma * period)))
-            self._branches.append({
-                "gamma": gamma, "period": period, "du": du,
-                "cdf": cdf, "dens": dens, "guide": guide,
-            })
+            q = np.interp(np.linspace(0.0, cdf[-1], len(cdf)), cdf,
+                          np.arange(len(cdf)) * du)
+            self._branches.append((gamma * period, period, q))
         self.p_positive = weights[0] / (weights[0] + weights[1])
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         """``size`` signed delays.  Draw order: the branch signs, then for
-        each branch with draws its whole periods and its in-period CDF
-        keys."""
+        each branch with draws its whole periods and one uniform per
+        delay, read between the two quantiles around it."""
         pos = rng.random(size) < self.p_positive
         out = np.empty(size)
-        for i, (sel, sign) in enumerate(((pos, 1.0), (~pos, -1.0))):
+        for (lam, period, q), sel, sign in zip(self._branches, (pos, ~pos), (1, -1)):
             n = int(np.count_nonzero(sel))
             if n:
-                b = self._branches[i]
-                lam = b["gamma"] * b["period"]
                 k = np.floor(rng.exponential(scale=1.0 / lam, size=n))
-                v = rng.random(n) * b["cdf"][-1]
-                out[sel] = sign * self._branch_delays(i, k, v)
+                x = rng.random(n) * (len(q) - 1)
+                j = x.astype(np.intp)
+                u = q[j] + (x - j) * (q[j + 1] - q[j])
+                out[sel] = sign * (k * period + u)
         return out
 
-    def _branch_delays(self, i: int, k: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """Unsigned delays of branch ``i`` from whole periods ``k`` and
-        in-period CDF keys ``v``."""
-        b = self._branches[i]
-        j = _guided_search(b["guide"], v)
-        lower = np.where(j > 0, b["cdf"][j - 1], 0.0)   # CDF below entry j
-        frac = (v - lower) / b["dens"][j]
-        u = (j + frac) * b["du"]
-        return k * b["period"] + u
+
+def _period_cdfs(spec: BiphotonSpectrum, cavity: CavityParams):
+    """Yield, per delay branch (positive, then negative), its decay rate gamma,
+    its comb period and the in-period CDF table, the cumulative sum of G2
+    on the midpoint grid of 2^17 steps with a leading 0."""
+    idx, w = spec.index - spec.index.min(), spec.weights
+    npts = 1 << _DELAY_TABLE_BITS
+    # comb factor on midpoint grid u_m = (m + 1/2) P/npts:
+    #   |sum_j s_j exp(i 2 pi j (m + 1/2)/npts)|^2
+    # evaluated for all m at once with one inverse DFT
+    lattice = np.zeros(npts, dtype=complex)
+    np.add.at(lattice, np.mod(idx, npts), w * np.exp(1j * math.pi * idx / npts))
+    comb = np.abs(np.fft.ifft(lattice) * npts) ** 2
+    for fsr, lw in ((cavity.fsr_signal, cavity.linewidth_signal),
+                    (cavity.fsr_idler, cavity.linewidth_idler)):
+        gamma, period = TWO_PI * lw, 1.0 / fsr
+        u = (np.arange(npts) + 0.5) * (period / npts)
+        yield gamma, period, np.concatenate(
+            ([0.0], np.cumsum(np.exp(-gamma * u) * comb)))
 
 
 def make_rng(seed: int) -> np.random.Generator:
@@ -376,36 +327,19 @@ def generate_events(source: SourceModel, pair_rate: float,
 
     duration_ps = round(duration * 1e12)
     live_ps = gating.live_ps(duration_ps) if gating else duration_ps
-    for name, mean in (("pair", pair_rate * live_ps * 1e-12),
-                       ("signal dark", det_s.dark_rate * duration),
-                       ("idler dark", det_i.dark_rate * duration)):
-        if not mean <= _MAX_POISSON_MEAN:
-            raise ParameterError(
-                f"expected {name} count {mean:.3g} is too large to draw")
-
-    rng = make_rng(seed)
     fates = _fate_classes(source.spectrum, memory, filters, det_s, det_i)
     n_fates = fates.shape[1]   # signal: memory branch 0..echo_orders, or lost
     cdf = np.cumsum(fates)
     # thinning: the pairs that leave a photon are a Poisson process of
     # rate pair_rate * P_any, each taking a class with probability
     # proportional to its entry (side="right" never takes an empty class)
-    n_pairs = int(rng.poisson(pair_rate * cdf[-1] * live_ps * 1e-12))
-    t = np.sort(rng.integers(live_ps, size=n_pairs))   # measurement time
-    if gating is not None:   # measurement stage k opens cycle k
-        t = t // gating.measure_ps * gating.cycle_ps + t % gating.measure_ps
-    fate = np.searchsorted(cdf, rng.random(n_pairs) * cdf[-1], side="right")
-    idler = t[fate >= n_fates]
-    branch = fate % n_fates
-    del fate
-    hit = np.flatnonzero(branch < n_fates - 1)   # signal detected
-    # under the all-mode G2 a delay does not depend on the mode, so it is
-    # drawn only for the signal photons that reach the detector
-    delay = source.sampler.sample(rng, len(hit))
-    if memory is not None:
-        delay += branch[hit] * memory.storage_time
-    t_sig = t[hit] + np.rint(delay * 1e12).astype(np.int64)
-    del t, branch, hit, delay
+    pairs = pair_rate * cdf[-1] * live_ps * 1e-12
+    darks = (det_s.dark_rate * duration, det_i.dark_rate * duration)
+    for name, mean in zip(("pair", "signal dark", "idler dark"), (pairs, *darks)):
+        if not mean <= _MAX_POISSON_MEAN:
+            raise ParameterError(
+                f"expected {name} count {mean:.3g} is too large to draw")
+    rng = make_rng(seed)
 
     def finish(t, det):
         """Jitter, shutters, dark counts and the range cut; sorted."""
@@ -422,20 +356,40 @@ def generate_events(source: SourceModel, pair_rate: float,
         t.sort(kind="stable")   # timsort: jittered times are nearly sorted
         return t
 
-    idler = finish(idler, det_i)
-    idler = idler[_prune_dead_time(idler, det_i.dead_time_ps)]
-    sig = finish(t_sig, det_s)
-    del t_sig
-    if gating is not None:
-        # idler-conditioned gate, timed from the last idler click at or
-        # before each signal event; with none (k = 0, where idler[k - 1]
-        # wraps) the event is inside no gate
-        k = np.searchsorted(idler, sig, side="right")
-        dt = sig - idler[k - 1] if len(idler) else 0
-        on, off = gating.conditional_gate_ps
-        inside = (k > 0) & (dt >= on) & (dt <= off)
-        sig = sig[inside | (rng.random(len(sig)) < gating.off_gate_attenuation)]
-    sig = sig[_prune_dead_time(sig, det_s.dead_time_ps)]
+    try:
+        n_pairs = int(rng.poisson(pairs))
+        t = np.sort(rng.integers(live_ps, size=n_pairs))   # measurement time
+        if gating is not None:   # measurement stage k opens cycle k
+            t = t // gating.measure_ps * gating.cycle_ps + t % gating.measure_ps
+        fate = np.searchsorted(cdf, rng.random(n_pairs) * cdf[-1], side="right")
+        idler = t[fate >= n_fates]
+        branch = fate % n_fates
+        del fate
+        hit = np.flatnonzero(branch < n_fates - 1)   # signal detected
+        # under the all-mode G2 a delay does not depend on the mode, so it
+        # is drawn only for the signal photons that reach the detector
+        delay = source.sampler.sample(rng, len(hit))
+        if memory is not None:
+            delay += branch[hit] * memory.storage_time
+        t_sig = t[hit] + np.rint(delay * 1e12).astype(np.int64)
+        del t, branch, hit, delay
+        idler = finish(idler, det_i)
+        idler = idler[_prune_dead_time(idler, det_i.dead_time_ps)]
+        sig = finish(t_sig, det_s)
+        del t_sig
+        if gating is not None:
+            # idler-conditioned gate, timed from the last idler click at or
+            # before each signal event; with none (k = 0, where idler[k - 1]
+            # wraps) the event is inside no gate
+            k = np.searchsorted(idler, sig, side="right")
+            dt = sig - idler[k - 1] if len(idler) else 0
+            on, off = gating.conditional_gate_ps
+            inside = (k > 0) & (dt >= on) & (dt <= off)
+            sig = sig[inside | (rng.random(len(sig)) < gating.off_gate_attenuation)]
+        sig = sig[_prune_dead_time(sig, det_s.dead_time_ps)]
+    except MemoryError as exc:
+        raise ParameterError(f"{pairs:.3g} expected pairs and {sum(darks):.3g} "
+                             "expected dark counts do not fit in memory") from exc
 
     return EventStream(
         signal_ps=sig.view(np.uint64), idler_ps=idler.view(np.uint64),

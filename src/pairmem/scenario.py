@@ -409,10 +409,6 @@ def simulate(s: Scenario, source: SourceModel | None = None) -> EventStream:
                                s.detectors, s.gating, s.duration_s, s.seed)
     except ParameterError as exc:
         raise SimulationError(str(exc)) from exc
-    except MemoryError as exc:
-        d = round(s.duration_s * 1e12)
-        n = s.pair_rate * (s.gating.live_ps(d) if s.gating else d) * 1e-12
-        raise SimulationError(f"{n:.3g} expected pairs do not fit in memory") from exc
 
 
 def _comb_bins(edges: np.ndarray, center_ps: int,

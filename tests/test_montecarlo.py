@@ -8,8 +8,8 @@ from hypothesis import example, given, settings, strategies as st
 
 import pairmem as pm
 from pairmem.eventio import _merge_channels
-from pairmem.montecarlo import (DelaySampler, _fate_classes, _guide_table,
-                                _guided_search, _prune_dead_time, model_digest)
+from pairmem.montecarlo import (DelaySampler, _fate_classes, _period_cdfs,
+                                _prune_dead_time, model_digest)
 from pairmem.errors import ParameterError
 from pairmem.memory import chain_transmission
 from pairmem.scenario import build_spectrum
@@ -204,72 +204,103 @@ def test_prune_dead_time_large_seeded():
 
 
 # ---------------------------------------------------------------------------
-# guide-table lookup against np.searchsorted
+# the quantile table against the dense in-period table it inverts, and pair
+# fates against the per-pair routing they replaced
 
-def assert_guided_matches(cdf, v):
-    got = _guided_search(_guide_table(cdf), v)
-    assert np.array_equal(got, np.searchsorted(cdf, v))
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.lists(st.one_of(st.just(0.0),
-                          st.floats(min_value=1e-6, max_value=1e3)),
-                min_size=1, max_size=40).filter(lambda d: sum(d) > 0),
-       st.lists(st.floats(min_value=0, max_value=1), max_size=30))
-def test_guided_search_matches_searchsorted(dens, fracs):
-    # zero densities make plateaus: repeated CDF entries
-    cdf = np.cumsum(np.array(dens))
-    keys = np.concatenate([
-        [0.0, cdf[-1], np.nextafter(cdf[-1], np.inf), 2 * cdf[-1]],
-        cdf, np.nextafter(cdf, 0.0), np.nextafter(cdf, np.inf),
-        np.array(fracs) * cdf[-1]])
-    assert_guided_matches(cdf, keys)
+QUANTILE_STEPS = 1 << 17
 
 
-def test_guided_search_delay_table_and_fallback(cavity, small_spectrum):
-    sampler = DelaySampler(small_spectrum, cavity)
-    cdf = sampler._branches[0]["cdf"]
-    v = pm.make_rng(5).random(200_000) * cdf[-1]
-    assert_guided_matches(cdf, v)
-    # one spike holds almost all mass, so the 500 entries below it share
-    # the first bucket: keys there take the bisection fallback
-    dens = np.full(1000, 1e-9)
-    dens[500] = 1.0
-    cdf = np.cumsum(dens)
-    v = np.concatenate([np.linspace(0.0, cdf[-1], 5001), cdf])
-    assert_guided_matches(cdf, v)
+def dense_inverse(cdf, period, r):
+    """Inverse of the dense in-period table CDF ``cdf`` (leading 0) at the
+    fractions ``r`` of its total: the entry that holds each key by
+    np.searchsorted, plus the linear fraction within it, as the sampler
+    once read it."""
+    v = r * cdf[-1]
+    j = np.searchsorted(cdf[1:], v)
+    frac = (v - cdf[j]) / (cdf[j + 1] - cdf[j])
+    return (j + frac) * (period / (len(cdf) - 1))
 
 
-# ---------------------------------------------------------------------------
-# the sampler against the formulas it replaced, and pair fates against the
-# per-pair routing they replaced
-
-def eager_delays(b, k, v):
-    """Delays of one branch from whole periods k and CDF keys v, with the
-    lower CDF edges as a table, as DelaySampler once held them."""
-    j = _guided_search(b["guide"], v)
-    lower = np.concatenate(([0.0], b["cdf"][:-1]))
-    frac = (v - lower[j]) / b["dens"][j]
-    u = (j + frac) * b["du"]
-    return k * b["period"] + u
+def knot_gaps(q, r):
+    """Width of the quantile-table gap [q[j], q[j + 1]] that holds each
+    key ``r``."""
+    j = (r * (len(q) - 1)).astype(np.intp)
+    return q[j + 1] - q[j]
 
 
-def eager_sample(sampler, rng, size):
-    """DelaySampler.sample as it was: every delay evaluated at draw time."""
-    def branch(n, b):
-        lam = b["gamma"] * b["period"]
-        k = np.floor(rng.exponential(scale=1.0 / lam, size=n))
-        v = rng.random(n) * b["cdf"][-1]
-        return eager_delays(b, k, v)
+def assert_within_kolmogorov_bound(sampler, cdfs):
+    # the interpolated CDF meets the table CDF at every knot, and both are
+    # monotone, so on the table's own grid they differ by at most 2^-17
+    for (_, period, q), (_, _, cdf) in zip(sampler._branches, cdfs):
+        assert len(q) == QUANTILE_STEPS + 1
+        grid = np.arange(len(cdf)) * (period / (len(cdf) - 1))
+        interpolated = np.interp(grid, q, np.linspace(0.0, 1.0, len(q)))
+        gap = np.max(np.abs(interpolated - cdf / cdf[-1]))
+        assert gap <= 2.0 ** -17 + 1e-12
 
+
+@pytest.mark.parametrize("which", ["small", "default"])
+def test_quantile_table_within_kolmogorov_bound(cavity, small_spectrum, which):
+    if which == "small":
+        spec, cav = small_spectrum, cavity
+    else:
+        s = pm.default_scenario()
+        spec, cav = build_spectrum(s), s.cavity
+    assert_within_kolmogorov_bound(DelaySampler(spec, cav), list(_period_cdfs(spec, cav)))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(st.integers(1, 3), min_size=1, max_size=60),
+       st.lists(st.floats(0.0, 1.0), min_size=60, max_size=60),
+       st.floats(1e-3, 0.99), st.floats(1e-3, 0.99))
+@example([1] * 60, [1.0] * 60, 0.01, 0.01)
+def test_quantile_table_of_random_combs(gaps, weights, lw_s, lw_i):
+    # many flat or random-weight lines make sharp comb peaks with near-zero
+    # stretches between them (60 flat lines: one peak per period, a density
+    # below 1e-3 of it over most of the period); a weight may be 0
+    idx = np.cumsum(gaps)
+    w = np.array(weights[:len(idx)])
+    w[0] = max(w[0], 1e-3)
+    cav = pm.CavityParams(fsr_signal=123e6, fsr_idler=122.9e6,
+                          linewidth_signal=lw_s * 123e6,
+                          linewidth_idler=lw_i * 122.9e6,
+                          signal_center=494.7e12, idler_center=193.4e12)
+    spec = pm.BiphotonSpectrum(idx, 494.7e12 + idx * 123e6,
+                               193.4e12 - idx * 123e6, w / np.linalg.norm(w))
+    sampler = DelaySampler(spec, cav)
+    for _, period, q in sampler._branches:
+        assert np.all(np.diff(q) >= 0)
+        assert q[0] == 0.0 and q[-1] == pytest.approx(period, rel=1e-12)
+    assert_within_kolmogorov_bound(sampler, list(_period_cdfs(spec, cav)))
+
+
+class ScriptedRng:
+    """Stands in for a Generator: hands out the given draws in order."""
+
+    def __init__(self, *draws):
+        self.draws = list(draws)
+
+    def random(self, size):
+        return self.draws.pop(0)
+
+    def exponential(self, scale, size):
+        return self.draws.pop(0)
+
+
+def oracle_sample(sampler, cdfs, rng, size):
+    """DelaySampler.sample's draws, each delay read by ``dense_inverse``;
+    also the knot gap that holds each key."""
     pos = rng.random(size) < sampler.p_positive
-    out = np.empty(size)
-    n_pos = int(np.count_nonzero(pos))
-    if n_pos:
-        out[pos] = branch(n_pos, sampler._branches[0])
-    if size - n_pos:
-        out[~pos] = -branch(size - n_pos, sampler._branches[1])
-    return out
+    out, gaps = np.empty(size), np.empty(size)
+    for (lam, period, q), (_, _, cdf), sel, sign in zip(
+            sampler._branches, cdfs, (pos, ~pos), (1, -1)):
+        n = int(np.count_nonzero(sel))
+        if n:
+            k = np.floor(rng.exponential(scale=1.0 / lam, size=n))
+            r = rng.random(n)
+            out[sel] = sign * (k * period + dense_inverse(cdf, period, r))
+            gaps[sel] = knot_gaps(q, r)
+    return out, gaps
 
 
 @pytest.fixture(scope="module")
@@ -285,28 +316,53 @@ def comb_sampler(comb_source):
     return comb_source.sampler
 
 
-def test_delays_at_table_edges(comb_sampler):
-    # keys in the first table entry (j = 0, no CDF below it), on entry
-    # boundaries and at the top of the table
-    for i in (0, 1):
-        cdf = comb_sampler._branches[i]["cdf"]
-        v = np.array([0.0, cdf[0] / 2, cdf[0], np.nextafter(cdf[0], np.inf),
-                      cdf[1], cdf[-2], cdf[-1]])
-        k = np.arange(len(v), dtype=float)
-        got = comb_sampler._branch_delays(i, k, v)
-        want = eager_delays(comb_sampler._branches[i], k, v)
-        assert got.tobytes() == want.tobytes()
+@pytest.fixture(scope="module")
+def comb_cdfs(comb_source):
+    return list(_period_cdfs(comb_source.spectrum, comb_source.cavity))
 
 
-def test_sample_is_draw_then_every_delay(comb_sampler):
-    # bit for bit, signed zeros too, and the same variates taken: both
+def test_delays_at_table_edges(comb_sampler, comb_cdfs):
+    # keys at 0, inside the first and last knot gaps, on knots (read from
+    # the table exactly) and just below 1; no whole periods
+    n = QUANTILE_STEPS
+    r = np.array([0.0, 0.5 / n, 1 / n, 3 / n, 0.5, 1 - 1 / n, 1 - 0.5 / n,
+                  np.nextafter(1.0, 0.0)])
+    on_knot = r * n == np.floor(r * n)
+    for i, (sign_key, sign) in enumerate(((0.0, 1), (np.nextafter(1.0, 0.0), -1))):
+        _, period, q = comb_sampler._branches[i]
+        rng = ScriptedRng(np.full(len(r), sign_key), np.zeros(len(r)), r)
+        u = sign * comb_sampler.sample(rng, len(r))
+        want = dense_inverse(comb_cdfs[i][2], period, r)
+        assert np.all(np.abs(u - want) <= knot_gaps(q, r) + 1e-21)
+        assert u[on_knot].tolist() == q[(r[on_knot] * n).astype(int)].tolist()
+        assert u[0] == 0.0 and np.all(u <= q[-1])
+
+
+def test_sample_is_draw_then_every_delay(comb_sampler, comb_cdfs):
+    # the same variates in the same order: each delay lies in the knot gap
+    # that holds its key, with the dense inverse's sign, and both
     # generators end at the same state; one pair leaves one branch empty
     for seed, size in [(9, 1000), (17, 5000), (3, 0)] + [(s, 1) for s in range(20)]:
-        rng, eager_rng = pm.make_rng(seed), pm.make_rng(seed)
+        rng, oracle_rng = pm.make_rng(seed), pm.make_rng(seed)
         a = comb_sampler.sample(rng, size)
-        b = eager_sample(comb_sampler, eager_rng, size)
-        assert a.tobytes() == b.tobytes()
-        assert rng.random() == eager_rng.random()
+        b, gaps = oracle_sample(comb_sampler, comb_cdfs, oracle_rng, size)
+        assert np.array_equal(np.signbit(a), np.signbit(b))
+        assert np.all(np.abs(a - b) <= gaps + 1e-18)
+        assert rng.random() == oracle_rng.random()
+
+
+def test_sampler_holds_one_quantile_table_per_branch(comb_sampler):
+    def arrays(obj):
+        if isinstance(obj, np.ndarray):
+            yield obj
+        elif isinstance(obj, (list, tuple)):
+            for x in obj:
+                yield from arrays(x)
+        elif isinstance(obj, dict):
+            yield from arrays(list(obj.values()))
+
+    held = list(arrays(vars(comb_sampler)))
+    assert sum(a.nbytes for a in held) <= 2 * (QUANTILE_STEPS + 1) * 8
 
 
 def routed_fates(spec, plan, filters, dets, n, rng):
@@ -627,7 +683,7 @@ def test_conditional_gate_suppresses_out_of_window(cavity):
 # default spectrum, the one path no scenario takes; update it only on
 # purpose, and say so in CHANGES.md
 GOLDEN_IDEAL_CHAIN = (
-    19_518, "2086d1ff0078f109fad24c142c3cfd374229c5a6fd41519a346fd02145a232bf")
+    19_518, "00b43e2e10ff3772b0e8c5754e056151a340fbb300964735b65af7eeabb4cf58")
 
 
 def test_ideal_chain_golden():

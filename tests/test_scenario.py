@@ -596,18 +596,31 @@ def test_cli_too_long_run_is_simulation_error(tmp_path, capsys, setting, name):
 
 def test_cli_arrays_past_memory_are_simulation_error(tmp_path, capsys,
                                                     monkeypatch):
-    # a pair count numpy can draw, but whose arrays cannot be held
-    def no_memory(*args):
-        raise MemoryError
+    # counts numpy can draw, but whose arrays cannot be held: the generator
+    # names the pair and dark counts it was drawing
+    class NoMemory:
+        def poisson(self, mean):
+            raise MemoryError
 
-    monkeypatch.setattr(pm.scenario, "generate_events", no_memory)
+    monkeypatch.setattr(pm.montecarlo, "make_rng", lambda seed: NoMemory())
     cfg = tmp_path / "s.cfg"
     cfg.write_text("[run]\nduration_s = 1e6\nreference_run = false\n")
     assert run_cli(["simulate", "--scenario", str(cfg),
                     "--out", str(tmp_path)]) == 3
-    # 2.5e5 pairs/s over 0.45 of 1e6 s
-    assert "1.12e+11 expected pairs do not fit in memory" \
-        in capsys.readouterr().err
+    # 2.5e5 pairs/s over 0.45 of 1e6 s, of which the 80 % that leave a
+    # photon are drawn, and 300 dark counts/s over both detectors
+    assert ("9.05e+10 expected pairs and 3e+08 expected dark counts do not "
+            "fit in memory") in capsys.readouterr().err
+
+
+def test_cli_nothing_detectable_draws_no_pairs(tmp_path, capsys):
+    # with both detectors blind no pair leaves a photon, so a pump whose
+    # raw pair count could not be drawn runs on dark counts alone
+    cfg = tmp_path / "s.cfg"
+    cfg.write_text("[detector.signal]\nefficiency = 0.0\n"
+                   "[detector.idler]\nefficiency = 0.0\n[run]\npump_mw = 1e15\n")
+    assert run_cli(["simulate", "--scenario", str(cfg),
+                    "--out", str(tmp_path)]) == 0
 
 
 def test_cli_exit_4_analysis_error(tmp_path, capsys):
@@ -654,7 +667,7 @@ def test_cli_rejects_events_past_duration(tmp_path, capsys):
 # update them only on purpose, and say so in CHANGES.md.
 GOLDEN_DEFAULT = {
     "events.bin":
-        "46e9cc0780359d9aa488e817d68d30b9be92ec6e850ca4f6ebe230746e7b3af6",
+        "44d8bd70b989152477fe3e8866bd4a04f2fc48400df6f1520631a4de4df11126",
     "histogram.csv":
         "57b39442ed2d2b9c4adc8897682679ab198a82e19386affa885eb8105502f6e2",
     "report.json":
@@ -717,7 +730,7 @@ GOLDEN_ROUTING = {
         "[gating]\nenabled = false\n"
         "[run]\nduration_s = 0.1\nreference_run = false\n",
         {"events.bin":
-            "9e3a7aab7018a118ccfffe2d6bb32b102062395bb98e9c9213f06ce8bc797570",
+            "45ea87b5c473dd9789241a13ac17fcde675ccbce8fa83dd9d1094e9ef3ffb23d",
          "report.json":
             "d147ac2d2acaf275dd7b0d3b065feac5dcc4d36b668af14c99ad5ec17d77bfdf"}),
     # no memory and an ideal signal detector: every signal photon the
@@ -728,7 +741,7 @@ GOLDEN_ROUTING = {
         "jitter_sigma_s = 0.0\ndead_time_s = 0.0\n"
         "[run]\nduration_s = 0.2\nreference_run = false\n",
         {"events.bin":
-            "108fc2bfabe1f9f0590b81b6334c3d4ac6c143da73ed384bfd3810e726d6681f",
+            "08b28d72d63c32e5e93a6c35a70becf24bd741644af17f7d26340479e379c5df",
          "report.json":
             "39d2d39062e5f901c51d86370835d415b5e8733401a62220b26a26a5e9cead93"}),
     # a memory with no echo: stored photons are lost, and the reference
