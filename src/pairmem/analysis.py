@@ -97,81 +97,61 @@ def merge_histograms(a: CorrelationHistogram, b: CorrelationHistogram) -> Correl
         total_stop_counts=a.total_stop_counts, duration=a.duration)
 
 
+def _walk_minima(heights: list, gaps: list) -> list:
+    """Per peak, the least of ``gaps`` (gaps[i] lies before peak i) back to
+    the nearest earlier peak strictly higher: one monotonic-stack pass."""
+    out, stack = [], []   # (height, walk minimum) of the peaks not yet passed
+    for h, g in zip(heights, gaps):
+        while stack and stack[-1][0] <= h:
+            g = min(g, stack.pop()[1])
+        stack.append((h, g))
+        out.append(g)
+    return out
+
+
 def _find_peaks(y: np.ndarray, min_prominence: float) -> np.ndarray:
-    """Indices of the local maxima of ``y`` whose prominence is at least
-    ``min_prominence``: exactly the indices that the standard
-    ``find_peaks(y, prominence=min_prominence)`` returns with no window
-    limit, which the tests use as the oracle.
+    """Indices of the local maxima of ``y`` with prominence at least
+    ``min_prominence``: exactly those of the standard ``find_peaks(y,
+    prominence=min_prominence)`` with no window limit, the tests' oracle.
 
-    A maximum is a plateau (a run of equal samples, possibly of length 1)
-    whose neighbours on both sides are strictly lower; it is reported at
-    its middle index ``(first + last) // 2``, and a plateau touching an
-    array end is never a peak.  Prominence is the peak height minus the
-    higher of the two minima found walking outwards from the peak until
-    a strictly higher sample or the array end.
-
-    The walk runs on the run-length compressed array for all peaks at
-    once: sparse tables hold the max and min of every power-of-two block
-    of runs, the nearest strictly higher run on each side is reached by
-    descending power-of-two steps over the max table, and the blocks
-    stepped over tile the walked range, so their min-table entries give
-    the minima.
+    A maximum is a plateau of equal samples (possibly one) whose two
+    neighbours are strictly lower, reported at its middle index; one that
+    touches an array end is never a peak.  Its prominence is its height
+    less the higher minimum of the walks out to the first strictly higher
+    sample or the array end.  Climbing on from that sample reaches a
+    taller candidate or the end over higher samples still, so
+    ``_walk_minima`` over the candidates finds the same minima.
     """
-    n = len(y)
-    if n < 3:
+    if len(y) < 3:
         return np.zeros(0, dtype=np.intp)
     first = np.flatnonzero(np.r_[True, y[1:] != y[:-1]])
-    last = np.r_[first[1:], n] - 1
+    last = np.r_[first[1:], len(y)] - 1
     v = y[first]
-    m = len(v)
     r = np.flatnonzero((v[1:-1] > v[:-2]) & (v[1:-1] > v[2:])) + 1
     # no prominence exceeds the height above the global minimum
     r = r[v[r] - v.min() >= min_prominence]
-    if len(r) == 0:
-        return np.zeros(0, dtype=np.intp)
-    # level k: hi[k][i] = max(v[i:i + 2**k]), lo[k][i] = min(v[i:i + 2**k])
-    hi, lo = [v], [v]
-    step = 1
-    while 2 * step <= m:
-        hi.append(np.maximum(hi[-1][:-step], hi[-1][step:]))
-        lo.append(np.minimum(lo[-1][:-step], lo[-1][step:]))
-        step *= 2
-    h = v[r]
-    left = right = r
-    left_min = right_min = h
-    for k in reversed(range(len(hi))):
-        step = 1 << k
-        # block [left - step, left - 1]
-        j = np.maximum(left - step, 0)
-        ok = (left >= step) & (hi[k][j] <= h)
-        left_min = np.where(ok, np.minimum(left_min, lo[k][j]), left_min)
-        left = np.where(ok, j, left)
-        # block [right + 1, right + step]
-        j = np.minimum(right + 1, m - step)
-        ok = (right + step < m) & (hi[k][j] <= h)
-        right_min = np.where(ok, np.minimum(right_min, lo[k][j]), right_min)
-        right = np.where(ok, right + step, right)
-    keep = h - np.maximum(left_min, right_min) >= min_prominence
-    r = r[keep]
+    # the minima between candidates (each one above both its neighbours)
+    gaps = np.minimum.reduceat(v, np.r_[0, r]).tolist()
+    h = v[r].tolist()
+    walk = np.maximum(_walk_minima(h, gaps[:-1]),
+                      _walk_minima(h[::-1], gaps[:0:-1])[::-1])
+    r = r[v[r] - walk >= min_prominence]
     return (first[r] + last[r]) // 2
 
 
-def detect_peaks(hist: CorrelationHistogram, min_prominence: float) -> list[tuple[float, float]]:
+def detect_peaks(hist: CorrelationHistogram, min_prominence: float) -> np.ndarray:
     """Local maxima above the prominence threshold, with 3-point parabolic
-    sub-bin refinement, sorted by delay."""
+    sub-bin refinement: (delay in s, height) rows sorted by delay, each
+    delay inside its peak's bin (no neighbour is above its peak)."""
     y = hist.counts.astype(float)
     if len(y) == 0:
         raise ParameterError("histogram is empty")
-    out = []
-    # peaks are never at the array ends, so both neighbours exist
-    for i in _find_peaks(y, min_prominence):
-        denom = y[i - 1] - 2.0 * y[i] + y[i + 1]
-        d = 0.5 * (y[i - 1] - y[i + 1]) / denom if denom != 0 else 0.0
-        delay = (int(hist.bin_edges_ps[i]) + (0.5 + d) * hist.bin_width_ps) * 1e-12
-        height = y[i] - 0.25 * (y[i - 1] - y[i + 1]) * d
-        out.append((float(delay), float(height)))
-    out.sort()
-    return out
+    i = _find_peaks(y, min_prominence)   # never at an end: both neighbours exist
+    lo, mid, hi = y[i - 1], y[i], y[i + 1]
+    denom = lo - 2.0 * mid + hi
+    d = np.divide(0.5 * (lo - hi), denom, out=np.zeros(len(i)), where=denom != 0)
+    delay = (hist.bin_edges_ps[i] + (0.5 + d) * hist.bin_width_ps) * 1e-12
+    return np.column_stack([delay, mid - 0.25 * (lo - hi) * d])
 
 
 @dataclass(frozen=True)
@@ -182,12 +162,12 @@ class FsrEstimate:
     interval_err_s: float
 
 
-def estimate_fsr(peaks: list[tuple[float, float]], k_max: int = 30) -> FsrEstimate:
-    """Mean peak interval from the 0th (nearest zero delay) peak up to the
-    k_max-th on the positive side; FSR is its reciprocal."""
-    if not peaks:
+def estimate_fsr(peaks: np.ndarray, k_max: int = 30) -> FsrEstimate:
+    """Mean interval of the ``detect_peaks`` rows (delay, height) from the
+    0th (nearest zero delay) peak up to the k_max-th; FSR is its reciprocal."""
+    delays = np.asarray(peaks, dtype=float).reshape(-1, 2)[:, 0]
+    if len(delays) == 0:
         raise EstimationError("no peaks")
-    delays = np.array([d for d, _ in peaks])
     zero = int(np.argmin(np.abs(delays)))
     d = delays[zero:zero + k_max + 1]
     if len(d) < 2:
@@ -228,7 +208,7 @@ def fit_envelope(hist: CorrelationHistogram, side: str, *, floor: float = 0.0,
                              half_bin=hist.bin_width_ps * 0.5e-12, floor=floor)
 
 
-def fit_peak_envelope(peaks: list[tuple[float, float]], side: str, *,
+def fit_peak_envelope(peaks: np.ndarray, side: str, *,
                       half_bin: float, floor: float = 0.0) -> tuple[float, float]:
     """Weighted least squares of log(height - floor) against |delay| over
     the peaks of one side (|delay| > half_bin), with Poisson weights; the
@@ -238,11 +218,11 @@ def fit_peak_envelope(peaks: list[tuple[float, float]], side: str, *,
     if side not in ("positive", "negative"):
         raise ParameterError("side must be 'positive' or 'negative'")
     sign = 1.0 if side == "positive" else -1.0
-    pts = [(sign * d, h - floor) for d, h in peaks
-           if sign * d > half_bin and h - floor > 0]
-    if len(pts) < 10:
-        raise FitError(f"need >= 10 usable peaks on the {side} side, got {len(pts)}")
-    x, h = np.array(pts).T
+    d, h = np.asarray(peaks, dtype=float).reshape(-1, 2).T
+    use = (sign * d > half_bin) & (h - floor > 0)
+    if use.sum() < 10:
+        raise FitError(f"need >= 10 usable peaks on the {side} side, got {use.sum()}")
+    x, h = sign * d[use], h[use] - floor
     # var(log h) ~ 1/h for Poisson counts
     coef, cov = np.polyfit(x, np.log(h), 1, w=np.sqrt(h), cov="unscaled")
     return -float(coef[0]) / TWO_PI, float(math.sqrt(cov[0, 0])) / TWO_PI

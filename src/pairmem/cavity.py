@@ -150,11 +150,17 @@ def cluster_spectrum(cavity: CavityParams, pm: PhaseMatching) -> ClusterSpectrum
     spacing = (cavity.fsr_signal * cavity.fsr_idler
                / abs(cavity.fsr_signal - cavity.fsr_idler))
 
-    half_span = max(pm.support_halfwidth(), 1.5 * spacing)
-    k_max = int(half_span / cavity.fsr_signal)
-    if 2 * k_max + 1 > _MAX_SCAN_MODES:
-        k_max = _MAX_SCAN_MODES // 2
-    k = np.arange(-k_max, k_max + 1)
+    # the envelope's support, about the signal mode nearest its center
+    support = pm.support_halfwidth()
+    half = math.ceil(support / cavity.fsr_signal) + 1
+    if 2 * half + 1 > _MAX_SCAN_MODES:
+        raise ParameterError(
+            f"the phase-matching support of +-{support:.3g} Hz spans "
+            f"{2 * half + 1} signal modes, over the {_MAX_SCAN_MODES} a scan takes")
+    center = (pm.envelope_center - cavity.signal_center) / cavity.fsr_signal
+    if not abs(center) < 2 ** 53:   # also rejects NaN
+        raise EmptySpectrumError("the phase-matching envelope lies off the signal comb")
+    k = np.arange(-half, half + 1) + round(center)
     resonant = _mode_mismatch(cavity, k) <= cavity.joint_linewidth
 
     # envelope restriction

@@ -19,7 +19,7 @@ import functools
 import hashlib
 import json
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, is_dataclass
 
 import numpy as np
 
@@ -223,22 +223,13 @@ def model_digest(*models) -> str:
     """Stable hex digest of a set of model objects."""
 
     def conv(obj):
-        if obj is None or isinstance(obj, (bool, int, str)):
-            return obj
-        if isinstance(obj, float):
-            return float(repr(obj))
-        if isinstance(obj, np.ndarray):
+        if isinstance(obj, (np.ndarray, np.generic)):
             return obj.tolist()
-        if isinstance(obj, (list, tuple)):
-            return [conv(x) for x in obj]
-        if isinstance(obj, dict):
-            return {str(k): conv(v) for k, v in sorted(obj.items())}
-        if hasattr(obj, "__dataclass_fields__"):
-            return {f.name: conv(getattr(obj, f.name)) for f in fields(obj)}
+        if is_dataclass(obj):
+            return {f.name: getattr(obj, f.name) for f in fields(obj)}
         raise TypeError(f"cannot digest {type(obj)!r}")
 
-    blob = json.dumps([conv(m) for m in models], sort_keys=True,
-                      separators=(",", ":"))
+    blob = json.dumps(models, default=conv, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode()).hexdigest()
 
 

@@ -296,9 +296,9 @@ def _fmt(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, tuple):
-        return ", ".join(repr(v) for v in value)
+        return ", ".join(repr(float(v)) for v in value)
     if isinstance(value, float):
-        return repr(value)
+        return repr(float(value))   # a numpy float reprs as np.float64(...)
     return str(value)
 
 
@@ -467,14 +467,14 @@ def analyze_events(s: Scenario, events: EventStream,
     except an.EstimationError:
         fsr = an.FsrEstimate(None, None, None, None)
     half_bin = comb_hist.bin_width_ps * 0.5e-12
-    lw_s = lw_i = (None, None)
-    try:
-        lw_s = an.fit_peak_envelope(peaks, "positive", half_bin=half_bin,
-                                    floor=floor)
-        lw_i = an.fit_peak_envelope(peaks, "negative", half_bin=half_bin,
-                                    floor=floor)
-    except an.FitError:
-        pass
+
+    def linewidth(side):   # each side on its own
+        try:
+            return an.fit_peak_envelope(peaks, side, half_bin=half_bin, floor=floor)
+        except an.FitError:
+            return None, None
+
+    lw_s, lw_i = linewidth("positive"), linewidth("negative")
 
     g2 = an.g2_estimate(events, s.analysis.ps["window_s"], center, s.gating)
 
@@ -586,6 +586,7 @@ def _run_points(points: list[Scenario], mapper) -> list[RunBundle]:
     first point's source: a sweep varies the AFC mode count or the pump,
     and neither changes the spectrum."""
     source = source_model(points[0])
+    source.sampler   # built once, here: a pool's tasks receive it pickled
     refs, keys = {}, []   # seedless reference text -> first point's reference
     for p in points:
         ref = _reference(p)
@@ -611,7 +612,6 @@ def run_sweep(s: Scenario, jobs: int = 1) -> list[RunBundle]:
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        # tasks carry the unbuilt source: each process builds its own sampler
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return _run_points(points, pool.map)
     return _run_points(points, map)

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 import pairmem as pm
 from pairmem.analysis import (FsrEstimate, RateEstimate, _find_peaks,
                               detect_peaks, estimate_fsr, fit_envelope,
-                              noise_floor)
+                              fit_peak_envelope, noise_floor)
 from pairmem.errors import EstimationError, FitError, ParameterError
 from pairmem.montecarlo import EventStream
 
@@ -319,6 +319,45 @@ def test_find_peaks_short_and_flat_arrays():
             assert_peaks_match_oracle(y)
     for n in (4, 5, 50):
         assert_peaks_match_oracle(np.full(n, 7.0))
+
+
+def test_find_peaks_deep_stacks():
+    # a staircase of teeth up and then down pushes every candidate on one
+    # side's stack before any pops; 13 500 bins of noise make most local
+    # maxima candidates
+    teeth = np.arange(0, 4000, 2, dtype=float)
+    up = np.repeat(teeth, 2) + np.tile([0.0, 3.0], len(teeth))
+    assert_peaks_match_oracle(np.r_[up, up[::-1]])
+    signal = pytest.importorskip("scipy.signal")
+    noise = np.random.default_rng(7).poisson(1000.0, 13_500).astype(float)
+    for p in (0.0, 1.0, 40.0):
+        expect, _ = signal.find_peaks(noise, prominence=p)
+        assert len(expect) > 0
+        assert np.array_equal(_find_peaks(noise, p), expect)
+
+
+def test_detect_peaks_rows_sorted_inside_their_bins():
+    hist = synthetic_comb()
+    y = hist.counts.astype(float)
+    for prom in (50.0, 1e12):
+        peaks = detect_peaks(hist, min_prominence=prom)
+        i = _find_peaks(y, prom)
+        assert peaks.dtype == np.float64 and peaks.shape == (len(i), 2)
+        delay = peaks[:, 0]
+        assert np.all(np.diff(delay) > 0)
+        edges = hist.bin_edges_ps * 1e-12
+        assert np.all((edges[i] <= delay) & (delay <= edges[i + 1]))
+    assert len(detect_peaks(hist, 50.0)) > 20
+
+
+def test_peak_estimators_read_rows_or_pairs():
+    hist = synthetic_comb(lw_s=2.28e6, lw_i=1.52e6, amp=1e6)
+    rows = detect_peaks(hist, 50.0)
+    pairs = [(float(d), float(h)) for d, h in rows]
+    assert estimate_fsr(rows, k_max=30) == estimate_fsr(pairs, k_max=30)
+    for side in ("positive", "negative"):
+        assert (fit_peak_envelope(rows, side, half_bin=1e-10, floor=3.0)
+                == fit_peak_envelope(pairs, side, half_bin=1e-10, floor=3.0))
 
 
 def default_comb_view():

@@ -95,6 +95,29 @@ def test_cluster_members_match_direct_scan(cavity, envelope):
     assert set(spec.index.tolist()) == accepted
 
 
+@pytest.mark.parametrize("shape", ["sinc_squared", "gaussian"])
+@pytest.mark.parametrize("offset", [0.0, 0.05e12, 1e12, 2e12])
+def test_cluster_scan_follows_the_envelope(cavity, shape, offset):
+    # oracle: every signal mode out to past the support of an envelope
+    # centred `offset` off the cavity's signal centre, tested directly
+    env = default_record("phase_matching", envelope_shape=shape,
+                         envelope_center=cavity.signal_center + offset)
+    reach = int(env.support_halfwidth() / cavity.fsr_signal) + 10
+    k = np.arange(-reach, reach + 1) + round(offset / cavity.fsr_signal)
+    f_s = cavity.signal_center + k * cavity.fsr_signal
+    d = (cavity.pump_freq - f_s - cavity.idler_center) / cavity.fsr_idler
+    resonant = np.abs(d - np.round(d)) * cavity.fsr_idler <= cavity.joint_linewidth
+    expect = k[resonant & (env.amplitude(f_s) >= 1e-3)]
+    assert len(expect) > 100
+    assert np.array_equal(pm.cluster_spectrum(cavity, env).index, expect)
+
+
+def test_cluster_scan_past_its_mode_limit_raises(cavity):
+    wide = default_record("phase_matching", envelope_fwhm=2e13)
+    with pytest.raises(ParameterError, match="signal modes"):
+        pm.cluster_spectrum(cavity, wide)
+
+
 def test_cluster_degenerate_fsr_raises(envelope):
     cav = pm.CavityParams(fsr_signal=123e6, fsr_idler=123e6,
                           linewidth_signal=2e6, linewidth_idler=2e6,

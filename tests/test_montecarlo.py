@@ -740,6 +740,16 @@ def test_model_digest_sees_every_afc_key(monkeypatch):
     assert base.mode_count == 83 and len(blobs[0]) < 10_000
 
 
+def test_model_digest_takes_numpy_scalars(cavity):
+    # numpy 2 reprs a numpy float as np.float64(...): digested as its value
+    src = flat_source(cavity, n_modes=3)
+    assert (model_digest(src, np.float64(1e5), np.int64(3), np.bool_(True))
+            == model_digest(src, 1e5, 3, True))
+    events = [pm.generate_events(src, rate, None, None, None, None, 1e-3, 1)
+              for rate in (np.float64(1e4), 1e4)]
+    assert events[0].model_digest == events[1].model_digest
+
+
 def test_model_digest_pinned(cavity):
     # walks nested dataclasses, arrays, floats, lists, dicts and None, in
     # generate_events' order: source, pair rate, memory, filters,

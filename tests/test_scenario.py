@@ -544,6 +544,41 @@ def test_analyze_events_detects_peaks_once(monkeypatch):
     assert prom == pm.analysis.default_prominence(floor)
 
 
+def test_linewidth_sides_fit_on_their_own(monkeypatch):
+    # a signal side that cannot be fitted leaves the idler side's fit
+    s = fast(pm.default_scenario(), duration=0.2)
+    events = pm.simulate(s)
+    _, expect = pm.analyze_events(s, events)
+    assert expect.linewidth_idler_hz is not None
+    fit = pm.analysis.fit_peak_envelope
+
+    def signal_fails(peaks, side, **kwargs):
+        if side == "positive":
+            raise pm.analysis.FitError("no signal side")
+        return fit(peaks, side, **kwargs)
+
+    monkeypatch.setattr(pm.analysis, "fit_peak_envelope", signal_fails)
+    _, report = pm.analyze_events(s, events)
+    assert (report.linewidth_signal_hz, report.linewidth_signal_err_hz) == (None, None)
+    assert ((report.linewidth_idler_hz, report.linewidth_idler_err_hz)
+            == (expect.linewidth_idler_hz, expect.linewidth_idler_err_hz))
+
+
+def test_numpy_scalars_save_and_run_as_floats():
+    # numpy 2 reprs a numpy float as np.float64(...)
+    s = replace(fast(pm.default_scenario(), duration=0.01),
+                sweep_kind="pump_power", sweep_values=(np.float64(0.5), 1.0))
+    numpy_s = replace(s, pump_mw=np.float64(0.5))
+    text = pm.save_scenario(numpy_s)
+    assert "pump_mw = 0.5\n" in text and "values = 0.5, 1.0\n" in text
+    assert text == pm.save_scenario(replace(s, pump_mw=0.5,
+                                            sweep_values=(0.5, 1.0)))
+    assert pm.load_scenario(text).pump_mw == 0.5
+    point = replace(numpy_s, sweep_kind=None, sweep_values=())
+    assert (pm.run_scenario(point).report.to_json()
+            == pm.run_scenario(replace(point, pump_mw=0.5)).report.to_json())
+
+
 def test_cli_simulate_rejects_negative_pump(tmp_path, capsys):
     cfg = tmp_path / "s.cfg"
     cfg.write_text("[run]\npump_mw = -0.5\nduration_s = 0.01\n")
@@ -579,6 +614,16 @@ def test_cli_exit_3_simulation_error(tmp_path, capsys):
     assert run_cli(["simulate", "--scenario", str(cfg),
                     "--out", str(tmp_path)]) == 3
     assert "simulation error" in capsys.readouterr().err
+
+
+def test_cli_envelope_past_the_scan_limit_is_simulation_error(tmp_path, capsys):
+    # a 20 THz sinc^2 envelope spans 3.7 M signal modes
+    cfg = tmp_path / "s.cfg"
+    cfg.write_text("[phase_matching]\nenvelope_fwhm_hz = 2e13\n"
+                   "[run]\nduration_s = 0.01\nreference_run = false\n")
+    assert run_cli(["simulate", "--scenario", str(cfg),
+                    "--out", str(tmp_path)]) == 3
+    assert "signal modes" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("setting, name", [
@@ -892,6 +937,52 @@ def test_run_sweep_points_match_run_scenario(monkeypatch):
             p, events, rate_single=shared)[1].to_json())
         assert np.array_equal(bundle.events.signal_ps, events.signal_ps)
         assert np.array_equal(bundle.events.idler_ps, events.idler_ps)
+
+
+def test_pool_tasks_receive_a_built_sampler():
+    # a pool pickles each task's source: built before the tasks, one
+    # sampler serves every process
+    s = _shipped_sweep("sweep_afc_modes", duration_s=0.02, sweep_values=(1, 5))
+    built = []
+
+    def mapper(fn, points, sources, *rest):
+        built.extend("sampler" in vars(source) for source in sources)
+        return map(fn, points, sources, *rest)
+
+    pm.scenario._run_points(sweep_scenarios(s), mapper)
+    assert len(built) == 3 and all(built)
+
+
+def test_cli_analyze_replays_simulate_with_reference_events(tmp_path):
+    # simulate's report, rebuilt from its event file and those of its
+    # single-mode reference run on their own
+    cfg = SCENARIO_DIR / "default.cfg"
+    s = pm.load_scenario(cfg.read_text())
+    ref_cfg = tmp_path / "ref.cfg"
+    ref_cfg.write_text(pm.save_scenario(single_mode_reference(s)))
+    run, ref, replay, bare = (tmp_path / d for d in ("run", "ref", "replay", "bare"))
+    assert run_cli(["simulate", "--scenario", str(cfg), "--out", str(run)]) == 0
+    assert run_cli(["simulate", "--scenario", str(ref_cfg), "--out", str(ref),
+                    "--seed", str(pm.split_seed(s.seed, 0x5EF))]) == 0
+    events = ["--scenario", str(cfg), "--events", str(run / "events.bin")]
+    assert run_cli(["analyze", *events, "--out", str(replay),
+                    "--reference-events", str(ref / "events.bin")]) == 0
+    assert run_cli(["analyze", *events, "--out", str(bare)]) == 0
+    report = (run / "report.json").read_bytes()
+    assert (replay / "report.json").read_bytes() == report
+    assert (bare / "report.json").read_bytes() != report
+
+
+@pytest.mark.parametrize("figure", ["fig1b", "fig4a"])
+def test_cli_run_figures_write_the_simulated_histogram(tmp_path, figure):
+    cfg = tmp_path / "s.cfg"
+    cfg.write_text("[run]\nduration_s = 0.05\n")
+    args = ["--scenario", str(cfg), "--seed", "17"]
+    assert run_cli(["simulate", *args, "--out", str(tmp_path / "sim")]) == 0
+    assert run_cli(["figure", *args, "--figure", figure,
+                    "--out", str(tmp_path / "fig")]) == 0
+    assert ((tmp_path / "fig" / f"{figure}.csv").read_bytes()
+            == (tmp_path / "sim" / "histogram.csv").read_bytes())
 
 
 @pytest.mark.parametrize("setting, code", [
