@@ -23,6 +23,9 @@ TWO_PI = 2.0 * math.pi
 # when scanning for clusters.
 _ENVELOPE_FLOOR = 1e-3
 _MAX_SCAN_MODES = 2_000_000
+# numpy's largest exponential draw, ziggurat_exp_r - log(2**-53) = 44.43: a
+# pair delay reaches at most this many decay times 1/(2 pi linewidth)
+_DELAY_TAIL_DECAYS = 45
 
 
 @dataclass(frozen=True)
@@ -46,10 +49,17 @@ class CavityParams:
             v = getattr(self, name)
             if not (v > 0 and math.isfinite(v)):
                 raise ParameterError(f"{name} must be strictly positive, got {v}")
-        if self.linewidth_signal >= self.fsr_signal:
-            raise ParameterError("signal linewidth must be smaller than signal FSR")
-        if self.linewidth_idler >= self.fsr_idler:
-            raise ParameterError("idler linewidth must be smaller than idler FSR")
+        for side in ("signal", "idler"):
+            lw, fsr = getattr(self, f"linewidth_{side}"), getattr(self, f"fsr_{side}")
+            if lw >= fsr:
+                raise ParameterError(f"{side} linewidth must be smaller than {side} FSR")
+            # the delay sampler draws a geometric number of periods, of weight
+            # 1 / (1 - exp(-2 pi lw / fsr)), and rounds the delay to int64 ps
+            if not (_DELAY_TAIL_DECAYS / (TWO_PI * lw) * 1e12 < 2 ** 62
+                    and 1.0 - math.exp(-TWO_PI * lw * (1.0 / fsr)) > 0.0):
+                raise ParameterError(
+                    f"{side} linewidth {lw!r} Hz at FSR {fsr!r} Hz: its pair-delay "
+                    "tail cannot be drawn in int64 ps")
 
     @property
     def pump_freq(self) -> float:

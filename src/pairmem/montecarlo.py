@@ -58,9 +58,10 @@ class DetectorModel:
     def __post_init__(self):
         if not (0.0 <= self.efficiency <= 1.0):
             raise ParameterError("efficiency must lie in [0, 1]")
-        for name in ("dark_rate", "jitter_sigma", "dead_time"):
-            if not 0.0 <= getattr(self, name) < math.inf:   # also rejects NaN
-                raise ParameterError(f"detector {name} must be finite and >= 0")
+        for name, top in (("dark_rate", math.inf), ("dead_time", math.inf),
+                          ("jitter_sigma", 2 ** 62 / 1e13)):   # 10 sigma in int64 ps
+            if not 0.0 <= getattr(self, name) < top:   # also rejects NaN
+                raise ParameterError(f"detector {name} must lie in [0, {top:.4g})")
         self.dead_time_ps   # whole ps, or ParameterError
 
     @property
@@ -70,10 +71,10 @@ class DetectorModel:
 
 def whole_ps(seconds: float, name: str) -> int:
     """``seconds`` in whole picoseconds, the time base of every timestamp;
-    ParameterError unless it is one, up to the rounding of the float."""
+    ParameterError unless it is one, up to the float's rounding, below 2**62."""
     ps = seconds * 1e12
-    if not (math.isfinite(ps) and math.isclose(ps, round(ps), rel_tol=1e-12)):
-        raise ParameterError(f"{name} must be a whole number of ps, not {seconds!r} s")
+    if not (abs(ps) < 2 ** 62 and math.isclose(ps, round(ps), rel_tol=1e-12)):
+        raise ParameterError(f"{name} is {seconds!r} s, not a whole number of ps < 2**62")
     return round(ps)
 
 
@@ -311,8 +312,7 @@ def generate_events(source: SourceModel, pair_rate: float,
         raise ParameterError("pair_rate must be >= 0")
     if not 0 <= duration * 1e12 < 2 ** 63:   # also rejects NaN
         raise ParameterError("duration must lie in [0, 2**63) ps")
-    filters = filters or {}
-    detectors = detectors or {}
+    filters, detectors = filters or {}, detectors or {}
     det_s = detectors.get("signal", DetectorModel())
     det_i = detectors.get("idler", DetectorModel())
 
@@ -343,31 +343,31 @@ def generate_events(source: SourceModel, pair_rate: float,
         n_dark = int(rng.poisson(det.dark_rate * duration))
         if n_dark:
             t = np.concatenate([t, rng.integers(duration_ps + 1, size=n_dark)])
-        t = t[(t >= 0) & (t <= duration_ps)]
         t.sort(kind="stable")   # timsort: jittered times are nearly sorted
-        return t
+        return t[np.searchsorted(t, 0):np.searchsorted(t, duration_ps, "right")]
 
     try:
         n_pairs = int(rng.poisson(pairs))
-        t = np.sort(rng.integers(live_ps, size=n_pairs))   # measurement time
+        t = rng.integers(live_ps, size=n_pairs)   # measurement time
+        t.sort()
         if gating is not None:   # measurement stage k opens cycle k
-            t = t // gating.measure_ps * gating.cycle_ps + t % gating.measure_ps
-        fate = np.searchsorted(cdf, rng.random(n_pairs) * cdf[-1], side="right")
-        idler = t[fate >= n_fates]
-        branch = fate % n_fates
-        del fate
-        hit = np.flatnonzero(branch < n_fates - 1)   # signal detected
+            t += t // gating.measure_ps * (gating.cycle_ps - gating.measure_ps)
+        x = rng.random(n_pairs) * cdf[-1]   # a pair's class: the CDF step holding x
+        idler = t[x >= cdf[n_fates - 1]]
+        # the signal is lost on [cdf[-2], cdf[-1]) alone: the both-lost entry is 0
+        hit = np.flatnonzero((x < cdf[-2]) | (x >= cdf[-1]))
+        branch = np.searchsorted(cdf, x[hit], side="right") % n_fates
+        del x
         # under the all-mode G2 a delay does not depend on the mode, so it
         # is drawn only for the signal photons that reach the detector
         delay = source.sampler.sample(rng, len(hit))
         if memory is not None:
-            delay += branch[hit] * memory.storage_time
-        t_sig = t[hit] + np.rint(delay * 1e12).astype(np.int64)
+            delay += branch * memory.storage_time
+        sig = t[hit] + np.rint(delay * 1e12).astype(np.int64)
         del t, branch, hit, delay
         idler = finish(idler, det_i)
         idler = idler[_prune_dead_time(idler, det_i.dead_time_ps)]
-        sig = finish(t_sig, det_s)
-        del t_sig
+        sig = finish(sig, det_s)
         if gating is not None:
             # idler-conditioned gate, timed from the last idler click at or
             # before each signal event; with none (k = 0, where idler[k - 1]

@@ -1,0 +1,175 @@
+"""Byte check: write the CLI outputs of two trees and compare them file by file.
+
+    python3 statbench/bytes.py --against /path/to/parent
+    python3 statbench/bytes.py --against . --scenario default --duration 0.05
+
+This tree is the checkout holding this script.  Each tree runs its own
+``src/`` and its own ``scenarios/``, every command in a fresh interpreter
+(``python -m pairmem.cli``).  The outputs:
+
+- ``simulate`` on default, calibration_1mw and halfpower_0p5mw (events,
+  histogram and report of each);
+- ``figure`` fig1b and fig4a on calibration_1mw, fig2 on default, fig4b on
+  sweep_afc_modes and fig4c on sweep_pump_power;
+- the single-mode reference of calibration_1mw, simulated with the seed a
+  run gives it, and ``analyze --reference-events`` of the calibration
+  events with it.
+
+One line per file: ``held`` or ``moved`` (or ``missing`` on one side),
+the file, and its sha256 on this tree, then on the other tree when it
+differs.  ``--scenario`` keeps the outputs of the named scenarios only;
+``--duration`` shortens every run.  Exit 0 when every file is held, 1
+when a file moved or is missing, 2 when a command fails.
+"""
+
+from __future__ import annotations
+
+import argparse
+import configparser
+import hashlib
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# (output set, scenario, pairmem arguments); "{cfg}" is the scenario file
+CASES = [
+    *((f"simulate/{name}", name, ["simulate", "--scenario", "{cfg}"])
+      for name in ("default", "calibration_1mw", "halfpower_0p5mw")),
+    *((f"figure/{fig}", name, ["figure", "--figure", fig, "--scenario", "{cfg}",
+                               "--jobs", "1"])
+      for fig, name in (("fig1b", "calibration_1mw"), ("fig4a", "calibration_1mw"),
+                        ("fig2", "default"), ("fig4b", "sweep_afc_modes"),
+                        ("fig4c", "sweep_pump_power"))),
+]
+# the analyze replay reads the calibration events and those of its reference
+REPLAYED = "calibration_1mw"
+
+# writes the single-mode reference of scenario argv[1] to argv[2] and
+# prints the seed a run gives it
+_REFERENCE = """\
+import sys
+import pairmem as pm
+from pairmem.scenario import single_mode_reference
+s = pm.load_scenario(open(sys.argv[1]).read())
+open(sys.argv[2], "w").write(pm.save_scenario(single_mode_reference(s)))
+print(pm.split_seed(s.seed, 0x5EF))
+"""
+
+
+class CommandFailed(RuntimeError):
+    pass
+
+
+def _run(tree: Path, args: list[str], cwd: Path) -> str:
+    env = {**os.environ, "PYTHONPATH": str(tree / "src")}
+    env.pop("PAIRMEM_OUT", None)
+    r = subprocess.run([sys.executable, *args], cwd=cwd, env=env,
+                       capture_output=True, text=True)
+    if r.returncode:
+        raise CommandFailed(f"{tree}: {' '.join(args)} exited {r.returncode}\n"
+                            f"{r.stderr.strip()}")
+    return r.stdout
+
+
+def _scenario(tree: Path, name: str, duration: float | None, work: Path) -> Path:
+    """The tree's scenario ``name``, as shipped or with its run shortened."""
+    path = tree / "scenarios" / f"{name}.cfg"
+    if duration is None:
+        return path
+    cp = configparser.ConfigParser(interpolation=None)
+    cp.read_string(path.read_text())
+    if not cp.has_section("run"):
+        cp.add_section("run")
+    cp["run"]["duration_s"] = repr(float(duration))
+    short = work / "scenarios" / f"{name}.cfg"
+    short.parent.mkdir(parents=True, exist_ok=True)
+    with open(short, "w") as f:
+        cp.write(f)
+    return short
+
+
+def write_outputs(tree: Path, out: Path, scenarios: set[str],
+                  duration: float | None) -> None:
+    """Write the outputs of every case on ``scenarios`` under ``out``, one
+    directory per output set."""
+    cli = ["-m", "pairmem.cli"]
+    for case, name, args in CASES:
+        if name in scenarios:
+            cfg = _scenario(tree, name, duration, out)
+            case_dir = out / case
+            case_dir.mkdir(parents=True)
+            _run(tree, [*cli, *(a.format(cfg=cfg) for a in args),
+                        "--out", str(case_dir)], out)
+    if REPLAYED in scenarios:
+        cfg = _scenario(tree, REPLAYED, duration, out)
+        ref_cfg = out / "scenarios" / f"{REPLAYED}_reference.cfg"
+        ref_cfg.parent.mkdir(parents=True, exist_ok=True)
+        seed = _run(tree, ["-c", _REFERENCE, str(cfg), str(ref_cfg)], out).strip()
+        ref_dir, replay_dir = out / f"reference/{REPLAYED}", out / f"analyze/{REPLAYED}"
+        ref_dir.mkdir(parents=True)
+        replay_dir.mkdir(parents=True)
+        _run(tree, [*cli, "simulate", "--scenario", str(ref_cfg), "--seed", seed,
+                    "--out", str(ref_dir)], out)
+        _run(tree, [*cli, "analyze", "--scenario", str(cfg),
+                    "--events", str(out / f"simulate/{REPLAYED}/events.bin"),
+                    "--reference-events", str(ref_dir / "events.bin"),
+                    "--out", str(replay_dir)], out)
+
+
+def _digests(out: Path) -> dict[str, str]:
+    return {str(p.relative_to(out)): hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in sorted(out.rglob("*"))
+            if p.is_file() and p.parts[len(out.parts)] != "scenarios"}
+
+
+def compare(this: Path, other: Path) -> list[tuple[str, str, str, str | None]]:
+    """(status, file, sha256 here, sha256 there or None) for every output
+    file of either tree, sorted by file."""
+    a, b = _digests(this), _digests(other)
+    rows = []
+    for name in sorted(a.keys() | b.keys()):
+        ha, hb = a.get(name, "-"), b.get(name, "-")
+        status = "held" if ha == hb else "missing" if "-" in (ha, hb) else "moved"
+        rows.append((status, name, ha, None if ha == hb else hb))
+    return rows
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    p.add_argument("--against", required=True, type=Path,
+                   help="the other tree (a checkout with src/ and scenarios/)")
+    p.add_argument("--scenario", action="append",
+                   help="keep the outputs of this scenario only (repeatable)")
+    p.add_argument("--duration", type=float,
+                   help="run every scenario for this many seconds")
+    args = p.parse_args(argv)
+    shipped = {name for _, name, _ in CASES}
+    scenarios = set(args.scenario or shipped)
+    if not scenarios <= shipped:
+        p.error(f"unknown scenario(s) {sorted(scenarios - shipped)}")
+    for tree in (ROOT, args.against):
+        if not (tree / "src" / "pairmem").is_dir() or not (tree / "scenarios").is_dir():
+            p.error(f"{tree} holds no src/pairmem and scenarios/")
+    with tempfile.TemporaryDirectory(prefix="statbench-bytes-") as out:
+        sides = Path(out) / "this", Path(out) / "against"
+        try:
+            for tree, side in zip((ROOT, args.against), sides):
+                side.mkdir()
+                write_outputs(tree.resolve(), side, scenarios, args.duration)
+        except CommandFailed as exc:
+            print(f"command failed: {exc}", file=sys.stderr)
+            return 2
+        rows = compare(*sides)
+    for status, name, here, there in rows:
+        print(f"{status:7} {name}  {here}" + (f"  (against: {there})" if there else ""))
+    held = sum(r[0] == "held" for r in rows)
+    print(f"{len(rows)} files: {held} held, {len(rows) - held} moved or missing")
+    return 0 if held == len(rows) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -1,5 +1,6 @@
 import hashlib
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -43,6 +44,25 @@ def test_cavity_params_reject_linewidth_wider_than_fsr():
         pm.CavityParams(fsr_signal=1e6, fsr_idler=1e8, linewidth_signal=2e6,
                         linewidth_idler=1e6, signal_center=5e14,
                         idler_center=2e14)
+
+
+@pytest.mark.parametrize("changes", [
+    {"linewidth_signal": 1e-13}, {"linewidth_idler": 1e-6},
+    {"fsr_signal": 1e30}, {"fsr_idler": 1e30}])
+def test_cavity_params_reject_a_delay_tail_past_int64_ps(cavity, changes):
+    # 45 decay times of a 1 uHz linewidth lie past 2**62 ps, and at 1e30 Hz
+    # of FSR a period decays by less than a float step, so the sampler's
+    # geometric weight 1 / (1 - exp(-2 pi linewidth / FSR)) is 1 / 0
+    with pytest.raises(ParameterError, match="cannot be drawn in int64 ps"):
+        replace(cavity, **changes)
+
+
+def test_narrowest_linewidths_draw_finite_delays(cavity):
+    narrow = replace(cavity, linewidth_signal=2e-6, linewidth_idler=2e-6)
+    sampler = pm.SourceModel(pm.comb_spectrum(narrow, 5), narrow).sampler
+    assert 0.0 < sampler.p_positive < 1.0
+    delays = sampler.sample(pm.make_rng(1), 1000) * 1e12
+    assert np.all(np.abs(delays) < 2 ** 62)
 
 
 def test_pump_and_joint_linewidth(cavity):

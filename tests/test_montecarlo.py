@@ -9,7 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 import pairmem as pm
 from pairmem.eventio import _merge_channels
 from pairmem.montecarlo import (DelaySampler, _fate_classes, _period_cdfs,
-                                _prune_dead_time, model_digest)
+                                _prune_dead_time, model_digest, whole_ps)
 from pairmem.errors import ParameterError
 from pairmem.memory import chain_transmission
 from pairmem.scenario import build_spectrum
@@ -90,6 +90,20 @@ def test_gating_validation():
     with pytest.raises(ParameterError, match="whole number of ps"):
         pm.DetectorModel(dead_time=2.45e-13)
     assert pm.DetectorModel(dead_time=24e-9).dead_time_ps == 24_000
+
+
+def test_times_stay_below_2_62_ps():
+    # every whole-ps setting, and 10 sigma of drawn jitter, lies below
+    # 2**62 ps, so a sum of two of them is an int64
+    assert whole_ps(4e6, "t") == 4 * 10 ** 18
+    assert whole_ps(-4e6, "t") == -4 * 10 ** 18
+    for seconds in (4.7e6, -4.7e6, 1e30, math.inf, math.nan):
+        with pytest.raises(ParameterError, match=r"< 2\*\*62"):
+            whole_ps(seconds, "t")
+    assert pm.DetectorModel(jitter_sigma=4.6e5).jitter_sigma == 4.6e5
+    for sigma in (4.7e5, 1e30):
+        with pytest.raises(ParameterError, match="jitter_sigma"):
+            pm.DetectorModel(jitter_sigma=sigma)
 
 
 def test_live_ps_counts_measuring_ps():
@@ -551,6 +565,130 @@ def test_delays_drawn_once_for_detected_signals(comb_source, monkeypatch):
                  (len(ev.idler_ps), table[1].sum())):
         mean = rate * duration * p
         assert abs(n - mean) < 5 * math.sqrt(mean)
+
+
+class ScriptedDraws:
+    """Generator stand-in: each method returns the next of its own scripted
+    results, whatever it is asked for."""
+
+    def __init__(self, **results):
+        self.results = {name: list(r) for name, r in results.items()}
+
+    def __getattr__(self, name):
+        return lambda *args, **kwargs: self.results[name].pop(0)
+
+    def spent(self):
+        return not any(self.results.values())
+
+
+class ZeroDelays:
+    """Sampler stand-in: every pair delay is 0."""
+
+    def sample(self, rng, size):
+        return np.zeros(size)
+
+
+def scripted_run(comb_source, table, rng, plan=None, dets=None, duration=1.0):
+    """generate_events with fate table ``table``, draws from ``rng`` and
+    zero pair delays."""
+    src = pm.SourceModel(comb_source.spectrum, comb_source.cavity)
+    src.__dict__["sampler"] = ZeroDelays()   # where cached_property keeps it
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pm.montecarlo, "_fate_classes", lambda *args: table)
+        mp.setattr(pm.montecarlo, "make_rng", lambda seed: rng)
+        ev = pm.generate_events(src, 1.0, plan, None, dets, None, duration, 0)
+    assert rng.spent()
+    return ev
+
+
+def one_search_classes(cdf, x, n_fates):
+    """Idler mask, signal-detected indices and their memory branches as one
+    search over every pair gives them: fate = searchsorted(cdf, x,
+    "right"), the idler detected from fate n_fates on, branch fate %
+    n_fates, and the last branch the signal lost."""
+    fate = np.searchsorted(cdf, x, side="right")
+    branch = fate % n_fates
+    hit = np.flatnonzero(branch < n_fates - 1)
+    return fate >= n_fates, hit, branch[hit]
+
+
+def knot_uniforms(cdf):
+    """0, 1 (x == cdf[-1]) and, for each knot k of ``cdf``, the uniform u
+    with u * cdf[-1] == k if a float has it, and the floats either side."""
+    us = {0.0, 1.0}
+    for k in cdf if cdf[-1] > 0 else ():
+        u = k / cdf[-1]
+        for step in (0, 1, -1, 2, -2, 3, -3):
+            v = u + step * math.ulp(u)
+            if v * cdf[-1] == k:
+                us |= {v, np.nextafter(v, 0.0), np.nextafter(v, 2.0)}
+                break
+    return sorted(u for u in us if 0.0 <= u <= 1.0)
+
+
+@st.composite
+def fate_tables(draw):
+    """Tables shaped as _fate_classes gives them, with empty classes."""
+    n = draw(st.integers(2, 5))
+    entry = st.one_of(st.just(0.0), st.floats(1e-9, 1.0))
+    table = np.array(draw(st.lists(entry, min_size=2 * n, max_size=2 * n)))
+    table = table.reshape(2, n)
+    table[0, -1] = 0.0   # the pair that loses both photons is not a class
+    return table
+
+
+@settings(max_examples=60, deadline=None)
+@given(table=fate_tables(),
+       extra=st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=10))
+@example(table=np.array([[0.0, 0.25, 0.0], [0.5, 0.0, 0.25]]), extra=[])
+def test_fate_split_matches_one_search_over_every_pair(comb_source, table,
+                                                       extra):
+    # two comparisons find the idlers and the signals that are not lost,
+    # and only those signals are searched for their branch: the classes
+    # are the ones a search over every pair gives, on every knot of the
+    # class CDF and at x == cdf[-1]
+    cdf, n_fates = np.cumsum(table), table.shape[1]
+    u = np.array(knot_uniforms(cdf) + extra)
+    plan = default_record("afc_plan", mode_count=5,
+                          mode_spacing=comb_source.cavity.fsr_signal)
+    # pair i's events lie in [i * spacing, (i + 1) * spacing)
+    spacing = n_fates * round(plan.storage_time * 1e12) + 1
+    t = np.arange(len(u), dtype=np.int64) * spacing
+    rng = ScriptedDraws(poisson=[len(u), 0, 0], integers=[t[::-1].copy()],
+                      random=[u])
+    ev = scripted_run(comb_source, table, rng, plan)
+    idler, hit, branch = one_search_classes(cdf, u * cdf[-1], n_fates)
+    assert ev.idler_ps.view(np.int64).tolist() == t[idler].tolist()
+    echo = np.rint(branch * plan.storage_time * 1e12).astype(np.int64)
+    assert ev.signal_ps.view(np.int64).tolist() == sorted(t[hit] + echo)
+
+
+@settings(max_examples=60, deadline=None)
+@given(pairs=st.lists(st.tuples(
+           st.integers(0, 1000),
+           st.one_of(st.sampled_from([-1, 0, 1000, 1001]),
+                     st.integers(-100, 1100)))),
+       darks=st.lists(st.one_of(st.sampled_from([0, 1000]),
+                                st.integers(0, 1000))))
+def test_range_cut_by_slice_matches_mask_then_sort(comb_source, pairs, darks):
+    # the idler channel of a 1000 ps run: pair times jittered to negatives,
+    # to 0, to the run's end and past it, plus dark counts on 0 and on the
+    # end.  A sort and a slice keep what a mask and a sort keep.
+    t = np.sort(np.array([p[0] for p in pairs], dtype=np.int64))
+    jittered = np.array([p[1] for p in pairs], dtype=np.int64)
+    table = np.array([[0.0, 0.0], [0.0, 1.0]])   # every idler, no signal
+    rng = ScriptedDraws(
+        poisson=[len(t), len(darks), 0], integers=[t, np.array(darks, np.int64)],
+        random=[np.full(len(t), 0.5)],
+        normal=[(jittered - t).astype(float)] if len(t) else [])
+    if not darks:   # no dark count: no dark times are drawn
+        rng.results["integers"].pop()
+    dets = {"idler": pm.DetectorModel(jitter_sigma=1e-12)}
+    ev = scripted_run(comb_source, table, rng, dets=dets, duration=1e-9)
+    every = np.concatenate([jittered, darks]).astype(np.int64)
+    kept = np.sort(every[(every >= 0) & (every <= 1000)])
+    assert ev.idler_ps.view(np.int64).tolist() == kept.tolist()
+    assert len(ev.signal_ps) == 0
 
 
 def test_dead_time_enforced_in_stream(cavity):

@@ -520,6 +520,24 @@ def test_cli_rejects_bad_model_values(tmp_path, capsys, section, setting,
     assert match in capsys.readouterr().err
 
 
+# settings the generator cannot hold in int64 ps, or cannot draw: exit 2
+# at load, not a traceback, an overflow in the run or a NaN in the report
+@pytest.mark.parametrize("section, setting, match", [
+    ("gating", "cycle_s = 1e30", "< 2**62"),
+    ("analysis", "bin_width_s = 1e30", "< 2**62"),
+    ("detector.idler", "jitter_sigma_s = 1e30", "jitter_sigma"),
+    ("cavity", "linewidth_signal_hz = 1e-13", "cannot be drawn in int64 ps"),
+    ("cavity", "fsr_signal_hz = 1e30", "cannot be drawn in int64 ps")])
+def test_cli_rejects_times_past_int64_ps(tmp_path, capsys, section, setting,
+                                         match):
+    cfg = tmp_path / "s.cfg"
+    cfg.write_text(f"[{section}]\n{setting}\n[run]\nduration_s = 0.02\n")
+    assert run_cli(["validate", "--scenario", str(cfg)]) == 2
+    assert run_cli(["simulate", "--scenario", str(cfg),
+                    "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.count(match) == 2
+
+
 def test_analyze_events_detects_peaks_once(monkeypatch):
     s = fast(pm.default_scenario(), duration=0.2)
     events = pm.simulate(s)

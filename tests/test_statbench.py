@@ -1,0 +1,47 @@
+import importlib.util
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+BYTES = ROOT / "statbench" / "bytes.py"
+
+
+def load_bytes_tool():
+    spec = importlib.util.spec_from_file_location("statbench_bytes", BYTES)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_byte_check_holds_every_file_of_the_tree_against_itself():
+    # both sides in fresh processes from the same checkout: every output of
+    # default.cfg, the simulate triple and fig2, is held
+    r = subprocess.run(
+        [sys.executable, str(BYTES), "--against", str(ROOT), "--scenario",
+         "default", "--duration", "0.05"],
+        capture_output=True, text=True, timeout=120)
+    assert r.returncode == 0, r.stdout + r.stderr
+    rows = [line.split() for line in r.stdout.splitlines()[:-1]]
+    assert [row[:2] for row in rows] == [
+        ["held", "figure/fig2/fig2.csv"],
+        ["held", "simulate/default/events.bin"],
+        ["held", "simulate/default/histogram.csv"],
+        ["held", "simulate/default/report.json"]]
+    assert r.stdout.splitlines()[-1] == "4 files: 4 held, 0 moved or missing"
+
+
+def test_byte_check_names_moved_and_missing_files(tmp_path):
+    tool = load_bytes_tool()
+    this, other = tmp_path / "this", tmp_path / "against"
+    for side, files in ((this, {"a/x": b"1", "a/y": b"2", "b/z": b"3"}),
+                        (other, {"a/x": b"1", "a/y": b"two", "c/w": b"4",
+                                 "scenarios/s.cfg": b"ignored"})):
+        for name, data in files.items():
+            (side / name).parent.mkdir(parents=True, exist_ok=True)
+            (side / name).write_bytes(data)
+    rows = tool.compare(this, other)
+    assert [(status, name) for status, name, _, _ in rows] == [
+        ("held", "a/x"), ("moved", "a/y"), ("missing", "b/z"), ("missing", "c/w")]
+    held, moved = rows[0], rows[1]
+    assert held[3] is None and moved[2] != moved[3]
