@@ -3,9 +3,9 @@ source coupled to an atomic-frequency-comb quantum memory."""
 
 __version__ = "0.1.0"
 
-from .cavity import (BiphotonSpectrum, CavityParams, ClusterSpectrum,
-                     PhaseMatching, analytic_g2, cluster_spectrum,
-                     comb_spectrum, mode_weights)
+from .cavity import (BiphotonSpectrum, CavityParams, PhaseMatching,
+                     analytic_g2, cluster_spectrum, comb_spectrum,
+                     mode_weights)
 from .memory import AfcPlan, FilterSpec, filter_transmission
 from .montecarlo import (DetectorModel, EventStream, GatingSequence,
                          SourceModel, generate_events, make_rng, split_seed)

@@ -11,10 +11,9 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
+from .cavity import TWO_PI
 from .errors import EstimationError, FitError, ParameterError
 from .montecarlo import EventStream, GatingSequence
-
-TWO_PI = 2.0 * math.pi
 
 
 @dataclass
@@ -180,13 +179,9 @@ def estimate_fsr(peaks: np.ndarray, k_max: int = 30) -> FsrEstimate:
     # sub-peak splits one period in two short intervals; the shorter one
     # snaps to zero steps and the pair merges back into a single period.
     steps = np.rint(iv / np.median(iv))
-    if np.sum(steps) < 1:
-        raise EstimationError("peak intervals collapse to zero comb periods")
     good = steps >= 1
     per = iv[good] / steps[good]
     dt = float(np.sum(iv) / np.sum(steps))
-    if dt <= 0:
-        raise EstimationError("nonpositive mean peak interval")
     dt_err = float(np.std(per, ddof=1) / math.sqrt(len(per))) if len(per) > 1 else 0.0
     return FsrEstimate(fsr_hz=1.0 / dt, fsr_err_hz=dt_err / dt ** 2,
                        interval_s=dt, interval_err_s=dt_err)
@@ -247,12 +242,6 @@ def noise_floor(hist: CorrelationHistogram, region_ps: tuple[int, int]) -> tuple
     return float(np.mean(c)), float(np.std(c, ddof=1) / math.sqrt(len(c)))
 
 
-@dataclass(frozen=True)
-class RateEstimate:
-    rate: float
-    error: float
-
-
 def window_bins(edges: np.ndarray, window_ps: int, center_ps: int) -> np.ndarray:
     """Mask of the bins whose every delay lies in the window of
     ``g2_estimate``, which must fit in the histogram."""
@@ -263,16 +252,16 @@ def window_bins(edges: np.ndarray, window_ps: int, center_ps: int) -> np.ndarray
 
 
 def coincidence_rate(hist: CorrelationHistogram, window_ps: int, center_ps: int,
-                     floor: float, floor_err: float = 0.0) -> RateEstimate:
-    """Floor-subtracted coincidence rate, counts/s, over the
-    ``window_bins`` of the window."""
+                     floor: float, floor_err: float = 0.0) -> tuple[float, float]:
+    """Floor-subtracted coincidence rate and its error, counts/s, over
+    the ``window_bins`` of the window."""
     sel = window_bins(hist.bin_edges_ps, window_ps, center_ps)
     raw = float(hist.counts[sel].sum())
     n = int(np.count_nonzero(sel))
-    net = raw - floor * n
-    err = math.sqrt(raw + (floor_err * n) ** 2) / hist.duration if hist.duration else 0.0
-    rate = max(net, 0.0) / hist.duration if hist.duration else 0.0
-    return RateEstimate(rate=rate, error=err)
+    if not hist.duration:
+        return 0.0, 0.0
+    err = math.sqrt(raw + (floor_err * n) ** 2)
+    return max(raw - floor * n, 0.0) / hist.duration, err / hist.duration
 
 
 @dataclass(frozen=True)

@@ -70,6 +70,13 @@ class CavityParams:
         """Half the summed linewidths; the double-resonance acceptance."""
         return 0.5 * (self.linewidth_signal + self.linewidth_idler)
 
+    @property
+    def cluster_spacing(self) -> float:
+        """Vernier period of double resonance, the spacing of the
+        clusters; infinite at equal FSRs."""
+        dfsr = abs(self.fsr_signal - self.fsr_idler)
+        return self.fsr_signal * self.fsr_idler / dfsr if dfsr else math.inf
+
 
 @dataclass(frozen=True)
 class PhaseMatching:
@@ -129,16 +136,6 @@ class BiphotonSpectrum:
         return len(self.index)
 
 
-@dataclass(frozen=True, eq=False)
-class ClusterSpectrum:
-    """Double-resonance clusters: the sorted comb indices of the doubly
-    resonant signal modes inside the envelope, and the Vernier spacing of
-    the clusters they form."""
-
-    index: np.ndarray
-    cluster_spacing: float
-
-
 def _mode_mismatch(cavity: CavityParams, k: np.ndarray) -> np.ndarray:
     """Detuning of the energy-conserving idler of signal mode k from the
     nearest idler comb line."""
@@ -147,18 +144,17 @@ def _mode_mismatch(cavity: CavityParams, k: np.ndarray) -> np.ndarray:
     return np.minimum(r, cavity.fsr_idler - r)
 
 
-def cluster_spectrum(cavity: CavityParams, pm: PhaseMatching) -> ClusterSpectrum:
-    """Locate the double-resonance clusters inside the phase-matching envelope.
+def cluster_spectrum(cavity: CavityParams, pm: PhaseMatching) -> np.ndarray:
+    """Sorted comb indices of the doubly resonant signal modes inside the
+    phase-matching envelope.
 
     A signal mode k is doubly resonant when its idler mismatch is below the
     joint linewidth (lw_s + lw_i)/2.  Contiguous resonant runs form
-    clusters; the Vernier coincidence period gives their spacing.
+    clusters, ``cavity.cluster_spacing`` apart.
     """
     if cavity.fsr_signal == cavity.fsr_idler:
         raise DegenerateClusterError(
             "equal FSRs: every mode pair is doubly resonant, no cluster structure")
-    spacing = (cavity.fsr_signal * cavity.fsr_idler
-               / abs(cavity.fsr_signal - cavity.fsr_idler))
 
     # the envelope's support, about the signal mode nearest its center
     support = pm.support_halfwidth()
@@ -177,20 +173,20 @@ def cluster_spectrum(cavity: CavityParams, pm: PhaseMatching) -> ClusterSpectrum
     freqs = cavity.signal_center + k * cavity.fsr_signal
     resonant &= pm.amplitude(freqs) >= _ENVELOPE_FLOOR
 
-    return ClusterSpectrum(index=k[resonant], cluster_spacing=spacing)
+    return k[resonant]
 
 
-def mode_weights(cluster: ClusterSpectrum, pm: PhaseMatching,
+def mode_weights(index: np.ndarray, pm: PhaseMatching,
                  cavity: CavityParams) -> BiphotonSpectrum:
-    """Assign phase-matching weights to the modes of all clusters.
+    """Assign phase-matching weights to the cluster modes of comb
+    indices ``index`` (as ``cluster_spectrum`` returns them).
 
     s_n = envelope amplitude at the mode's signal frequency times a
     Lorentzian double-resonance overlap factor; the result is normalized so
     sum(s_n^2) = 1.
     """
-    k = cluster.index
-    fs = cavity.signal_center + k * cavity.fsr_signal
-    mism = _mode_mismatch(cavity, k)
+    fs = cavity.signal_center + index * cavity.fsr_signal
+    mism = _mode_mismatch(cavity, index)
     overlap = 1.0 / (1.0 + (mism / cavity.joint_linewidth) ** 2)
     s = pm.amplitude(fs) * overlap
     # Python-float squares (libm pow), summed exactly: pow(x, 2) and x * x
@@ -198,7 +194,7 @@ def mode_weights(cluster: ClusterSpectrum, pm: PhaseMatching,
     total = math.fsum(s.astype(object) ** 2)
     if total <= 0.0:
         raise EmptySpectrumError("no cluster mode overlaps the phase-matching envelope")
-    return BiphotonSpectrum(k, fs, cavity.pump_freq - fs, s * (1.0 / math.sqrt(total)))
+    return BiphotonSpectrum(index, fs, cavity.pump_freq - fs, s * (1.0 / math.sqrt(total)))
 
 
 def comb_spectrum(cavity: CavityParams, n_modes: int,

@@ -74,7 +74,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    s = _read_scenario(args.scenario)
+    s = _read_scenario(args.scenario, args.seed)
     events = eventio.read_events(args.events)
     rate_single = None
     if args.reference_events:

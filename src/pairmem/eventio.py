@@ -26,8 +26,6 @@ CH_SIGNAL = 0
 CH_IDLER = 1
 _HEADER = struct.Struct("<4sHQQ32sQ")
 _RECORD_DTYPE = np.dtype([("channel", "u1"), ("timestamp_ps", "<u8")])
-_UNKNOWN_CHANNEL = np.ones(256, dtype=bool)   # indexed by channel byte
-_UNKNOWN_CHANNEL[[CH_SIGNAL, CH_IDLER]] = False
 
 
 def _merge_channels(sig_ps: np.ndarray, idl_ps: np.ndarray):
@@ -77,7 +75,7 @@ def read_events(path) -> EventStream:
             f"got {n_bytes / _RECORD_DTYPE.itemsize:.1f}")
     rec = np.frombuffer(raw, dtype=_RECORD_DTYPE, offset=_HEADER.size)
     channels, ts = rec["channel"], rec["timestamp_ps"]
-    bad = np.flatnonzero(_UNKNOWN_CHANNEL[channels])
+    bad = np.flatnonzero(channels > CH_IDLER)   # codes are 0 and 1
     if len(bad):
         raise EventFormatError(
             f"record {bad[0]}: unknown channel byte {channels[bad[0]]}")

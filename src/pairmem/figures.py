@@ -28,11 +28,10 @@ def _n_eff_csv(bundles) -> str:
 
 
 def _g2_csv(bundles) -> str:
-    # the classical limit column is constant across pump powers
-    climit = float(bundles[0].report.classical_limit)
     return "pump_mw,g2,g2_err,classical_limit\n" + "".join(
         f"{float(b.scenario.pump_mw)!r},{float(b.report.g2)!r},"
-        f"{float(b.report.g2_err)!r},{climit!r}\n" for b in bundles)
+        f"{float(b.report.g2_err)!r},{float(b.report.classical_limit)!r}\n"
+        for b in bundles)
 
 
 # figure -> (what it reads, its CSV writer).  It reads the "scenario" alone

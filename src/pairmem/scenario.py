@@ -384,8 +384,8 @@ def scenario_digest(s: Scenario) -> str:
 def build_spectrum(s: Scenario):
     if s.spectrum_source == "comb":
         return comb_spectrum(s.cavity, s.comb_modes, s.phase_matching)
-    clusters = cluster_spectrum(s.cavity, s.phase_matching)
-    return mode_weights(clusters, s.phase_matching, s.cavity)
+    index = cluster_spectrum(s.cavity, s.phase_matching)
+    return mode_weights(index, s.phase_matching, s.cavity)
 
 
 def source_model(s: Scenario) -> SourceModel:
@@ -480,8 +480,7 @@ def analyze_events(s: Scenario, events: EventStream,
 
     if rate_single is not None:
         try:
-            n_eff, n_eff_err = an.effective_modes((rate.rate, rate.error),
-                                                  rate_single)
+            n_eff, n_eff_err = an.effective_modes(rate, rate_single)
         except an.EstimationError:
             # reference run collected no net coincidences; leave the mode
             # count undetermined rather than failing the whole analysis
@@ -500,7 +499,7 @@ def analyze_events(s: Scenario, events: EventStream,
         linewidth_idler_hz=lw_i[0], linewidth_idler_err_hz=lw_i[1],
         echo_delay_s=None if s.afc_plan is None else s.afc_plan.storage_time,
         noise_floor_counts=floor, noise_floor_err=floor_err,
-        coincidence_rate_cps=rate.rate, coincidence_rate_err=rate.error,
+        coincidence_rate_cps=rate[0], coincidence_rate_err=rate[1],
         g2=g2.value, g2_err=g2.error,
         n_effective=n_eff, n_effective_err=n_eff_err,
         classical_limit=climit,
@@ -532,8 +531,7 @@ def single_mode_reference(s: Scenario) -> Scenario:
 def reference_rate(s: Scenario, ref_events: EventStream) -> tuple[float, float]:
     """Floor-subtracted coincidence rate (value, error) of a single-mode
     reference run, analyzed with the settings of scenario ``s``."""
-    rate = _floor_and_rate(s, ref_events)[2]
-    return rate.rate, rate.error
+    return _floor_and_rate(s, ref_events)[2]
 
 
 def _reference(s: Scenario) -> Scenario | None:

@@ -6,9 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import pairmem as pm
-from pairmem.analysis import (FsrEstimate, RateEstimate, _find_peaks,
-                              detect_peaks, estimate_fsr, fit_envelope,
-                              fit_peak_envelope, noise_floor)
+from pairmem.analysis import (_find_peaks, detect_peaks, estimate_fsr,
+                              fit_envelope, fit_peak_envelope, noise_floor)
 from pairmem.errors import EstimationError, FitError, ParameterError
 from pairmem.montecarlo import EventStream
 
@@ -240,7 +239,7 @@ def test_window_ends_are_inclusive_in_g2_and_rate(window):
     # g2 normalises by those 11 ps, so both windows give one value:
     # C T / (S I 11 ps) with one start, 100 stops and T = 1 s
     assert est.value == pytest.approx(11 * 1.0 / (1 * 100 * 11e-12), rel=1e-12)
-    assert pm.coincidence_rate(hist, window, 50, floor=0.0).rate \
+    assert pm.coincidence_rate(hist, window, 50, floor=0.0)[0] \
         * hist.duration == pytest.approx(11)
 
 
@@ -457,6 +456,23 @@ def test_noise_floor_mean_and_error():
         noise_floor(hist, (-5, 60))  # outside range
 
 
+def test_histogram_rejects_negative_counts():
+    from pairmem.analysis import CorrelationHistogram
+    with pytest.raises(ParameterError, match="nonnegative"):
+        CorrelationHistogram(counts=[1, -1], bin_edges_ps=[0, 1, 2],
+                             total_start_counts=1, total_stop_counts=1,
+                             duration=1.0)
+
+
+def test_detect_peaks_rejects_a_histogram_without_bins():
+    from pairmem.analysis import CorrelationHistogram
+    hist = CorrelationHistogram(counts=[], bin_edges_ps=[0],
+                                total_start_counts=0, total_stop_counts=0,
+                                duration=0.0)
+    with pytest.raises(ParameterError, match="empty"):
+        detect_peaks(hist, 1.0)
+
+
 def test_coincidence_rate_floor_subtracted():
     from pairmem.analysis import CorrelationHistogram
     edges = np.arange(-50_000, 450_000, 1_000)
@@ -468,12 +484,12 @@ def test_coincidence_rate_floor_subtracted():
     hist = CorrelationHistogram(counts=counts, bin_edges_ps=edges,
                                 total_start_counts=1, total_stop_counts=1,
                                 duration=2.0)
-    r = pm.coincidence_rate(hist, 100_000, 200_000, floor=3.0)
+    rate, _ = pm.coincidence_rate(hist, 100_000, 200_000, floor=3.0)
     n_feature = int(np.count_nonzero(feature))
-    assert r.rate == pytest.approx(10 * n_feature / 2.0)
+    assert rate == pytest.approx(10 * n_feature / 2.0)
     # floor over-subtraction clamps at zero
-    r2 = pm.coincidence_rate(hist, 100_000, 0, floor=50.0)
-    assert r2.rate == 0.0
+    rate, _ = pm.coincidence_rate(hist, 100_000, 0, floor=50.0)
+    assert rate == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -527,6 +543,17 @@ def test_g2_empty_channel_raises():
     ev = make_stream([], [1.0], duration_s=1.0)
     with pytest.raises(EstimationError):
         pm.g2_estimate(ev, window_ps=10**6, center_ps=0, gating=None)
+
+
+def test_g2_needs_singles_inside_the_measurement_phases():
+    # every event falls in the break after the measurement stage
+    g = default_record("gating")
+    t = [g.measure_ps + 1, g.cycle_ps + g.measure_ps + 1]
+    ev = ps_stream(t, t, duration_ps=10**12)
+    with pytest.raises(EstimationError, match="measurement phases"):
+        pm.g2_estimate(ev, window_ps=10**6, center_ps=0, gating=g)
+    assert pm.g2_estimate(ev, window_ps=10**6, center_ps=0,
+                          gating=None).starts == 2
 
 
 def test_g2_live_time_normalization():

@@ -89,15 +89,22 @@ def test_phase_matching_shapes():
 # cluster structure against a direct double-resonance scan
 
 def test_cluster_spacing_closed_form(cavity, envelope):
-    cs = pm.cluster_spectrum(cavity, envelope)
     expect = cavity.fsr_signal * cavity.fsr_idler / abs(
         cavity.fsr_signal - cavity.fsr_idler)
-    assert cs.cluster_spacing == pytest.approx(expect)
+    assert cavity.cluster_spacing == pytest.approx(expect)
+    # the clusters the scan finds lie whole spacings apart (the envelope's
+    # zeros drop some), to within a mode
+    index = pm.cluster_spectrum(cavity, envelope)
+    runs = np.split(index, np.flatnonzero(np.diff(index) > 1) + 1)
+    gaps = np.diff([run.mean() * cavity.fsr_signal for run in runs])
+    n = np.rint(gaps / cavity.cluster_spacing)
+    assert len(gaps) > 1 and np.all(n >= 1)
+    assert np.all(np.abs(gaps - n * cavity.cluster_spacing) < cavity.fsr_signal)
 
 
 def test_cluster_members_match_direct_scan(cavity, envelope):
-    cs = pm.cluster_spectrum(cavity, envelope)
-    spec = pm.mode_weights(cs, envelope, cavity)
+    index = pm.cluster_spectrum(cavity, envelope)
+    spec = pm.mode_weights(index, envelope, cavity)
     # oracle: scan every signal mode in the support and test double
     # resonance directly from the idler comb distance
     half = envelope.support_halfwidth()
@@ -129,7 +136,7 @@ def test_cluster_scan_follows_the_envelope(cavity, shape, offset):
     resonant = np.abs(d - np.round(d)) * cavity.fsr_idler <= cavity.joint_linewidth
     expect = k[resonant & (env.amplitude(f_s) >= 1e-3)]
     assert len(expect) > 100
-    assert np.array_equal(pm.cluster_spectrum(cavity, env).index, expect)
+    assert np.array_equal(pm.cluster_spectrum(cavity, env), expect)
 
 
 def test_cluster_scan_past_its_mode_limit_raises(cavity):
@@ -142,6 +149,7 @@ def test_cluster_degenerate_fsr_raises(envelope):
     cav = pm.CavityParams(fsr_signal=123e6, fsr_idler=123e6,
                           linewidth_signal=2e6, linewidth_idler=2e6,
                           signal_center=494.7e12, idler_center=193.4e12)
+    assert cav.cluster_spacing == math.inf
     with pytest.raises(DegenerateClusterError):
         pm.cluster_spectrum(cav, envelope)
 
@@ -157,10 +165,10 @@ def test_mode_weights_empty_overlap_raises(cavity):
     # a narrow envelope between two clusters holds no doubly resonant mode
     narrow = default_record("phase_matching", envelope_center=494.7e12 + 60e9,
                             envelope_fwhm=1e9, envelope_shape="gaussian")
-    clusters = pm.cluster_spectrum(cavity, narrow)
-    assert len(clusters.index) == 0
+    index = pm.cluster_spectrum(cavity, narrow)
+    assert len(index) == 0
     with pytest.raises(EmptySpectrumError):
-        pm.mode_weights(clusters, narrow, cavity)
+        pm.mode_weights(index, narrow, cavity)
 
 
 # ---------------------------------------------------------------------------

@@ -856,6 +856,11 @@ def test_model_digest_sensitivity(cavity):
     assert d1 == d2 != d3
 
 
+def test_model_digest_rejects_what_it_cannot_digest():
+    with pytest.raises(TypeError, match="cannot digest"):
+        model_digest(object())
+
+
 def test_model_digest_sees_every_afc_key(monkeypatch):
     # one changed value per AfcPlan field moves the digest of the plan; a
     # flat taper ignores its FWHM, so the base sets one

@@ -2,6 +2,7 @@ import hashlib
 import os
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -135,7 +136,7 @@ CANONICAL_SHA256 = {
     "sweep_afc_modes.reference":
         "477eb244a6a295c67bb227e99bd83fda764ec10b1b823a2ff20abf6b44c1df11",
     "sweep_pump_power":
-        "8a78505161b4f5e14a1558df5ccf5e42bf7a22dccacb462ff528912408985ef5",
+        "510d3644915cb1b2cf122057ab6a9dd1bf34041f35f6b00b76f72a0677a001c5",
     "sweep_pump_power.reference":
         "dcafadcb6347e116307e9c8392e733673199c96918f454f5fb91af348b06397f",
     "afc_disabled":
@@ -215,9 +216,7 @@ def test_build_spectrum_cluster_vs_comb():
 
 def test_cluster_spacing_default_is_200ghz():
     s = pm.default_scenario()
-    from pairmem.cavity import cluster_spectrum
-    cs = cluster_spectrum(s.cavity, s.phase_matching)
-    assert cs.cluster_spacing == pytest.approx(200e9, rel=1e-9)
+    assert s.cavity.cluster_spacing == pytest.approx(200e9, rel=1e-9)
 
 
 def test_build_profile_disabled():
@@ -338,6 +337,18 @@ def test_emit_sweep_figures():
     assert lines[0] == "pump_mw,g2,g2_err,classical_limit"
     limit = float(lines[1].split(",")[3])
     assert limit == pytest.approx(1 + 1 / 33)
+
+
+def test_fig4c_writes_each_point_s_own_classical_limit():
+    # without a set classical_mode_count each report takes its limit from
+    # its own N_eff, so the limits of a pump sweep differ
+    s = pm.default_scenario()
+    bundles = [pm.RunBundle(replace(s, pump_mw=pump), None, None,
+                            SimpleNamespace(g2=1.5, g2_err=0.1,
+                                            classical_limit=pm.classical_limit(n)))
+               for pump, n in ((0.5, 30), (1.0, 20))]
+    rows = pm.emit_figure_data(bundles, "fig4c")["fig4c.csv"].splitlines()
+    assert [float(r.split(",")[3]) for r in rows[1:]] == [1 + 1 / 30, 1 + 1 / 20]
 
 
 def test_figure_argument_validation():
@@ -503,7 +514,16 @@ def test_cli_rejects_bad_analysis_settings(tmp_path, capsys, command, key,
     ("afc", "tooth_spacing_hz = 1e5", 2, "coincidence window"),   # 10 us echo
     ("analysis", "comb_fit_halfspan_s = 1e-10", 2, "comb view"),
     # 1e17 bins: past any address space, so the allocation fails at once
-    ("analysis", "bin_width_s = 1e-12\nhist_max_s = 1e5", 2, "fit in memory")])
+    ("analysis", "bin_width_s = 1e-12\nhist_max_s = 1e5", 2, "fit in memory"),
+    # a key without a value: the document does not parse
+    ("analysis", "bin_width_s", 2, "cannot parse"),
+    ("spectrum", "source = foo", 2, "spectrum source"),
+    ("sweep", "kind = foo", 2, "sweep kind"),
+    ("run", "reference_run = maybe", 2, "reference_run"),
+    ("gating", "measure_fraction = 1", 2, "measure_fraction"),
+    ("gating", "off_gate_attenuation = 2", 2, "off_gate_attenuation"),
+    ("detector.signal", "efficiency = 1.5", 2, "efficiency"),
+    ("phase_matching", "envelope_fwhm_hz = 0", 2, "envelope_fwhm")])
 def test_cli_rejects_bad_model_values(tmp_path, capsys, section, setting,
                                       code, match):
     text, run = f"[{section}]\n{setting}\n", {"duration_s": "0.01",
@@ -642,6 +662,18 @@ def test_cli_envelope_past_the_scan_limit_is_simulation_error(tmp_path, capsys):
     assert run_cli(["simulate", "--scenario", str(cfg),
                     "--out", str(tmp_path)]) == 3
     assert "signal modes" in capsys.readouterr().err
+
+
+def test_cli_envelope_off_the_signal_comb_is_simulation_error(tmp_path, capsys):
+    # the document is valid, but its envelope centre lies past the reach
+    # of any comb index
+    cfg = tmp_path / "s.cfg"
+    cfg.write_text("[phase_matching]\nenvelope_center_hz = 1e30\n"
+                   "[run]\nduration_s = 0.01\nreference_run = false\n")
+    assert run_cli(["validate", "--scenario", str(cfg)]) == 0
+    assert run_cli(["simulate", "--scenario", str(cfg),
+                    "--out", str(tmp_path)]) == 3
+    assert "off the signal comb" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("setting, name", [
@@ -899,7 +931,7 @@ def test_run_sweep_shares_reference_and_source(monkeypatch):
     # reference per pump and one source.  Nothing is kept between sweeps.
     afc = _shipped_sweep("sweep_afc_modes", duration_s=0.02)
     pump = _shipped_sweep("sweep_pump_power", duration_s=0.02,
-                          sweep_values=(0.5, 1.0))
+                          sweep_values=(0.5, 1.0), reference_run=True)
     calls = _count_builds(monkeypatch)
     pm.run_sweep(afc)
     assert calls == {"simulate": 7, "spectrum": 1, "sampler": 1}
@@ -926,7 +958,7 @@ def test_run_sweep_points_match_run_scenario(monkeypatch):
     # run_scenario runs it.  In an afc_modes sweep only the first
     # multi-mode point does; every later one divides by its reference rate.
     pump = _shipped_sweep("sweep_pump_power", duration_s=0.1,
-                          sweep_values=(0.5, 1.0))
+                          sweep_values=(0.5, 1.0), reference_run=True)
     for bundle, p in zip(pm.run_sweep(pump), sweep_scenarios(pump),
                          strict=True):
         assert bundle.report.to_json() == pm.run_scenario(p).report.to_json()
@@ -989,6 +1021,19 @@ def test_cli_analyze_replays_simulate_with_reference_events(tmp_path):
     report = (run / "report.json").read_bytes()
     assert (replay / "report.json").read_bytes() == report
     assert (bare / "report.json").read_bytes() != report
+
+
+def test_cli_analyze_takes_the_seed_simulate_took(tmp_path):
+    # the seed is part of the scenario, and so of the report's provenance
+    cfg = tmp_path / "s.cfg"
+    cfg.write_text("[run]\nduration_s = 0.05\nreference_run = false\n")
+    sim, replay = tmp_path / "sim", tmp_path / "replay"
+    args = ["--scenario", str(cfg), "--seed", "5"]
+    assert run_cli(["simulate", *args, "--out", str(sim)]) == 0
+    assert run_cli(["analyze", *args, "--events", str(sim / "events.bin"),
+                    "--out", str(replay)]) == 0
+    for name in ("report.json", "histogram.csv"):
+        assert (replay / name).read_bytes() == (sim / name).read_bytes()
 
 
 @pytest.mark.parametrize("figure", ["fig1b", "fig4a"])
