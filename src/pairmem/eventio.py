@@ -7,7 +7,8 @@ timestamp in picoseconds, records sorted by timestamp, signal first among
 equal ones.  Readers reject other channel codes, timestamps that go
 backwards or past the duration, and durations from 2**63 ps.  Only this
 module knows the merged order: write_events merges a stream's two
-channel arrays, and read_events splits them again.
+channel arrays, ``_CHUNK`` records at a time from one array of signal
+positions, and read_events splits them again.
 """
 
 from __future__ import annotations
@@ -26,33 +27,48 @@ CH_SIGNAL = 0
 CH_IDLER = 1
 _HEADER = struct.Struct("<4sHQQ32sQ")
 _RECORD_DTYPE = np.dtype([("channel", "u1"), ("timestamp_ps", "<u8")])
+_CHUNK = 1 << 15   # records per write: ~0.6 MiB of record, channel and time arrays
 
 
-def _merge_channels(sig_ps: np.ndarray, idl_ps: np.ndarray):
-    """(channels, timestamps) of two sorted channels merged, ordered as
-    ``np.lexsort((ch, ts))`` orders them: by timestamp, signal first.  A
-    signal event lands after the signal events before it and the idler
-    events strictly earlier."""
-    at = np.arange(len(sig_ps)) + np.searchsorted(idl_ps, sig_ps, side="left")
-    ch = np.full(len(sig_ps) + len(idl_ps), CH_IDLER, np.uint8)
-    ch[at] = CH_SIGNAL
+def _signal_records(sig_ps: np.ndarray, idl_ps: np.ndarray) -> np.ndarray:
+    """Record index of each signal event when two sorted channels are
+    merged by timestamp, signal first: it lands after the signal events
+    before it and the idler events strictly earlier."""
+    at = np.searchsorted(idl_ps, sig_ps, side="left")
+    at += np.arange(len(at))
+    return at
+
+
+def _merge_channels(sig_ps: np.ndarray, idl_ps: np.ndarray, start: int = 0,
+                    stop: int | None = None, at: np.ndarray | None = None):
+    """(channels, timestamps) of records [start, stop) (default: all) of
+    two sorted channels merged, ordered as ``np.lexsort((ch, ts))`` orders
+    them; ``at`` is their ``_signal_records``, computed when None."""
+    at = _signal_records(sig_ps, idl_ps) if at is None else at
+    stop = len(sig_ps) + len(idl_ps) if stop is None else stop
+    i, j = np.searchsorted(at, (start, stop))   # the signals in [start, stop)
+    ch = np.full(stop - start, CH_IDLER, np.uint8)
+    ch[at[i:j] - start] = CH_SIGNAL
     ts = np.empty(len(ch), np.uint64)
-    ts[at] = sig_ps
-    ts[ch == CH_IDLER] = idl_ps
+    ts[at[i:j] - start] = sig_ps[i:j]
+    ts[ch == CH_IDLER] = idl_ps[start - i:stop - j]
     return ch, ts
 
 
 def write_events(stream: EventStream, path) -> None:
-    ch, ts = _merge_channels(stream.signal_ps, stream.idler_ps)
-    rec = np.empty(len(ch), dtype=_RECORD_DTYPE)
-    rec["channel"] = ch
-    rec["timestamp_ps"] = ts
+    sig, idl = stream.signal_ps, stream.idler_ps
+    n = len(sig) + len(idl)
+    at = _signal_records(sig, idl)
     header = _HEADER.pack(MAGIC, VERSION, stream.seed, stream.duration_ps,
-                          bytes.fromhex(stream.model_digest), len(rec))
+                          bytes.fromhex(stream.model_digest), n)
     tmp = f"{path}.tmp.{os.getpid()}"
     with open(tmp, "wb") as f:
         f.write(header)
-        f.write(rec.tobytes())
+        for a in range(0, n, _CHUNK):
+            rec = np.empty(min(_CHUNK, n - a), dtype=_RECORD_DTYPE)
+            rec["channel"], rec["timestamp_ps"] = _merge_channels(
+                sig, idl, a, a + len(rec), at)
+            f.write(rec)
     os.replace(tmp, path)
 
 

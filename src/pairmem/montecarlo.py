@@ -11,6 +11,10 @@ one table summed over the modes, and draws only pairs that leave a photon
 (Poisson thinning, Lewis & Shedler 1979).  The signal-idler delay, drawn
 from the analytic cross-correlation curve, is drawn only for the signal
 photons that reach the detector.
+
+Per-pair steps run in place over slices of ``_CHUNK`` elements, the idler
+photons compacted into the array of pair times.  Numpy draws uniforms and
+normals element by element, so the sliced draws keep every byte.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ from .cavity import BiphotonSpectrum, CavityParams, TWO_PI
 from .errors import ParameterError
 from .memory import AfcPlan, FilterSpec, chain_transmission
 
+_CHUNK = 1 << 16   # elements per slice of a per-pair pass
 _DELAY_TABLE_BITS = 17  # 2^17 in-period density steps (~62 fs) and quantile steps
 # numpy's Generator.poisson rejects a larger mean: int64 max less ten of its
 # standard deviations
@@ -124,7 +129,12 @@ class GatingSequence:
 
     def measuring(self, t_ps):
         """Whether each timestamp ``t_ps`` (int ps) is in a measurement stage."""
-        return t_ps % self.cycle_ps < self.measure_ps
+        # cycle - 1 - (t mod cycle) in one temporary; unsigned r wraps and back
+        r = t_ps // self.cycle_ps
+        r *= self.cycle_ps
+        r -= t_ps
+        r += self.cycle_ps - 1
+        return r >= self.cycle_ps - self.measure_ps
 
     def live_ps(self, duration_ps: int) -> int:
         """Measurement time in [0, duration_ps), in ps."""
@@ -165,11 +175,15 @@ class DelaySampler:
         for (lam, period, q), sel, sign in zip(self._branches, (pos, ~pos), (1, -1)):
             n = int(np.count_nonzero(sel))
             if n:
-                k = np.floor(rng.exponential(scale=1.0 / lam, size=n))
-                x = rng.random(n) * (len(q) - 1)
-                j = x.astype(np.intp)
-                u = q[j] + (x - j) * (q[j + 1] - q[j])
-                out[sel] = sign * (k * period + u)
+                d = np.floor(rng.exponential(scale=1.0 / lam, size=n)) * period
+                for a in range(0, n, _CHUNK):   # d += q[j] + (x-j) (q[j+1] - q[j])
+                    x = rng.random(len(d[a:a + _CHUNK])) * (len(q) - 1)
+                    j = x.astype(np.intp)
+                    x -= j
+                    x *= q[j + 1] - q[j]
+                    x += q[j]
+                    d[a:a + _CHUNK] += x
+                out[sel] = d if sign > 0 else np.negative(d, out=d)
         return out
 
 
@@ -182,9 +196,9 @@ def _period_cdfs(spec: BiphotonSpectrum, cavity: CavityParams):
     # comb factor on midpoint grid u_m = (m + 1/2) P/npts:
     #   |sum_j s_j exp(i 2 pi j (m + 1/2)/npts)|^2
     # evaluated for all m at once with one inverse DFT
-    lattice = np.zeros(npts, dtype=complex)
-    np.add.at(lattice, np.mod(idx, npts), w * np.exp(1j * math.pi * idx / npts))
-    comb = np.abs(np.fft.ifft(lattice) * npts) ** 2
+    comb = np.zeros(npts, dtype=complex)   # the lattice, freed by the ifft
+    np.add.at(comb, np.mod(idx, npts), w * np.exp(1j * math.pi * idx / npts))
+    comb = np.abs(np.fft.ifft(comb) * npts) ** 2
     for fsr, lw in ((cavity.fsr_signal, cavity.linewidth_signal),
                     (cavity.fsr_idler, cavity.linewidth_idler)):
         gamma, period = TWO_PI * lw, 1.0 / fsr
@@ -244,8 +258,9 @@ def _prune_dead_time(t: np.ndarray, dead: int) -> np.ndarray:
     need the greedy walk, anchored at their run start.
     """
     keep = np.ones(len(t), dtype=bool)
-    close = np.diff(t) < dead
-    keep[1:] = ~close
+    for a in range(1, len(t), _CHUNK):   # keep[1:] = np.diff(t) >= dead, by slices
+        np.greater_equal(np.diff(t[a - 1:a + _CHUNK]), dead, out=keep[a:a + _CHUNK])
+    close = ~keep[1:]
     deep = np.flatnonzero(close[1:] & close[:-1]) + 2
     fresh = np.diff(deep, prepend=-1) != 1
     kept = []
@@ -257,6 +272,18 @@ def _prune_dead_time(t: np.ndarray, dead: int) -> np.ndarray:
             last = x
     keep[deep] = kept
     return keep
+
+
+def _compact(t: np.ndarray, keep) -> np.ndarray:
+    """The elements of ``t`` that ``keep`` (a bool mask, or the mask of slice
+    s as keep(s), called in order) selects, moved to its front: a view."""
+    m = 0
+    for a in range(0, max(len(t), 1), _CHUNK):   # an empty t: one empty slice
+        s = slice(a, min(a + _CHUNK, len(t)))
+        kept = t[s][keep(s) if callable(keep) else keep[s]]
+        t[m:m + len(kept)] = kept
+        m += len(kept)
+    return t[:m]
 
 
 def _fate_classes(spec: BiphotonSpectrum, memory: AfcPlan | None,
@@ -332,17 +359,21 @@ def generate_events(source: SourceModel, pair_rate: float,
                 f"expected {name} count {mean:.3g} is too large to draw")
     rng = make_rng(seed)
 
-    def finish(t, det):
-        """Jitter, shutters, dark counts and the range cut; sorted."""
-        if det.jitter_sigma > 0 and len(t):   # t is the caller's own copy
-            jitter = rng.normal(0.0, det.jitter_sigma * 1e12, len(t))
-            np.add(t, np.rint(jitter, out=jitter), out=t, casting="unsafe")
-            del jitter
-        if gating is not None and len(t):
-            t = t[gating.measuring(t)]  # AOM shutters block other phases
+    def finish(t, n, det):
+        """Jitter, shutters, dark counts and range cut of t[:n]; t[n:] is room."""
+        if det.jitter_sigma > 0:
+            for a in range(0, n, _CHUNK):
+                tc = t[a:min(a + _CHUNK, n)]
+                jitter = rng.normal(0.0, det.jitter_sigma * 1e12, len(tc))
+                np.add(tc, np.rint(jitter, out=jitter), out=tc, casting="unsafe")
+        if gating is not None:   # AOM shutters block other phases
+            n = len(_compact(t[:n], lambda s: gating.measuring(t[s])))
         n_dark = int(rng.poisson(det.dark_rate * duration))
         if n_dark:
-            t = np.concatenate([t, rng.integers(duration_ps + 1, size=n_dark)])
+            if n + n_dark > len(t):   # no room behind the photons
+                t = np.concatenate([t[:n], np.empty(n_dark, t.dtype)])
+            t[n:n + n_dark] = rng.integers(duration_ps + 1, size=n_dark)
+        t = t[:n + n_dark]
         t.sort(kind="stable")   # timsort: jittered times are nearly sorted
         return t[np.searchsorted(t, 0):np.searchsorted(t, duration_ps, "right")]
 
@@ -350,34 +381,43 @@ def generate_events(source: SourceModel, pair_rate: float,
         n_pairs = int(rng.poisson(pairs))
         t = rng.integers(live_ps, size=n_pairs)   # measurement time
         t.sort()
-        if gating is not None:   # measurement stage k opens cycle k
-            t += t // gating.measure_ps * (gating.cycle_ps - gating.measure_ps)
-        x = rng.random(n_pairs) * cdf[-1]   # a pair's class: the CDF step holding x
-        idler = t[x >= cdf[n_fates - 1]]
-        # the signal is lost on [cdf[-2], cdf[-1]) alone: the both-lost entry is 0
-        hit = np.flatnonzero((x < cdf[-2]) | (x >= cdf[-1]))
-        branch = np.searchsorted(cdf, x[hit], side="right") % n_fates
-        del x
+        parts = [(np.empty(0, np.int64), np.empty(0, np.min_scalar_type(n_fates)))]
+
+        def fate(s):   # slice s: time map, classes, signal photons set aside
+            tc = t[s]
+            if gating is not None:   # measurement stage k opens cycle k
+                tc += tc // gating.measure_ps * (gating.cycle_ps - gating.measure_ps)
+            x = rng.random(len(tc)) * cdf[-1]   # a pair's class: the CDF step holding x
+            # the signal is lost on [cdf[-2], cdf[-1]) alone: the both-lost entry is 0
+            hit = (x < cdf[-2]) | (x >= cdf[-1])
+            branch = np.searchsorted(cdf, x[hit], side="right") % n_fates
+            parts.append((tc[hit], branch.astype(parts[0][1].dtype)))
+            return x >= cdf[n_fates - 1]
+        n_idler = len(_compact(t, fate))   # t becomes the idler stream
+        sig, branch = map(np.concatenate, zip(*parts))
+        del parts
         # under the all-mode G2 a delay does not depend on the mode, so it
         # is drawn only for the signal photons that reach the detector
-        delay = source.sampler.sample(rng, len(hit))
+        delay = source.sampler.sample(rng, len(sig))
         if memory is not None:
             delay += branch * memory.storage_time
-        sig = t[hit] + np.rint(delay * 1e12).astype(np.int64)
-        del t, branch, hit, delay
-        idler = finish(idler, det_i)
-        idler = idler[_prune_dead_time(idler, det_i.dead_time_ps)]
-        sig = finish(sig, det_s)
+        sig += np.rint(delay * 1e12).astype(np.int64)
+        idler = finish(t, n_idler, det_i)
+        idler = _compact(idler, _prune_dead_time(idler, det_i.dead_time_ps))
+        sig = finish(sig, len(sig), det_s)
         if gating is not None:
             # idler-conditioned gate, timed from the last idler click at or
             # before each signal event; with none (k = 0, where idler[k - 1]
             # wraps) the event is inside no gate
-            k = np.searchsorted(idler, sig, side="right")
-            dt = sig - idler[k - 1] if len(idler) else 0
             on, off = gating.conditional_gate_ps
-            inside = (k > 0) & (dt >= on) & (dt <= off)
-            sig = sig[inside | (rng.random(len(sig)) < gating.off_gate_attenuation)]
-        sig = sig[_prune_dead_time(sig, det_s.dead_time_ps)]
+
+            def gate(s):
+                k = np.searchsorted(idler, sig[s], side="right")
+                dt = sig[s] - idler[k - 1] if len(idler) else 0
+                inside = (k > 0) & (dt >= on) & (dt <= off)
+                return inside | (rng.random(len(k)) < gating.off_gate_attenuation)
+            sig = _compact(sig, gate)
+        sig = _compact(sig, _prune_dead_time(sig, det_s.dead_time_ps))
     except MemoryError as exc:
         raise ParameterError(f"{pairs:.3g} expected pairs and {sum(darks):.3g} "
                              "expected dark counts do not fit in memory") from exc

@@ -15,9 +15,12 @@ This tree is the checkout holding this script.  Each tree runs its own
   run gives it, and ``analyze --reference-events`` of the calibration
   events with it.
 
-One line per file: ``held`` or ``moved`` (or ``missing`` on one side),
-the file, and its sha256 on this tree, then on the other tree when it
-differs.  ``--scenario`` keeps the outputs of the named scenarios only;
+First one line per ``pairmem`` command: ``rss``, its maximum resident
+set size in MiB on this tree and on the other (``os.wait4``), and its
+output set, so that a change that holds every byte but moves memory shows
+it.  Then one line per file: ``held`` or ``moved`` (or ``missing`` on one
+side), the file, and its sha256 on this tree, then on the other tree when
+it differs.  ``--scenario`` keeps the outputs of the named scenarios only;
 ``--duration`` shortens every run.  Exit 0 when every file is held, 1
 when a file moved or is missing, 2 when a command fails.
 """
@@ -64,15 +67,22 @@ class CommandFailed(RuntimeError):
     pass
 
 
-def _run(tree: Path, args: list[str], cwd: Path) -> str:
+def _run(tree: Path, args: list[str], cwd: Path) -> tuple[str, float]:
+    """The command's stdout and its maximum resident set size in MiB."""
     env = {**os.environ, "PYTHONPATH": str(tree / "src")}
     env.pop("PAIRMEM_OUT", None)
-    r = subprocess.run([sys.executable, *args], cwd=cwd, env=env,
-                       capture_output=True, text=True)
-    if r.returncode:
-        raise CommandFailed(f"{tree}: {' '.join(args)} exited {r.returncode}\n"
-                            f"{r.stderr.strip()}")
-    return r.stdout
+    with tempfile.TemporaryFile() as out, tempfile.TemporaryFile() as err:
+        p = subprocess.Popen([sys.executable, *args], cwd=cwd, env=env,
+                             stdout=out, stderr=err)
+        _, status, usage = os.wait4(p.pid, 0)   # this child's rusage alone
+        p.returncode = os.waitstatus_to_exitcode(status)
+        out.seek(0)
+        err.seek(0)
+        stdout, stderr = out.read().decode(), err.read().decode()
+    if p.returncode:
+        raise CommandFailed(f"{tree}: {' '.join(args)} exited {p.returncode}\n"
+                            f"{stderr.strip()}")
+    return stdout, usage.ru_maxrss / 1024   # KiB on Linux
 
 
 def _scenario(tree: Path, name: str, duration: float | None, work: Path) -> Path:
@@ -93,31 +103,36 @@ def _scenario(tree: Path, name: str, duration: float | None, work: Path) -> Path
 
 
 def write_outputs(tree: Path, out: Path, scenarios: set[str],
-                  duration: float | None) -> None:
+                  duration: float | None) -> dict[str, float]:
     """Write the outputs of every case on ``scenarios`` under ``out``, one
-    directory per output set."""
+    directory per output set; return each ``pairmem`` command's maximum
+    resident set size in MiB, by output set."""
     cli = ["-m", "pairmem.cli"]
+    rss = {}
     for case, name, args in CASES:
         if name in scenarios:
             cfg = _scenario(tree, name, duration, out)
             case_dir = out / case
             case_dir.mkdir(parents=True)
-            _run(tree, [*cli, *(a.format(cfg=cfg) for a in args),
-                        "--out", str(case_dir)], out)
+            _, rss[case] = _run(tree, [*cli, *(a.format(cfg=cfg) for a in args),
+                                       "--out", str(case_dir)], out)
     if REPLAYED in scenarios:
         cfg = _scenario(tree, REPLAYED, duration, out)
         ref_cfg = out / "scenarios" / f"{REPLAYED}_reference.cfg"
         ref_cfg.parent.mkdir(parents=True, exist_ok=True)
-        seed = _run(tree, ["-c", _REFERENCE, str(cfg), str(ref_cfg)], out).strip()
+        seed = _run(tree, ["-c", _REFERENCE, str(cfg), str(ref_cfg)], out)[0].strip()
         ref_dir, replay_dir = out / f"reference/{REPLAYED}", out / f"analyze/{REPLAYED}"
         ref_dir.mkdir(parents=True)
         replay_dir.mkdir(parents=True)
-        _run(tree, [*cli, "simulate", "--scenario", str(ref_cfg), "--seed", seed,
-                    "--out", str(ref_dir)], out)
-        _run(tree, [*cli, "analyze", "--scenario", str(cfg),
-                    "--events", str(out / f"simulate/{REPLAYED}/events.bin"),
-                    "--reference-events", str(ref_dir / "events.bin"),
-                    "--out", str(replay_dir)], out)
+        _, rss[f"reference/{REPLAYED}"] = _run(
+            tree, [*cli, "simulate", "--scenario", str(ref_cfg), "--seed", seed,
+                   "--out", str(ref_dir)], out)
+        _, rss[f"analyze/{REPLAYED}"] = _run(
+            tree, [*cli, "analyze", "--scenario", str(cfg),
+                   "--events", str(out / f"simulate/{REPLAYED}/events.bin"),
+                   "--reference-events", str(ref_dir / "events.bin"),
+                   "--out", str(replay_dir)], out)
+    return rss
 
 
 def _digests(out: Path) -> dict[str, str]:
@@ -157,13 +172,17 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory(prefix="statbench-bytes-") as out:
         sides = Path(out) / "this", Path(out) / "against"
         try:
+            rss = []
             for tree, side in zip((ROOT, args.against), sides):
                 side.mkdir()
-                write_outputs(tree.resolve(), side, scenarios, args.duration)
+                rss.append(write_outputs(tree.resolve(), side, scenarios,
+                                         args.duration))
         except CommandFailed as exc:
             print(f"command failed: {exc}", file=sys.stderr)
             return 2
         rows = compare(*sides)
+    for case in rss[0]:
+        print(f"rss     {rss[0][case]:8.1f} {rss[1][case]:8.1f}  {case}")
     for status, name, here, there in rows:
         print(f"{status:7} {name}  {here}" + (f"  (against: {there})" if there else ""))
     held = sum(r[0] == "held" for r in rows)

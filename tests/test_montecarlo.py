@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 from dataclasses import fields, replace
 
 import numpy as np
@@ -831,6 +832,65 @@ def test_ideal_chain_golden():
     ch, ts = _merge_channels(ev.signal_ps, ev.idler_ps)
     digest = hashlib.sha256(ch.tobytes() + ts.tobytes()).hexdigest()
     assert (len(ev), digest) == GOLDEN_IDEAL_CHAIN
+
+
+@pytest.fixture(scope="module")
+def default_source():
+    return pm.scenario.source_model(pm.default_scenario())
+
+
+@pytest.mark.parametrize("case", ["gated", "ungated", "two echo orders",
+                                  "no pairs", "idler only"])
+def test_chunked_passes_keep_every_byte(default_source, monkeypatch, tmp_path,
+                                        case):
+    # the per-pair passes run over slices of _CHUNK pairs and the writer
+    # over _CHUNK records: slices of one, of three, the shipped size and
+    # one slice for the whole run give the same events and file bytes
+    s = pm.default_scenario()
+    plan, dets, gating, rate = s.afc_plan, s.detectors, s.gating, s.pair_rate
+    if case == "ungated":
+        gating = None
+    elif case == "two echo orders":
+        plan = replace(plan, echo_orders=2)
+    elif case == "no pairs":   # dark counts alone, into arrays with no room
+        rate = 0.0
+        dets = {ch: replace(d, dark_rate=2e4) for ch, d in dets.items()}
+    elif case == "idler only":   # every drawn pair leaves its idler alone
+        dets = {**dets, "signal": replace(dets["signal"], efficiency=0.0)}
+    runs = set()
+    for chunk in (1, 3, 1 << 16, 10 ** 9):
+        monkeypatch.setattr(pm.montecarlo, "_CHUNK", chunk)
+        monkeypatch.setattr(pm.eventio, "_CHUNK", chunk)
+        ev = pm.generate_events(default_source, rate, plan, s.filters, dets,
+                                gating, 0.01, seed=5)
+        pm.write_events(ev, tmp_path / "events.bin")
+        runs.add((ev.signal_ps.tobytes(), ev.idler_ps.tobytes(),
+                  (tmp_path / "events.bin").read_bytes()))
+    assert len(runs) == 1
+    assert len(ev.idler_ps) > 10
+    assert len(ev.signal_ps) > 10 or case == "idler only"
+
+
+def test_generator_and_writer_peak_memory(tmp_path):
+    # traced peaks on default at 4 s (360 k events): the pair times become
+    # the idler stream and every other per-pair array is a slice, so the
+    # generator stays under 16 bytes per event; the writer holds slices of
+    # records, not the whole file
+    s = replace(pm.default_scenario(), duration_s=4.0)
+    source = pm.scenario.source_model(s)
+    pm.simulate(replace(s, duration_s=0.01), source)   # sampler and plan tables
+    tracemalloc.start()
+    try:
+        ev = pm.simulate(s, source)
+        generate_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        pm.write_events(ev, tmp_path / "events.bin")
+        write_peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert generate_peak < 16 * len(ev)
+    assert write_peak < 2 ** 20
 
 
 def test_generate_events_zero_duration(cavity):

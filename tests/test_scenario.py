@@ -1250,3 +1250,32 @@ def test_save_load_roundtrip_property(seed, pump, modes, tooth, binw):
     again = pm.load_scenario(canonical)
     assert pm.save_scenario(again) == canonical
     assert again.seed == seed and again.afc_plan.mode_count == modes
+
+
+@pytest.fixture(scope="module")
+def small_event_file(tmp_path_factory):
+    """A 5 ms default run (about 400 records): its directory, scenario file
+    and event-file bytes."""
+    work = tmp_path_factory.mktemp("small_events")
+    cfg = work / "s.cfg"
+    cfg.write_text("[run]\nduration_s = 0.005\nreference_run = false\n")
+    assert run_cli(["simulate", "--scenario", str(cfg), "--out", str(work)]) == 0
+    return work, cfg, (work / "events.bin").read_bytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(edits=st.lists(st.tuples(st.one_of(st.integers(0, 69),   # the header
+                                          st.integers(70, 2 ** 16)),
+                                st.integers(0, 255)),
+                      min_size=1, max_size=4))
+def test_cli_analyze_of_mutated_event_bytes_is_clean_or_format_error(
+        small_event_file, edits):
+    # a file with bytes overwritten reads as a valid event file (exit 0)
+    # or is rejected by the reader (exit 5): no other exit, no traceback
+    work, cfg, raw = small_event_file
+    data = bytearray(raw)
+    for pos, byte in edits:
+        data[pos % len(data)] = byte
+    (work / "mutated.bin").write_bytes(bytes(data))
+    assert run_cli(["analyze", "--scenario", str(cfg), "--events",
+                    str(work / "mutated.bin"), "--out", str(work / "out")]) in (0, 5)

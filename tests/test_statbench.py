@@ -22,7 +22,12 @@ def test_byte_check_holds_every_file_of_the_tree_against_itself():
          "default", "--duration", "0.05"],
         capture_output=True, text=True, timeout=120)
     assert r.returncode == 0, r.stdout + r.stderr
-    rows = [line.split() for line in r.stdout.splitlines()[:-1]]
+    lines = [line.split() for line in r.stdout.splitlines()[:-1]]
+    # one row per pairmem command: its max RSS in MiB on both trees
+    rss = [row for row in lines if row[0] == "rss"]
+    assert [row[3] for row in rss] == ["simulate/default", "figure/fig2"]
+    assert all(float(mib) > 10 for row in rss for mib in row[1:3])
+    rows = [row for row in lines if row[0] != "rss"]
     assert [row[:2] for row in rows] == [
         ["held", "figure/fig2/fig2.csv"],
         ["held", "simulate/default/events.bin"],
