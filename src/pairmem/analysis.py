@@ -1,7 +1,17 @@
 """Estimator chain: start-stop histogramming, comb peak detection, FSR and
 linewidth fits, noise floor, windowed coincidence rates, the normalized
 cross-correlation with error bars, effective-mode counting, and the
-multimode classical bound."""
+multimode classical bound.
+
+Every start-stop count goes through one accumulator, ``PairCounter``, fed
+a run's records in time order in blocks of any size (a whole stream is
+one block; ``eventio.read_chunks`` gives a file's).  A pair belongs to
+the block of its stop, and a stop is counted once it is complete: once a
+record read is strictly later than the stop less the histogram's first
+edge, or the run has ended.  Only the stops not yet complete and the
+starts that a pending or later stop can still reach are held, so a file
+is counted in memory that does not grow with the run.
+"""
 
 from __future__ import annotations
 
@@ -54,29 +64,119 @@ def histogram_edges(bin_width_ps: int, range_ps: tuple[int, int]) -> np.ndarray:
         raise ParameterError(f"a histogram of {n} bins does not fit in memory") from exc
 
 
+def window_range(window_ps: int, center_ps: int) -> tuple[int, int]:
+    """The whole-ps delays [lo, hi] of the g2 window: within window / 2 of
+    the center, ends included."""
+    return center_ps - window_ps // 2, center_ps + window_ps // 2
+
+
+class PairCounter:
+    """Start-stop accumulator of one run (the rules are in the module
+    docstring): ``add(starts, stops)`` per block in time order, each
+    channel sorted, then ``close()``.  It holds the pair counts of the bins
+    of ``edges``, the start and stop totals, the count C of pairs in the
+    inclusive ``window`` (lo, hi) of whole-ps delays, which lies inside the
+    edges, and the singles inside the measurement phases of ``gating``.
+    The starts it keeps are those later than min(earliest pending stop,
+    last time read) - hi, hi the last edge.
+    """
+
+    def __init__(self, edges: np.ndarray, window: tuple[int, int] | None = None,
+                 gating: GatingSequence | None = None):
+        self.edges, self.window, self.gating = edges, window, gating
+        self.lo, self.hi = int(edges[0]), int(edges[-1])
+        self.counts = np.zeros(len(edges) - 1, dtype=np.int64)
+        self.starts = self.stops = self.coincidences = 0
+        self.gated_starts = self.gated_stops = 0
+        self._held = np.zeros(0, dtype=np.int64)      # starts a stop may pair with
+        self._pending = np.zeros(0, dtype=np.int64)   # stops not yet complete
+
+    def add(self, starts: np.ndarray, stops: np.ndarray) -> PairCounter:
+        # readers admit no timestamp past 2**63 ps, so int64 views are exact
+        starts, stops = starts.view(np.int64), stops.view(np.int64)
+        self.starts += len(starts)
+        self.stops += len(stops)
+        if self.gating is not None:
+            self.gated_starts += int(np.count_nonzero(self.gating.measuring(starts)))
+            self.gated_stops += int(np.count_nonzero(self.gating.measuring(stops)))
+        if len(starts) + len(stops) == 0:
+            return self
+        last = int(max(t[-1] for t in (starts, stops) if len(t)))
+        held, pending = _joined(self._held, starts), _joined(self._pending, stops)
+        k = int(np.searchsorted(pending, last + self.lo, side="left"))
+        self._pair(pending[:k], held)
+        self._pending = pending[k:]
+        reach = min(int(pending[k]), last) if k < len(pending) else last
+        self._held = held[np.searchsorted(held, reach - self.hi, side="right"):]
+        return self
+
+    def close(self) -> PairCounter:
+        """Pair the stops still pending: the run has ended."""
+        self._pair(self._pending, self._held)
+        self._pending = self._pending[:0]
+        return self
+
+    def _pair(self, stops: np.ndarray, starts: np.ndarray) -> None:
+        # the starts t that pair with one stop s (lo <= s - t < hi) are the
+        # run s - hi < t <= s - lo of the sorted starts.  Stops are the
+        # sparse channel: search each of them.
+        lo = self.lo
+        from_lo = stops - lo
+        j0 = np.searchsorted(starts, stops - self.hi, side="right")
+        n_per = np.searchsorted(starts, from_lo, side="right") - j0
+        flat = np.arange(n_per.sum()) - np.repeat(np.cumsum(n_per) - n_per - j0, n_per)
+        d = np.repeat(from_lo, n_per) - starts[flat]   # delay - lo
+        self.counts += np.bincount(d // int(self.edges[1] - self.edges[0]),
+                                   minlength=len(self.counts))
+        if self.window is not None:
+            wlo, whi = self.window
+            self.coincidences += int(np.count_nonzero(
+                (d >= wlo - lo) & (d <= whi - lo)))
+
+    def histogram(self, duration_ps: int) -> CorrelationHistogram:
+        """The histogram of a run of ``duration_ps`` ps."""
+        return CorrelationHistogram(
+            counts=self.counts, bin_edges_ps=self.edges,
+            total_start_counts=self.starts, total_stop_counts=self.stops,
+            duration=duration_ps * 1e-12 if self.starts + self.stops else 0.0)
+
+    def g2(self, duration_ps: int) -> G2Estimate:
+        """g2 = C T / (S I window) of a run of ``duration_ps`` ps, with its
+        Poisson error: S and I are the gated singles, T the live time, and
+        the window the count of its whole-ps delays."""
+        if self.starts == 0 or self.stops == 0:
+            raise EstimationError("signal and idler must both be nonempty")
+        if self.gating is not None:
+            s_n, i_n = self.gated_starts, self.gated_stops
+            t_live = self.gating.live_ps(duration_ps) * 1e-12
+        else:
+            s_n, i_n, t_live = self.starts, self.stops, duration_ps * 1e-12
+        if s_n == 0 or i_n == 0:
+            raise EstimationError("no singles inside measurement phases")
+        c = self.coincidences
+        wlo, whi = self.window
+        scale = t_live / (s_n * i_n * (whi - wlo + 1) * 1e-12)
+        val = c * scale
+        err = val * math.sqrt(1.0 / c + 1.0 / s_n + 1.0 / i_n) if c else 0.0
+        return G2Estimate(value=val, error=err, coincidences=c, starts=s_n,
+                          stops=i_n, live_time=t_live)
+
+
+def _joined(held: np.ndarray, new: np.ndarray) -> np.ndarray:
+    """``held`` then ``new``; no copy when either is empty (a whole stream)."""
+    if len(held) and len(new):
+        return np.concatenate([held, new])
+    return new if len(new) else held
+
+
 def build_histogram(events: EventStream, bin_width_ps: int,
                     range_ps: tuple[int, int]) -> CorrelationHistogram:
     """Multi-stop start-stop histogram of idler starts and signal stops
     over ``histogram_edges(bin_width_ps, range_ps)``: every stop in range
-    counts, for every start."""
-    edges = histogram_edges(bin_width_ps, range_ps)
-    lo = int(edges[0])
-    # read_events admits no timestamp past 2**63 ps, so int64 views are exact
-    starts = events.idler_ps.view(np.int64)
-    stops = events.signal_ps.view(np.int64)
-    # the starts t that pair with one stop s (lo <= s - t < hi) are the run
-    # s - hi < t <= s - lo of the sorted starts.  Stops are the sparse
-    # channel: search each of them.
-    from_lo = stops - lo
-    j0 = np.searchsorted(starts, stops - int(edges[-1]), side="right")
-    n_per = np.searchsorted(starts, from_lo, side="right") - j0
-    flat = np.arange(n_per.sum()) - np.repeat(np.cumsum(n_per) - n_per - j0, n_per)
-    counts = np.bincount((np.repeat(from_lo, n_per) - starts[flat]) // bin_width_ps,
-                         minlength=len(edges) - 1)
-    return CorrelationHistogram(
-        counts=counts, bin_edges_ps=edges,
-        total_start_counts=len(starts), total_stop_counts=len(stops),
-        duration=events.duration_ps * 1e-12 if len(events) else 0.0)
+    counts, for every start.  The ``PairCounter`` of the whole stream."""
+    counter = PairCounter(histogram_edges(bin_width_ps, range_ps))
+    return counter.add(events.idler_ps, events.signal_ps).close() \
+        .histogram(events.duration_ps)
 
 
 def merge_histograms(a: CorrelationHistogram, b: CorrelationHistogram) -> CorrelationHistogram:
@@ -245,7 +345,7 @@ def noise_floor(hist: CorrelationHistogram, region_ps: tuple[int, int]) -> tuple
 def window_bins(edges: np.ndarray, window_ps: int, center_ps: int) -> np.ndarray:
     """Mask of the bins whose every delay lies in the window of
     ``g2_estimate``, which must fit in the histogram."""
-    lo, hi = center_ps - window_ps // 2, center_ps + window_ps // 2
+    lo, hi = window_range(window_ps, center_ps)
     if lo < edges[0] or hi >= edges[-1]:
         raise ParameterError("coincidence window does not fit in the histogram")
     return (edges[:-1] >= lo) & (edges[1:] <= hi + 1)
@@ -282,29 +382,13 @@ def g2_estimate(events: EventStream, window_ps: int, center_ps: int,
     window / 2 of the center, ends included, and the window is the count of
     such delays in ps; S and I are the singles counts inside the measurement
     phases of ``gating`` (None: always measuring); T is the live measurement
-    time.  Error bars propagate Poisson counting noise.
+    time.  Error bars propagate Poisson counting noise.  The ``PairCounter``
+    of the whole stream, whose one bin is the window.
     """
-    starts = events.idler_ps.view(np.int64)
-    stops = events.signal_ps.view(np.int64)
-    if len(starts) == 0 or len(stops) == 0:
-        raise EstimationError("signal and idler must both be nonempty")
-    lo, hi = center_ps - window_ps // 2, center_ps + window_ps // 2
-    # pairs with lo <= s - t <= hi: per stop s, the starts in [s - hi, s - lo]
-    c = int((np.searchsorted(starts, stops - lo, side="right")
-             - np.searchsorted(starts, stops - hi, side="left")).sum())
-    if gating is not None:
-        s_n = int(np.count_nonzero(gating.measuring(starts)))
-        i_n = int(np.count_nonzero(gating.measuring(stops)))
-        t_live = gating.live_ps(events.duration_ps) * 1e-12
-    else:
-        s_n, i_n, t_live = len(starts), len(stops), events.duration_ps * 1e-12
-    if s_n == 0 or i_n == 0:
-        raise EstimationError("no singles inside measurement phases")
-    scale = t_live / (s_n * i_n * (hi - lo + 1) * 1e-12)
-    val = c * scale
-    err = val * math.sqrt(1.0 / c + 1.0 / s_n + 1.0 / i_n) if c else 0.0
-    return G2Estimate(value=val, error=err, coincidences=c, starts=s_n,
-                      stops=i_n, live_time=t_live)
+    lo, hi = window_range(window_ps, center_ps)
+    counter = PairCounter(np.array([lo, hi + 1]), (lo, hi), gating)
+    return counter.add(events.idler_ps, events.signal_ps).close() \
+        .g2(events.duration_ps)
 
 
 def classical_limit(n_modes: int) -> float:

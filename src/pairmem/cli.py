@@ -75,12 +75,13 @@ def cmd_simulate(args) -> int:
 
 def cmd_analyze(args) -> int:
     s = _read_scenario(args.scenario, args.seed)
-    events = eventio.read_events(args.events)
+    # each file streams once through the counters, in blocks
     rate_single = None
     if args.reference_events:
         rate_single = reference_rate(
-            s, eventio.read_events(args.reference_events))
-    hist, report = analyze_events(s, events, rate_single=rate_single)
+            s, eventio.read_chunks(args.reference_events))
+    hist, report = analyze_events(s, eventio.read_chunks(args.events),
+                                  rate_single=rate_single)
     out = _out_dir(args)
     _write_text(os.path.join(out, "histogram.csv"), figures._histogram_csv(hist))
     _write_text(os.path.join(out, "report.json"), report.to_json())

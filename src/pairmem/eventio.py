@@ -8,13 +8,18 @@ equal ones.  Readers reject other channel codes, timestamps that go
 backwards or past the duration, and durations from 2**63 ps.  Only this
 module knows the merged order: write_events merges a stream's two
 channel arrays, ``_CHUNK`` records at a time from one array of signal
-positions, and read_events splits them again.
+positions, and read_chunks splits them again, ``_CHUNK`` records at a
+time through one reused buffer.  Each chunk is checked before it is
+passed on, against the last timestamp of the chunk before it too, so a
+fault names its record as a whole-file read would; read_events joins the
+chunks.
 """
 
 from __future__ import annotations
 
 import os
 import struct
+from dataclasses import replace
 
 import numpy as np
 
@@ -27,7 +32,7 @@ CH_SIGNAL = 0
 CH_IDLER = 1
 _HEADER = struct.Struct("<4sHQQ32sQ")
 _RECORD_DTYPE = np.dtype([("channel", "u1"), ("timestamp_ps", "<u8")])
-_CHUNK = 1 << 15   # records per write: ~0.6 MiB of record, channel and time arrays
+_CHUNK = 1 << 15   # records per write or read: ~0.6 MiB of record and channel arrays
 
 
 def _signal_records(sig_ps: np.ndarray, idl_ps: np.ndarray) -> np.ndarray:
@@ -72,39 +77,56 @@ def write_events(stream: EventStream, path) -> None:
     os.replace(tmp, path)
 
 
-def read_events(path) -> EventStream:
+def read_chunks(path):
+    """The records of an event file as consecutive EventStream blocks of
+    at most ``_CHUNK`` records (one empty block for an empty file), read
+    into one reused buffer and checked as they come."""
     with open(path, "rb") as f:
-        raw = f.read()
-    if len(raw) < _HEADER.size:
-        raise EventFormatError("file too short for an event header")
-    magic, version, seed, duration_ps, digest, count = _HEADER.unpack_from(raw)
-    if magic != MAGIC:
-        raise EventFormatError(f"bad magic {magic!r}")
-    if version != VERSION:
-        raise EventFormatError(f"unsupported event-format version {version}")
-    if duration_ps >= 2 ** 63:   # the estimators read timestamps as int64
-        raise EventFormatError(f"duration {duration_ps} ps is not below 2**63")
-    n_bytes = len(raw) - _HEADER.size
-    if n_bytes != count * _RECORD_DTYPE.itemsize:
-        raise EventFormatError(
-            f"truncated event file: expected {count} records, "
-            f"got {n_bytes / _RECORD_DTYPE.itemsize:.1f}")
-    rec = np.frombuffer(raw, dtype=_RECORD_DTYPE, offset=_HEADER.size)
-    channels, ts = rec["channel"], rec["timestamp_ps"]
-    bad = np.flatnonzero(channels > CH_IDLER)   # codes are 0 and 1
-    if len(bad):
-        raise EventFormatError(
-            f"record {bad[0]}: unknown channel byte {channels[bad[0]]}")
-    back = np.flatnonzero(ts[1:] < ts[:-1])
-    if len(back):
-        i = back[0] + 1
-        raise EventFormatError(
-            f"record {i}: timestamp {ts[i]} ps precedes {ts[i - 1]} ps")
-    i = int(np.searchsorted(ts, np.uint64(duration_ps), side="right"))
-    if i < len(ts):
-        raise EventFormatError(f"record {i}: timestamp {ts[i]} ps exceeds "
-                               f"the duration {duration_ps} ps")
-    sig = channels == CH_SIGNAL
-    return EventStream(signal_ps=ts[sig], idler_ps=ts[~sig],
-                       duration_ps=duration_ps, seed=seed,
-                       model_digest=digest.hex())
+        head = f.read(_HEADER.size)
+        if len(head) < _HEADER.size:
+            raise EventFormatError("file too short for an event header")
+        magic, version, seed, duration_ps, digest, count = _HEADER.unpack(head)
+        if magic != MAGIC:
+            raise EventFormatError(f"bad magic {magic!r}")
+        if version != VERSION:
+            raise EventFormatError(f"unsupported event-format version {version}")
+        if duration_ps >= 2 ** 63:   # the estimators read timestamps as int64
+            raise EventFormatError(f"duration {duration_ps} ps is not below 2**63")
+        n_bytes = os.fstat(f.fileno()).st_size - _HEADER.size
+        if n_bytes != count * _RECORD_DTYPE.itemsize:
+            raise EventFormatError(
+                f"truncated event file: expected {count} records, "
+                f"got {n_bytes / _RECORD_DTYPE.itemsize:.1f}")
+        buf = np.empty(min(count, _CHUNK), dtype=_RECORD_DTYPE)
+        prev = 0   # the last timestamp read
+        for a in range(0, max(count, 1), _CHUNK):   # an empty file: one block
+            rec = buf[:min(_CHUNK, count - a)]
+            if f.readinto(rec) != rec.nbytes:
+                raise EventFormatError(f"truncated event file at record {a}")
+            channels, ts = rec["channel"], rec["timestamp_ps"]
+            bad = np.flatnonzero(channels > CH_IDLER)   # codes are 0 and 1
+            if len(bad):
+                raise EventFormatError(
+                    f"record {a + bad[0]}: unknown channel byte {channels[bad[0]]}")
+            back = np.flatnonzero(ts < np.r_[np.uint64(prev), ts[:-1]])
+            if len(back):
+                i = back[0]
+                raise EventFormatError(f"record {a + i}: timestamp {ts[i]} ps "
+                                       f"precedes {ts[i - 1] if i else prev} ps")
+            i = int(np.searchsorted(ts, np.uint64(duration_ps), side="right"))
+            if i < len(ts):
+                raise EventFormatError(f"record {a + i}: timestamp {ts[i]} ps "
+                                       f"exceeds the duration {duration_ps} ps")
+            prev = ts[-1] if len(ts) else prev
+            sig = channels == CH_SIGNAL
+            yield EventStream(signal_ps=ts[sig], idler_ps=ts[~sig],
+                              duration_ps=duration_ps, seed=seed,
+                              model_digest=digest.hex())
+
+
+def read_events(path) -> EventStream:
+    """The whole stream of an event file: its ``read_chunks`` joined."""
+    blocks = list(read_chunks(path))
+    return replace(blocks[-1], **{
+        ch: np.concatenate([getattr(b, ch) for b in blocks])
+        for ch in ("signal_ps", "idler_ps")})

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import numpy as np
+
 from . import analysis as an
 from .errors import ScenarioError
 from .memory import od_spectrum
@@ -9,8 +11,9 @@ from .memory import od_spectrum
 
 def _histogram_csv(hist: an.CorrelationHistogram) -> str:
     # a row's bin holds the delays in [bin_start_ps, bin_start_ps + width)
-    rows = zip(hist.bin_edges_ps[:-1].tolist(), hist.counts.tolist())
-    return "bin_start_ps,counts\n" + "".join(f"{a},{n}\n" for a, n in rows)
+    rows = np.column_stack((hist.bin_edges_ps[:-1], hist.counts)).ravel()
+    return ("bin_start_ps,counts\n"
+            + "%d,%d\n" * len(hist.counts) % tuple(rows.tolist()))
 
 
 def _afc_csv(s) -> str:

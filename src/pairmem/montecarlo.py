@@ -365,7 +365,7 @@ def generate_events(source: SourceModel, pair_rate: float,
             for a in range(0, n, _CHUNK):
                 tc = t[a:min(a + _CHUNK, n)]
                 jitter = rng.normal(0.0, det.jitter_sigma * 1e12, len(tc))
-                np.add(tc, np.rint(jitter, out=jitter), out=tc, casting="unsafe")
+                tc += np.rint(jitter, out=jitter).astype(np.int64)   # exact past 2**53
         if gating is not None:   # AOM shutters block other phases
             n = len(_compact(t[:n], lambda s: gating.measuring(t[s])))
         n_dark = int(rng.poisson(det.dark_rate * duration))
@@ -418,6 +418,8 @@ def generate_events(source: SourceModel, pair_rate: float,
                 return inside | (rng.random(len(k)) < gating.off_gate_attenuation)
             sig = _compact(sig, gate)
         sig = _compact(sig, _prune_dead_time(sig, det_s.dead_time_ps))
+        if 2 * idler.nbytes < idler.base.nbytes:   # let a sparse pair buffer go
+            idler = idler.copy()
     except MemoryError as exc:
         raise ParameterError(f"{pairs:.3g} expected pairs and {sum(darks):.3g} "
                              "expected dark counts do not fit in memory") from exc

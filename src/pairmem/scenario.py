@@ -435,25 +435,42 @@ def _comb_view(hist: an.CorrelationHistogram, center_ps: int,
         total_stop_counts=hist.total_stop_counts, duration=hist.duration)
 
 
-def _floor_and_rate(s: Scenario, events: EventStream):
-    """The steps a report and a single-mode reference share: the histogram
-    of ``events`` under the analysis settings of ``s``, its noise floor
-    (value, error) and the floor-subtracted coincidence rate in the window
-    about ``s.window_center_ps``."""
+def _count(s: Scenario, events, *g2_settings) -> tuple[an.PairCounter, EventStream]:
+    """The ``PairCounter`` over the histogram of the analysis settings of
+    ``s``, with ``g2_settings`` (window, gating), fed ``events``: an
+    EventStream, or the consecutive blocks of one that
+    ``eventio.read_chunks`` yields.  Returns it and the last block."""
     ps = s.analysis.ps
-    hist = an.build_histogram(events, ps["bin_width_s"],
-                              (ps["hist_min_s"], ps["hist_max_s"]))
+    counter = an.PairCounter(an.histogram_edges(
+        ps["bin_width_s"], (ps["hist_min_s"], ps["hist_max_s"])), *g2_settings)
+    for block in [events] if isinstance(events, EventStream) else events:
+        counter.add(block.idler_ps, block.signal_ps)
+    return counter.close(), block
+
+
+def _floor_and_rate(s: Scenario, hist: an.CorrelationHistogram):
+    """The steps a report and a single-mode reference share: the noise
+    floor (value, error) of a histogram under the analysis settings of
+    ``s``, and the floor-subtracted coincidence rate in the window about
+    ``s.window_center_ps``."""
+    ps = s.analysis.ps
     floor = an.noise_floor(hist, (ps["floor_min_s"], ps["floor_max_s"]))
-    rate = an.coincidence_rate(hist, ps["window_s"], s.window_center_ps, *floor)
-    return hist, floor, rate
+    return floor, an.coincidence_rate(hist, ps["window_s"], s.window_center_ps,
+                                      *floor)
 
 
-def analyze_events(s: Scenario, events: EventStream,
+def analyze_events(s: Scenario, events,
                    rate_single: tuple[float, float] | None = None):
-    """Histogram an event stream and derive the full report; the live
-    time and singles are those of the scenario's gating."""
-    hist, (floor, floor_err), rate = _floor_and_rate(s, events)
+    """Histogram an event stream (an EventStream, or its blocks in time
+    order) and derive the full report; the live time and singles are
+    those of the scenario's gating.  One pass counts every pair, then the
+    report is assembled from the counts."""
     center = s.window_center_ps
+    counter, head = _count(s, events, an.window_range(
+        s.analysis.ps["window_s"], center), s.gating)
+    hist = counter.histogram(head.duration_ps)
+    g2 = counter.g2(head.duration_ps)
+    (floor, floor_err), rate = _floor_and_rate(s, hist)
     prom = s.analysis.min_prominence
     if prom is None:
         prom = an.default_prominence(floor)
@@ -475,8 +492,6 @@ def analyze_events(s: Scenario, events: EventStream,
             return None, None
 
     lw_s, lw_i = linewidth("positive"), linewidth("negative")
-
-    g2 = an.g2_estimate(events, s.analysis.ps["window_s"], center, s.gating)
 
     if rate_single is not None:
         try:
@@ -506,8 +521,8 @@ def analyze_events(s: Scenario, events: EventStream,
         nonclassical=bool(g2.value - g2.error > climit),
         provenance={
             "scenario_digest": scenario_digest(s),
-            "seed": events.seed,
-            "model_digest": events.model_digest,
+            "seed": head.seed,
+            "model_digest": head.model_digest,
             "version": 1,
         })
     return hist, report
@@ -528,10 +543,12 @@ def single_mode_reference(s: Scenario) -> Scenario:
                    reference_run=False, sweep_kind=None, sweep_values=())
 
 
-def reference_rate(s: Scenario, ref_events: EventStream) -> tuple[float, float]:
+def reference_rate(s: Scenario, ref_events) -> tuple[float, float]:
     """Floor-subtracted coincidence rate (value, error) of a single-mode
-    reference run, analyzed with the settings of scenario ``s``."""
-    return _floor_and_rate(s, ref_events)[2]
+    reference run (an EventStream, or its blocks in time order), analyzed
+    with the settings of scenario ``s``."""
+    counter, head = _count(s, ref_events)
+    return _floor_and_rate(s, counter.histogram(head.duration_ps))[1]
 
 
 def _reference(s: Scenario) -> Scenario | None:

@@ -3,11 +3,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import pairmem as pm
+from pairmem.analysis import PairCounter, window_range
 from pairmem.eventio import (CH_IDLER, CH_SIGNAL, MAGIC, VERSION, _HEADER,
-                             _RECORD_DTYPE, _merge_channels, read_events,
-                             write_events)
-from pairmem.errors import EventFormatError
+                             _RECORD_DTYPE, _merge_channels, read_chunks,
+                             read_events, write_events)
+from pairmem.errors import EstimationError, EventFormatError
 from pairmem.montecarlo import EventStream
+
+from conftest import default_record
 
 
 def make_stream(signal_ps, idler_ps, seed=7, duration_ps=10**12):
@@ -182,3 +185,120 @@ def test_binary_reserialization_byte_identical_large(tmp_path):
     write_events(ev, p1)
     write_events(read_events(p1), p2)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def record_file(path, records, duration_ps=10**12):
+    """An event file of hand-made (channel, timestamp) records."""
+    rec = np.array(records, dtype=_RECORD_DTYPE)
+    path.write_bytes(_HEADER.pack(MAGIC, VERSION, 7, duration_ps, bytes(32),
+                                  len(rec)) + rec.tobytes())
+    return path
+
+
+# ten records 10 ps apart, signal and idler in turn, and one fault each
+# past the first chunk of four: (records, duration, the whole-file message)
+ORDERED = [(k % 2, 10 * (k + 1)) for k in range(10)]
+FAULTS = {
+    "channel": ([*ORDERED[:6], (7, 70), *ORDERED[7:]], 10**12,
+                "record 6: unknown channel byte 7"),
+    "backwards": ([*ORDERED[:4], (0, 25), *ORDERED[5:]], 10**12,
+                  "record 4: timestamp 25 ps precedes 40 ps"),
+    "duration": (ORDERED, 95,
+                 "record 9: timestamp 100 ps exceeds the duration 95 ps"),
+}
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 4, 2**15])
+@pytest.mark.parametrize("fault", FAULTS)
+def test_chunked_reader_names_each_fault_as_a_whole_read(tmp_path, monkeypatch,
+                                                         fault, chunk):
+    # a fault in a later chunk, or across a chunk edge, keeps the message
+    # and the record index of the one-chunk read
+    monkeypatch.setattr(pm.eventio, "_CHUNK", chunk)
+    records, duration_ps, message = FAULTS[fault]
+    path = record_file(tmp_path / "bad.bin", records, duration_ps)
+    with pytest.raises(EventFormatError) as err:
+        read_events(path)
+    assert str(err.value) == message
+
+
+@st.composite
+def stream_cases(draw):
+    """Two sorted channels over a few whole ps (ties within and across
+    channels, and at chunk edges), a histogram range with lo < 0 < hi or
+    lo > 0, a g2 window inside it, and a short gating cycle or none."""
+    times = st.lists(st.integers(0, 60), max_size=25)
+    sig, idl = sorted(draw(times)), sorted(draw(times))
+    width = draw(st.integers(1, 7))
+    if draw(st.booleans()):
+        lo, hi = draw(st.integers(-40, -1)), draw(st.integers(1, 40))
+    else:
+        lo = draw(st.integers(1, 40))
+        hi = lo + draw(st.integers(1, 40))
+    end = int(pm.analysis.histogram_edges(width, (lo, hi))[-1])
+    window = draw(st.integers(1, max(end - lo - 1, 1)))
+    center = draw(st.integers(lo + window // 2, end - 1 - window // 2))
+    gating = draw(st.sampled_from(
+        [None, default_record("gating", cycle=20e-12, break_time=1e-12)]))
+    return sig, idl, (width, (lo, hi)), window, center, gating
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=stream_cases())
+def test_streamed_counts_equal_the_whole_stream(tmp_path_factory, case):
+    # a file read in chunks of 1, 2, 3 and the shipped size, each chunk
+    # fed to one counter, counts what the whole stream does
+    sig, idl, bins, window, center, gating = case
+    ev = make_stream(sig, idl, duration_ps=60)
+    path = tmp_path_factory.getbasetemp() / "stream.bin"
+    write_events(ev, path)
+    hist = pm.build_histogram(ev, *bins)
+    try:
+        g2 = pm.g2_estimate(ev, window, center, gating)
+    except EstimationError:
+        g2 = None
+    wlo, whi = window_range(window, center)
+    pairs = sum(wlo <= s - t <= whi for t in idl for s in sig)
+    for chunk in (1, 2, 3, 2**15):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(pm.eventio, "_CHUNK", chunk)
+            counter = PairCounter(hist.bin_edges_ps, (wlo, whi), gating)
+            for block in read_chunks(path):
+                counter.add(block.idler_ps, block.signal_ps)
+            counter.close()
+        assert counter.counts.tolist() == hist.counts.tolist()
+        assert ((counter.starts, counter.stops)
+                == (hist.total_start_counts, hist.total_stop_counts))
+        assert counter.coincidences == pairs
+        if gating is not None:
+            assert ((counter.gated_starts, counter.gated_stops)
+                    == tuple(int(np.count_nonzero(gating.measuring(
+                        np.array(c, np.int64)))) for c in (idl, sig)))
+        if g2 is None:
+            with pytest.raises(EstimationError):
+                counter.g2(ev.duration_ps)
+        else:
+            assert counter.g2(ev.duration_ps) == g2
+
+
+@pytest.mark.parametrize("role", ["--events", "--reference-events"])
+@pytest.mark.parametrize("fault", FAULTS)
+def test_analyze_of_a_faulty_file_writes_nothing(tmp_path, monkeypatch, capsys,
+                                                 fault, role):
+    # the fault lies past the first chunk, yet analyze exits 5 before it
+    # writes a report or a histogram
+    from pairmem.cli import main
+    monkeypatch.setattr(pm.eventio, "_CHUNK", 4)
+    records, duration_ps, message = FAULTS[fault]
+    bad = record_file(tmp_path / "bad.bin", records, duration_ps)
+    good = record_file(tmp_path / "good.bin", ORDERED)
+    files = {"--events": good, "--reference-events": bad} \
+        if role == "--reference-events" else {"--events": bad}
+    out = tmp_path / "out"
+    argv = ["analyze", "--out", str(out)]
+    for flag, path in files.items():
+        argv += [flag, str(path)]
+    assert main(argv) == 5
+    assert message in capsys.readouterr().err
+    assert not (out / "report.json").exists()
+    assert not (out / "histogram.csv").exists()

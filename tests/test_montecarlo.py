@@ -893,6 +893,35 @@ def test_generator_and_writer_peak_memory(tmp_path):
     assert write_peak < 2 ** 20
 
 
+def test_jitter_keeps_whole_ps_past_2_53(default_source):
+    # a jitter that rounds to 0 leaves a timestamp where it was, also at
+    # or past 2**53 ps, where float64 holds no odd whole ps
+    s = pm.default_scenario()
+    dets = {ch: replace(d, dark_rate=0.0, dead_time=0.0)
+            for ch, d in s.detectors.items()}
+    idlers = []
+    for sigma in (0.0, 1e-15):
+        d = {**dets, "idler": replace(dets["idler"], jitter_sigma=sigma)}
+        idlers.append(pm.generate_events(default_source, 0.1, s.afc_plan,
+                                         s.filters, d, None, 2e4,
+                                         seed=5).idler_ps)
+    assert np.count_nonzero(idlers[0] >= 2 ** 54) > 100
+    assert np.array_equal(*idlers)
+
+
+def test_sparse_idler_stream_lets_the_pair_buffer_go(default_source):
+    # the idler stream is compacted into the pair-time array; when it
+    # fills less than half of it, the stream is copied out
+    s = pm.default_scenario()
+    dets = {**s.detectors,
+            "idler": replace(s.detectors["idler"], efficiency=0.05)}
+    ev = pm.generate_events(default_source, s.pair_rate, s.afc_plan,
+                            s.filters, dets, s.gating, 1.0, seed=s.seed)
+    idl = ev.idler_ps
+    assert len(idl) > 1000
+    assert (idl if idl.base is None else idl.base).nbytes < 2 * idl.nbytes
+
+
 def test_generate_events_zero_duration(cavity):
     ev = pm.generate_events(flat_source(cavity), 1e5, None, None, None, None,
                             0.0, seed=1)

@@ -1,5 +1,6 @@
 import hashlib
 import os
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
@@ -1021,6 +1022,28 @@ def test_cli_analyze_replays_simulate_with_reference_events(tmp_path):
     report = (run / "report.json").read_bytes()
     assert (replay / "report.json").read_bytes() == report
     assert (bare / "report.json").read_bytes() != report
+
+
+def test_analyze_memory_does_not_grow_with_the_run(tmp_path):
+    # analyze streams each file once in chunks through one counter: its
+    # traced peak is the same at 1 s (90 k records) and 4 s (360 k), and
+    # under a bound that holding every record would break at 4 s
+    peaks = []
+    for duration in (1, 4):
+        cfg = tmp_path / f"{duration}.cfg"
+        cfg.write_text(f"[run]\nduration_s = {duration}\nreference_run = false\n")
+        run = tmp_path / f"run{duration}"
+        assert run_cli(["simulate", "--scenario", str(cfg), "--out", str(run)]) == 0
+        argv = ["analyze", "--scenario", str(cfg), "--events",
+                str(run / "events.bin"), "--out", str(tmp_path / "replay")]
+        assert run_cli(argv) == 0   # warm-up: imports and first-call caches
+        tracemalloc.start()
+        try:
+            assert run_cli(argv) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert max(peaks) < 3 * 2**20, peaks
 
 
 def test_cli_analyze_takes_the_seed_simulate_took(tmp_path):
