@@ -4,13 +4,16 @@ cross-correlation with error bars, effective-mode counting, and the
 multimode classical bound.
 
 Every start-stop count goes through one accumulator, ``PairCounter``, fed
-a run's records in time order in blocks of any size (a whole stream is
-one block; ``eventio.read_chunks`` gives a file's).  A pair belongs to
-the block of its stop, and a stop is counted once it is complete: once a
-record read is strictly later than the stop less the histogram's first
+a run's ``EventStream`` blocks in time order, of any size (a whole stream
+is one block; ``eventio.read_chunks`` gives a file's): its ``add(block)``
+alone says that idler clicks start and signal clicks stop.  A pair belongs
+to the block of its stop, and a stop is counted once it is complete: once
+a record read is strictly later than the stop less the histogram's first
 edge, or the run has ended.  Only the stops not yet complete and the
 starts that a pending or later stop can still reach are held, so a file
-is counted in memory that does not grow with the run.
+is counted in memory that does not grow with the run.  Every bin rule is
+here too: ``floor_bins``, ``window_bins``, and the ``comb_bins`` of the
+``comb_view`` that the comb estimators read.
 """
 
 from __future__ import annotations
@@ -25,11 +28,16 @@ from .cavity import TWO_PI
 from .errors import EstimationError, FitError, ParameterError
 from .montecarlo import EventStream, GatingSequence
 
+# the most bins a histogram takes: each estimator pass over it, and its CSV,
+# then stay within tens of MiB
+_MAX_BINS = 1 << 22
+
 
 @dataclass
 class CorrelationHistogram:
     """Binned start-stop delay counts; the TIA emulation.  Bin i counts the
-    delays in [bin_edges_ps[i], bin_edges_ps[i + 1]) picoseconds."""
+    delays in [bin_edges_ps[i], bin_edges_ps[i + 1]) picoseconds.  Counts
+    keep their dtype: int64 from a run, float for an expected histogram."""
 
     counts: np.ndarray
     bin_edges_ps: np.ndarray
@@ -38,9 +46,9 @@ class CorrelationHistogram:
     duration: float
 
     def __post_init__(self):
-        self.counts = np.asarray(self.counts, dtype=np.int64)
+        self.counts = np.asarray(self.counts)
         self.bin_edges_ps = np.asarray(self.bin_edges_ps, dtype=np.int64)
-        if np.any(self.counts < 0):
+        if not np.all(self.counts >= 0):   # also rejects NaN
             raise ParameterError("histogram counts must be nonnegative")
 
     @property
@@ -58,10 +66,10 @@ def histogram_edges(bin_width_ps: int, range_ps: tuple[int, int]) -> np.ndarray:
     if not lo < hi:
         raise ParameterError("histogram range min must be < max")
     n = -((lo - hi) // bin_width_ps)   # ceil((hi - lo) / width)
-    try:
-        return lo + np.arange(n + 1, dtype=np.int64) * bin_width_ps
-    except MemoryError as exc:
-        raise ParameterError(f"a histogram of {n} bins does not fit in memory") from exc
+    if n > _MAX_BINS:
+        raise ParameterError(
+            f"a histogram of {n} bins does not fit in memory (at most {_MAX_BINS})")
+    return lo + np.arange(n + 1, dtype=np.int64) * bin_width_ps
 
 
 def window_range(window_ps: int, center_ps: int) -> tuple[int, int]:
@@ -72,13 +80,13 @@ def window_range(window_ps: int, center_ps: int) -> tuple[int, int]:
 
 class PairCounter:
     """Start-stop accumulator of one run (the rules are in the module
-    docstring): ``add(starts, stops)`` per block in time order, each
-    channel sorted, then ``close()``.  It holds the pair counts of the bins
-    of ``edges``, the start and stop totals, the count C of pairs in the
-    inclusive ``window`` (lo, hi) of whole-ps delays, which lies inside the
-    edges, and the singles inside the measurement phases of ``gating``.
-    The starts it keeps are those later than min(earliest pending stop,
-    last time read) - hi, hi the last edge.
+    docstring): ``add(block)`` per block in time order, then ``close()``.
+    It holds the pair counts of the bins of ``edges``, the start and stop
+    totals, the count C of pairs in the inclusive ``window`` (lo, hi) of
+    whole-ps delays, which lies inside the edges, and the singles inside
+    the measurement phases of ``gating``.  The starts it keeps are those
+    later than min(earliest pending stop, last time read) - hi, hi the
+    last edge.
     """
 
     def __init__(self, edges: np.ndarray, window: tuple[int, int] | None = None,
@@ -91,9 +99,10 @@ class PairCounter:
         self._held = np.zeros(0, dtype=np.int64)      # starts a stop may pair with
         self._pending = np.zeros(0, dtype=np.int64)   # stops not yet complete
 
-    def add(self, starts: np.ndarray, stops: np.ndarray) -> PairCounter:
-        # readers admit no timestamp past 2**63 ps, so int64 views are exact
-        starts, stops = starts.view(np.int64), stops.view(np.int64)
+    def add(self, block: EventStream) -> PairCounter:
+        # idler clicks start, signal clicks stop; readers admit no timestamp
+        # past 2**63 ps, so int64 views are exact
+        starts, stops = block.idler_ps.view(np.int64), block.signal_ps.view(np.int64)
         self.starts += len(starts)
         self.stops += len(stops)
         if self.gating is not None:
@@ -138,7 +147,7 @@ class PairCounter:
         return CorrelationHistogram(
             counts=self.counts, bin_edges_ps=self.edges,
             total_start_counts=self.starts, total_stop_counts=self.stops,
-            duration=duration_ps * 1e-12 if self.starts + self.stops else 0.0)
+            duration=duration_ps * 1e-12)
 
     def g2(self, duration_ps: int) -> G2Estimate:
         """g2 = C T / (S I window) of a run of ``duration_ps`` ps, with its
@@ -175,8 +184,7 @@ def build_histogram(events: EventStream, bin_width_ps: int,
     over ``histogram_edges(bin_width_ps, range_ps)``: every stop in range
     counts, for every start.  The ``PairCounter`` of the whole stream."""
     counter = PairCounter(histogram_edges(bin_width_ps, range_ps))
-    return counter.add(events.idler_ps, events.signal_ps).close() \
-        .histogram(events.duration_ps)
+    return counter.add(events).close().histogram(events.duration_ps)
 
 
 def merge_histograms(a: CorrelationHistogram, b: CorrelationHistogram) -> CorrelationHistogram:
@@ -261,7 +269,7 @@ class FsrEstimate:
     interval_err_s: float
 
 
-def estimate_fsr(peaks: np.ndarray, k_max: int = 30) -> FsrEstimate:
+def estimate_fsr(peaks: np.ndarray, k_max: int) -> FsrEstimate:
     """Mean interval of the ``detect_peaks`` rows (delay, height) from the
     0th (nearest zero delay) peak up to the k_max-th; FSR is its reciprocal."""
     delays = np.asarray(peaks, dtype=float).reshape(-1, 2)[:, 0]
@@ -287,20 +295,18 @@ def estimate_fsr(peaks: np.ndarray, k_max: int = 30) -> FsrEstimate:
                        interval_s=dt, interval_err_s=dt_err)
 
 
-def default_prominence(floor: float) -> float:
-    """Peak prominence threshold when none is set: five Poisson standard
-    deviations of the noise floor, and at least one count."""
-    return max(5.0 * math.sqrt(max(floor, 0.0)), 1.0)
+def prominence(setting: float | None, floor: float) -> float:
+    """Peak prominence threshold: ``setting``, or when none is set five
+    Poisson standard deviations of the noise floor, and at least one count."""
+    return max(5.0 * math.sqrt(max(floor, 0.0)), 1.0) if setting is None else setting
 
 
 def fit_envelope(hist: CorrelationHistogram, side: str, *, floor: float = 0.0,
                  min_prominence: float | None = None) -> tuple[float, float]:
     """Cavity linewidth from the exponential decay of the comb peak heights
     of ``hist`` (``fit_peak_envelope`` on its detected peaks)."""
-    if min_prominence is None:
-        min_prominence = default_prominence(floor)
-    return fit_peak_envelope(detect_peaks(hist, min_prominence), side,
-                             half_bin=hist.bin_width_ps * 0.5e-12, floor=floor)
+    return fit_peak_envelope(detect_peaks(hist, prominence(min_prominence, floor)),
+                             side, half_bin=hist.bin_width_ps * 0.5e-12, floor=floor)
 
 
 def fit_peak_envelope(peaks: np.ndarray, side: str, *,
@@ -351,6 +357,30 @@ def window_bins(edges: np.ndarray, window_ps: int, center_ps: int) -> np.ndarray
     return (edges[:-1] >= lo) & (edges[1:] <= hi + 1)
 
 
+def comb_bins(edges: np.ndarray, center_ps: int,
+              halfspan_ps: int) -> tuple[int, int]:
+    """Bin range [i0, i1) of the comb view: the floor(halfspan / width)
+    bins on either side of the edge nearest the center, within the
+    histogram, which must leave at least one."""
+    w = int(edges[1] - edges[0])
+    k, m = (2 * (center_ps - int(edges[0])) + w) // (2 * w), halfspan_ps // w
+    i0, i1 = max(k - m, 0), min(k + m, len(edges) - 1)
+    if i0 >= i1:
+        raise ParameterError(f"comb view {center_ps} +- {halfspan_ps} ps has no bin")
+    return i0, i1
+
+
+def comb_view(hist: CorrelationHistogram, center_ps: int,
+              halfspan_ps: int) -> CorrelationHistogram:
+    """The ``comb_bins`` of the histogram, re-zeroed on the center."""
+    i0, i1 = comb_bins(hist.bin_edges_ps, center_ps, halfspan_ps)
+    return CorrelationHistogram(
+        counts=hist.counts[i0:i1],
+        bin_edges_ps=hist.bin_edges_ps[i0:i1 + 1] - center_ps,
+        total_start_counts=hist.total_start_counts,
+        total_stop_counts=hist.total_stop_counts, duration=hist.duration)
+
+
 def coincidence_rate(hist: CorrelationHistogram, window_ps: int, center_ps: int,
                      floor: float, floor_err: float = 0.0) -> tuple[float, float]:
     """Floor-subtracted coincidence rate and its error, counts/s, over
@@ -387,8 +417,7 @@ def g2_estimate(events: EventStream, window_ps: int, center_ps: int,
     """
     lo, hi = window_range(window_ps, center_ps)
     counter = PairCounter(np.array([lo, hi + 1]), (lo, hi), gating)
-    return counter.add(events.idler_ps, events.signal_ps).close() \
-        .g2(events.duration_ps)
+    return counter.add(events).close().g2(events.duration_ps)
 
 
 def classical_limit(n_modes: int) -> float:

@@ -23,6 +23,8 @@ TWO_PI = 2.0 * math.pi
 # when scanning for clusters.
 _ENVELOPE_FLOOR = 1e-3
 _MAX_SCAN_MODES = 2_000_000
+# sinc(u)^2 = 1/2 at u = 0.442946...: the sinc^2 envelope's half-power point
+_SINC2_HALF_POWER = 0.4429468945
 # numpy's largest exponential draw, ziggurat_exp_r - log(2**-53) = 44.43: a
 # pair delay reaches at most this many decay times 1/(2 pi linewidth)
 _DELAY_TAIL_DECAYS = 45
@@ -94,12 +96,13 @@ class PhaseMatching:
 
     def amplitude(self, freq):
         """Envelope value in [0, 1] at the given signal frequency (array ok)."""
-        x = (np.asarray(freq, dtype=float) - self.envelope_center) / self.envelope_fwhm
-        if self.envelope_shape == "gaussian":
-            return np.exp(-4.0 * math.log(2.0) * x * x)
-        # sinc^2 with the requested FWHM: sinc(u)^2 = 1/2 at u = 0.442946...
-        u = x * (2.0 * 0.4429468945)
-        return np.sinc(u) ** 2
+        with np.errstate(over="ignore"):   # far off a narrow envelope x is inf
+            x = (np.asarray(freq, dtype=float) - self.envelope_center) \
+                / self.envelope_fwhm
+            if self.envelope_shape == "gaussian":
+                return np.exp(-4.0 * math.log(2.0) * x * x)
+        # clipped: sinc(inf) is NaN, while sinc(1e300) ** 2 is already 0
+        return np.sinc(np.clip(x * (2.0 * _SINC2_HALF_POWER), -1e300, 1e300)) ** 2
 
     def support_halfwidth(self) -> float:
         """Frequency offset beyond which the envelope stays below 1e-3."""
@@ -108,7 +111,7 @@ class PhaseMatching:
                 math.log(1.0 / _ENVELOPE_FLOOR) / (4.0 * math.log(2.0)))
         # sinc^2 lobes decay as 1/(pi u)^2
         u = 1.0 / (math.pi * math.sqrt(_ENVELOPE_FLOOR))
-        return u * self.envelope_fwhm / (2.0 * 0.4429468945)
+        return u * self.envelope_fwhm / (2.0 * _SINC2_HALF_POWER)
 
 
 @dataclass(frozen=True, eq=False)
@@ -157,12 +160,12 @@ def cluster_spectrum(cavity: CavityParams, pm: PhaseMatching) -> np.ndarray:
             "equal FSRs: every mode pair is doubly resonant, no cluster structure")
 
     # the envelope's support, about the signal mode nearest its center
-    support = pm.support_halfwidth()
-    half = math.ceil(support / cavity.fsr_signal) + 1
+    support = pm.support_halfwidth()   # may be infinite: the min fails the check
+    half = math.ceil(min(support / cavity.fsr_signal, _MAX_SCAN_MODES)) + 1
     if 2 * half + 1 > _MAX_SCAN_MODES:
         raise ParameterError(
-            f"the phase-matching support of +-{support:.3g} Hz spans "
-            f"{2 * half + 1} signal modes, over the {_MAX_SCAN_MODES} a scan takes")
+            f"the phase-matching support of +-{support:.3g} Hz spans more than "
+            f"the {_MAX_SCAN_MODES} signal modes a scan takes")
     center = (pm.envelope_center - cavity.signal_center) / cavity.fsr_signal
     if not abs(center) < 2 ** 53:   # also rejects NaN
         raise EmptySpectrumError("the phase-matching envelope lies off the signal comb")

@@ -14,6 +14,10 @@ import numpy as np
 
 from .errors import ParameterError
 
+# the AFC and etalon laws square a finesse F (and the AFC's d / F): below
+# this bound on F and on the AFC's peak optical depth d the squares are finite
+_MAX_FINESSE = 1e150
+
 
 @dataclass(frozen=True)
 class AfcPlan:
@@ -49,11 +53,16 @@ class AfcPlan:
         if not (0 < self.tooth_spacing < self.per_mode_bandwidth < self.mode_spacing):
             raise ParameterError(
                 "need tooth_spacing < per_mode_bandwidth < mode_spacing")
-        if not self.finesse > 1.0:   # also rejects NaN
-            raise ParameterError("AFC finesse must exceed 1")
-        for name in ("peak_optical_depth", "background_od"):
-            if not 0 <= getattr(self, name) < math.inf:
-                raise ParameterError(f"AFC {name} must be finite and >= 0")
+        if not 1.0 < self.finesse < _MAX_FINESSE:   # also rejects NaN
+            raise ParameterError(f"AFC finesse must lie in (1, {_MAX_FINESSE:g})")
+        if not 0 <= self.peak_optical_depth < _MAX_FINESSE:
+            raise ParameterError(
+                f"AFC peak_optical_depth must lie in [0, {_MAX_FINESSE:g})")
+        if not 0 <= self.background_od < math.inf:
+            raise ParameterError("AFC background_od must be finite and >= 0")
+        if not self.storage_time * 1e12 < 2 ** 62:   # the timestamps' int64 ps
+            raise ParameterError(
+                "AFC echo delay 1 / tooth_spacing must lie below 2**62 ps")
         if not abs(self.center_freq) < math.inf:
             raise ParameterError("AFC center_freq must be finite")
         eff = self.efficiency_override
@@ -99,8 +108,10 @@ class AfcPlan:
     def block_index(self, freq) -> np.ndarray:
         """Index into the mode arrays for each frequency, -1 if outside."""
         f = np.atleast_1d(np.asarray(freq, dtype=float))
-        k = np.rint((f - self.center_freq) / self.mode_spacing).astype(int)
         lo, hi = self.mode_indices[0], self.mode_indices[-1]
+        # clipped one mode past either end: a far frequency casts to an int
+        k = np.clip(np.rint((f - self.center_freq) / self.mode_spacing),
+                    lo - 1, hi + 1).astype(int)
         centers = self.center_freq + k * self.mode_spacing
         inside = (k >= lo) & (k <= hi) & \
             (np.abs(f - centers) <= self.per_mode_bandwidth / 2)
@@ -173,8 +184,10 @@ class FilterSpec:
         for name in ("peak_transmittance", "stopband_transmittance"):
             if not 0.0 <= getattr(self, name) <= 1.0:
                 raise ParameterError(f"filter {name} must lie in [0, 1]")
-        if self.kind == "etalon" and not (0 < self.bandwidth < self.fsr):
-            raise ParameterError("etalon needs 0 < bandwidth < fsr")
+        if self.kind == "etalon" and not (
+                0 < self.bandwidth < self.fsr < self.bandwidth * _MAX_FINESSE):
+            raise ParameterError(
+                f"etalon needs 0 < bandwidth < fsr < {_MAX_FINESSE:g} bandwidth")
         if self.kind == "vbg" and self.bandwidth <= 0:
             raise ParameterError("vbg needs bandwidth > 0")
 
@@ -182,7 +195,8 @@ class FilterSpec:
 def filter_transmission(flt: FilterSpec, photon_freq) -> np.ndarray | float:
     """Transmission in [0, 1] at the given frequency (array ok)."""
     f = np.asarray(photon_freq, dtype=float)
-    det = f - flt.center
+    with np.errstate(over="ignore"):   # a detuning past the float range is inf
+        det = f - flt.center
     if flt.kind == "none":
         out = np.ones_like(f)
     elif flt.kind == "vbg":
@@ -190,8 +204,12 @@ def filter_transmission(flt: FilterSpec, photon_freq) -> np.ndarray | float:
                        flt.peak_transmittance, flt.stopband_transmittance)
     else:  # etalon Airy function, finesse from fsr/bandwidth
         fin = flt.fsr / flt.bandwidth
-        out = flt.peak_transmittance / (
-            1.0 + (2.0 * fin / math.pi) ** 2 * np.sin(math.pi * det / flt.fsr) ** 2)
+        with np.errstate(over="ignore"):
+            phase = math.pi * det / flt.fsr
+        # past 2**53 rad a phase is a float artefact already; clipped, an
+        # infinite one reads a point of the comb like any other
+        out = flt.peak_transmittance / (1.0 + (2.0 * fin / math.pi) ** 2
+                                        * np.sin(np.clip(phase, -1e300, 1e300)) ** 2)
     return out if out.ndim else float(out)
 
 

@@ -302,10 +302,9 @@ def _fate_classes(spec: BiphotonSpectrum, memory: AfcPlan | None,
     """
     w2 = spec.weights ** 2
 
-    def detected(channel, freqs, det):
-        flt = filters.get(channel)
-        passed = np.full(len(freqs), det.efficiency)
-        return passed if flt is None else passed * chain_transmission([flt], freqs)
+    def detected(channel, freqs, det):   # a missing filter is the ideal one
+        flt = filters.get(channel, FilterSpec())
+        return np.full(len(freqs), det.efficiency) * chain_transmission([flt], freqs)
 
     if memory is None:
         reached = np.ones((1, len(w2)))
@@ -351,7 +350,7 @@ def generate_events(source: SourceModel, pair_rate: float,
     # thinning: the pairs that leave a photon are a Poisson process of
     # rate pair_rate * P_any, each taking a class with probability
     # proportional to its entry (side="right" never takes an empty class)
-    pairs = pair_rate * cdf[-1] * live_ps * 1e-12
+    pairs = pair_rate * float(cdf[-1]) * live_ps * 1e-12   # overflows to inf, silently
     darks = (det_s.dark_rate * duration, det_i.dark_rate * duration)
     for name, mean in zip(("pair", "signal dark", "idler dark"), (pairs, *darks)):
         if not mean <= _MAX_POISSON_MEAN:

@@ -12,8 +12,6 @@ import hashlib
 import math
 from dataclasses import dataclass, replace
 
-import numpy as np
-
 from . import analysis as an
 from .cavity import (CavityParams, PhaseMatching, cluster_spectrum,
                      comb_spectrum, mode_weights)
@@ -42,7 +40,7 @@ class AnalysisSettings:
     floor_min_s: float
     floor_max_s: float
     fsr_peak_count: int
-    min_prominence: float | None           # None: 5 * sqrt(floor)
+    min_prominence: float | None           # None: analysis.prominence's rule
     classical_mode_count: int | None       # None: round(n_effective)
     # comb estimators only look this far from the analysis feature, to
     # stay clear of the conditional-gate steps in the noise floor
@@ -129,7 +127,7 @@ class Scenario:
                                        (ps["hist_min_s"], ps["hist_max_s"]))
             an.floor_bins(edges, (ps["floor_min_s"], ps["floor_max_s"]))
             an.window_bins(edges, ps["window_s"], center)
-            _comb_bins(edges, center, ps["comb_fit_halfspan_s"])
+            an.comb_bins(edges, center, ps["comb_fit_halfspan_s"])
         except ParameterError as exc:
             raise ScenarioError(f"[analysis] {exc}") from exc
 
@@ -411,30 +409,6 @@ def simulate(s: Scenario, source: SourceModel | None = None) -> EventStream:
         raise SimulationError(str(exc)) from exc
 
 
-def _comb_bins(edges: np.ndarray, center_ps: int,
-               halfspan_ps: int) -> tuple[int, int]:
-    """Bin range [i0, i1) of the comb view: the floor(halfspan / width)
-    bins on either side of the edge nearest the center, within the
-    histogram."""
-    w = int(edges[1] - edges[0])
-    k, m = (2 * (center_ps - int(edges[0])) + w) // (2 * w), halfspan_ps // w
-    i0, i1 = max(k - m, 0), min(k + m, len(edges) - 1)
-    if i0 >= i1:
-        raise ParameterError(f"comb view {center_ps} +- {halfspan_ps} ps has no bin")
-    return i0, i1
-
-
-def _comb_view(hist: an.CorrelationHistogram, center_ps: int,
-               halfspan_ps: int) -> an.CorrelationHistogram:
-    """The ``_comb_bins`` of the histogram, re-zeroed on the center."""
-    i0, i1 = _comb_bins(hist.bin_edges_ps, center_ps, halfspan_ps)
-    return an.CorrelationHistogram(
-        counts=hist.counts[i0:i1],
-        bin_edges_ps=hist.bin_edges_ps[i0:i1 + 1] - center_ps,
-        total_start_counts=hist.total_start_counts,
-        total_stop_counts=hist.total_stop_counts, duration=hist.duration)
-
-
 def _count(s: Scenario, events, *g2_settings) -> tuple[an.PairCounter, EventStream]:
     """The ``PairCounter`` over the histogram of the analysis settings of
     ``s``, with ``g2_settings`` (window, gating), fed ``events``: an
@@ -444,7 +418,7 @@ def _count(s: Scenario, events, *g2_settings) -> tuple[an.PairCounter, EventStre
     counter = an.PairCounter(an.histogram_edges(
         ps["bin_width_s"], (ps["hist_min_s"], ps["hist_max_s"])), *g2_settings)
     for block in [events] if isinstance(events, EventStream) else events:
-        counter.add(block.idler_ps, block.signal_ps)
+        counter.add(block)
     return counter.close(), block
 
 
@@ -471,14 +445,12 @@ def analyze_events(s: Scenario, events,
     hist = counter.histogram(head.duration_ps)
     g2 = counter.g2(head.duration_ps)
     (floor, floor_err), rate = _floor_and_rate(s, hist)
-    prom = s.analysis.min_prominence
-    if prom is None:
-        prom = an.default_prominence(floor)
 
     # comb estimators work on delays relative to the analysis feature, and
     # share one peak list
-    comb_hist = _comb_view(hist, center, s.analysis.ps["comb_fit_halfspan_s"])
-    peaks = an.detect_peaks(comb_hist, prom)
+    comb_hist = an.comb_view(hist, center, s.analysis.ps["comb_fit_halfspan_s"])
+    peaks = an.detect_peaks(comb_hist, an.prominence(s.analysis.min_prominence,
+                                                     floor))
     try:
         fsr = an.estimate_fsr(peaks, k_max=s.analysis.fsr_peak_count)
     except an.EstimationError:

@@ -360,12 +360,11 @@ def test_peak_estimators_read_rows_or_pairs():
 
 
 def default_comb_view():
-    from pairmem.scenario import _comb_view
     s = pm.default_scenario()
     ps = s.analysis.ps
     hist = pm.build_histogram(pm.simulate(s), ps["bin_width_s"],
                               (ps["hist_min_s"], ps["hist_max_s"]))
-    return _comb_view(hist, s.window_center_ps, ps["comb_fit_halfspan_s"])
+    return pm.analysis.comb_view(hist, s.window_center_ps, ps["comb_fit_halfspan_s"])
 
 
 def test_find_peaks_default_comb_view():
@@ -406,9 +405,9 @@ def test_estimate_fsr_merges_spurious_peak():
 
 def test_estimate_fsr_failures():
     with pytest.raises(EstimationError):
-        estimate_fsr([])
+        estimate_fsr([], k_max=30)
     with pytest.raises(EstimationError):
-        estimate_fsr([(0.0, 1.0)])
+        estimate_fsr([(0.0, 1.0)], k_max=30)
 
 
 # ---------------------------------------------------------------------------
@@ -458,10 +457,28 @@ def test_noise_floor_mean_and_error():
 
 def test_histogram_rejects_negative_counts():
     from pairmem.analysis import CorrelationHistogram
-    with pytest.raises(ParameterError, match="nonnegative"):
-        CorrelationHistogram(counts=[1, -1], bin_edges_ps=[0, 1, 2],
-                             total_start_counts=1, total_stop_counts=1,
-                             duration=1.0)
+    for counts in ([1, -1], [1.0, np.nan]):
+        with pytest.raises(ParameterError, match="nonnegative"):
+            CorrelationHistogram(counts=counts, bin_edges_ps=[0, 1, 2],
+                                 total_start_counts=1, total_stop_counts=1,
+                                 duration=1.0)
+
+
+def test_histogram_keeps_float_counts():
+    # an expected histogram holds float counts; an int64 cast read the
+    # floor of 20 bins of 2.5 as 2.0 and flattened a 0.4-count peak
+    from pairmem.analysis import CorrelationHistogram, coincidence_rate
+    counts = np.full(20, 2.5)
+    counts[10] = 2.9
+    hist = CorrelationHistogram(counts=counts, bin_edges_ps=np.arange(21),
+                                total_start_counts=1, total_stop_counts=1,
+                                duration=2.0)
+    assert hist.counts.dtype == np.float64
+    assert noise_floor(hist, (0, 20)) == pytest.approx((2.52, 0.02))
+    assert detect_peaks(hist, 0.3)[:, 1].tolist() == pytest.approx([2.9])
+    raw = 4 * 2.5 + 2.9   # the 5 bins [8, 13) of a 4 ps window about 10
+    assert coincidence_rate(hist, 4, 10, 2.5) == pytest.approx(
+        ((raw - 5 * 2.5) / 2.0, math.sqrt(raw) / 2.0))
 
 
 def test_detect_peaks_rejects_a_histogram_without_bins():

@@ -264,7 +264,7 @@ def test_streamed_counts_equal_the_whole_stream(tmp_path_factory, case):
             mp.setattr(pm.eventio, "_CHUNK", chunk)
             counter = PairCounter(hist.bin_edges_ps, (wlo, whi), gating)
             for block in read_chunks(path):
-                counter.add(block.idler_ps, block.signal_ps)
+                counter.add(block)
             counter.close()
         assert counter.counts.tolist() == hist.counts.tolist()
         assert ((counter.starts, counter.stops)

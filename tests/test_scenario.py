@@ -1,6 +1,9 @@
 import hashlib
+import json
+import math
 import os
 import tracemalloc
+import warnings
 from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
@@ -580,7 +583,7 @@ def test_analyze_events_detects_peaks_once(monkeypatch):
         assert lw is not None
         assert pm.fit_envelope(comb_hist, side, floor=floor,
                                min_prominence=prom)[0] == lw
-    assert prom == pm.analysis.default_prominence(floor)
+    assert prom == pm.analysis.prominence(None, floor)
 
 
 def test_linewidth_sides_fit_on_their_own(monkeypatch):
@@ -1302,3 +1305,70 @@ def test_cli_analyze_of_mutated_event_bytes_is_clean_or_format_error(
     (work / "mutated.bin").write_bytes(bytes(data))
     assert run_cli(["analyze", "--scenario", str(cfg), "--events",
                     str(work / "mutated.bin"), "--out", str(work / "out")]) in (0, 5)
+
+
+# ---------------------------------------------------------------------------
+# scenario-document fuzz: every document maps to a documented exit code
+
+_SCHEMA_KEYS = [(section, key) for section, rows in pm.scenario._SCHEMA.items()
+                for key in rows]
+_FUZZ_VALUES = ["0", "-1", "inf", "-inf", "nan", "auto", "1e300", "1e-300",
+                "5e-324", "1.7976931348623157e308",
+                "0.01", "0.5", "2", "true", "gaussian", "comb"]   # ordinary
+
+
+def run_document(work, rows):
+    """Exit codes of ``validate`` on the document of ``rows`` (section ->
+    key -> value) and then, if it passes and runs at most 0.02 s, of
+    ``simulate``.  Any warning is an error, and every number of the
+    report is finite or null."""
+    text = "".join(f"[{section}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
+                   for section, keys in rows.items())
+    cfg = work / "s.cfg"
+    cfg.write_text(text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        codes = [run_cli(["validate", "--scenario", str(cfg)])]
+        if codes[0] == 0 and pm.load_scenario(text).duration_s <= 0.02:
+            codes.append(run_cli(["simulate", "--scenario", str(cfg),
+                                  "--out", str(work)]))
+    if codes[1:] == [0]:
+        report = json.loads((work / "report.json").read_text())
+        assert all(math.isfinite(v) for v in report.values() if isinstance(v, float))
+    return codes
+
+
+@pytest.mark.parametrize("section, key, value, codes", [
+    ("afc", "finesse", "1.7976931348623157e308", [2]),
+    ("afc", "tooth_spacing_hz", "5e-324", [2]),
+    ("phase_matching", "envelope_fwhm_hz", "1.7976931348623157e308", [0, 3]),
+    ("filter.signal", "fsr_hz", "1e300", [2]),
+    ("afc", "peak_optical_depth", "1e300", [2]),
+    ("phase_matching", "envelope_fwhm_hz", "1e-300", [0, 0]),
+    ("afc", "center_freq_hz", "1.7976931348623157e308", [0, 0]),
+    ("filter.signal", "bandwidth_hz", "1e-300", [2]),
+    ("run", "brightness_pairs_per_s_per_mw", "1.7976931348623157e308", [0, 3]),
+    ("filter.signal", "center_hz", "1.7976931348623157e308", [0, 4]),
+    ("analysis", "hist_max_s", "0.02", [2]),
+])
+def test_scenario_document_extremes_exit_cleanly(tmp_path, section, key, value,
+                                                  codes):
+    # each of these once ended in a traceback, or printed a warning
+    rows = {"run": {"duration_s": "0.02"}}
+    rows.setdefault(section, {})[key] = value
+    assert run_document(tmp_path, rows) == codes
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@settings(max_examples=250, deadline=None, derandomize=True, database=None)
+@given(doc=st.dictionaries(st.sampled_from(_SCHEMA_KEYS),
+                           st.sampled_from(_FUZZ_VALUES), min_size=1, max_size=3))
+def test_scenario_documents_map_to_exit_codes(fuzz_dir, doc):
+    rows = {"run": {"duration_s": "0.02"}}
+    for (section, key), value in doc.items():
+        rows.setdefault(section, {})[key] = value
+    assert set(run_document(fuzz_dir, rows)) <= {0, 2, 3, 4}
