@@ -6,13 +6,13 @@ then per record a channel byte (0 = signal, 1 = idler) and a u64
 timestamp in picoseconds, records sorted by timestamp, signal first among
 equal ones.  Readers reject other channel codes, timestamps that go
 backwards or past the duration, and durations from 2**63 ps.  Only this
-module knows the merged order: write_events merges a stream's two
-channel arrays, ``_CHUNK`` records at a time from one array of signal
-positions, and read_chunks splits them again, ``_CHUNK`` records at a
-time through one reused buffer.  Each chunk is checked before it is
-passed on, against the last timestamp of the chunk before it too, so a
-fault names its record as a whole-file read would; read_events joins the
-chunks.
+module knows the merged order: chunks walks a stream's two channel
+arrays ``_CHUNK`` records at a time, from one array of signal positions,
+write_events merges each of those blocks, and read_chunks splits them
+again, ``_CHUNK`` records at a time through one reused buffer.  Each
+chunk is checked before it is passed on, against the last timestamp of
+the chunk before it too, so a fault names its record as a whole-file
+read would; read_events joins the chunks.
 """
 
 from __future__ import annotations
@@ -44,35 +44,41 @@ def _signal_records(sig_ps: np.ndarray, idl_ps: np.ndarray) -> np.ndarray:
     return at
 
 
-def _merge_channels(sig_ps: np.ndarray, idl_ps: np.ndarray, start: int = 0,
-                    stop: int | None = None, at: np.ndarray | None = None):
-    """(channels, timestamps) of records [start, stop) (default: all) of
-    two sorted channels merged, ordered as ``np.lexsort((ch, ts))`` orders
-    them; ``at`` is their ``_signal_records``, computed when None."""
-    at = _signal_records(sig_ps, idl_ps) if at is None else at
-    stop = len(sig_ps) + len(idl_ps) if stop is None else stop
-    i, j = np.searchsorted(at, (start, stop))   # the signals in [start, stop)
-    ch = np.full(stop - start, CH_IDLER, np.uint8)
-    ch[at[i:j] - start] = CH_SIGNAL
+def _merge_channels(sig_ps: np.ndarray, idl_ps: np.ndarray):
+    """(channels, timestamps) of two sorted channels merged, ordered as
+    ``np.lexsort((ch, ts))`` orders them."""
+    at = _signal_records(sig_ps, idl_ps)
+    ch = np.full(len(sig_ps) + len(idl_ps), CH_IDLER, np.uint8)
+    ch[at] = CH_SIGNAL
     ts = np.empty(len(ch), np.uint64)
-    ts[at[i:j] - start] = sig_ps[i:j]
-    ts[ch == CH_IDLER] = idl_ps[start - i:stop - j]
+    ts[at] = sig_ps
+    ts[ch == CH_IDLER] = idl_ps
     return ch, ts
 
 
-def write_events(stream: EventStream, path) -> None:
+def chunks(stream: EventStream):
+    """The blocks, views of its arrays, that ``read_chunks`` yields for the
+    file of ``stream``; each is a run of the merged order, so merging its
+    two channels gives its records."""
     sig, idl = stream.signal_ps, stream.idler_ps
-    n = len(sig) + len(idl)
+    n = len(stream)
     at = _signal_records(sig, idl)
+    for a in range(0, max(n, 1), _CHUNK):
+        b = min(a + _CHUNK, n)
+        i, j = np.searchsorted(at, (a, b))   # the signals in records [a, b)
+        yield replace(stream, signal_ps=sig[i:j], idler_ps=idl[a - i:b - j])
+
+
+def write_events(stream: EventStream, path) -> None:
     header = _HEADER.pack(MAGIC, VERSION, stream.seed, stream.duration_ps,
-                          bytes.fromhex(stream.model_digest), n)
+                          bytes.fromhex(stream.model_digest), len(stream))
     tmp = f"{path}.tmp.{os.getpid()}"
     with open(tmp, "wb") as f:
         f.write(header)
-        for a in range(0, n, _CHUNK):
-            rec = np.empty(min(_CHUNK, n - a), dtype=_RECORD_DTYPE)
+        for block in chunks(stream):
+            rec = np.empty(len(block), dtype=_RECORD_DTYPE)
             rec["channel"], rec["timestamp_ps"] = _merge_channels(
-                sig, idl, a, a + len(rec), at)
+                block.signal_ps, block.idler_ps)
             f.write(rec)
     os.replace(tmp, path)
 

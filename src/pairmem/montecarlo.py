@@ -12,9 +12,13 @@ one table summed over the modes, and draws only pairs that leave a photon
 from the analytic cross-correlation curve, is drawn only for the signal
 photons that reach the detector.
 
-Per-pair steps run in place over slices of ``_CHUNK`` elements, the idler
-photons compacted into the array of pair times.  Numpy draws uniforms and
-normals element by element, so the sliced draws keep every byte.
+Per-pair steps run in place over slices of ``_CHUNK`` elements on two
+buffers: the array of pair times, into which the idler photons are
+compacted, and one array of the detected signal photons, which takes their
+delays in place and has room behind them for the expected dark counts (a
+copy when more arrive).  A stream that fills less than half of its buffer
+is copied out of it.  Numpy draws uniforms and normals element by element,
+so the sliced draws keep every byte.
 """
 
 from __future__ import annotations
@@ -175,7 +179,9 @@ class DelaySampler:
         for (lam, period, q), sel, sign in zip(self._branches, (pos, ~pos), (1, -1)):
             n = int(np.count_nonzero(sel))
             if n:
-                d = np.floor(rng.exponential(scale=1.0 / lam, size=n)) * period
+                d = rng.exponential(scale=1.0 / lam, size=n)
+                np.floor(d, out=d)
+                d *= period
                 for a in range(0, n, _CHUNK):   # d += q[j] + (x-j) (q[j+1] - q[j])
                     x = rng.random(len(d[a:a + _CHUNK])) * (len(q) - 1)
                     j = x.astype(np.intp)
@@ -198,13 +204,19 @@ def _period_cdfs(spec: BiphotonSpectrum, cavity: CavityParams):
     # evaluated for all m at once with one inverse DFT
     comb = np.zeros(npts, dtype=complex)   # the lattice, freed by the ifft
     np.add.at(comb, np.mod(idx, npts), w * np.exp(1j * math.pi * idx / npts))
-    comb = np.abs(np.fft.ifft(comb) * npts) ** 2
+    comb = np.fft.ifft(comb)   # |ifft * npts|^2, each step in place
+    comb *= npts
+    comb = np.abs(comb)
+    comb **= 2
     for fsr, lw in ((cavity.fsr_signal, cavity.linewidth_signal),
                     (cavity.fsr_idler, cavity.linewidth_idler)):
         gamma, period = TWO_PI * lw, 1.0 / fsr
-        u = (np.arange(npts) + 0.5) * (period / npts)
-        yield gamma, period, np.concatenate(
-            ([0.0], np.cumsum(np.exp(-gamma * u) * comb)))
+        cdf = np.zeros(npts + 1)   # each step in place behind the leading 0
+        u = np.add(np.arange(npts), 0.5, out=cdf[1:])
+        u *= period / npts
+        np.exp(np.multiply(u, -gamma, out=u), out=u)
+        np.cumsum(np.multiply(u, comb, out=u), out=u)
+        yield gamma, period, cdf
 
 
 def make_rng(seed: int) -> np.random.Generator:
@@ -393,17 +405,26 @@ def generate_events(source: SourceModel, pair_rate: float,
             parts.append((tc[hit], branch.astype(parts[0][1].dtype)))
             return x >= cdf[n_fates - 1]
         n_idler = len(_compact(t, fate))   # t becomes the idler stream
-        sig, branch = map(np.concatenate, zip(*parts))
+        n_sig = sum(len(p[1]) for p in parts)
+        # room for the expected signal darks and a margin
+        sig = np.empty(n_sig + math.ceil(darks[0] + 6 * math.sqrt(darks[0])), np.int64)
+        np.concatenate([p[0] for p in parts], out=sig[:n_sig])
+        branch = np.concatenate([p[1] for p in parts])
         del parts
+
+        def add_delays(delay):   # sig += delay (+ echo) in whole ps, by slices
+            for a in range(0, n_sig, _CHUNK):
+                d = delay[a:a + _CHUNK]
+                if memory is not None:
+                    d += branch[a:a + _CHUNK] * memory.storage_time
+                d *= 1e12
+                sig[a:a + len(d)] += np.rint(d, out=d).astype(np.int64)
         # under the all-mode G2 a delay does not depend on the mode, so it
         # is drawn only for the signal photons that reach the detector
-        delay = source.sampler.sample(rng, len(sig))
-        if memory is not None:
-            delay += branch * memory.storage_time
-        sig += np.rint(delay * 1e12).astype(np.int64)
+        add_delays(source.sampler.sample(rng, n_sig))
         idler = finish(t, n_idler, det_i)
         idler = _compact(idler, _prune_dead_time(idler, det_i.dead_time_ps))
-        sig = finish(sig, len(sig), det_s)
+        sig = finish(sig, n_sig, det_s)
         if gating is not None:
             # idler-conditioned gate, timed from the last idler click at or
             # before each signal event; with none (k = 0, where idler[k - 1]
@@ -417,8 +438,8 @@ def generate_events(source: SourceModel, pair_rate: float,
                 return inside | (rng.random(len(k)) < gating.off_gate_attenuation)
             sig = _compact(sig, gate)
         sig = _compact(sig, _prune_dead_time(sig, det_s.dead_time_ps))
-        if 2 * idler.nbytes < idler.base.nbytes:   # let a sparse pair buffer go
-            idler = idler.copy()
+        # a stream that fills less than half of its buffer lets the buffer go
+        sig, idler = (a.copy() if 2 * a.nbytes < a.base.nbytes else a for a in (sig, idler))
     except MemoryError as exc:
         raise ParameterError(f"{pairs:.3g} expected pairs and {sum(darks):.3g} "
                              "expected dark counts do not fit in memory") from exc

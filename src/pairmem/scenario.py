@@ -12,7 +12,7 @@ import hashlib
 import math
 from dataclasses import dataclass, replace
 
-from . import analysis as an
+from . import analysis as an, eventio
 from .cavity import (CavityParams, PhaseMatching, cluster_spectrum,
                      comb_spectrum, mode_weights)
 from .errors import ParameterError, ScenarioError, SimulationError
@@ -412,12 +412,13 @@ def simulate(s: Scenario, source: SourceModel | None = None) -> EventStream:
 def _count(s: Scenario, events, *g2_settings) -> tuple[an.PairCounter, EventStream]:
     """The ``PairCounter`` over the histogram of the analysis settings of
     ``s``, with ``g2_settings`` (window, gating), fed ``events``: an
-    EventStream, or the consecutive blocks of one that
-    ``eventio.read_chunks`` yields.  Returns it and the last block."""
+    EventStream, counted in the blocks ``eventio.chunks`` walks, or the
+    consecutive blocks of one that ``eventio.read_chunks`` yields.
+    Returns it and the last block."""
     ps = s.analysis.ps
     counter = an.PairCounter(an.histogram_edges(
         ps["bin_width_s"], (ps["hist_min_s"], ps["hist_max_s"])), *g2_settings)
-    for block in [events] if isinstance(events, EventStream) else events:
+    for block in eventio.chunks(events) if isinstance(events, EventStream) else events:
         counter.add(block)
     return counter.close(), block
 

@@ -5,8 +5,9 @@ from hypothesis import given, settings, strategies as st
 import pairmem as pm
 from pairmem.analysis import PairCounter, window_range
 from pairmem.eventio import (CH_IDLER, CH_SIGNAL, MAGIC, VERSION, _HEADER,
-                             _RECORD_DTYPE, _merge_channels, read_chunks,
-                             read_events, write_events)
+                             _RECORD_DTYPE, _merge_channels, chunks,
+                             read_chunks, read_events, write_events)
+from pairmem.scenario import _count
 from pairmem.errors import EstimationError, EventFormatError
 from pairmem.montecarlo import EventStream
 
@@ -279,6 +280,49 @@ def test_streamed_counts_equal_the_whole_stream(tmp_path_factory, case):
                 counter.g2(ev.duration_ps)
         else:
             assert counter.g2(ev.duration_ps) == g2
+
+
+@settings(max_examples=100, deadline=None)
+@given(sig=st.lists(st.integers(0, 60), max_size=25),
+       idl=st.lists(st.integers(0, 60), max_size=25))
+def test_stream_chunks_are_the_file_chunks(tmp_path_factory, sig, idl):
+    # few distinct times (20 ns apart, within a histogram of the default
+    # scenario): ties within and across channels and at chunk edges.  The
+    # file holds the records in merged order, the in-memory walker yields
+    # the blocks that reading the file yields, and the report's count over
+    # them is the count of the whole stream as one block
+    step = 20_000
+    ev = make_stream(np.sort(sig) * step, np.sort(idl) * step,
+                     duration_ps=60 * step)
+    s = pm.default_scenario()
+    g2_settings = (window_range(s.analysis.ps["window_s"], s.window_center_ps),
+                   s.gating)
+    whole = _count(s, [ev], *g2_settings)[0]
+    path = tmp_path_factory.getbasetemp() / "walked.bin"
+    for chunk in (1, 3, 2**15):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(pm.eventio, "_CHUNK", chunk)
+            write_events(ev, path)
+            walked, read = list(chunks(ev)), list(read_chunks(path))
+            counter, last = _count(s, ev, *g2_settings)
+        rec = np.fromfile(path, dtype=_RECORD_DTYPE, offset=_HEADER.size)
+        ch, ts = _merge_channels(ev.signal_ps, ev.idler_ps)
+        assert rec["channel"].tolist() == ch.tolist()
+        assert rec["timestamp_ps"].tolist() == ts.tolist()
+        assert len(walked) == len(read) == max(-(-len(ev) // chunk), 1)
+        for w, r in zip(walked, read):
+            assert w.signal_ps.dtype == w.idler_ps.dtype == np.uint64
+            assert w.signal_ps.tolist() == r.signal_ps.tolist()
+            assert w.idler_ps.tolist() == r.idler_ps.tolist()
+            assert ((w.duration_ps, w.seed, w.model_digest)
+                    == (r.duration_ps, r.seed, r.model_digest))
+        assert ((last.duration_ps, last.seed, last.model_digest)
+                == (ev.duration_ps, ev.seed, ev.model_digest))
+        assert counter.counts.tolist() == whole.counts.tolist()
+        assert ((counter.starts, counter.stops, counter.coincidences,
+                 counter.gated_starts, counter.gated_stops)
+                == (whole.starts, whole.stops, whole.coincidences,
+                    whole.gated_starts, whole.gated_stops))
 
 
 @pytest.mark.parametrize("role", ["--events", "--reference-events"])

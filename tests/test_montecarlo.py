@@ -922,6 +922,39 @@ def test_sparse_idler_stream_lets_the_pair_buffer_go(default_source):
     assert (idl if idl.base is None else idl.base).nbytes < 2 * idl.nbytes
 
 
+def test_sparse_signal_stream_lets_the_pre_gate_buffer_go(default_source):
+    # the signal stream is compacted into the array of signal photons
+    # before the conditional gate, which drops most of them; the same rule
+    # copies it out
+    s = pm.default_scenario()
+    ev = pm.generate_events(default_source, s.pair_rate, s.afc_plan,
+                            s.filters, s.detectors, s.gating, 1.0, seed=s.seed)
+    sig = ev.signal_ps
+    assert len(sig) > 1000
+    assert (sig if sig.base is None else sig.base).nbytes < 2 * sig.nbytes
+
+
+@pytest.mark.parametrize("dark_rate, room", [(1.0, 1), (1e9, 7)])
+def test_signal_darks_past_the_room_give_the_same_events(comb_source,
+                                                         dark_rate, room):
+    # the signal array leaves room behind the photons for the expected
+    # dark counts (1e-9 and 1 here) and a margin; four darks overflow the
+    # room of one and take the fallback, a copy with room for them, and
+    # give the events that the room of seven holds
+    t = np.array([5, 300, 300, 900], dtype=np.int64)
+    darks = np.array([0, 300, 1000, 7], dtype=np.int64)
+    table = np.array([[1.0, 0.0], [0.0, 0.0]])   # the signal alone, unstored
+    rng = ScriptedDraws(poisson=[len(t), 0, len(darks)],
+                        integers=[t.copy(), darks.copy()],
+                        random=[np.full(len(t), 0.5)])
+    dets = {"signal": pm.DetectorModel(dark_rate=dark_rate)}
+    ev = scripted_run(comb_source, table, rng, dets=dets, duration=1e-9)
+    assert ev.signal_ps.view(np.int64).tolist() == sorted([*t, *darks])
+    assert ev.signal_ps.base.nbytes == 8 * max(len(t) + room,
+                                               len(t) + len(darks))
+    assert len(ev.idler_ps) == 0
+
+
 def test_generate_events_zero_duration(cavity):
     ev = pm.generate_events(flat_source(cavity), 1e5, None, None, None, None,
                             0.0, seed=1)

@@ -1049,6 +1049,25 @@ def test_analyze_memory_does_not_grow_with_the_run(tmp_path):
     assert max(peaks) < 3 * 2**20, peaks
 
 
+def test_report_count_memory_stays_in_blocks():
+    # simulate's report counts its in-memory stream in the blocks a file
+    # read would give: the traced peak of analyze_events on a gated 4 s
+    # run (348 k idlers) stays under a bound that one whole-stream pass
+    # breaks (the shutter test alone takes 8 bytes per idler, 2.7 MiB)
+    s = replace(pm.default_scenario(), duration_s=4.0)
+    events = pm.simulate(s)
+    warm = replace(s, duration_s=0.01)
+    analyze_events(warm, pm.simulate(warm))   # first-call caches
+    tracemalloc.start()
+    try:
+        analyze_events(s, events)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert s.gating is not None and len(events.idler_ps) > 300_000
+    assert peak < 2 * 2**20, peak
+
+
 def test_cli_analyze_takes_the_seed_simulate_took(tmp_path):
     # the seed is part of the scenario, and so of the report's provenance
     cfg = tmp_path / "s.cfg"
@@ -1371,4 +1390,19 @@ def test_scenario_documents_map_to_exit_codes(fuzz_dir, doc):
     rows = {"run": {"duration_s": "0.02"}}
     for (section, key), value in doc.items():
         rows.setdefault(section, {})[key] = value
+    assert set(run_document(fuzz_dir, rows)) <= {0, 2, 3, 4}
+
+
+# extreme floats: the largest, a large and a tiny normal one, the smallest
+_EXTREMES = ["1.7976931348623157e308", "1e300", "1e-300", "5e-324"]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(key=st.sampled_from(_SCHEMA_KEYS), value=st.sampled_from(_EXTREMES))
+def test_one_extreme_value_maps_to_an_exit_code(fuzz_dir, key, value):
+    # one extreme value among otherwise valid keys passes the checks of
+    # every other key, so it reaches the step that reads it
+    section, name = key
+    rows = {"run": {"duration_s": "0.02"}}
+    rows.setdefault(section, {})[name] = value
     assert set(run_document(fuzz_dir, rows)) <= {0, 2, 3, 4}
