@@ -262,17 +262,10 @@ def detect_peaks(hist: CorrelationHistogram, min_prominence: float) -> np.ndarra
     return np.column_stack([delay, mid - 0.25 * (lo - hi) * d])
 
 
-@dataclass(frozen=True)
-class FsrEstimate:
-    fsr_hz: float
-    fsr_err_hz: float
-    interval_s: float
-    interval_err_s: float
-
-
-def estimate_fsr(peaks: np.ndarray, k_max: int) -> FsrEstimate:
-    """Mean interval of the ``detect_peaks`` rows (delay, height) from the
-    0th (nearest zero delay) peak up to the k_max-th; FSR is its reciprocal."""
+def estimate_fsr(peaks: np.ndarray, k_max: int) -> tuple[float, float]:
+    """Mean interval (s) of the ``detect_peaks`` rows (delay, height) from
+    the 0th (nearest zero delay) peak up to the k_max-th, and its error;
+    the FSR is its reciprocal."""
     delays = np.asarray(peaks, dtype=float).reshape(-1, 2)[:, 0]
     if len(delays) == 0:
         raise EstimationError("no peaks")
@@ -292,8 +285,7 @@ def estimate_fsr(peaks: np.ndarray, k_max: int) -> FsrEstimate:
     per = iv[good] / steps[good]
     dt = float(np.sum(iv) / np.sum(steps))
     dt_err = float(np.std(per, ddof=1) / math.sqrt(len(per))) if len(per) > 1 else 0.0
-    return FsrEstimate(fsr_hz=1.0 / dt, fsr_err_hz=dt_err / dt ** 2,
-                       interval_s=dt, interval_err_s=dt_err)
+    return dt, dt_err
 
 
 def prominence(setting: float | None, floor: float) -> float:

@@ -37,9 +37,9 @@ from .memory import AfcPlan, FilterSpec, chain_transmission
 
 _CHUNK = 1 << 16   # elements per slice of a per-pair pass
 _DELAY_TABLE_BITS = 17  # 2^17 in-period density steps (~62 fs) and quantile steps
-# numpy's Generator.poisson rejects a larger mean: int64 max less ten of its
-# standard deviations
-_MAX_POISSON_MEAN = np.iinfo(np.int64).max - 10 * math.sqrt(np.iinfo(np.int64).max)
+# the largest expected count of pairs or of one channel's darks: a buffer of
+# both stays under the 2**60 int64 values numpy takes in one array
+_MAX_COUNT = 1 << 58
 
 
 @dataclass(frozen=True)
@@ -365,9 +365,9 @@ def generate_events(source: SourceModel, pair_rate: float,
     pairs = pair_rate * float(cdf[-1]) * live_ps * 1e-12   # overflows to inf, silently
     darks = (det_s.dark_rate * duration, det_i.dark_rate * duration)
     for name, mean in zip(("pair", "signal dark", "idler dark"), (pairs, *darks)):
-        if not mean <= _MAX_POISSON_MEAN:
+        if not mean <= _MAX_COUNT:
             raise ParameterError(
-                f"expected {name} count {mean:.3g} is too large to draw")
+                f"expected {name} count {mean:.3g} is past 2**58, too large to hold")
     rng = make_rng(seed)
 
     def finish(t, n, det):

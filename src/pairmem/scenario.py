@@ -452,37 +452,33 @@ def analyze_events(s: Scenario, events,
     comb_hist = an.comb_view(hist, center, s.analysis.ps["comb_fit_halfspan_s"])
     peaks = an.detect_peaks(comb_hist, an.prominence(s.analysis.min_prominence,
                                                      floor))
-    try:
-        fsr = an.estimate_fsr(peaks, k_max=s.analysis.fsr_peak_count)
-    except an.EstimationError:
-        fsr = an.FsrEstimate(None, None, None, None)
-    half_bin = comb_hist.bin_width_ps * 0.5e-12
 
-    def linewidth(side):   # each side on its own
+    def estimate(fallback, estimator, *args, **kwargs):
+        """The (value, error) of ``estimator``, or ``fallback`` when it
+        fails: the one place a failed estimate enters the report."""
         try:
-            return an.fit_peak_envelope(peaks, side, half_bin=half_bin, floor=floor)
-        except an.FitError:
-            return None, None
-
-    lw_s, lw_i = linewidth("positive"), linewidth("negative")
-
-    if rate_single is not None:
-        try:
-            n_eff, n_eff_err = an.effective_modes(rate, rate_single)
+            return estimator(*args, **kwargs)
         except an.EstimationError:
-            # reference run collected no net coincidences; leave the mode
-            # count undetermined rather than failing the whole analysis
-            n_eff, n_eff_err = 0.0, 0.0
-    else:
-        n_eff, n_eff_err = 1.0, 0.0
+            return fallback
+
+    dt, dt_err = estimate((None, None), an.estimate_fsr, peaks,
+                          k_max=s.analysis.fsr_peak_count)
+    half_bin = comb_hist.bin_width_ps * 0.5e-12
+    lw_s, lw_i = (estimate((None, None), an.fit_peak_envelope, peaks, side,
+                           half_bin=half_bin, floor=floor)
+                  for side in ("positive", "negative"))   # each side on its own
+    # a reference with no net coincidences leaves the mode count undetermined
+    n_eff, n_eff_err = ((1.0, 0.0) if rate_single is None else
+                        estimate((0.0, 0.0), an.effective_modes, rate, rate_single))
     n_limit = s.analysis.classical_mode_count
     if n_limit is None:
         n_limit = max(1, round(n_eff))
     climit = an.classical_limit(n_limit)
 
     report = an.AnalysisReport(
-        fsr_hz=fsr.fsr_hz, fsr_err_hz=fsr.fsr_err_hz,
-        interval_s=fsr.interval_s, interval_err_s=fsr.interval_err_s,
+        fsr_hz=None if dt is None else 1.0 / dt,
+        fsr_err_hz=None if dt is None else dt_err / dt ** 2,
+        interval_s=dt, interval_err_s=dt_err,
         linewidth_signal_hz=lw_s[0], linewidth_signal_err_hz=lw_s[1],
         linewidth_idler_hz=lw_i[0], linewidth_idler_err_hz=lw_i[1],
         echo_delay_s=None if s.afc_plan is None else s.afc_plan.storage_time,

@@ -5,7 +5,8 @@
 
 This tree is the checkout holding this script.  Each tree runs its own
 ``src/`` and its own ``scenarios/``, every command in a fresh interpreter
-(``python -m pairmem.cli``).  The outputs:
+(``python -m pairmem.cli``), with RuntimeWarning and DeprecationWarning
+raised as errors.  The outputs:
 
 - ``simulate`` on default, calibration_1mw and halfpower_0p5mw (events,
   histogram and report of each);
@@ -69,7 +70,9 @@ class CommandFailed(RuntimeError):
 
 def _run(tree: Path, args: list[str], cwd: Path) -> tuple[str, float]:
     """The command's stdout and its maximum resident set size in MiB."""
-    env = {**os.environ, "PYTHONPATH": str(tree / "src")}
+    # the warnings pytest takes as errors (pyproject.toml) fail a command too
+    env = {**os.environ, "PYTHONPATH": str(tree / "src"),
+           "PYTHONWARNINGS": "error::RuntimeWarning,error::DeprecationWarning"}
     env.pop("PAIRMEM_OUT", None)
     with tempfile.TemporaryFile() as out, tempfile.TemporaryFile() as err:
         p = subprocess.Popen([sys.executable, *args], cwd=cwd, env=env,

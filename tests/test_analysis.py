@@ -381,17 +381,17 @@ def test_default_comb_view_holds_2500_bins():
 
 def test_estimate_fsr_recovers_configured_value():
     hist = synthetic_comb(fsr=123e6)
-    est = estimate_fsr(detect_peaks(hist, 50.0), k_max=30)
-    assert est.fsr_hz == pytest.approx(123e6, rel=1e-3)
-    assert est.interval_s == pytest.approx(1 / 123e6, rel=1e-3)
+    dt, _ = estimate_fsr(detect_peaks(hist, 50.0), k_max=30)
+    assert 1 / dt == pytest.approx(123e6, rel=1e-3)
+    assert dt == pytest.approx(1 / 123e6, rel=1e-3)
 
 
 def test_estimate_fsr_bridges_missing_peak():
     # delete one comb peak: the interval snapping spans the gap
     period = 1 / 123e6
     peaks = [(k * period, 100.0) for k in range(0, 12) if k != 5]
-    est = estimate_fsr(peaks, k_max=30)
-    assert est.fsr_hz == pytest.approx(123e6, rel=1e-6)
+    dt, _ = estimate_fsr(peaks, k_max=30)
+    assert 1 / dt == pytest.approx(123e6, rel=1e-6)
 
 
 def test_estimate_fsr_merges_spurious_peak():
@@ -399,8 +399,8 @@ def test_estimate_fsr_merges_spurious_peak():
     peaks = [(k * period, 100.0) for k in range(0, 12)]
     peaks.append((3.2 * period, 10.0))  # noise spike between peaks
     peaks.sort()
-    est = estimate_fsr(peaks, k_max=30)
-    assert est.fsr_hz == pytest.approx(123e6, rel=1e-6)
+    dt, _ = estimate_fsr(peaks, k_max=30)
+    assert 1 / dt == pytest.approx(123e6, rel=1e-6)
 
 
 def test_estimate_fsr_failures():

@@ -606,6 +606,35 @@ def test_linewidth_sides_fit_on_their_own(monkeypatch):
             == (expect.linewidth_idler_hz, expect.linewidth_idler_err_hz))
 
 
+def test_fsr_fails_on_its_own(monkeypatch):
+    # a comb interval that cannot be estimated leaves both linewidths
+    s = fast(pm.default_scenario(), duration=0.2)
+    events = pm.simulate(s)
+    _, expect = pm.analyze_events(s, events)
+    assert expect.fsr_hz is not None
+
+    def fails(peaks, k_max):
+        raise pm.analysis.EstimationError("no comb")
+
+    monkeypatch.setattr(pm.analysis, "estimate_fsr", fails)
+    _, report = pm.analyze_events(s, events)
+    assert (report.fsr_hz, report.fsr_err_hz, report.interval_s,
+            report.interval_err_s) == (None, None, None, None)
+    for name in ("linewidth_signal_hz", "linewidth_signal_err_hz",
+                 "linewidth_idler_hz", "linewidth_idler_err_hz"):
+        assert getattr(report, name) == getattr(expect, name)
+
+
+def test_unusable_reference_leaves_the_mode_count_at_zero():
+    # a single-mode reference with no net coincidences gives N_eff 0 +- 0,
+    # and the classical bound of one mode
+    s = fast(pm.default_scenario(), duration=0.2)
+    assert s.analysis.classical_mode_count is None
+    _, report = pm.analyze_events(s, pm.simulate(s), rate_single=(0.0, 3.0))
+    assert (report.n_effective, report.n_effective_err) == (0.0, 0.0)
+    assert report.classical_limit == 2.0
+
+
 def test_numpy_scalars_save_and_run_as_floats():
     # numpy 2 reprs a numpy float as np.float64(...)
     s = replace(fast(pm.default_scenario(), duration=0.01),
@@ -684,8 +713,8 @@ def test_cli_envelope_off_the_signal_comb_is_simulation_error(tmp_path, capsys):
     ("[run]\npump_mw = 1e15\n", "pair"),
     ("[detector.signal]\ndark_rate_hz = 1e300\n", "signal dark")])
 def test_cli_too_long_run_is_simulation_error(tmp_path, capsys, setting, name):
-    # an expected count past what numpy's Poisson draw takes is rejected
-    # before any draw, not left to a traceback
+    # an expected count past what one array holds is rejected before any
+    # draw, not left to a traceback
     cfg = tmp_path / "s.cfg"
     cfg.write_text(setting)
     assert run_cli(["simulate", "--scenario", str(cfg),
@@ -1369,6 +1398,10 @@ def run_document(work, rows):
     ("run", "brightness_pairs_per_s_per_mw", "1.7976931348623157e308", [0, 3]),
     ("filter.signal", "center_hz", "1.7976931348623157e308", [0, 4]),
     ("analysis", "hist_max_s", "0.02", [2]),
+    # expected counts that numpy draws but whose arrays it cannot size
+    ("detector.signal", "dark_rate_hz", "2.5e20", [0, 3]),
+    ("detector.idler", "dark_rate_hz", "2.5e20", [0, 3]),
+    ("run", "brightness_pairs_per_s_per_mw", "5e20", [0, 3]),
 ])
 def test_scenario_document_extremes_exit_cleanly(tmp_path, section, key, value,
                                                   codes):
