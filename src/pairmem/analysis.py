@@ -13,8 +13,8 @@ strictly later than the stop less the histogram's first edge, or the run
 has ended.  Only the stops not yet complete and the starts that a pending
 or later stop can still reach are held, so a run is counted in memory
 that does not grow with it.  Every bin rule is here too: ``floor_bins``,
-``window_bins``, and the ``comb_bins`` of the ``comb_view`` that the comb
-estimators read.
+``window_bins`` (the one coincidence window, which g2 and the rate sum),
+and the ``comb_bins`` of the ``comb_view`` that the comb estimators read.
 """
 
 from __future__ import annotations
@@ -74,8 +74,8 @@ def histogram_edges(bin_width_ps: int, range_ps: tuple[int, int]) -> np.ndarray:
 
 
 def window_range(window_ps: int, center_ps: int) -> tuple[int, int]:
-    """The whole-ps delays [lo, hi] of the g2 window: within window / 2 of
-    the center, ends included."""
+    """The whole-ps delays [lo, hi] within window / 2 of the center, ends
+    included: the delays a ``window_bins`` bin may hold."""
     return center_ps - window_ps // 2, center_ps + window_ps // 2
 
 
@@ -83,19 +83,16 @@ class PairCounter:
     """Start-stop accumulator of one run (the rules are in the module
     docstring): ``add(block)`` per block in time order, then ``close()``.
     It holds the pair counts of the bins of ``edges``, the start and stop
-    totals, the count C of pairs in the inclusive ``window`` (lo, hi) of
-    whole-ps delays, which lies inside the edges, and the singles inside
-    the measurement phases of ``gating``.  The starts it keeps are those
-    later than min(earliest pending stop, last time read) - hi, hi the
-    last edge.
+    totals, and the singles inside the measurement phases of ``gating``.
+    The starts it keeps are those later than min(earliest pending stop,
+    last time read) - hi, hi the last edge.
     """
 
-    def __init__(self, edges: np.ndarray, window: tuple[int, int] | None = None,
-                 gating: GatingSequence | None = None):
-        self.edges, self.window, self.gating = edges, window, gating
+    def __init__(self, edges: np.ndarray, gating: GatingSequence | None = None):
+        self.edges, self.gating = edges, gating
         self.lo, self.hi = int(edges[0]), int(edges[-1])
         self.counts = np.zeros(len(edges) - 1, dtype=np.int64)
-        self.starts = self.stops = self.coincidences = 0
+        self.starts = self.stops = 0
         self.gated_starts = self.gated_stops = 0
         self._held = np.zeros(0, dtype=np.int64)      # starts a stop may pair with
         self._pending = np.zeros(0, dtype=np.int64)   # stops not yet complete
@@ -130,18 +127,13 @@ class PairCounter:
         # the starts t that pair with one stop s (lo <= s - t < hi) are the
         # run s - hi < t <= s - lo of the sorted starts.  Stops are the
         # sparse channel: search each of them.
-        lo = self.lo
-        from_lo = stops - lo
+        from_lo = stops - self.lo
         j0 = np.searchsorted(starts, stops - self.hi, side="right")
         n_per = np.searchsorted(starts, from_lo, side="right") - j0
         flat = np.arange(n_per.sum()) - np.repeat(np.cumsum(n_per) - n_per - j0, n_per)
         d = np.repeat(from_lo, n_per) - starts[flat]   # delay - lo
         self.counts += np.bincount(d // int(self.edges[1] - self.edges[0]),
                                    minlength=len(self.counts))
-        if self.window is not None:
-            wlo, whi = self.window
-            self.coincidences += int(np.count_nonzero(
-                (d >= wlo - lo) & (d <= whi - lo)))
 
     def histogram(self, duration_ps: int) -> CorrelationHistogram:
         """The histogram of a run of ``duration_ps`` ps."""
@@ -150,10 +142,12 @@ class PairCounter:
             total_start_counts=self.starts, total_stop_counts=self.stops,
             duration=duration_ps * 1e-12)
 
-    def g2(self, duration_ps: int) -> G2Estimate:
-        """g2 = C T / (S I window) of a run of ``duration_ps`` ps, with its
-        Poisson error: S and I are the gated singles, T the live time, and
-        the window the count of its whole-ps delays."""
+    def g2(self, duration_ps: int, window_ps: int,
+           center_ps: int) -> tuple[float, float]:
+        """g2 = C T / (S I W) of a run of ``duration_ps`` ps, with its
+        Poisson error: C counts the pairs in the ``window_bins`` of the
+        window, W is their width, S and I are the gated singles and T the
+        live time."""
         if self.starts == 0 or self.stops == 0:
             raise EstimationError("signal and idler must both be nonempty")
         if self.gating is not None:
@@ -163,13 +157,12 @@ class PairCounter:
             s_n, i_n, t_live = self.starts, self.stops, duration_ps * 1e-12
         if s_n == 0 or i_n == 0:
             raise EstimationError("no singles inside measurement phases")
-        c = self.coincidences
-        wlo, whi = self.window
-        scale = t_live / (s_n * i_n * (whi - wlo + 1) * 1e-12)
-        val = c * scale
+        sel = window_bins(self.edges, window_ps, center_ps)
+        c = int(self.counts[sel].sum())
+        width = np.count_nonzero(sel) * int(self.edges[1] - self.edges[0])
+        val = c * (t_live / (s_n * i_n * width * 1e-12))
         err = val * math.sqrt(1.0 / c + 1.0 / s_n + 1.0 / i_n) if c else 0.0
-        return G2Estimate(value=val, error=err, coincidences=c, starts=s_n,
-                          stops=i_n, live_time=t_live)
+        return val, err
 
 
 def _joined(held: np.ndarray, new: np.ndarray) -> np.ndarray:
@@ -342,12 +335,16 @@ def noise_floor(hist: CorrelationHistogram, region_ps: tuple[int, int]) -> tuple
 
 
 def window_bins(edges: np.ndarray, window_ps: int, center_ps: int) -> np.ndarray:
-    """Mask of the bins whose every delay lies in the window of
-    ``g2_estimate``, which must fit in the histogram."""
+    """Mask of the bins whose every delay lies in the ``window_range``: the
+    coincidence window that g2 and the rate count.  It must fit in the
+    histogram and hold a bin."""
     lo, hi = window_range(window_ps, center_ps)
     if lo < edges[0] or hi >= edges[-1]:
         raise ParameterError("coincidence window does not fit in the histogram")
-    return (edges[:-1] >= lo) & (edges[1:] <= hi + 1)
+    sel = (edges[:-1] >= lo) & (edges[1:] <= hi + 1)
+    if not sel.any():
+        raise ParameterError("coincidence window holds no whole bin")
+    return sel
 
 
 def comb_bins(edges: np.ndarray, center_ps: int,
@@ -387,30 +384,20 @@ def coincidence_rate(hist: CorrelationHistogram, window_ps: int, center_ps: int,
     return max(raw - floor * n, 0.0) / hist.duration, err / hist.duration
 
 
-@dataclass(frozen=True)
-class G2Estimate:
-    value: float
-    error: float
-    coincidences: int
-    starts: int
-    stops: int
-    live_time: float
-
-
 def g2_estimate(events: EventStream, window_ps: int, center_ps: int,
-                gating: GatingSequence | None) -> G2Estimate:
-    """Normalized cross-correlation g2 = C T / (S I window).
+                gating: GatingSequence | None) -> tuple[float, float]:
+    """Normalized cross-correlation g2 = C T / (S I W) and its error.
 
     C counts idler-start, signal-stop pairs whose whole-ps delay lies within
-    window / 2 of the center, ends included, and the window is the count of
-    such delays in ps; S and I are the singles counts inside the measurement
+    window / 2 of the center, ends included, and W is the count of such
+    delays in ps; S and I are the singles counts inside the measurement
     phases of ``gating`` (None: always measuring); T is the live measurement
-    time.  Error bars propagate Poisson counting noise.  The ``PairCounter``
+    time.  Error bars propagate Poisson counting noise.  ``PairCounter.g2``
     of the whole stream, whose one bin is the window.
     """
     lo, hi = window_range(window_ps, center_ps)
-    counter = PairCounter(np.array([lo, hi + 1]), (lo, hi), gating)
-    return counter.add(events).close().g2(events.duration_ps)
+    counter = PairCounter(np.array([lo, hi + 1]), gating)
+    return counter.add(events).close().g2(events.duration_ps, window_ps, center_ps)
 
 
 def classical_limit(n_modes: int) -> float:

@@ -22,7 +22,9 @@ TWO_PI = 2.0 * math.pi
 # Relative envelope level treated as the edge of the phase-matching support
 # when scanning for clusters.
 _ENVELOPE_FLOOR = 1e-3
-_MAX_SCAN_MODES = 2_000_000
+# the most signal modes a spectrum takes: a cluster scan, a comb spectrum,
+# an AFC plan, and each point of an afc_modes sweep
+MAX_MODES = 2_000_000
 # sinc(u)^2 = 1/2 at u = 0.442946...: the sinc^2 envelope's half-power point
 _SINC2_HALF_POWER = 0.4429468945
 # numpy's largest exponential draw, ziggurat_exp_r - log(2**-53) = 44.43: a
@@ -161,11 +163,11 @@ def cluster_spectrum(cavity: CavityParams, pm: PhaseMatching) -> np.ndarray:
 
     # the envelope's support, about the signal mode nearest its center
     support = pm.support_halfwidth()   # may be infinite: the min fails the check
-    half = math.ceil(min(support / cavity.fsr_signal, _MAX_SCAN_MODES)) + 1
-    if 2 * half + 1 > _MAX_SCAN_MODES:
+    half = math.ceil(min(support / cavity.fsr_signal, MAX_MODES)) + 1
+    if 2 * half + 1 > MAX_MODES:
         raise ParameterError(
             f"the phase-matching support of +-{support:.3g} Hz spans more than "
-            f"the {_MAX_SCAN_MODES} signal modes a scan takes")
+            f"the {MAX_MODES} signal modes a scan takes")
     center = (pm.envelope_center - cavity.signal_center) / cavity.fsr_signal
     if not abs(center) < 2 ** 53:   # also rejects NaN
         raise EmptySpectrumError("the phase-matching envelope lies off the signal comb")

@@ -30,8 +30,11 @@ EXIT_FORMAT = 5
 def _read_scenario(path, seed_override=None):
     text = ""
     if path is not None:
-        with open(path) as f:
-            text = f.read()
+        with open(path, encoding="utf-8") as f:
+            try:
+                text = f.read()
+            except UnicodeDecodeError as exc:
+                raise ScenarioError(f"cannot parse scenario: {exc}") from exc
     s = load_scenario(text)
     if seed_override is not None:
         from dataclasses import replace

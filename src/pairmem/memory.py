@@ -12,11 +12,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .cavity import MAX_MODES
 from .errors import ParameterError
 
 # the AFC and etalon laws square a finesse F (and the AFC's d / F): below
 # this bound on F and on the AFC's peak optical depth d the squares are finite
 _MAX_FINESSE = 1e150
+# echo orders past this many route no photon (AfcPlan's docstring says why)
+_MAX_ECHO_ORDERS = 64
 
 
 @dataclass(frozen=True)
@@ -32,6 +35,14 @@ class AfcPlan:
     per-mode echo-efficiency and effective-OD tables the event generator
     reads, and rejects a block whose transmit and echo probabilities
     exceed 1.
+
+    ``mode_count`` is at most ``cavity.MAX_MODES`` and ``echo_orders`` at
+    most 64.  An order m takes ep**m of a block's photons, ep its echo
+    efficiency, as the step of a cumulative table [tp, tp + ep, ...]
+    clipped at 1.  In double precision that table stops growing after 54
+    orders: with ep < 1/2 each later step is below half the last bit of a
+    sum of at least ep, and with ep >= 1/2 the sum has reached its clip.
+    So an order past 64 would route no photon, and only grow the tables.
     """
 
     mode_count: int
@@ -48,8 +59,8 @@ class AfcPlan:
     echo_orders: int
 
     def __post_init__(self):
-        if self.mode_count < 1:
-            raise ParameterError("mode_count must be >= 1")
+        if not 1 <= self.mode_count <= MAX_MODES:
+            raise ParameterError(f"mode_count must lie in [1, {MAX_MODES}]")
         if not (0 < self.tooth_spacing < self.per_mode_bandwidth < self.mode_spacing):
             raise ParameterError(
                 "need tooth_spacing < per_mode_bandwidth < mode_spacing")
@@ -72,8 +83,9 @@ class AfcPlan:
             raise ParameterError(f"unknown AFC taper {self.taper!r}")
         if self.taper == "gaussian" and not 0 < (self.taper_fwhm or 0) < math.inf:
             raise ParameterError("a gaussian AFC taper needs a finite taper_fwhm > 0")
-        if self.echo_orders < 0:
-            raise ParameterError("AFC echo_orders must be >= 0")
+        if not 0 <= self.echo_orders <= _MAX_ECHO_ORDERS:
+            raise ParameterError(
+                f"AFC echo_orders must lie in [0, {_MAX_ECHO_ORDERS}]")
         # the per-mode tables the event generator reads: the echo
         # efficiency, by the square-tooth law unless overridden, and the
         # spectrally averaged OD seen in each block.  They follow from the

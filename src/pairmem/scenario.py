@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, replace
 
 from . import analysis as an, eventio
-from .cavity import (CavityParams, PhaseMatching, cluster_spectrum,
+from .cavity import (MAX_MODES, CavityParams, PhaseMatching, cluster_spectrum,
                      comb_spectrum, mode_weights)
 from .errors import ParameterError, ScenarioError, SimulationError
 from .memory import AfcPlan, FilterSpec
@@ -101,18 +101,18 @@ class Scenario:
             if self.afc_plan is None:
                 raise ScenarioError("an afc_modes sweep needs [afc] enabled")
             # float(): int has no is_integer before Python 3.12
-            if not all(v >= 1 and float(v).is_integer()
+            if not all(1 <= v <= MAX_MODES and float(v).is_integer()
                        for v in self.sweep_values):
                 raise ScenarioError(
-                    "[sweep] afc_modes values must be integers >= 1")
+                    f"[sweep] afc_modes values must be integers >= 1 and <= {MAX_MODES}")
         elif self.sweep_kind == "pump_power":
             if not all(0 <= v < math.inf for v in self.sweep_values):
                 raise ScenarioError(
                     "[sweep] pump_power values must be finite and >= 0")
         elif self.sweep_kind is not None:
             raise ScenarioError(f"unknown sweep kind {self.sweep_kind!r}")
-        if self.comb_modes < 1:
-            raise ScenarioError("[spectrum] comb_modes must be >= 1")
+        if not 1 <= self.comb_modes <= MAX_MODES:
+            raise ScenarioError(f"[spectrum] comb_modes must lie in [1, {MAX_MODES}]")
         for name in ("duration_s", "pump_mw", "brightness_pairs_per_s_per_mw"):
             if not 0 <= getattr(self, name) < math.inf:   # also rejects NaN
                 raise ScenarioError(f"[run] {name} must be finite and >= 0")
@@ -409,15 +409,15 @@ def simulate(s: Scenario, source: SourceModel | None = None) -> EventStream:
         raise SimulationError(str(exc)) from exc
 
 
-def _count(s: Scenario, events, *g2_settings) -> tuple[an.PairCounter, EventStream]:
+def _count(s: Scenario, events, gating=None) -> tuple[an.PairCounter, EventStream]:
     """The ``PairCounter`` over the histogram of the analysis settings of
-    ``s``, with ``g2_settings`` (window, gating), fed ``events``: an
-    EventStream, counted in the blocks ``eventio.chunks`` walks, or the
-    consecutive blocks of one that ``eventio.read_chunks`` yields.
-    Returns it and the last block."""
+    ``s``, with the singles of ``gating`` (a GatingSequence), fed
+    ``events``: an EventStream, counted in the blocks ``eventio.chunks``
+    walks, or the consecutive blocks of one that ``eventio.read_chunks``
+    yields.  Returns it and the last block."""
     ps = s.analysis.ps
     counter = an.PairCounter(an.histogram_edges(
-        ps["bin_width_s"], (ps["hist_min_s"], ps["hist_max_s"])), *g2_settings)
+        ps["bin_width_s"], (ps["hist_min_s"], ps["hist_max_s"])), gating)
     for block in eventio.chunks(events) if isinstance(events, EventStream) else events:
         counter.add(block)
     return counter.close(), block
@@ -441,10 +441,9 @@ def analyze_events(s: Scenario, events,
     those of the scenario's gating.  One pass counts every pair, then the
     report is assembled from the counts."""
     center = s.window_center_ps
-    counter, head = _count(s, events, an.window_range(
-        s.analysis.ps["window_s"], center), s.gating)
+    counter, head = _count(s, events, s.gating)
     hist = counter.histogram(head.duration_ps)
-    g2 = counter.g2(head.duration_ps)
+    g2, g2_err = counter.g2(head.duration_ps, s.analysis.ps["window_s"], center)
     (floor, floor_err), rate = _floor_and_rate(s, hist)
 
     # comb estimators work on delays relative to the analysis feature, and
@@ -484,10 +483,10 @@ def analyze_events(s: Scenario, events,
         echo_delay_s=None if s.afc_plan is None else s.afc_plan.storage_time,
         noise_floor_counts=floor, noise_floor_err=floor_err,
         coincidence_rate_cps=rate[0], coincidence_rate_err=rate[1],
-        g2=g2.value, g2_err=g2.error,
+        g2=g2, g2_err=g2_err,
         n_effective=n_eff, n_effective_err=n_eff_err,
         classical_limit=climit,
-        nonclassical=bool(g2.value - g2.error > climit),
+        nonclassical=bool(g2 - g2_err > climit),
         provenance={
             "scenario_digest": scenario_digest(s),
             "seed": head.seed,

@@ -21,7 +21,11 @@ set size in MiB on this tree and on the other (``os.wait4``), and its
 output set, so that a change that holds every byte but moves memory shows
 it.  Then one line per file: ``held`` or ``moved`` (or ``missing`` on one
 side), the file, and its sha256 on this tree, then on the other tree when
-it differs.  ``--scenario`` keeps the outputs of the named scenarios only;
+it differs.  After a moved ``.json`` file, one ``field`` line per top-level
+key whose value differs: the key, its value here and there.  After a moved
+``.csv`` file with the same header and row count on both trees, one
+``column`` line per column that differs, with the number of rows that
+differ in it.  ``--scenario`` keeps the outputs of the named scenarios only;
 ``--duration`` shortens every run.  Exit 0 when every file is held, 1
 when a file moved or is missing, 2 when a command fails.
 """
@@ -30,7 +34,9 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import csv
 import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -156,6 +162,30 @@ def compare(this: Path, other: Path) -> list[tuple[str, str, str, str | None]]:
     return rows
 
 
+def moved_parts(here: Path, there: Path) -> list[str]:
+    """The ``field`` lines of a moved JSON object, or the ``column`` lines
+    of a moved CSV table that keeps its header and row count."""
+    if here.suffix == ".json":
+        a, b = (json.loads(p.read_text()) for p in (here, there))
+        if not (isinstance(a, dict) and isinstance(b, dict)):
+            return []
+        return [f"{'field':7} {k}  {json.dumps(a.get(k))}  "
+                f"(against: {json.dumps(b.get(k))})"
+                for k in sorted(a.keys() | b.keys())
+                if k not in a or k not in b or a[k] != b[k]]
+    if here.suffix == ".csv":
+        a, b = (list(csv.reader(p.read_text().splitlines())) for p in (here, there))
+        if not a or a[0] != b[0] or len(a) != len(b):
+            return []
+        lines = []
+        for j, col in enumerate(a[0]):
+            n = sum(ra[j:j + 1] != rb[j:j + 1] for ra, rb in zip(a[1:], b[1:]))
+            if n:
+                lines.append(f"{'column':7} {col}  {n} of {len(a) - 1} rows differ")
+        return lines
+    return []
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     p.add_argument("--against", required=True, type=Path,
@@ -184,10 +214,14 @@ def main(argv=None) -> int:
             print(f"command failed: {exc}", file=sys.stderr)
             return 2
         rows = compare(*sides)
+        parts = {name: moved_parts(sides[0] / name, sides[1] / name)
+                 for status, name, _, _ in rows if status == "moved"}
     for case in rss[0]:
         print(f"rss     {rss[0][case]:8.1f} {rss[1][case]:8.1f}  {case}")
     for status, name, here, there in rows:
         print(f"{status:7} {name}  {here}" + (f"  (against: {there})" if there else ""))
+        for line in parts.get(name, ()):
+            print(line)
     held = sum(r[0] == "held" for r in rows)
     print(f"{len(rows)} files: {held} held, {len(rows) - held} moved or missing")
     return 0 if held == len(rows) else 1

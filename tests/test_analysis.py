@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import pairmem as pm
-from pairmem.analysis import (_find_peaks, detect_peaks, estimate_fsr,
-                              fit_envelope, fit_peak_envelope, noise_floor)
+from pairmem.analysis import (PairCounter, _find_peaks, detect_peaks,
+                              estimate_fsr, fit_envelope, fit_peak_envelope,
+                              histogram_edges, noise_floor, window_range)
 from pairmem.errors import EstimationError, FitError, ParameterError
 from pairmem.montecarlo import EventStream
 
@@ -24,6 +25,13 @@ def make_stream(signal_s, idler_s, duration_s=1.0):
     def ps(t):
         return np.rint(np.asarray(t, dtype=float) * 1e12).astype(np.uint64)
     return ps_stream(ps(signal_s), ps(idler_s), int(round(duration_s * 1e12)))
+
+
+def window_counter(ev, window_ps, center_ps, gating=None):
+    """The counts that ``g2_estimate`` reads: a counter whose one bin is the
+    whole-ps window."""
+    lo, hi = window_range(window_ps, center_ps)
+    return PairCounter(np.array([lo, hi + 1]), gating).add(ev).close()
 
 
 def bin_count(bins):
@@ -189,9 +197,11 @@ def assert_search_matches(case, histogram_oracle, coincidence_oracle):
     hist = pm.build_histogram(ev, *bins)
     assert hist.counts.tolist() == histogram_oracle(starts, stops, bins)
     if starts and stops:
-        est = pm.g2_estimate(ev, window, center, None)
-        assert est.coincidences == coincidence_oracle(starts, stops,
-                                                      window, center)
+        value, _ = pm.g2_estimate(ev, window, center, None)
+        c = coincidence_oracle(starts, stops, window, center)
+        # C T / (S I W): T = 1 s, W the 2 floor(window / 2) + 1 whole ps
+        assert value == pytest.approx(
+            c / (len(starts) * len(stops) * (window // 2 * 2 + 1) * 1e-12))
     else:
         with pytest.raises(EstimationError):
             pm.g2_estimate(ev, window, center, None)
@@ -220,27 +230,48 @@ def test_g2_measuring_singles_match_sequence_phase(extra):
     bounds = [k * cycle + b for k in range(3)
               for b in (0, m, m + brk, cycle - brk)]
     times = [t + d for t in bounds for d in (-1, 0, 1) if t + d >= 0] + extra
-    est = pm.g2_estimate(ps_stream(times, times, duration_ps=3 * cycle),
-                         400_000, 0, g)
+    counter = window_counter(ps_stream(times, times, duration_ps=3 * cycle),
+                             400_000, 0, g)
     expect = sum(sequence_phase(t, g) == "measuring" for t in times)
-    assert est.starts == est.stops == expect
+    assert counter.gated_starts == counter.gated_stops == expect
 
 
 @pytest.mark.parametrize("window", [10, 11])
 def test_window_ends_are_inclusive_in_g2_and_rate(window):
-    # a stop at every delay 0..99 ps: the window holds 45..55 ps, within
-    # window / 2 of the center (for an odd window the ends fall between
-    # whole ps), and with 1 ps bins the rate sums exactly those delays
+    # d stops at each delay d = 0..99 ps: the window holds the whole-ps
+    # delays 45..55, within window / 2 of the center (for an odd window the
+    # ends fall between whole ps).  g2 and the rate both count the bins that
+    # lie wholly inside it: with 1 ps bins all 11 delays, with 2 ps bins
+    # the 10 of [46, 56).  Dropping either edge bin moves both.
     t = 10**6
-    ev = ps_stream([t + d for d in range(100)], [t])
-    hist = pm.build_histogram(ev, 1, (0, 100))
-    est = pm.g2_estimate(ev, window, 50, None)
-    assert est.coincidences == 11
-    # g2 normalises by those 11 ps, so both windows give one value:
-    # C T / (S I 11 ps) with one start, 100 stops and T = 1 s
-    assert est.value == pytest.approx(11 * 1.0 / (1 * 100 * 11e-12), rel=1e-12)
-    assert pm.coincidence_rate(hist, window, 50, floor=0.0)[0] \
-        * hist.duration == pytest.approx(11)
+    ev = ps_stream([t + d for d in range(100) for _ in range(d)], [t])
+    for width, held in ((1, range(45, 56)), (2, range(46, 56))):
+        counter = PairCounter(histogram_edges(width, (0, 100))).add(ev).close()
+        hist = counter.histogram(ev.duration_ps)
+        c, w = sum(held), len(held)
+        # C T / (S I W) with one start, 4950 stops and T = 1 s
+        g2 = counter.g2(ev.duration_ps, window, 50)
+        assert g2[0] == pytest.approx(c * 1.0 / (1 * 4950 * w * 1e-12), rel=1e-12)
+        assert pm.coincidence_rate(hist, window, 50, floor=0.0)[0] \
+            * hist.duration == pytest.approx(c)
+    # the whole-ps window of g2_estimate is the 1 ps bins'
+    assert pm.g2_estimate(ev, window, 50, None)[0] == pytest.approx(
+        sum(range(45, 56)) / (4950 * 11e-12), rel=1e-12)
+
+
+def test_g2_and_rate_leave_out_the_window_sliver():
+    # the default window holds the whole-ps delays from 886 957 ps on, and
+    # its first whole 200 ps bin starts at 887 000 ps: a pair in the 43 ps
+    # between counts in neither g2 nor the rate, one at 887 000 ps in both
+    s = pm.default_scenario()
+    assert window_range(s.analysis.ps["window_s"], s.window_center_ps)[0] == 886_957
+    t = 10**6   # both pairs lie in the first measurement stage
+    ev = ps_stream([t + 886_970, t + 10**7 + 887_000], [t, t + 10**7],
+                   duration_ps=10**8)
+    hist, report = pm.analyze_events(s, ev)
+    live = s.gating.live_ps(10**8) * 1e-12
+    assert report.g2 == pytest.approx(1 * live / (2 * 2 * 1999 * 200e-12), rel=1e-12)
+    assert report.coincidence_rate_cps * hist.duration == pytest.approx(1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -518,9 +549,9 @@ def test_g2_uncorrelated_is_unity():
     sig = np.sort(rng.random(40_000) * T)
     idl = np.sort(rng.random(40_000) * T)
     ev = make_stream(sig, idl, duration_s=T)
-    est = pm.g2_estimate(ev, window_ps=10**6, center_ps=0, gating=None)
-    assert est.value == pytest.approx(1.0, abs=5 * est.error)
-    assert est.error < 0.15
+    value, error = pm.g2_estimate(ev, window_ps=10**6, center_ps=0, gating=None)
+    assert value == pytest.approx(1.0, abs=5 * error)
+    assert error < 0.15
 
 
 def test_g2_correlated_pairs():
@@ -529,31 +560,31 @@ def test_g2_correlated_pairs():
     idl = np.sort(rng.random(5_000) * T)
     sig = idl + 100e-9  # every idler heralds one signal
     ev = make_stream(sig, idl, duration_s=T)
-    est = pm.g2_estimate(ev, window_ps=10**6, center_ps=0, gating=None)
+    value, _ = pm.g2_estimate(ev, window_ps=10**6, center_ps=0, gating=None)
     # C >= N_pairs while accidentals contribute ~N^2 window/T
     expect = 5_000 * T / (5_000 * 5_000 * 1e-6)
-    assert est.value == pytest.approx(expect, rel=0.05)
-    assert est.value > 100
+    assert value == pytest.approx(expect, rel=0.05)
+    assert value > 100
 
 
 def test_g2_counts_and_error_formula():
     idl = np.array([1.0, 2.0, 3.0])
     sig = np.array([1.0, 2.0])
     ev = make_stream(sig, idl, duration_s=10.0)
-    est = pm.g2_estimate(ev, window_ps=10**9, center_ps=0, gating=None)
-    assert est.coincidences == 2
-    assert est.starts == 3 and est.stops == 2
+    value, error = pm.g2_estimate(ev, window_ps=10**9, center_ps=0, gating=None)
+    counter = window_counter(ev, 10**9, 0)
+    assert counter.counts.tolist() == [2]
+    assert counter.starts == 3 and counter.stops == 2
     expect = 2 * 10.0 / (3 * 2 * (10**9 + 1) * 1e-12)   # 10**9 + 1 whole ps
-    assert est.value == pytest.approx(expect)
-    assert est.error == pytest.approx(
-        est.value * math.sqrt(1 / 2 + 1 / 3 + 1 / 2))
+    assert value == pytest.approx(expect)
+    assert error == pytest.approx(value * math.sqrt(1 / 2 + 1 / 3 + 1 / 2))
 
 
 def test_g2_zero_coincidences_reads_zero():
     ev = make_stream([9.0], [1.0], duration_s=10.0)
-    est = pm.g2_estimate(ev, window_ps=10**6, center_ps=0, gating=None)
-    assert est.coincidences == 0
-    assert est.value == 0.0 and est.error == 0.0
+    assert window_counter(ev, 10**6, 0).counts.tolist() == [0]
+    assert pm.g2_estimate(ev, window_ps=10**6, center_ps=0,
+                          gating=None) == (0.0, 0.0)
 
 
 def test_g2_empty_channel_raises():
@@ -569,8 +600,8 @@ def test_g2_needs_singles_inside_the_measurement_phases():
     ev = ps_stream(t, t, duration_ps=10**12)
     with pytest.raises(EstimationError, match="measurement phases"):
         pm.g2_estimate(ev, window_ps=10**6, center_ps=0, gating=g)
-    assert pm.g2_estimate(ev, window_ps=10**6, center_ps=0,
-                          gating=None).starts == 2
+    pm.g2_estimate(ev, window_ps=10**6, center_ps=0, gating=None)
+    assert window_counter(ev, 10**6, 0).starts == 2
 
 
 def test_g2_live_time_normalization():
@@ -580,10 +611,11 @@ def test_g2_live_time_normalization():
     live = rng.integers(g.live_ps(10**12), size=20_000)
     t = live // g.measure_ps * g.cycle_ps + live % g.measure_ps
     ev = ps_stream(t, t, duration_ps=10**12)
-    est = pm.g2_estimate(ev, window_ps=10**6, center_ps=0, gating=g)
-    assert est.live_time == pytest.approx(0.45)
-    assert pm.g2_estimate(ev, window_ps=10**6, center_ps=0,
-                          gating=None).live_time == 1.0
+    # every event is measuring, so only T differs: 0.45 s live of 1 s
+    assert window_counter(ev, 10**6, 0, g).gated_starts == len(t)
+    gated = pm.g2_estimate(ev, window_ps=10**6, center_ps=0, gating=g)
+    ungated = pm.g2_estimate(ev, window_ps=10**6, center_ps=0, gating=None)
+    assert gated[0] == pytest.approx(0.45 * ungated[0])
 
 
 # ---------------------------------------------------------------------------
@@ -625,11 +657,12 @@ def test_shuffle_destroys_correlations():
     idl = np.sort(rng.random(20_000) * T)
     sig = idl + 50e-9
     ev = make_stream(sig, idl, duration_s=T)
-    before = pm.g2_estimate(ev, window_ps=10**6, center_ps=0, gating=None)
+    before, _ = pm.g2_estimate(ev, window_ps=10**6, center_ps=0, gating=None)
     shuffled = shuffle_channel(ev, "idler", seed=1, gating=None)
-    after = pm.g2_estimate(shuffled, window_ps=10**6, center_ps=0, gating=None)
-    assert before.value > 50
-    assert after.value == pytest.approx(1.0, abs=5 * max(after.error, 0.02))
+    after, after_err = pm.g2_estimate(shuffled, window_ps=10**6, center_ps=0,
+                                      gating=None)
+    assert before > 50
+    assert after == pytest.approx(1.0, abs=5 * max(after_err, 0.02))
     # counts preserved, only idler times moved
     assert len(shuffled.idler_ps) == len(ev.idler_ps)
     assert shuffled.signal_ps is ev.signal_ps

@@ -3,15 +3,23 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import pairmem as pm
-from pairmem.analysis import PairCounter, window_range
+from pairmem.analysis import PairCounter
 from pairmem.eventio import (CH_IDLER, CH_SIGNAL, MAGIC, VERSION, _HEADER,
                              _RECORD_DTYPE, _merge_channels, chunks,
                              read_chunks, read_events, write_events)
 from pairmem.scenario import _count
-from pairmem.errors import EstimationError, EventFormatError
+from pairmem.errors import EstimationError, EventFormatError, ParameterError
 from pairmem.montecarlo import EventStream
 
 from conftest import default_record
+
+
+def g2_or_error(counter, duration_ps, window, center):
+    """``counter.g2``, or the type of the error it raises."""
+    try:
+        return counter.g2(duration_ps, window, center)
+    except (EstimationError, ParameterError) as exc:
+        return type(exc)
 
 
 def make_stream(signal_ps, idler_ps, seed=7, duration_ps=10**12):
@@ -254,32 +262,23 @@ def test_streamed_counts_equal_the_whole_stream(tmp_path_factory, case):
     path = tmp_path_factory.getbasetemp() / "stream.bin"
     write_events(ev, path)
     hist = pm.build_histogram(ev, *bins)
-    try:
-        g2 = pm.g2_estimate(ev, window, center, gating)
-    except EstimationError:
-        g2 = None
-    wlo, whi = window_range(window, center)
-    pairs = sum(wlo <= s - t <= whi for t in idl for s in sig)
+    whole = PairCounter(hist.bin_edges_ps, gating).add(ev).close()
+    g2 = g2_or_error(whole, ev.duration_ps, window, center)
     for chunk in (1, 2, 3, 2**15):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(pm.eventio, "_CHUNK", chunk)
-            counter = PairCounter(hist.bin_edges_ps, (wlo, whi), gating)
+            counter = PairCounter(hist.bin_edges_ps, gating)
             for block in read_chunks(path):
                 counter.add(block)
             counter.close()
         assert counter.counts.tolist() == hist.counts.tolist()
         assert ((counter.starts, counter.stops)
                 == (hist.total_start_counts, hist.total_stop_counts))
-        assert counter.coincidences == pairs
         if gating is not None:
             assert ((counter.gated_starts, counter.gated_stops)
                     == tuple(int(np.count_nonzero(gating.measuring(
                         np.array(c, np.int64)))) for c in (idl, sig)))
-        if g2 is None:
-            with pytest.raises(EstimationError):
-                counter.g2(ev.duration_ps)
-        else:
-            assert counter.g2(ev.duration_ps) == g2
+        assert g2_or_error(counter, ev.duration_ps, window, center) == g2
 
 
 @settings(max_examples=100, deadline=None)
@@ -295,16 +294,14 @@ def test_stream_chunks_are_the_file_chunks(tmp_path_factory, sig, idl):
     ev = make_stream(np.sort(sig) * step, np.sort(idl) * step,
                      duration_ps=60 * step)
     s = pm.default_scenario()
-    g2_settings = (window_range(s.analysis.ps["window_s"], s.window_center_ps),
-                   s.gating)
-    whole = _count(s, [ev], *g2_settings)[0]
+    whole = _count(s, [ev], s.gating)[0]
     path = tmp_path_factory.getbasetemp() / "walked.bin"
     for chunk in (1, 3, 2**15):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(pm.eventio, "_CHUNK", chunk)
             write_events(ev, path)
             walked, read = list(chunks(ev)), list(read_chunks(path))
-            counter, last = _count(s, ev, *g2_settings)
+            counter, last = _count(s, ev, s.gating)
         rec = np.fromfile(path, dtype=_RECORD_DTYPE, offset=_HEADER.size)
         ch, ts = _merge_channels(ev.signal_ps, ev.idler_ps)
         assert rec["channel"].tolist() == ch.tolist()
@@ -319,9 +316,9 @@ def test_stream_chunks_are_the_file_chunks(tmp_path_factory, sig, idl):
         assert ((last.duration_ps, last.seed, last.model_digest)
                 == (ev.duration_ps, ev.seed, ev.model_digest))
         assert counter.counts.tolist() == whole.counts.tolist()
-        assert ((counter.starts, counter.stops, counter.coincidences,
+        assert ((counter.starts, counter.stops,
                  counter.gated_starts, counter.gated_stops)
-                == (whole.starts, whole.stops, whole.coincidences,
+                == (whole.starts, whole.stops,
                     whole.gated_starts, whole.gated_stops))
 
 

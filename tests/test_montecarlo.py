@@ -1023,3 +1023,19 @@ def test_model_digest_pinned(cavity):
     dets = {"signal": pm.DetectorModel(efficiency=0.5, dead_time=1e-8)}
     digest = model_digest(src, 1e5, None, {}, dets, default_record("gating"))
     assert digest == PINNED_MODEL_DIGEST
+
+
+@pytest.mark.parametrize("eff", [None, 0.0, 0.3, 0.4999999, 0.5, 0.9, 1.0])
+def test_echo_orders_past_54_route_no_photon(comb_source, eff):
+    # why AfcPlan takes at most 64 echo orders: in double precision the
+    # clipped cumulative branch table stops growing after 54 orders.  A deep
+    # comb (transmission ~1e-13) lets the echo efficiency reach 1
+    cavity = comb_source.cavity
+    plan = default_record("afc_plan", mode_count=31, echo_orders=64,
+                          mode_spacing=cavity.fsr_signal,
+                          peak_optical_depth=60.0, efficiency_override=eff)
+    det = pm.DetectorModel()
+    table = _fate_classes(pm.comb_spectrum(cavity, 41), plan, {}, det, det)
+    assert table.shape == (2, 66)
+    assert np.all(table[:, 55:65] == 0.0)
+    assert (table[1, 1] > 0.0) == (eff != 0.0)

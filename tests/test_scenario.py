@@ -517,6 +517,7 @@ def test_cli_rejects_bad_analysis_settings(tmp_path, capsys, command, key,
     ("analysis", "window_center_s = 5e-6", 2, "coincidence window"),
     ("afc", "tooth_spacing_hz = 1e5", 2, "coincidence window"),   # 10 us echo
     ("analysis", "comb_fit_halfspan_s = 1e-10", 2, "comb view"),
+    ("analysis", "window_s = 1e-10", 2, "no whole bin"),   # inside one bin
     # 1e17 bins: past any address space, so the allocation fails at once
     ("analysis", "bin_width_s = 1e-12\nhist_max_s = 1e5", 2, "fit in memory"),
     # a key without a value: the document does not parse
@@ -799,7 +800,7 @@ GOLDEN_DEFAULT = {
     "histogram.csv":
         "57b39442ed2d2b9c4adc8897682679ab198a82e19386affa885eb8105502f6e2",
     "report.json":
-        "473dae09061944879297e20169ead27afa93c9621634c828c19f8c2bed94bfce",
+        "be4b62aa93d2f6c39aeaad566e724b604f3830aa5b94740822ba11c3f53e6d0e",
 }
 
 
@@ -820,7 +821,7 @@ GOLDEN_FIGURES = {
     "fig4b": ("sweep_afc_modes", 0.5,
               "d91f1e1cc45f4694d9ce7cfce3518aab8053ae87088170b3e0ea7a67b790a7bd"),
     "fig4c": ("sweep_pump_power", 0.5,
-              "89db8960aaa97d78ce40d1a9997d61d037b556b9601da86b4b904c99e509383f"),
+              "8699ff059a34b0424eea481a349c06e22ad9acf8d9962034882a78e9b62cfc2c"),
 }
 
 
@@ -852,7 +853,7 @@ GOLDEN_ROUTING = {
         {"events.bin":
             "8e3a0d2bd7d7a1965f7055a29005726a1e52ee513bf8edfe64f869d54aedefa7",
          "report.json":
-            "6f8f3dd34f5a8a2971b1f8f6cea8f5eb70e68acd0f17fc5228cd99e0181b3ab9"}),
+            "a9ff709da71f7977f820eee739a13a1cd4e7654dca066b1176f55af2fdf72f99"}),
     "orders2_override_ungated": (
         "[afc]\necho_orders = 2\nefficiency_override = 0.3\n"
         "[gating]\nenabled = false\n"
@@ -860,7 +861,7 @@ GOLDEN_ROUTING = {
         {"events.bin":
             "45ea87b5c473dd9789241a13ac17fcde675ccbce8fa83dd9d1094e9ef3ffb23d",
          "report.json":
-            "d147ac2d2acaf275dd7b0d3b065feac5dcc4d36b668af14c99ad5ec17d77bfdf"}),
+            "d410c8d9aa2356d220809ee933103edc6608c34975ffc96f5eb0bfb0e09bd3b0"}),
     # no memory and an ideal signal detector: every signal photon the
     # etalon passes is detected, and none is delayed by an echo
     "afc_off_ideal_signal": (
@@ -871,7 +872,7 @@ GOLDEN_ROUTING = {
         {"events.bin":
             "08b28d72d63c32e5e93a6c35a70becf24bd741644af17f7d26340479e379c5df",
          "report.json":
-            "39d2d39062e5f901c51d86370835d415b5e8733401a62220b26a26a5e9cead93"}),
+            "a98d05f2cd9595659c6ffc1e6a70905c5da6bb8cfb34250f35c1cc7c91b2765c"}),
     # a memory with no echo: stored photons are lost, and the reference
     # run keeps its single-mode AFC
     "echo_orders0": (
@@ -879,7 +880,7 @@ GOLDEN_ROUTING = {
         {"events.bin":
             "f313cfe37feab47818ffac5f8c9f2bd767db0be7680f8607bb28a8112e625cad",
          "report.json":
-            "9426a79ecc7a70ce4dddb7e3f469da30a2297e3f9a714fa0aee7db99684b34b8"}),
+            "526d071a7e87a0db605e0d1344f2a3af8ec224b5a72dbb5762fddb2d720a209c"}),
 }
 
 
@@ -1402,6 +1403,10 @@ def run_document(work, rows):
     ("detector.signal", "dark_rate_hz", "2.5e20", [0, 3]),
     ("detector.idler", "dark_rate_hz", "2.5e20", [0, 3]),
     ("run", "brightness_pairs_per_s_per_mw", "5e20", [0, 3]),
+    # mode counts past the 2 000 000 modes a spectrum takes: numpy refuses
+    # their tables at once, but smaller ones past the bound fill memory
+    ("afc", "mode_count", "1000000000000", [2]),
+    ("spectrum", "comb_modes", "1000000000000", [2]),
 ])
 def test_scenario_document_extremes_exit_cleanly(tmp_path, section, key, value,
                                                   codes):
@@ -1409,6 +1414,29 @@ def test_scenario_document_extremes_exit_cleanly(tmp_path, section, key, value,
     rows = {"run": {"duration_s": "0.02"}}
     rows.setdefault(section, {})[key] = value
     assert run_document(tmp_path, rows) == codes
+
+
+@pytest.mark.parametrize("text, code", [
+    ("[afc]\necho_orders = 64\n", 0),
+    ("[afc]\necho_orders = 65\n", 2),
+    ("[afc]\necho_orders = 1000000000000\n", 2),
+    ("[sweep]\nkind = afc_modes\nvalues = 1, 2000000\n", 0),
+    ("[sweep]\nkind = afc_modes\nvalues = 1, 2000001\n", 2),
+    ("[sweep]\nkind = afc_modes\nvalues = 1, 1e12\n", 2)])
+def test_count_keys_are_bounded_at_load(tmp_path, capsys, text, code):
+    # validate only: a run or a figure past these bounds fills memory
+    cfg = tmp_path / "s.cfg"
+    cfg.write_text(text)
+    assert run_cli(["validate", "--scenario", str(cfg)]) == code
+
+
+@pytest.mark.parametrize("command", ["validate", "simulate"])
+def test_scenario_that_is_not_utf8_is_exit_2(tmp_path, capsys, command):
+    cfg = tmp_path / "s.cfg"
+    cfg.write_bytes(b"\xff\xfe[run]\nduration_s = 0.01\n")   # a UTF-16 mark
+    out = ["--out", str(tmp_path)] if command == "simulate" else []
+    assert run_cli([command, "--scenario", str(cfg), *out]) == 2
+    assert "cannot parse scenario" in capsys.readouterr().err
 
 
 @pytest.fixture(scope="module")

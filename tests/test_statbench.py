@@ -50,3 +50,28 @@ def test_byte_check_names_moved_and_missing_files(tmp_path):
         ("held", "a/x"), ("moved", "a/y"), ("missing", "b/z"), ("missing", "c/w")]
     held, moved = rows[0], rows[1]
     assert held[3] is None and moved[2] != moved[3]
+
+
+def test_byte_check_names_the_fields_and_columns_that_moved(tmp_path):
+    tool = load_bytes_tool()
+    files = {
+        "this": {"r.json": '{"g2": 7.061, "n": 1, "new": true}',
+                 "f.csv": "pump,g2,limit\n0.5,15.3,1.03\n1.0,6.89,1.03\n",
+                 "short.csv": "a,b\n1,2\n"},
+        "against": {"r.json": '{"g2": 7.057, "n": 1}',
+                    "f.csv": "pump,g2,limit\n0.5,15.2,1.03\n1.0,6.88,1.03\n",
+                    "short.csv": "a,b\n1,3\n4,5\n"}}
+    for side, docs in files.items():
+        (tmp_path / side).mkdir()
+        for name, text in docs.items():
+            (tmp_path / side / name).write_text(text)
+    here, there = tmp_path / "this", tmp_path / "against"
+    assert [r[0] for r in tool.compare(here, there)] == ["moved"] * 3
+    parts = {name: tool.moved_parts(here / name, there / name)
+             for name in files["this"]}
+    assert [line.split() for line in parts["r.json"]] == [
+        ["field", "g2", "7.061", "(against:", "7.057)"],
+        ["field", "new", "true", "(against:", "null)"]]
+    assert [line.split() for line in parts["f.csv"]] == [
+        ["column", "g2", "2", "of", "2", "rows", "differ"]]
+    assert parts["short.csv"] == []   # the row count moved: no column rows
