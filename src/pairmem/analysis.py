@@ -29,8 +29,8 @@ from .cavity import TWO_PI
 from .errors import EstimationError, FitError, ParameterError
 from .montecarlo import EventStream, GatingSequence
 
-# the most bins a histogram takes: each estimator pass over it, and its CSV,
-# then stay within tens of MiB
+# the most bins a histogram takes, and rows a fig2 spectrum: each estimator
+# pass over the bins stays within tens of MiB, and each CSV within about 100 MB
 _MAX_BINS = 1 << 22
 
 

@@ -19,9 +19,12 @@ def _histogram_csv(hist: an.CorrelationHistogram) -> str:
 def _afc_csv(s) -> str:
     if s.afc_plan is None:
         raise ScenarioError("fig2 needs a scenario with the AFC enabled")
-    rows = zip(*od_spectrum(s.afc_plan))
+    per_block = 64   # samples across each block
+    rows = per_block * s.afc_plan.mode_count
+    if rows > an._MAX_BINS:
+        raise ScenarioError(f"fig2 of {rows} rows exceeds the {an._MAX_BINS} a CSV takes")
     return "freq_hz,optical_depth\n" + "".join(
-        f"{float(f)!r},{float(od)!r}\n" for f, od in rows)
+        f"{float(f)!r},{float(od)!r}\n" for f, od in zip(*od_spectrum(s.afc_plan, per_block)))
 
 
 def _n_eff_csv(bundles) -> str:

@@ -31,10 +31,10 @@ class AfcPlan:
     are indexed -floor(M/2) .. ceil(M/2)-1.  ``taper='gaussian'`` rolls the
     preparation envelope off with FWHM ``taper_fwhm`` across the mode grid;
     ``efficiency_override`` replaces the echo-efficiency law in every block;
-    echoes up to order ``echo_orders`` are re-emitted.  A plan builds the
-    per-mode echo-efficiency and effective-OD tables the event generator
-    reads, and rejects a block whose transmit and echo probabilities
-    exceed 1.
+    echoes up to order ``echo_orders`` are re-emitted.  A plan stores no
+    per-mode table: ``response_arrays`` evaluates the taper and the echo law
+    at the blocks it is asked about.  A block may not transmit and echo more
+    than all its photons.
 
     ``mode_count`` is at most ``cavity.MAX_MODES`` and ``echo_orders`` at
     most 64.  An order m takes ep**m of a block's photons, ep its echo
@@ -86,27 +86,21 @@ class AfcPlan:
         if not 0 <= self.echo_orders <= _MAX_ECHO_ORDERS:
             raise ParameterError(
                 f"AFC echo_orders must lie in [0, {_MAX_ECHO_ORDERS}]")
-        # the per-mode tables the event generator reads: the echo
-        # efficiency, by the square-tooth law unless overridden, and the
-        # spectrally averaged OD seen in each block.  They follow from the
-        # fields, so they are not fields: equality and digests see the keys
-        od_peak = _peak_od(self)
-        if eff is None:
-            eff = np.array([echo_efficiency(d, self.finesse, self.background_od)
-                            for d in od_peak])
-        else:
-            eff = np.full(self.mode_count, eff)
-        object.__setattr__(self, "per_mode_efficiency", eff)
-        object.__setattr__(self, "per_mode_od_eff", od_peak / self.finesse)
-        trans = np.exp(-(self.per_mode_od_eff + self.background_od))
-        if not np.all(trans + eff <= 1.0 + 1e-12):
+        od = _peak_od(self, np.arange(self.mode_count))   # every block, in one pass
+        echo = echo_efficiency(od, self.finesse, self.background_od) \
+            if eff is None else eff
+        if not np.all(np.exp(-(od / self.finesse + self.background_od)) + echo
+                      <= 1.0 + 1e-12):
             raise ParameterError(
                 "AFC transmit + echo probability exceeds 1 in a block")
 
     @property
+    def _first_mode(self) -> int:
+        return -(self.mode_count // 2)
+
+    @property
     def mode_indices(self) -> np.ndarray:
-        m = self.mode_count
-        return np.arange(-(m // 2), (m + 1) // 2)
+        return self._first_mode + np.arange(self.mode_count)
 
     @property
     def block_centers(self) -> np.ndarray:
@@ -120,7 +114,7 @@ class AfcPlan:
     def block_index(self, freq) -> np.ndarray:
         """Index into the mode arrays for each frequency, -1 if outside."""
         f = np.atleast_1d(np.asarray(freq, dtype=float))
-        lo, hi = self.mode_indices[0], self.mode_indices[-1]
+        lo, hi = self._first_mode, self._first_mode + self.mode_count - 1
         # clipped one mode past either end: a far frequency casts to an int
         k = np.clip(np.rint((f - self.center_freq) / self.mode_spacing),
                     lo - 1, hi + 1).astype(int)
@@ -130,40 +124,42 @@ class AfcPlan:
         return np.where(inside, k - lo, -1)
 
     def response_arrays(self, freq):
-        """(transmit_prob, echo_prob) per frequency, vectorized."""
+        """(transmit_prob, echo_prob) per frequency, vectorized: the taper
+        and the echo law evaluated at the blocks the frequencies hit."""
         f = np.atleast_1d(np.asarray(freq, dtype=float))
         blk = self.block_index(f)
         inside = blk >= 0
         transmit = np.full(f.shape, math.exp(-self.background_od))
         echo = np.zeros(f.shape)
-        if np.any(inside):
-            b = blk[inside]
-            transmit[inside] = np.exp(-(self.per_mode_od_eff[b]
-                                        + self.background_od))
-            echo[inside] = self.per_mode_efficiency[b]
+        od = _peak_od(self, blk[inside])
+        transmit[inside] = np.exp(-(od / self.finesse + self.background_od))
+        echo[inside] = echo_efficiency(od, self.finesse, self.background_od) \
+            if self.efficiency_override is None else self.efficiency_override
         return transmit, echo
 
 
-def echo_efficiency(optical_depth: float, finesse: float,
-                    background_od: float = 0.0) -> float:
-    """First-order echo efficiency of a square-tooth comb.
+def echo_efficiency(optical_depth, finesse: float, background_od: float = 0.0):
+    """First-order echo efficiency of a square-tooth comb (array ok).
 
     eta = (d/F)^2 exp(-d/F) exp(-7/F^2) exp(-d0).
     """
     d1 = optical_depth / finesse
-    return d1 ** 2 * math.exp(-d1) * math.exp(-7.0 / finesse ** 2) \
+    return d1 ** 2 * np.exp(-d1) * math.exp(-7.0 / finesse ** 2) \
         * math.exp(-background_od)
 
 
-def _peak_od(plan: AfcPlan) -> np.ndarray:
-    """Peak optical depth of each block under the plan's taper."""
+def _peak_od(plan: AfcPlan, blocks) -> np.ndarray:
+    """Peak optical depth of the blocks (indices into the mode arrays)."""
     if plan.taper == "flat":
-        return np.full(plan.mode_count, plan.peak_optical_depth)
-    x = (plan.block_centers - plan.center_freq) / plan.taper_fwhm
-    return plan.peak_optical_depth * np.exp(-4.0 * math.log(2.0) * x * x)
+        return np.full(np.shape(blocks), plan.peak_optical_depth)
+    # an offset past the float range, in taper widths, reads OD 0: its limit
+    with np.errstate(over="ignore"):
+        x = (plan.center_freq + (plan._first_mode + blocks) * plan.mode_spacing
+             - plan.center_freq) / plan.taper_fwhm
+        return plan.peak_optical_depth * np.exp(-4.0 * math.log(2.0) * x * x)
 
 
-def od_spectrum(plan: AfcPlan, samples_per_block: int = 64):
+def od_spectrum(plan: AfcPlan, samples_per_block: int):
     """(frequencies, optical depth) of the prepared comb, sampled on a fixed
     grid of ``samples_per_block`` points across each block."""
     half_bw = plan.per_mode_bandwidth / 2
@@ -172,8 +168,8 @@ def od_spectrum(plan: AfcPlan, samples_per_block: int = 64):
     dist = np.abs(offs - np.rint(offs / plan.tooth_spacing) * plan.tooth_spacing)
     in_tooth = dist <= tooth_half
     freqs = (plan.block_centers[:, None] + offs[None, :]).ravel()
-    od = (_peak_od(plan)[:, None] * in_tooth[None, :] + plan.background_od).ravel()
-    return freqs, od
+    od = _peak_od(plan, np.arange(plan.mode_count))[:, None] * in_tooth
+    return freqs, (od + plan.background_od).ravel()
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -80,7 +82,7 @@ def test_echo_efficiency_is_probability(d, F, d0):
 
 
 # ---------------------------------------------------------------------------
-# per-mode tables / storage response
+# storage response
 
 def test_storage_time_is_inverse_tooth_spacing():
     plan = default_record("afc_plan")
@@ -90,15 +92,16 @@ def test_storage_time_is_inverse_tooth_spacing():
 
 def test_design_afc_flat_taper_uniform():
     plan = default_record("afc_plan", mode_count=11)
-    assert np.allclose(plan.per_mode_efficiency, plan.per_mode_efficiency[0])
-    assert np.allclose(plan.per_mode_od_eff,
+    transmit, echo = plan.response_arrays(plan.block_centers)
+    assert np.allclose(echo, echo[0])
+    assert np.allclose(-np.log(transmit) - plan.background_od,
                        plan.peak_optical_depth / plan.finesse)
 
 
 def test_design_afc_gaussian_taper_rolls_off():
     plan = default_record("afc_plan", mode_count=21, taper="gaussian",
                           taper_fwhm=10 * 123e6)
-    eff = plan.per_mode_efficiency
+    _, eff = plan.response_arrays(plan.block_centers)
     assert eff[10] == max(eff)
     assert eff[0] < eff[10] and eff[-1] < eff[10]
     with pytest.raises(ParameterError):
@@ -107,7 +110,51 @@ def test_design_afc_gaussian_taper_rolls_off():
 
 def test_design_afc_efficiency_override():
     plan = default_record("afc_plan", mode_count=5, efficiency_override=0.25)
-    assert plan.per_mode_efficiency.tolist() == [0.25] * 5
+    assert plan.response_arrays(plan.block_centers)[1].tolist() == [0.25] * 5
+
+
+def per_block_oracle(plan):
+    """(transmit, echo) of every block by the per-block formula: the taper
+    over the block centres, the echo law in scalar math, one block at a
+    time."""
+    if plan.taper == "flat":
+        od = np.full(plan.mode_count, plan.peak_optical_depth)
+    else:
+        x = (plan.block_centers - plan.center_freq) / plan.taper_fwhm
+        od = plan.peak_optical_depth * np.exp(-4.0 * math.log(2.0) * x * x)
+    transmit = np.exp(-(od / plan.finesse + plan.background_od))
+    echo = [plan.efficiency_override if plan.efficiency_override is not None
+            else (d / plan.finesse) ** 2 * math.exp(-d / plan.finesse)
+            * math.exp(-7.0 / plan.finesse ** 2) * math.exp(-plan.background_od)
+            for d in od]
+    return transmit, np.array(echo)
+
+
+@pytest.mark.parametrize("kw", [
+    {"taper": "gaussian", "taper_fwhm": 30 * 123e6, "background_od": 0.2},
+    {"taper": "gaussian", "taper_fwhm": 300 * 123e6, "efficiency_override": 0.25},
+    {"peak_optical_depth": 7.5, "background_od": 0.1}])
+def test_response_matches_per_block_oracle(kw):
+    # the law evaluated at the blocks asked about: transmit to the bit, the
+    # echo within 2 ulp of math.exp's per-block value
+    plan = default_record("afc_plan", mode_count=201, **kw)
+    transmit, echo = plan.response_arrays(plan.block_centers)
+    expect_t, expect_e = per_block_oracle(plan)
+    assert transmit.tobytes() == expect_t.tobytes()
+    assert np.all(np.abs(echo - expect_e) <= 2 * np.spacing(expect_e))
+
+
+def test_plan_holds_no_per_mode_table():
+    # a plan is its fields: the taper and the echo law are evaluated on call
+    base = default_record("afc_plan")
+    tracemalloc.start()
+    try:
+        plan = replace(base, mode_count=200_000)
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert plan.mode_count == 200_000
+    assert retained < 0.1 * 2 ** 20
 
 
 def test_sampled_spectrum_duty_cycle():

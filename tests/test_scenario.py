@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import os
+import time
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -1142,6 +1143,20 @@ def test_cli_fig2_runs_no_simulation(tmp_path, capsys, monkeypatch, setting,
             capsys.readouterr().err
 
 
+@pytest.mark.parametrize("modes", [65_537, 2_000_000])
+def test_cli_fig2_past_the_row_bound_is_exit_2(tmp_path, capsys, modes):
+    # 64 rows a mode: past the 2**22 rows a CSV takes, refused before any
+    # sample is built
+    cfg = tmp_path / "s.cfg"
+    cfg.write_text(f"[afc]\nmode_count = {modes}\n")
+    start = time.perf_counter()
+    assert run_cli(["figure", "--scenario", str(cfg), "--figure", "fig2",
+                    "--out", str(tmp_path)]) == 2
+    assert time.perf_counter() - start < 1.0
+    assert not (tmp_path / "fig2.csv").exists()
+    assert f"fig2 of {64 * modes} rows" in capsys.readouterr().err
+
+
 def test_cli_figure(tmp_path):
     cfg = tmp_path / "s.cfg"
     cfg.write_text("[run]\nduration_s = 0.05\nreference_run = false\n")
@@ -1414,6 +1429,14 @@ def test_scenario_document_extremes_exit_cleanly(tmp_path, section, key, value,
     rows = {"run": {"duration_s": "0.02"}}
     rows.setdefault(section, {})[key] = value
     assert run_document(tmp_path, rows) == codes
+
+
+@pytest.mark.parametrize("fwhm", ["5e-324", "1e-150"])
+def test_narrow_gaussian_taper_exits_cleanly(tmp_path, fwhm):
+    # the taper's offsets overflow past the float range, where OD reads 0
+    rows = {"run": {"duration_s": "0.02"},
+            "afc": {"taper": "gaussian", "taper_fwhm_hz": fwhm}}
+    assert run_document(tmp_path, rows) == [0, 0]
 
 
 @pytest.mark.parametrize("text, code", [
