@@ -71,9 +71,10 @@ class AfcPlan:
                 f"AFC peak_optical_depth must lie in [0, {_MAX_FINESSE:g})")
         if not 0 <= self.background_od < math.inf:
             raise ParameterError("AFC background_od must be finite and >= 0")
-        if not self.storage_time * 1e12 < 2 ** 62:   # the timestamps' int64 ps
-            raise ParameterError(
-                "AFC echo delay 1 / tooth_spacing must lie below 2**62 ps")
+        # the latest echo order's delay, in the timestamps' int64 ps
+        if not max(self.echo_orders, 1) * self.storage_time * 1e12 < 2 ** 62:
+            raise ParameterError("AFC echo delay max(echo_orders, 1) / tooth_spacing "
+                                 "must lie below 2**62 ps")
         if not abs(self.center_freq) < math.inf:
             raise ParameterError("AFC center_freq must be finite")
         eff = self.efficiency_override
@@ -139,10 +140,10 @@ class AfcPlan:
 
 
 def echo_efficiency(optical_depth, finesse: float, background_od: float = 0.0):
-    """First-order echo efficiency of a square-tooth comb (array ok).
-
-    eta = (d/F)^2 exp(-d/F) exp(-7/F^2) exp(-d0).
-    """
+    """First-order echo efficiency of a comb of Gaussian teeth (array ok):
+    eta = (d/F)^2 exp(-d/F) exp(-7/F^2) exp(-d0), where exp(-7/F^2) is the
+    dephasing of Gaussian teeth (Afzelius et al., PRA 79, 052329 (2009));
+    square teeth give sinc^2(pi/F) (one tooth shape: ROADMAP item 20)."""
     d1 = optical_depth / finesse
     return d1 ** 2 * np.exp(-d1) * math.exp(-7.0 / finesse ** 2) \
         * math.exp(-background_od)

@@ -97,20 +97,6 @@ class Scenario:
                 raise ScenarioError(
                     "afc.mode_spacing_hz must match cavity.fsr_signal_hz "
                     f"(relative mismatch {rel:.2e})")
-        if self.sweep_kind == "afc_modes":
-            if self.afc_plan is None:
-                raise ScenarioError("an afc_modes sweep needs [afc] enabled")
-            # float(): int has no is_integer before Python 3.12
-            if not all(1 <= v <= MAX_MODES and float(v).is_integer()
-                       for v in self.sweep_values):
-                raise ScenarioError(
-                    f"[sweep] afc_modes values must be integers >= 1 and <= {MAX_MODES}")
-        elif self.sweep_kind == "pump_power":
-            if not all(0 <= v < math.inf for v in self.sweep_values):
-                raise ScenarioError(
-                    "[sweep] pump_power values must be finite and >= 0")
-        elif self.sweep_kind is not None:
-            raise ScenarioError(f"unknown sweep kind {self.sweep_kind!r}")
         if not 1 <= self.comb_modes <= MAX_MODES:
             raise ScenarioError(f"[spectrum] comb_modes must lie in [1, {MAX_MODES}]")
         for name in ("duration_s", "pump_mw", "brightness_pairs_per_s_per_mw"):
@@ -130,6 +116,8 @@ class Scenario:
             an.comb_bins(edges, center, ps["comb_fit_halfspan_s"])
         except ParameterError as exc:
             raise ScenarioError(f"[analysis] {exc}") from exc
+        if self.sweep_kind is not None:   # each point is a scenario of its own
+            sweep_scenarios(self)
 
     @property
     def pair_rate(self) -> float:
@@ -549,17 +537,26 @@ def run_scenario(s: Scenario) -> RunBundle:
 
 
 def sweep_scenarios(s: Scenario) -> list[Scenario]:
-    if s.sweep_kind is None or not s.sweep_values:
-        raise ScenarioError("scenario has no sweep block")
+    """The scenario of each sweep point, in order and with no sweep block,
+    checked by the records it runs: a point they reject names the sweep."""
+    kind = s.sweep_kind
+    if kind not in ("afc_modes", "pump_power"):
+        raise ScenarioError("scenario has no sweep block" if kind is None
+                            else f"unknown sweep kind {kind!r}")
+    if kind == "afc_modes" and s.afc_plan is None:
+        raise ScenarioError("an afc_modes sweep needs [afc] enabled")
+    # float(): int has no is_integer before Python 3.12
+    if kind == "afc_modes" and not all(float(v).is_integer() for v in s.sweep_values):
+        raise ScenarioError("[sweep] afc_modes values must be whole numbers")
     out = []
     for i, v in enumerate(s.sweep_values):
-        seed = split_seed(s.seed, 1000 + i)
-        if s.sweep_kind == "afc_modes":
-            out.append(replace(s, afc_plan=replace(s.afc_plan, mode_count=int(v)),
-                               seed=seed, sweep_kind=None, sweep_values=()))
-        else:
-            out.append(replace(s, pump_mw=float(v), seed=seed,
-                               sweep_kind=None, sweep_values=()))
+        try:
+            point = ({"afc_plan": replace(s.afc_plan, mode_count=int(v))}
+                     if kind == "afc_modes" else {"pump_mw": float(v)})
+            out.append(replace(s, seed=split_seed(s.seed, 1000 + i),
+                               sweep_kind=None, sweep_values=(), **point))
+        except (ParameterError, ScenarioError) as exc:
+            raise ScenarioError(f"[sweep] {kind} point: {exc}") from exc
     return out
 
 
@@ -591,6 +588,8 @@ def run_sweep(s: Scenario, jobs: int = 1) -> list[RunBundle]:
     ``jobs`` > 1 runs the references, then the points, in a pool of at
     most one process per point."""
     points = sweep_scenarios(s)
+    if not points:
+        raise ScenarioError("scenario has no sweep block")
     workers = min(jobs, len(points))
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor

@@ -11,9 +11,10 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 import pairmem as pm
-from pairmem.errors import ScenarioError, SimulationError
+from pairmem.errors import ParameterError, ScenarioError, SimulationError
 from pairmem.scenario import (analyze_events, build_spectrum, reference_rate,
                               single_mode_reference, sweep_scenarios)
 
@@ -1169,12 +1170,30 @@ def test_cli_figure(tmp_path):
 SHORT_RUN = "[run]\nduration_s = 0.01\nreference_run = false\n"
 
 
+# a valid 5-mode AFC base whose 83-mode point transmits and echoes more
+# than all its photons in the outer blocks of the gaussian taper
+SWEEP_POINT_PAST_ONE = {
+    "afc": {"mode_count": "5", "efficiency_override": "0.3",
+            "taper": "gaussian", "taper_fwhm_hz": "1e9"},
+    "sweep": {"kind": "afc_modes", "values": "5, 83"}}
+
+
+def document(rows):
+    """Scenario document of ``rows`` (section -> key -> value)."""
+    return "".join(f"[{section}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
+                   for section, keys in rows.items())
+
+
 @pytest.mark.parametrize("figure, sweep, match", [
     ("fig4b", "[afc]\nenabled = false\n[sweep]\nkind = afc_modes\n"
      "values = 1, 5\n", "needs [afc] enabled"),
-    ("fig4b", "[sweep]\nkind = afc_modes\nvalues = 0, 5\n", "integers >= 1"),
-    ("fig4b", "[sweep]\nkind = afc_modes\nvalues = 2.7, 5\n", "integers >= 1"),
-    ("fig4b", "[sweep]\nkind = afc_modes\nvalues = 1, inf\n", "integers >= 1"),
+    ("fig4b", "[sweep]\nkind = afc_modes\nvalues = 0, 5\n",
+     "afc_modes point: mode_count must lie in [1"),
+    ("fig4b", "[sweep]\nkind = afc_modes\nvalues = 2.7, 5\n", "whole numbers"),
+    ("fig4b", "[sweep]\nkind = afc_modes\nvalues = 1, inf\n", "whole numbers"),
+    # the load builds every point, so the base plan's checks reach each one
+    ("fig4b", document(SWEEP_POINT_PAST_ONE),
+     "afc_modes point: AFC transmit + echo probability exceeds 1"),
     ("fig4c", "[sweep]\nkind = pump_power\nvalues = nan, 1\n", "finite and >= 0"),
     ("fig4c", "[sweep]\nkind = pump_power\nvalues = 1, inf\n", "finite and >= 0"),
     ("fig4c", "[sweep]\nkind = pump_power\nvalues = -0.5, 1\n", "finite and >= 0")])
@@ -1187,6 +1206,31 @@ def test_cli_rejects_bad_sweep_block(tmp_path, capsys, figure, sweep, match):
     err = capsys.readouterr().err
     assert err.count(match) == 2
     assert not (tmp_path / f"{figure}.csv").exists()
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(modes=st.integers(1, 40), taper=st.sampled_from(["flat", "gaussian"]),
+       fwhm=st.floats(2e8, 2e10), eff=st.floats(0.0, 0.6),
+       values=st.lists(st.integers(0, 80), min_size=1, max_size=4))
+@example(modes=5, taper="gaussian", fwhm=1e9, eff=0.3, values=[5, 83])
+def test_afc_modes_sweep_loads_when_every_point_plan_builds(modes, taper, fwhm,
+                                                            eff, values):
+    def builds(make, *args, **changes):
+        try:
+            make(*args, **changes)
+        except (ParameterError, ScenarioError):
+            return False
+        return True
+
+    base = document({"afc": {"mode_count": modes, "taper": taper,
+                             "taper_fwhm_hz": repr(fwhm),
+                             "efficiency_override": repr(eff)}})
+    assume(builds(pm.load_scenario, base))
+    plan = pm.load_scenario(base).afc_plan
+    sweep = document({"sweep": {"kind": "afc_modes",
+                                "values": ", ".join(map(str, values))}})
+    assert builds(pm.load_scenario, base + sweep) == all(
+        builds(replace, plan, mode_count=v) for v in values)
 
 
 @pytest.mark.parametrize("figure, kind, values", [
@@ -1320,9 +1364,6 @@ def test_figure_csv_numeric_roundtrip(tmp_path):
     assert np.array_equal(arr["bin_start_ps"], bundle.histogram.bin_edges_ps[:-1])
 
 
-from hypothesis import given, settings, strategies as st
-
-
 @settings(max_examples=100, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=2**32),
        pump=st.floats(min_value=0.1, max_value=5.0),
@@ -1386,8 +1427,7 @@ def run_document(work, rows):
     key -> value) and then, if it passes and runs at most 0.02 s, of
     ``simulate``.  Any warning is an error, and every number of the
     report is finite or null."""
-    text = "".join(f"[{section}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
-                   for section, keys in rows.items())
+    text = document(rows)
     cfg = work / "s.cfg"
     cfg.write_text(text)
     with warnings.catch_warnings():
@@ -1429,6 +1469,19 @@ def test_scenario_document_extremes_exit_cleanly(tmp_path, section, key, value,
     rows = {"run": {"duration_s": "0.02"}}
     rows.setdefault(section, {})[key] = value
     assert run_document(tmp_path, rows) == codes
+
+
+# two keys that each pass their own check and fail together: a sweep
+# point the AFC plan rejects, and echo orders whose first delay fits in
+# int64 ps while the 64th does not
+@pytest.mark.parametrize("rows", [
+    {**SWEEP_POINT_PAST_ONE, "run": {"duration_s": "0.02"}},
+    {"afc": {"tooth_spacing_hz": "4.3e-7", "echo_orders": "64",
+             "efficiency_override": "0.3", "peak_optical_depth": "4"},
+     "analysis": {"window_center_s": "1e-6"},
+     "run": {"duration_s": "0.02"}}], ids=["sweep_point", "echo_orders"])
+def test_two_key_documents_exit_at_load(tmp_path, rows):
+    assert run_document(tmp_path, rows) == [2]
 
 
 @pytest.mark.parametrize("fwhm", ["5e-324", "1e-150"])
