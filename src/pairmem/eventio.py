@@ -114,13 +114,14 @@ def read_chunks(path):
             if len(bad):
                 raise EventFormatError(
                     f"record {a + bad[0]}: unknown channel byte {channels[bad[0]]}")
-            back = np.flatnonzero(ts < np.r_[np.uint64(prev), ts[:-1]])
+            back = [0] if len(ts) and ts[0] < prev \
+                else np.flatnonzero(ts[1:] < ts[:-1]) + 1
             if len(back):
                 i = back[0]
                 raise EventFormatError(f"record {a + i}: timestamp {ts[i]} ps "
                                        f"precedes {ts[i - 1] if i else prev} ps")
-            i = int(np.searchsorted(ts, np.uint64(duration_ps), side="right"))
-            if i < len(ts):
+            if len(ts) and ts[-1] > duration_ps:   # ts is sorted: search it
+                i = int(np.searchsorted(ts, np.uint64(duration_ps), side="right"))
                 raise EventFormatError(f"record {a + i}: timestamp {ts[i]} ps "
                                        f"exceeds the duration {duration_ps} ps")
             prev = ts[-1] if len(ts) else prev

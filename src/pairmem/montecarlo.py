@@ -270,10 +270,12 @@ def _prune_dead_time(t: np.ndarray, dead: int) -> np.ndarray:
     need the greedy walk, anchored at their run start.
     """
     keep = np.ones(len(t), dtype=bool)
+    deep = [np.zeros(0, np.intp)]   # elements behind two close gaps, by slices
     for a in range(1, len(t), _CHUNK):   # keep[1:] = np.diff(t) >= dead, by slices
-        np.greater_equal(np.diff(t[a - 1:a + _CHUNK]), dead, out=keep[a:a + _CHUNK])
-    close = ~keep[1:]
-    deep = np.flatnonzero(close[1:] & close[:-1]) + 2
+        k = keep[a - 1:a + _CHUNK]   # the slice and the element before it
+        np.greater_equal(np.diff(t[a - 1:a + _CHUNK]), dead, out=k[1:])
+        deep.append(np.flatnonzero(~(k[1:] | k[:-1])) + a)
+    deep = np.concatenate(deep)
     fresh = np.diff(deep, prepend=-1) != 1
     kept = []
     for x, a, f in zip(t[deep].tolist(), t[deep - 2].tolist(), fresh.tolist()):
@@ -400,7 +402,7 @@ def generate_events(source: SourceModel, pair_rate: float,
                 tc += tc // gating.measure_ps * (gating.cycle_ps - gating.measure_ps)
             x = rng.random(len(tc)) * cdf[-1]   # a pair's class: the CDF step holding x
             # the signal is lost on [cdf[-2], cdf[-1]) alone: the both-lost entry is 0
-            hit = (x < cdf[-2]) | (x >= cdf[-1])
+            hit = np.flatnonzero((x < cdf[-2]) | (x >= cdf[-1]))   # x and tc gather by index
             branch = np.searchsorted(cdf, x[hit], side="right") % n_fates
             parts.append((tc[hit], branch.astype(parts[0][1].dtype)))
             return x >= cdf[n_fates - 1]

@@ -561,30 +561,43 @@ def sweep_scenarios(s: Scenario) -> list[Scenario]:
 
 
 def _run_points(points: list[Scenario], mapper) -> list[RunBundle]:
-    """Bundles of ``points``: one reference run per reference scenario,
-    then every point, each step through ``mapper``.  All run from the
-    first point's source: a sweep varies the AFC mode count or the pump,
-    and neither changes the spectrum."""
+    """Bundles of ``points``, all from the first point's source: a sweep
+    varies the AFC mode count or the pump, and neither changes the
+    spectrum.  Each run is keyed by its text with no seed and no
+    reference, and runs once: the references first, where the first point
+    that holds a reference's key is that reference and takes none, then
+    the other points, each step through ``mapper``."""
     source = source_model(points[0])
     source.sampler   # built once, here: a pool's tasks receive it pickled
-    refs, keys = {}, []   # seedless reference text -> first point's reference
-    for p in points:
+
+    def key(x):   # the model a run simulates: no seed, no reference
+        return save_scenario(replace(x, seed=0, reference_run=False))
+    keys, refs, served = [key(p) for p in points], {}, []
+    for p in points:   # refs: each key's first reference that no point holds
         ref = _reference(p)
-        keys.append(None if ref is None
-                    else save_scenario(replace(ref, seed=0)))
-        if ref is not None:
-            refs.setdefault(keys[-1], ref)
-    runs = list(refs.values())
-    rates = dict(zip(refs, mapper(_reference_rate, runs,
-                                  [source] * len(runs))))
-    return list(mapper(_run_point, points, [source] * len(points),
-                       [rates.get(k) for k in keys]))
+        served.append(None if ref is None else key(ref))
+        if ref is not None and served[-1] not in keys:
+            refs.setdefault(served[-1], ref)
+    rates = dict(zip(refs, mapper(_reference_rate, list(refs.values()),
+                                  [source] * len(refs))))
+
+    def run(todo):   # the bundles of points todo, by index
+        return dict(zip(todo, mapper(_run_point, [points[i] for i in todo],
+                                     [source] * len(todo),
+                                     [rates.get(served[i]) for i in todo])))
+    bundles = run(sorted({keys.index(k) for k in served if k in keys}))
+    for i, b in bundles.items():   # a point that is a reference gives its rate
+        rates[keys[i]] = b.report.coincidence_rate_cps, b.report.coincidence_rate_err
+    bundles.update(run([i for i in range(len(points)) if i not in bundles]))
+    return [bundles[i] for i in range(len(points))]
 
 
 def run_sweep(s: Scenario, jobs: int = 1) -> list[RunBundle]:
     """Every point of the sweep, in order, from one source.  Points whose
     single-mode references differ only in their seed share one reference
-    run, which takes the seed the first of them would give its own.
+    run.  When a point runs that reference's model (the single-mode point
+    of an afc_modes sweep), that point's run is the reference; otherwise
+    the reference takes the seed the first of them would give its own.
     ``jobs`` > 1 runs the references, then the points, in a pool of at
     most one process per point."""
     points = sweep_scenarios(s)

@@ -821,7 +821,7 @@ GOLDEN_FIGURES = {
     "fig2": ("default", None,
              "10bf20b5bda718207eb0a9d2393576e5ad498c75bd4c40dec3c29a9331b0176c"),
     "fig4b": ("sweep_afc_modes", 0.5,
-              "d91f1e1cc45f4694d9ce7cfce3518aab8053ae87088170b3e0ea7a67b790a7bd"),
+              "f625abf3e6517eae4604fe9d0e9b97ae20f52f66318a34a4e75ee35a93b38414"),
     "fig4c": ("sweep_pump_power", 0.5,
               "8699ff059a34b0424eea481a349c06e22ad9acf8d9962034882a78e9b62cfc2c"),
 }
@@ -963,16 +963,17 @@ def _shipped_sweep(name, **changes):
 
 def test_run_sweep_shares_reference_and_source(monkeypatch):
     # the five multi-mode points of fig4b's sweep share one single-mode
-    # reference, and all six points one source; a pump sweep keeps one
-    # reference per pump and one source.  Nothing is kept between sweeps.
+    # reference, the sweep's own single-mode point, and all six points one
+    # source; a pump sweep keeps one reference per pump and one source.
+    # Nothing is kept between sweeps.
     afc = _shipped_sweep("sweep_afc_modes", duration_s=0.02)
     pump = _shipped_sweep("sweep_pump_power", duration_s=0.02,
                           sweep_values=(0.5, 1.0), reference_run=True)
     calls = _count_builds(monkeypatch)
     pm.run_sweep(afc)
-    assert calls == {"simulate": 7, "spectrum": 1, "sampler": 1}
+    assert calls == {"simulate": 6, "spectrum": 1, "sampler": 1}
     pm.run_sweep(afc)
-    assert calls == {"simulate": 14, "spectrum": 2, "sampler": 2}
+    assert calls == {"simulate": 12, "spectrum": 2, "sampler": 2}
     calls.update(dict.fromkeys(calls, 0))
     pm.run_sweep(pump)
     assert calls == {"simulate": 4, "spectrum": 1, "sampler": 1}
@@ -991,8 +992,9 @@ def test_serial_sweep_builds_one_source(monkeypatch, name):
 
 def test_run_sweep_points_match_run_scenario(monkeypatch):
     # a pump sweep's references keep the pump, so every point runs as
-    # run_scenario runs it.  In an afc_modes sweep only the first
-    # multi-mode point does; every later one divides by its reference rate.
+    # run_scenario runs it.  In an afc_modes sweep the single-mode point
+    # runs as run_scenario runs it, and its run is the reference: every
+    # multi-mode point divides by the rate of its events.
     pump = _shipped_sweep("sweep_pump_power", duration_s=0.1,
                           sweep_values=(0.5, 1.0), reference_run=True)
     for bundle, p in zip(pm.run_sweep(pump), sweep_scenarios(pump),
@@ -1002,10 +1004,7 @@ def test_run_sweep_points_match_run_scenario(monkeypatch):
     afc = _shipped_sweep("sweep_afc_modes", duration_s=0.5,
                          sweep_values=(1, 5, 11, 21))
     points = sweep_scenarios(afc)
-    first = points[1]
-    ref = replace(single_mode_reference(first),
-                  seed=pm.split_seed(first.seed, 0x5EF))
-    shared = reference_rate(first, pm.simulate(ref))
+    shared = reference_rate(points[1], pm.simulate(points[0]))
     passed, run_point = [], pm.scenario._run_point
     monkeypatch.setattr(pm.scenario, "_run_point", lambda p, source, rate:
                         passed.append(rate) or run_point(p, source, rate))
@@ -1015,14 +1014,42 @@ def test_run_sweep_points_match_run_scenario(monkeypatch):
     assert passed == [None] + [shared] * 3
     r = bundles[0].report
     assert (r.n_effective, r.n_effective_err) == (1.0, 0.0)
-    assert (bundles[1].report.to_json()
-            == pm.run_scenario(first).report.to_json())
-    for bundle, p in zip(bundles[1:], points[1:]):
+    assert (r.coincidence_rate_cps, r.coincidence_rate_err) == shared
+    assert (bundles[0].report.to_json()
+            == pm.run_scenario(points[0]).report.to_json())
+    for bundle, p, rate in zip(bundles, points, [None] + [shared] * 3,
+                               strict=True):
         events = pm.simulate(p)
         assert (bundle.report.to_json() == analyze_events(
-            p, events, rate_single=shared)[1].to_json())
+            p, events, rate_single=rate)[1].to_json())
         assert np.array_equal(bundle.events.signal_ps, events.signal_ps)
         assert np.array_equal(bundle.events.idler_ps, events.idler_ps)
+
+
+def test_single_mode_point_is_the_sweep_reference(monkeypatch):
+    # an afc_modes sweep with a 1-mode point runs no reference of its own:
+    # the reference it replaces runs the same model over the same time,
+    # analyzed alike, and every multi-mode point divides by the 1-mode
+    # point's rate.  Without a 1-mode point the sweep runs its reference.
+    afc = _shipped_sweep("sweep_afc_modes", duration_s=0.2,
+                         sweep_values=(1, 5, 11))
+    points = sweep_scenarios(afc)
+    calls = _count_builds(monkeypatch)
+    bundles = pm.run_sweep(afc)
+    assert calls["simulate"] == 3
+    ref, single = pm.scenario._reference(points[1]), bundles[0]
+    assert pm.simulate(ref).model_digest == single.events.model_digest
+    assert ref.duration_s == single.scenario.duration_s
+    assert ref.analysis == single.scenario.analysis
+    rate = (single.report.coincidence_rate_cps,
+            single.report.coincidence_rate_err)
+    for bundle, p in zip(bundles[1:], points[1:], strict=True):
+        assert bundle.report.to_json() == analyze_events(
+            p, pm.simulate(p), rate_single=rate)[1].to_json()
+
+    calls.update(dict.fromkeys(calls, 0))
+    pm.run_sweep(replace(afc, sweep_values=(5, 11, 21)))
+    assert calls["simulate"] == 4
 
 
 def test_pool_tasks_receive_a_built_sampler():
@@ -1036,7 +1063,7 @@ def test_pool_tasks_receive_a_built_sampler():
         return map(fn, points, sources, *rest)
 
     pm.scenario._run_points(sweep_scenarios(s), mapper)
-    assert len(built) == 3 and all(built)
+    assert len(built) == 2 and all(built)
 
 
 def test_cli_analyze_replays_simulate_with_reference_events(tmp_path):
@@ -1323,7 +1350,7 @@ def test_cli_jobs_caps_workers_at_sweep_points(tmp_path, capsys, monkeypatch,
     else:
         assert code == 0
         assert sizes == pools
-        assert calls["simulate"] == 4   # three points, one shared reference
+        assert calls["simulate"] == 3   # three points: the 1-mode one is the reference
 
 
 def test_cli_out_env_var(tmp_path, monkeypatch):
