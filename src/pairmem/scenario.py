@@ -63,7 +63,7 @@ class AnalysisSettings:
             raise ScenarioError("[analysis] min_prominence must be finite")
         # self.ps: every time setting but an auto center, in whole ps
         object.__setattr__(self, "ps", {
-            k: whole_ps(v, f"[analysis] {k}")
+            k: whole_ps(v, k)   # load_scenario names the section
             for k, v in vars(self).items() if k.endswith("_s") and v is not None})
 
 
@@ -322,16 +322,16 @@ def load_scenario(text: str) -> Scenario:
         prefix, _, name = target.rpartition(".")
         groups.setdefault(prefix, {})[name] = value
     top = groups[""]
-    try:
-        for prefix, cls in _TYPES.items():
+    for prefix, cls in _TYPES.items():
+        try:
             obj = None if prefix in off else cls(**groups[prefix])
-            owner, _, channel = prefix.partition(".")
-            top[owner] = {**top.get(owner, {}), channel: obj} if channel else obj
-        return Scenario(**top)
-    except ScenarioError:
-        raise
-    except ValueError as exc:
-        raise ScenarioError(str(exc)) from exc
+        except ParameterError as exc:   # named by the section of its rows
+            section = next(sec for sec, rows in _SCHEMA.items() if any(
+                target.startswith(f"{prefix}.") for *_, target in rows.values()))
+            raise ScenarioError(f"[{section}] {exc}") from exc
+        owner, _, channel = prefix.partition(".")
+        top[owner] = {**top.get(owner, {}), channel: obj} if channel else obj
+    return Scenario(**top)
 
 
 def _saved(s: Scenario, target: str, default):
@@ -422,12 +422,34 @@ def _floor_and_rate(s: Scenario, hist: an.CorrelationHistogram):
                                       *floor)
 
 
+def _estimate(fallback, estimator, *args, **kwargs):
+    """The (value, error) of ``estimator``, or ``fallback`` when it fails:
+    the one place a failed estimate enters a report."""
+    try:
+        return estimator(*args, **kwargs)
+    except an.EstimationError:
+        return fallback
+
+
+def _modes(s: Scenario, rate: tuple[float, float], g2: tuple[float, float],
+           rate_single: tuple[float, float] | None) -> dict:
+    """Report fields that read another run: N_eff, ``rate`` over single-mode
+    ``rate_single`` (None: one mode), and its classical limit and ``g2`` verdict."""
+    # a reference with no net coincidences leaves the mode count undetermined
+    n_eff, n_eff_err = ((1.0, 0.0) if rate_single is None else
+                        _estimate((0.0, 0.0), an.effective_modes, rate, rate_single))
+    climit = an.classical_limit(   # a classical_mode_count of None: round(n_eff)
+        s.analysis.classical_mode_count or max(1, round(n_eff)))
+    return dict(n_effective=n_eff, n_effective_err=n_eff_err,
+                classical_limit=climit, nonclassical=bool(g2[0] - g2[1] > climit))
+
+
 def analyze_events(s: Scenario, events,
                    rate_single: tuple[float, float] | None = None):
     """Histogram an event stream (an EventStream, or its blocks in time
     order) and derive the full report; the live time and singles are
     those of the scenario's gating.  One pass counts every pair, then the
-    report is assembled from the counts."""
+    report is assembled from the counts; ``rate_single`` enters by ``_modes``."""
     center = s.window_center_ps
     counter, head = _count(s, events, s.gating)
     hist = counter.histogram(head.duration_ps)
@@ -439,29 +461,12 @@ def analyze_events(s: Scenario, events,
     comb_hist = an.comb_view(hist, center, s.analysis.ps["comb_fit_halfspan_s"])
     peaks = an.detect_peaks(comb_hist, an.prominence(s.analysis.min_prominence,
                                                      floor))
-
-    def estimate(fallback, estimator, *args, **kwargs):
-        """The (value, error) of ``estimator``, or ``fallback`` when it
-        fails: the one place a failed estimate enters the report."""
-        try:
-            return estimator(*args, **kwargs)
-        except an.EstimationError:
-            return fallback
-
-    dt, dt_err = estimate((None, None), an.estimate_fsr, peaks,
-                          k_max=s.analysis.fsr_peak_count)
+    dt, dt_err = _estimate((None, None), an.estimate_fsr, peaks,
+                           k_max=s.analysis.fsr_peak_count)
     half_bin = comb_hist.bin_width_ps * 0.5e-12
-    lw_s, lw_i = (estimate((None, None), an.fit_peak_envelope, peaks, side,
-                           half_bin=half_bin, floor=floor)
+    lw_s, lw_i = (_estimate((None, None), an.fit_peak_envelope, peaks, side,
+                            half_bin=half_bin, floor=floor)
                   for side in ("positive", "negative"))   # each side on its own
-    # a reference with no net coincidences leaves the mode count undetermined
-    n_eff, n_eff_err = ((1.0, 0.0) if rate_single is None else
-                        estimate((0.0, 0.0), an.effective_modes, rate, rate_single))
-    n_limit = s.analysis.classical_mode_count
-    if n_limit is None:
-        n_limit = max(1, round(n_eff))
-    climit = an.classical_limit(n_limit)
-
     report = an.AnalysisReport(
         fsr_hz=None if dt is None else 1.0 / dt,
         fsr_err_hz=None if dt is None else dt_err / dt ** 2,
@@ -471,10 +476,7 @@ def analyze_events(s: Scenario, events,
         echo_delay_s=None if s.afc_plan is None else s.afc_plan.storage_time,
         noise_floor_counts=floor, noise_floor_err=floor_err,
         coincidence_rate_cps=rate[0], coincidence_rate_err=rate[1],
-        g2=g2, g2_err=g2_err,
-        n_effective=n_eff, n_effective_err=n_eff_err,
-        classical_limit=climit,
-        nonclassical=bool(g2 - g2_err > climit),
+        g2=g2, g2_err=g2_err, **_modes(s, rate, (g2, g2_err), rate_single),
         provenance={
             "scenario_digest": scenario_digest(s),
             "seed": head.seed,
@@ -522,17 +524,16 @@ def _reference_rate(ref: Scenario, source: SourceModel) -> tuple[float, float]:
     return reference_rate(ref, simulate(ref, source))
 
 
-def _run_point(s: Scenario, source: SourceModel,
-               rate_single: tuple[float, float] | None) -> RunBundle:
+def _run_point(s: Scenario, source: SourceModel) -> RunBundle:
     events = simulate(s, source)
-    hist, report = analyze_events(s, events, rate_single=rate_single)
+    hist, report = analyze_events(s, events)
     return RunBundle(scenario=s, events=events, histogram=hist, report=report)
 
 
 def run_scenario(s: Scenario) -> RunBundle:
     """Deterministic end-to-end pipeline: spectrum, AFC, events, histogram,
     report.  A single-mode reference, when ``s`` takes one, runs first and
-    from the same source."""
+    from the same source; its rate sets N_eff after the run."""
     return _run_points([s], map)[0]
 
 
@@ -564,9 +565,9 @@ def _run_points(points: list[Scenario], mapper) -> list[RunBundle]:
     """Bundles of ``points``, all from the first point's source: a sweep
     varies the AFC mode count or the pump, and neither changes the
     spectrum.  Each run is keyed by its text with no seed and no
-    reference, and runs once: the references first, where the first point
-    that holds a reference's key is that reference and takes none, then
-    the other points, each step through ``mapper``."""
+    reference, and runs once.  One ``mapper`` pass keeps the rates of the
+    references that no point holds, and one runs every point on its own;
+    then each point that takes a reference gets its ``_modes`` from it."""
     source = source_model(points[0])
     source.sampler   # built once, here: a pool's tasks receive it pickled
 
@@ -580,16 +581,15 @@ def _run_points(points: list[Scenario], mapper) -> list[RunBundle]:
             refs.setdefault(served[-1], ref)
     rates = dict(zip(refs, mapper(_reference_rate, list(refs.values()),
                                   [source] * len(refs))))
-
-    def run(todo):   # the bundles of points todo, by index
-        return dict(zip(todo, mapper(_run_point, [points[i] for i in todo],
-                                     [source] * len(todo),
-                                     [rates.get(served[i]) for i in todo])))
-    bundles = run(sorted({keys.index(k) for k in served if k in keys}))
-    for i, b in bundles.items():   # a point that is a reference gives its rate
-        rates[keys[i]] = b.report.coincidence_rate_cps, b.report.coincidence_rate_err
-    bundles.update(run([i for i in range(len(points)) if i not in bundles]))
-    return [bundles[i] for i in range(len(points))]
+    bundles = list(mapper(_run_point, points, [source] * len(points)))
+    own = [(b.report.coincidence_rate_cps, b.report.coincidence_rate_err)
+           for b in bundles]
+    for b, k, rate in zip(bundles, served, own):
+        if k is not None:   # the first point that holds a reference's key is it
+            b.report = replace(b.report, **_modes(
+                b.scenario, rate, (b.report.g2, b.report.g2_err),
+                rates[k] if k in rates else own[keys.index(k)]))
+    return bundles
 
 
 def run_sweep(s: Scenario, jobs: int = 1) -> list[RunBundle]:
@@ -598,8 +598,8 @@ def run_sweep(s: Scenario, jobs: int = 1) -> list[RunBundle]:
     run.  When a point runs that reference's model (the single-mode point
     of an afc_modes sweep), that point's run is the reference; otherwise
     the reference takes the seed the first of them would give its own.
-    ``jobs`` > 1 runs the references, then the points, in a pool of at
-    most one process per point."""
+    ``jobs`` > 1 runs the other references, then every point at once, in a
+    pool of at most one process per point; N_eff is set after all runs."""
     points = sweep_scenarios(s)
     if not points:
         raise ScenarioError("scenario has no sweep block")

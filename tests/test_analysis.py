@@ -439,6 +439,11 @@ def test_estimate_fsr_failures():
         estimate_fsr([], k_max=30)
     with pytest.raises(EstimationError):
         estimate_fsr([(0.0, 1.0)], k_max=30)
+    # two peaks at one delay, or out of order
+    for rows in ([(0.0, 1.0), (1e-9, 1.0), (1e-9, 1.0)],
+                 [(0.0, 1.0), (2e-9, 1.0), (1e-9, 1.0)]):
+        with pytest.raises(EstimationError, match="strictly increasing"):
+            estimate_fsr(rows, k_max=30)
 
 
 # ---------------------------------------------------------------------------

@@ -336,3 +336,12 @@ def test_spectrum_rejects_mismatched_lengths():
         pm.BiphotonSpectrum(np.arange(3), np.ones(3), np.ones(2), np.ones(3))
     with pytest.raises(ParameterError):
         pm.BiphotonSpectrum(np.arange(3), np.ones(3), np.ones(3), np.ones(4))
+
+
+def test_spectrum_rejects_no_modes_and_bad_weights():
+    with pytest.raises(EmptySpectrumError, match="at least one mode"):
+        pm.BiphotonSpectrum(*[np.empty(0)] * 4)
+    for weights in ([1.0, -0.5, 1.0], [0.0, 0.0, 0.0]):
+        with pytest.raises(ParameterError, match="nonnegative"):
+            pm.BiphotonSpectrum(np.arange(3), np.ones(3), np.ones(3),
+                                np.array(weights))

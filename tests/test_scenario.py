@@ -544,7 +544,14 @@ def test_cli_rejects_bad_model_values(tmp_path, capsys, section, setting,
     assert run_cli(["validate", "--scenario", str(cfg)]) == code
     assert run_cli(["simulate", "--scenario", str(cfg),
                     "--out", str(tmp_path)]) == code
-    assert match in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert match in err
+    # a record's error names its section, once per command; the checks
+    # across records (the analysis geometry, the run) name their own
+    if (section.split(".")[0] in ("detector", "filter", "afc", "gating",
+                                  "phase_matching")
+            and match != "coincidence window"):
+        assert err.count(f"[{section}]") == 2
 
 
 # settings the generator cannot hold in int64 ps, or cannot draw: exit 2
@@ -1005,13 +1012,16 @@ def test_run_sweep_points_match_run_scenario(monkeypatch):
                          sweep_values=(1, 5, 11, 21))
     points = sweep_scenarios(afc)
     shared = reference_rate(points[1], pm.simulate(points[0]))
-    passed, run_point = [], pm.scenario._run_point
-    monkeypatch.setattr(pm.scenario, "_run_point", lambda p, source, rate:
-                        passed.append(rate) or run_point(p, source, rate))
+    passed, effective_modes = [], pm.analysis.effective_modes
+    monkeypatch.setattr(pm.analysis, "effective_modes", lambda rate, single:
+                        passed.append((rate, single))
+                        or effective_modes(rate, single))
     bundles = pm.run_sweep(afc)
-    # the shared (rate, error) reaches every multi-mode point, whatever
-    # the sign of this one reference's net count
-    assert passed == [None] + [shared] * 3
+    # the shared (rate, error) reaches the N_eff of every multi-mode point,
+    # whatever the sign of this one reference's net count
+    assert passed == [((b.report.coincidence_rate_cps,
+                        b.report.coincidence_rate_err), shared)
+                      for b in bundles[1:]]
     r = bundles[0].report
     assert (r.n_effective, r.n_effective_err) == (1.0, 0.0)
     assert (r.coincidence_rate_cps, r.coincidence_rate_err) == shared
@@ -1064,6 +1074,23 @@ def test_pool_tasks_receive_a_built_sampler():
 
     pm.scenario._run_points(sweep_scenarios(s), mapper)
     assert len(built) == 2 and all(built)
+
+
+def test_run_points_maps_every_point_in_one_pass():
+    # runs are independent: one mapper call takes every point, and no task
+    # receives a reference rate; a 1-mode point leaves no reference to run
+    s = _shipped_sweep("sweep_afc_modes", duration_s=0.02)
+    calls = []
+
+    def mapper(fn, *iterables):
+        calls.append((fn, [len(x) for x in iterables]))
+        return map(fn, *iterables)
+
+    bundles = pm.scenario._run_points(sweep_scenarios(s), mapper)
+    assert calls == [(pm.scenario._reference_rate, [0, 0]),
+                     (pm.scenario._run_point, [6, 6])]
+    assert [b.scenario.afc_plan.mode_count for b in bundles] == [
+        1, 5, 11, 21, 45, 83]
 
 
 def test_cli_analyze_replays_simulate_with_reference_events(tmp_path):
@@ -1233,6 +1260,17 @@ def test_cli_rejects_bad_sweep_block(tmp_path, capsys, figure, sweep, match):
     err = capsys.readouterr().err
     assert err.count(match) == 2
     assert not (tmp_path / f"{figure}.csv").exists()
+
+
+def test_cli_figure_on_a_sweep_kind_with_no_values(tmp_path, capsys):
+    # the document loads, but the sweep has no point to run
+    cfg = tmp_path / "s.cfg"
+    cfg.write_text("[sweep]\nkind = afc_modes\n" + SHORT_RUN)
+    assert run_cli(["validate", "--scenario", str(cfg)]) == 0
+    assert run_cli(["figure", "--scenario", str(cfg), "--figure", "fig4b",
+                    "--out", str(tmp_path)]) == 2
+    assert "scenario has no sweep block" in capsys.readouterr().err
+    assert not (tmp_path / "fig4b.csv").exists()
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
