@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import replace
 
 from . import eventio, figures
 from .errors import (EstimationError, EventFormatError, ParameterError,
@@ -36,10 +37,7 @@ def _read_scenario(path, seed_override=None):
             except UnicodeDecodeError as exc:
                 raise ScenarioError(f"cannot parse scenario: {exc}") from exc
     s = load_scenario(text)
-    if seed_override is not None:
-        from dataclasses import replace
-        s = replace(s, seed=seed_override)
-    return s
+    return s if seed_override is None else replace(s, seed=seed_override)
 
 
 def _out_dir(args) -> str:
@@ -49,10 +47,8 @@ def _out_dir(args) -> str:
 
 
 def _write_text(path, text):
-    tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "w") as f:
+    with eventio._atomic_open(path, "w") as f:
         f.write(text)
-    os.replace(tmp, path)
 
 
 def cmd_validate(args) -> int:
@@ -81,8 +77,7 @@ def cmd_analyze(args) -> int:
     # each file streams once through the counters, in blocks
     rate_single = None
     if args.reference_events:
-        rate_single = reference_rate(
-            s, eventio.read_chunks(args.reference_events))
+        rate_single = reference_rate(s, eventio.read_chunks(args.reference_events))
     hist, report = analyze_events(s, eventio.read_chunks(args.events),
                                   rate_single=rate_single)
     out = _out_dir(args)

@@ -17,6 +17,7 @@ read would; read_events joins the chunks.
 
 from __future__ import annotations
 
+import contextlib
 import os
 import struct
 from dataclasses import replace
@@ -69,18 +70,30 @@ def chunks(stream: EventStream):
         yield replace(stream, signal_ps=sig[i:j], idler_ps=idl[a - i:b - j])
 
 
+@contextlib.contextmanager
+def _atomic_open(path, mode):
+    """``open(path, mode)`` through a temp file beside ``path``, moved onto
+    it once written: a write that raises leaves ``path`` as it was."""
+    tmp = f"{path}.tmp.{os.getpid()}"
+    try:
+        with open(tmp, mode) as f:
+            yield f
+        os.replace(tmp, path)
+    finally:   # after a failed write, the temp file goes too
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+
+
 def write_events(stream: EventStream, path) -> None:
     header = _HEADER.pack(MAGIC, VERSION, stream.seed, stream.duration_ps,
                           bytes.fromhex(stream.model_digest), len(stream))
-    tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "wb") as f:
+    with _atomic_open(path, "wb") as f:
         f.write(header)
         for block in chunks(stream):
             rec = np.empty(len(block), dtype=_RECORD_DTYPE)
             rec["channel"], rec["timestamp_ps"] = _merge_channels(
                 block.signal_ps, block.idler_ps)
             f.write(rec)
-    os.replace(tmp, path)
 
 
 def read_chunks(path):

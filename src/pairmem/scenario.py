@@ -46,24 +46,23 @@ class AnalysisSettings:
     # stay clear of the conditional-gate steps in the noise floor
     comb_fit_halfspan_s: float
 
-    def __post_init__(self):
+    def __post_init__(self):   # load_scenario names the section
         for name in ("bin_width_s", "window_s", "comb_fit_halfspan_s"):
             if not 0 < getattr(self, name) < math.inf:    # also rejects NaN
-                raise ScenarioError(f"[analysis] {name} must be finite and > 0")
+                raise ParameterError(f"{name} must be finite and > 0")
         for name in ("fsr_peak_count", "classical_mode_count"):
             n = getattr(self, name)   # None: auto
             if n is not None and n < 1:
-                raise ScenarioError(f"[analysis] {name} must be >= 1")
-        if not -math.inf < self.hist_min_s < self.hist_max_s < math.inf:
-            raise ScenarioError("[analysis] need finite hist_min_s < hist_max_s")
-        if not -math.inf < self.floor_min_s < self.floor_max_s < math.inf:
-            raise ScenarioError("[analysis] need finite floor_min_s < floor_max_s")
+                raise ParameterError(f"{name} must be >= 1")
+        for lo, hi in (("hist_min_s", "hist_max_s"), ("floor_min_s", "floor_max_s")):
+            if not -math.inf < getattr(self, lo) < getattr(self, hi) < math.inf:
+                raise ParameterError(f"need finite {lo} < {hi}")
         prom = self.min_prominence   # None: auto
         if prom is not None and not -math.inf < prom < math.inf:
-            raise ScenarioError("[analysis] min_prominence must be finite")
+            raise ParameterError("min_prominence must be finite")
         # self.ps: every time setting but an auto center, in whole ps
         object.__setattr__(self, "ps", {
-            k: whole_ps(v, k)   # load_scenario names the section
+            k: whole_ps(v, k)
             for k, v in vars(self).items() if k.endswith("_s") and v is not None})
 
 
@@ -495,10 +494,12 @@ class RunBundle:
 
 
 def single_mode_reference(s: Scenario) -> Scenario:
-    """Same scenario with a single-mode AFC, for effective-mode counting.
-    Cavity, spectrum and pump are kept, so it runs from the same source."""
+    """The single-mode reference that ``run_scenario(s)`` simulates for
+    effective-mode counting, at seed ``split_seed(s.seed, 0x5EF)``.  Cavity,
+    spectrum and pump are kept, so it runs from the same source."""
     return replace(s, afc_plan=replace(s.afc_plan, mode_count=1),
-                   reference_run=False, sweep_kind=None, sweep_values=())
+                   seed=split_seed(s.seed, 0x5EF), reference_run=False,
+                   sweep_kind=None, sweep_values=())
 
 
 def reference_rate(s: Scenario, ref_events) -> tuple[float, float]:
@@ -510,30 +511,16 @@ def reference_rate(s: Scenario, ref_events) -> tuple[float, float]:
 
 
 def _reference(s: Scenario) -> Scenario | None:
-    """Single-mode reference run of ``s``, with its seed; None when ``s``
-    takes none (reference off, no memory, or a single-mode AFC)."""
-    if not (s.reference_run and s.afc_plan is not None
-            and s.afc_plan.mode_count > 1):
-        return None
-    return replace(single_mode_reference(s), seed=split_seed(s.seed, 0x5EF))
-
-
-def _reference_rate(ref: Scenario, source: SourceModel) -> tuple[float, float]:
-    # the rate only reads the reference's tooth spacing and analysis
-    # settings, which it shares with every run it serves
-    return reference_rate(ref, simulate(ref, source))
-
-
-def _run_point(s: Scenario, source: SourceModel) -> RunBundle:
-    events = simulate(s, source)
-    hist, report = analyze_events(s, events)
-    return RunBundle(scenario=s, events=events, histogram=hist, report=report)
+    """Single-mode reference run of ``s``; None when ``s`` takes none
+    (reference off, no memory, or a single-mode AFC)."""
+    takes = s.reference_run and s.afc_plan is not None and s.afc_plan.mode_count > 1
+    return single_mode_reference(s) if takes else None
 
 
 def run_scenario(s: Scenario) -> RunBundle:
     """Deterministic end-to-end pipeline: spectrum, AFC, events, histogram,
     report.  A single-mode reference, when ``s`` takes one, runs first and
-    from the same source; its rate sets N_eff after the run."""
+    from the same source; only its rate is kept, to set N_eff after the run."""
     return _run_points([s], map)[0]
 
 
@@ -564,10 +551,11 @@ def sweep_scenarios(s: Scenario) -> list[Scenario]:
 def _run_points(points: list[Scenario], mapper) -> list[RunBundle]:
     """Bundles of ``points``, all from the first point's source: a sweep
     varies the AFC mode count or the pump, and neither changes the
-    spectrum.  Each run is keyed by its text with no seed and no
-    reference, and runs once.  One ``mapper`` pass keeps the rates of the
-    references that no point holds, and one runs every point on its own;
-    then each point that takes a reference gets its ``_modes`` from it."""
+    spectrum.  Each run is keyed by its text with no seed and no reference,
+    and runs once, in one ``mapper`` pass of ``simulate``: the references
+    that no point holds, then every point.  Each stream is counted here as
+    it returns, a reference's into its rate (dropped before the next run)
+    and a point's into its report; then ``_modes`` joins them."""
     source = source_model(points[0])
     source.sampler   # built once, here: a pool's tasks receive it pickled
 
@@ -579,9 +567,12 @@ def _run_points(points: list[Scenario], mapper) -> list[RunBundle]:
         served.append(None if ref is None else key(ref))
         if ref is not None and served[-1] not in keys:
             refs.setdefault(served[-1], ref)
-    rates = dict(zip(refs, mapper(_reference_rate, list(refs.values()),
-                                  [source] * len(refs))))
-    bundles = list(mapper(_run_point, points, [source] * len(points)))
+    runs = [*refs.values(), *points]
+    streams = mapper(simulate, runs, [source] * len(runs))
+    # a rate reads the echo delay and analysis that a reference shares with its runs
+    rates = {k: reference_rate(ref, next(streams)) for k, ref in refs.items()}
+    bundles = [RunBundle(p, events, *analyze_events(p, events))
+               for p, events in zip(points, streams)]
     own = [(b.report.coincidence_rate_cps, b.report.coincidence_rate_err)
            for b in bundles]
     for b, k, rate in zip(bundles, served, own):
@@ -598,8 +589,8 @@ def run_sweep(s: Scenario, jobs: int = 1) -> list[RunBundle]:
     run.  When a point runs that reference's model (the single-mode point
     of an afc_modes sweep), that point's run is the reference; otherwise
     the reference takes the seed the first of them would give its own.
-    ``jobs`` > 1 runs the other references, then every point at once, in a
-    pool of at most one process per point; N_eff is set after all runs."""
+    ``jobs`` > 1 runs them all in a pool of at most one process per point,
+    whose workers only simulate: this process counts each stream."""
     points = sweep_scenarios(s)
     if not points:
         raise ScenarioError("scenario has no sweep block")

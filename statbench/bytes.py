@@ -59,7 +59,9 @@ CASES = [
 REPLAYED = "calibration_1mw"
 
 # writes the single-mode reference of scenario argv[1] to argv[2] and
-# prints the seed a run gives it
+# prints the seed a run gives it.  The reference's simulate still takes
+# that seed by --seed: the other tree may predate single_mode_reference
+# setting the seed itself, and then writes the point's seed in argv[2]
 _REFERENCE = """\
 import sys
 import pairmem as pm

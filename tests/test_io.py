@@ -343,3 +343,30 @@ def test_analyze_of_a_faulty_file_writes_nothing(tmp_path, monkeypatch, capsys,
     assert message in capsys.readouterr().err
     assert not (out / "report.json").exists()
     assert not (out / "histogram.csv").exists()
+
+
+def test_a_failed_write_leaves_no_temp_file(tmp_path, monkeypatch):
+    # event and text writers alike: a write that raises part way removes
+    # its temp file and leaves the file it would replace as it was
+    from pairmem.cli import _write_text
+    monkeypatch.setattr(pm.eventio, "_CHUNK", 2)
+    merged = []
+
+    def merge_once(sig, idl):   # the second block's merge raises
+        if merged:
+            raise MemoryError("second block")
+        merged.append(1)
+        return _merge_channels(sig, idl)
+
+    monkeypatch.setattr(pm.eventio, "_merge_channels", merge_once)
+    events, text = tmp_path / "events.bin", tmp_path / "report.json"
+    events.write_bytes(b"old events")
+    text.write_text("old report")
+    with pytest.raises(MemoryError):
+        write_events(make_stream([100, 300], [200, 400]), events)
+    with pytest.raises(TypeError):
+        _write_text(text, b"not text")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["events.bin",
+                                                          "report.json"]
+    assert events.read_bytes() == b"old events"
+    assert text.read_text() == "old report"

@@ -5,6 +5,7 @@ import os
 import time
 import tracemalloc
 import warnings
+import weakref
 from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
@@ -111,9 +112,10 @@ def test_bad_histogram_settings_rejected(text, match):
 
 
 # SHA-256 of save_scenario (that is, the scenario digest) for the shipped
-# scenarios, their single-mode references and documents that exercise the
-# disabled blocks and every key that accepts "auto".  The canonical text is
-# the provenance of every report; these must not move.
+# scenarios, their single-mode references (each at the seed its run has)
+# and documents that exercise the disabled blocks and every key that
+# accepts "auto".  The canonical text is the provenance of every report;
+# these must not move.
 ALL_AUTO_KEYS_SET = (
     "[phase_matching]\nenvelope_center_hz = 494.75e12\n"
     "[afc]\nmode_spacing_hz = 123e6\ncenter_freq_hz = 494.701e12\n"
@@ -128,23 +130,23 @@ CANONICAL_SHA256 = {
     "calibration_1mw":
         "ce60f9b3a159bc467778ffa49ece45a0cb4304dec5b4995ccbab05835d418a82",
     "calibration_1mw.reference":
-        "2045e52b7e283d69061b19e21b178da6482955e0a2a2cf5dca82ccbb1aaa0916",
+        "e5cdc9d77ad1c7134f2798733e0a867f89c663ec2152dad176849ac6589ee4f8",
     "default":
         "b3c7ad14ffec87d64abc055c665cd7e68f02bcdba194ad3106dd51d8542d401a",
     "default.reference":
-        "9618b6141a34feea09d71fe1e6e7297028fd76b6cbd5e2102252fb0bdcf62b5a",
+        "e89409c7043eb1c21b6448ee30ad3008b9c931cb00a83481d831f96b30e2d098",
     "halfpower_0p5mw":
         "e9bf888b780c079302ba6b050d47b096d9b3cc4b860f1778676880ebd3b8c8cd",
     "halfpower_0p5mw.reference":
-        "337ce88e2be1293c8860b4bd9193d2487d0e31c477b5ed68347931dd57f43a3f",
+        "75c1a22d69ef0e439b407ee9f51dd98802dc04930955ed31147f91225f7219ee",
     "sweep_afc_modes":
         "84f2ea55065c7429bf5e51ab79609e19349c177af3c6b853f0559bc1cafe0586",
     "sweep_afc_modes.reference":
-        "477eb244a6a295c67bb227e99bd83fda764ec10b1b823a2ff20abf6b44c1df11",
+        "5777d9ee100d36b4aab2d1441093e31f55f415e4418efee7769af06943ba8105",
     "sweep_pump_power":
         "510d3644915cb1b2cf122057ab6a9dd1bf34041f35f6b00b76f72a0677a001c5",
     "sweep_pump_power.reference":
-        "dcafadcb6347e116307e9c8392e733673199c96918f454f5fb91af348b06397f",
+        "407f7ea8009195c67bf2edbb20ecb4e5580ef927ca79435bf78a2b6564a867c2",
     "afc_disabled":
         "edb26e7f9862d0a7a869560139513e9a4f96bb8b959d69390b55a43a51a99ef8",
     "gating_disabled":
@@ -1077,20 +1079,45 @@ def test_pool_tasks_receive_a_built_sampler():
 
 
 def test_run_points_maps_every_point_in_one_pass():
-    # runs are independent: one mapper call takes every point, and no task
-    # receives a reference rate; a 1-mode point leaves no reference to run
+    # runs are independent: one mapper call simulates every run, the
+    # references that no point holds first; a 1-mode point leaves no
+    # reference to run
     s = _shipped_sweep("sweep_afc_modes", duration_s=0.02)
-    calls = []
+    calls, runs = [], []
 
     def mapper(fn, *iterables):
         calls.append((fn, [len(x) for x in iterables]))
+        runs.append(iterables[0])
         return map(fn, *iterables)
 
     bundles = pm.scenario._run_points(sweep_scenarios(s), mapper)
-    assert calls == [(pm.scenario._reference_rate, [0, 0]),
-                     (pm.scenario._run_point, [6, 6])]
+    assert calls == [(pm.scenario.simulate, [6, 6])]
     assert [b.scenario.afc_plan.mode_count for b in bundles] == [
         1, 5, 11, 21, 45, 83]
+
+    calls.clear()
+    points = sweep_scenarios(replace(s, sweep_values=(5, 11, 21)))
+    pm.scenario._run_points(points, mapper)
+    assert calls == [(pm.scenario.simulate, [4, 4])]
+    assert runs[-1] == [single_mode_reference(points[0]), *points]
+
+
+def test_reference_stream_is_dropped_before_the_next_run(monkeypatch):
+    # under map a reference's stream is counted as it returns, and no name
+    # holds it while the point's run generates
+    s = replace(pm.default_scenario(), duration_s=0.02)
+    simulate, refs, starts = pm.scenario.simulate, [], []
+
+    def traced(x, source):
+        starts.append([r() is None for r in refs])
+        events = simulate(x, source)
+        if x.afc_plan.mode_count == 1:
+            refs.append(weakref.ref(events))
+        return events
+
+    monkeypatch.setattr(pm.scenario, "simulate", traced)
+    pm.run_scenario(s)
+    assert starts == [[], [True]]
 
 
 def test_cli_analyze_replays_simulate_with_reference_events(tmp_path):
@@ -1102,8 +1129,7 @@ def test_cli_analyze_replays_simulate_with_reference_events(tmp_path):
     ref_cfg.write_text(pm.save_scenario(single_mode_reference(s)))
     run, ref, replay, bare = (tmp_path / d for d in ("run", "ref", "replay", "bare"))
     assert run_cli(["simulate", "--scenario", str(cfg), "--out", str(run)]) == 0
-    assert run_cli(["simulate", "--scenario", str(ref_cfg), "--out", str(ref),
-                    "--seed", str(pm.split_seed(s.seed, 0x5EF))]) == 0
+    assert run_cli(["simulate", "--scenario", str(ref_cfg), "--out", str(ref)]) == 0
     events = ["--scenario", str(cfg), "--events", str(run / "events.bin")]
     assert run_cli(["analyze", *events, "--out", str(replay),
                     "--reference-events", str(ref / "events.bin")]) == 0
@@ -1336,17 +1362,20 @@ def test_seed_range_ends_load():
 
 
 def test_run_sweep_process_pool_matches_serial():
-    # two worker processes; the 5- and 11-mode points share one reference
-    s = replace(pm.default_scenario(), duration_s=0.05, sweep_kind="afc_modes",
-                sweep_values=(1, 5, 11))
-    serial, pooled = pm.run_sweep(s, jobs=1), pm.run_sweep(s, jobs=2)
-    assert [b.scenario for b in pooled] == [b.scenario for b in serial]
-    for a, b in zip(serial, pooled, strict=True):
-        assert b.report.to_json() == a.report.to_json()
-        assert np.array_equal(b.events.signal_ps, a.events.signal_ps)
-        assert np.array_equal(b.events.idler_ps, a.events.idler_ps)
-        assert ((b.events.duration_ps, b.events.seed, b.events.model_digest)
-                == (a.events.duration_ps, a.events.seed, a.events.model_digest))
+    # two worker processes; the 5- and 11-mode points share one reference,
+    # the 1-mode point's run or, without it, a run of its own in the pool
+    for values in ((1, 5, 11), (5, 11)):
+        s = replace(pm.default_scenario(), duration_s=0.05,
+                    sweep_kind="afc_modes", sweep_values=values)
+        serial, pooled = pm.run_sweep(s, jobs=1), pm.run_sweep(s, jobs=2)
+        assert [b.scenario for b in pooled] == [b.scenario for b in serial]
+        for a, b in zip(serial, pooled, strict=True):
+            assert b.report.to_json() == a.report.to_json()
+            assert np.array_equal(b.events.signal_ps, a.events.signal_ps)
+            assert np.array_equal(b.events.idler_ps, a.events.idler_ps)
+            assert ((b.events.duration_ps, b.events.seed, b.events.model_digest)
+                    == (a.events.duration_ps, a.events.seed,
+                        a.events.model_digest))
 
 
 @pytest.mark.parametrize("jobs, pools", [
