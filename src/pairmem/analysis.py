@@ -5,16 +5,17 @@ multimode classical bound.
 
 Every start-stop count goes through one accumulator, ``PairCounter``, fed
 a run's ``EventStream`` blocks in time order, of any size (a whole stream
-is one block; ``eventio.read_chunks`` gives a file's, ``eventio.chunks`` a
-stream's in the same blocks): its ``add(block)`` alone says that idler
-clicks start and signal clicks stop.  A pair belongs to the block of its
-stop, and a stop is counted once it is complete: once a record read is
-strictly later than the stop less the histogram's first edge, or the run
-has ended.  Only the stops not yet complete and the starts that a pending
-or later stop can still reach are held, so a run is counted in memory
-that does not grow with it.  Every bin rule is here too: ``floor_bins``,
-``window_bins`` (the one coincidence window, which g2 and the rate sum),
-and the ``comb_bins`` of the ``comb_view`` that the comb estimators read.
+is one block; ``eventio.read_chunks`` gives a file's time-cut blocks,
+``eventio.chunks`` a stream's, the same ones): its ``add(block)`` alone
+says that idler clicks start and signal clicks stop.  A pair belongs to
+the block of its stop, and a stop is counted once it is complete: once a
+timestamp read is strictly later than the stop less the histogram's first
+edge, or the run has ended.  Only the stops not yet complete and the
+starts that a pending or later stop can still reach are held, so a run is
+counted in memory that does not grow with it.  Every bin rule is here
+too: ``floor_bins``, ``window_bins`` (the one coincidence window, which g2
+and the rate sum), and the ``comb_bins`` of the ``comb_view`` that the
+comb estimators read.
 """
 
 from __future__ import annotations

@@ -1,18 +1,19 @@
 """Event-stream serialization: the binary wire format.
 
 Binary layout (little-endian): magic ``PMEV``, version u16, seed u64,
-duration u64 (ps), model digest (32 raw sha256 bytes), record count u64,
-then per record a channel byte (0 = signal, 1 = idler) and a u64
-timestamp in picoseconds, records sorted by timestamp, signal first among
-equal ones.  Readers reject other channel codes, timestamps that go
-backwards or past the duration, and durations from 2**63 ps.  Only this
-module knows the merged order: chunks walks a stream's two channel
-arrays ``_CHUNK`` records at a time, from one array of signal positions,
-write_events merges each of those blocks, and read_chunks splits them
-again, ``_CHUNK`` records at a time through one reused buffer.  Each
-chunk is checked before it is passed on, against the last timestamp of
-the chunk before it too, so a fault names its record as a whole-file
-read would; read_events joins the chunks.
+duration u64 (ps), model digest (32 raw sha256 bytes), event count u64,
+then blocks ``[end_ps u64][n_signal u32][n_idler u32][signal u64 ...]
+[idler u64 ...]`` of picosecond timestamps.  Every timestamp of block k
+lies in [end of block k-1, end of block k); the last block ends at the
+duration plus one.  Only this module knows the layout: ``chunks`` is the
+one cutter, a block ends wherever either channel passes another
+``_CHUNK`` events, write_events writes its views as they are, and
+read_chunks yields the blocks a file holds.  Readers check a block's
+counts against the bytes left before they allocate it, then each
+channel's order, the duration and the block bounds, and at the end the
+header's count; a fault names its block and index.  They reject other
+versions (version 1 interleaved the channels into 9-byte records) and
+durations from 2**63 ps; read_events joins the blocks.
 """
 
 from __future__ import annotations
@@ -28,46 +29,29 @@ from .errors import EventFormatError
 from .montecarlo import EventStream
 
 MAGIC = b"PMEV"
-VERSION = 1
-CH_SIGNAL = 0
-CH_IDLER = 1
+VERSION = 2
 _HEADER = struct.Struct("<4sHQQ32sQ")
-_RECORD_DTYPE = np.dtype([("channel", "u1"), ("timestamp_ps", "<u8")])
-_CHUNK = 1 << 15   # records per write or read: ~0.6 MiB of record and channel arrays
-
-
-def _signal_records(sig_ps: np.ndarray, idl_ps: np.ndarray) -> np.ndarray:
-    """Record index of each signal event when two sorted channels are
-    merged by timestamp, signal first: it lands after the signal events
-    before it and the idler events strictly earlier."""
-    at = np.searchsorted(idl_ps, sig_ps, side="left")
-    at += np.arange(len(at))
-    return at
-
-
-def _merge_channels(sig_ps: np.ndarray, idl_ps: np.ndarray):
-    """(channels, timestamps) of two sorted channels merged, ordered as
-    ``np.lexsort((ch, ts))`` orders them."""
-    at = _signal_records(sig_ps, idl_ps)
-    ch = np.full(len(sig_ps) + len(idl_ps), CH_IDLER, np.uint8)
-    ch[at] = CH_SIGNAL
-    ts = np.empty(len(ch), np.uint64)
-    ts[at] = sig_ps
-    ts[ch == CH_IDLER] = idl_ps
-    return ch, ts
+_BLOCK = struct.Struct("<QII")   # end_ps, n_signal, n_idler
+_CHUNK = 1 << 15   # events per channel per block: at most 0.5 MiB of timestamps
 
 
 def chunks(stream: EventStream):
-    """The blocks, views of its arrays, that ``read_chunks`` yields for the
-    file of ``stream``; each is a run of the merged order, so merging its
-    two channels gives its records."""
+    """(end_ps, block) of each time-cut block of ``stream``, views of its
+    arrays: the blocks ``read_chunks`` yields for the file of ``stream``.
+    There is at least one, also for an empty stream."""
     sig, idl = stream.signal_ps, stream.idler_ps
-    n = len(stream)
-    at = _signal_records(sig, idl)
-    for a in range(0, max(n, 1), _CHUNK):
-        b = min(a + _CHUNK, n)
-        i, j = np.searchsorted(at, (a, b))   # the signals in records [a, b)
-        yield replace(stream, signal_ps=sig[i:j], idler_ps=idl[a - i:b - j])
+    i = j = 0
+    while True:
+        cuts = [ch[k + _CHUNK] for ch, k in ((sig, i), (idl, j)) if k + _CHUNK < len(ch)]
+        if not cuts:
+            yield stream.duration_ps + 1, replace(stream, signal_ps=sig[i:], idler_ps=idl[j:])
+            return
+        # equal times share one block, which holds at least the first of them
+        first = min(ch[k] for ch, k in ((sig, i), (idl, j)) if k < len(ch))
+        end = max(min(cuts), first + 1)   # a uint64: searched without a cast
+        i2, j2 = np.searchsorted(sig, end), np.searchsorted(idl, end)
+        yield int(end), replace(stream, signal_ps=sig[i:i2], idler_ps=idl[j:j2])
+        i, j = i2, j2
 
 
 @contextlib.contextmanager
@@ -89,17 +73,34 @@ def write_events(stream: EventStream, path) -> None:
                           bytes.fromhex(stream.model_digest), len(stream))
     with _atomic_open(path, "wb") as f:
         f.write(header)
-        for block in chunks(stream):
-            rec = np.empty(len(block), dtype=_RECORD_DTYPE)
-            rec["channel"], rec["timestamp_ps"] = _merge_channels(
-                block.signal_ps, block.idler_ps)
-            f.write(rec)
+        for end, block in chunks(stream):
+            f.write(_BLOCK.pack(end, len(block.signal_ps), len(block.idler_ps)))
+            f.write(np.ascontiguousarray(block.signal_ps, "<u8"))
+            f.write(np.ascontiguousarray(block.idler_ps, "<u8"))
+
+
+def _check_block(where, ts, start, end, duration_ps):
+    """Raise on the first fault of one channel ``ts`` of a block spanning
+    [start, end); ``where`` names the block and the channel."""
+    if not len(ts):
+        return
+    back = np.flatnonzero(ts[1:] < ts[:-1])
+    if len(back):
+        i = back[0] + 1
+        raise EventFormatError(f"{where} {i}: timestamp {ts[i]} ps precedes {ts[i - 1]} ps")
+    if ts[-1] > duration_ps:
+        i = int(np.searchsorted(ts, np.uint64(duration_ps), side="right"))
+        raise EventFormatError(f"{where} {i}: timestamp {ts[i]} ps exceeds "
+                               f"the duration {duration_ps} ps")
+    if ts[0] < start or ts[-1] >= end:
+        i = 0 if ts[0] < start else int(np.searchsorted(ts, np.uint64(end)))
+        raise EventFormatError(f"{where} {i}: timestamp {ts[i]} ps is outside "
+                               f"[{start}, {end}) ps")
 
 
 def read_chunks(path):
-    """The records of an event file as consecutive EventStream blocks of
-    at most ``_CHUNK`` records (one empty block for an empty file), read
-    into one reused buffer and checked as they come."""
+    """The blocks of an event file as EventStreams in time order, each in
+    arrays of its own, checked as they come."""
     with open(path, "rb") as f:
         head = f.read(_HEADER.size)
         if len(head) < _HEADER.size:
@@ -108,40 +109,29 @@ def read_chunks(path):
         if magic != MAGIC:
             raise EventFormatError(f"bad magic {magic!r}")
         if version != VERSION:
-            raise EventFormatError(f"unsupported event-format version {version}")
+            raise EventFormatError(f"unsupported event-format version {version} "
+                                   f"(this reader reads version {VERSION})")
         if duration_ps >= 2 ** 63:   # the estimators read timestamps as int64
             raise EventFormatError(f"duration {duration_ps} ps is not below 2**63")
-        n_bytes = os.fstat(f.fileno()).st_size - _HEADER.size
-        if n_bytes != count * _RECORD_DTYPE.itemsize:
-            raise EventFormatError(
-                f"truncated event file: expected {count} records, "
-                f"got {n_bytes / _RECORD_DTYPE.itemsize:.1f}")
-        buf = np.empty(min(count, _CHUNK), dtype=_RECORD_DTYPE)
-        prev = 0   # the last timestamp read
-        for a in range(0, max(count, 1), _CHUNK):   # an empty file: one block
-            rec = buf[:min(_CHUNK, count - a)]
-            if f.readinto(rec) != rec.nbytes:
-                raise EventFormatError(f"truncated event file at record {a}")
-            channels, ts = rec["channel"], rec["timestamp_ps"]
-            bad = np.flatnonzero(channels > CH_IDLER)   # codes are 0 and 1
-            if len(bad):
-                raise EventFormatError(
-                    f"record {a + bad[0]}: unknown channel byte {channels[bad[0]]}")
-            back = [0] if len(ts) and ts[0] < prev \
-                else np.flatnonzero(ts[1:] < ts[:-1]) + 1
-            if len(back):
-                i = back[0]
-                raise EventFormatError(f"record {a + i}: timestamp {ts[i]} ps "
-                                       f"precedes {ts[i - 1] if i else prev} ps")
-            if len(ts) and ts[-1] > duration_ps:   # ts is sorted: search it
-                i = int(np.searchsorted(ts, np.uint64(duration_ps), side="right"))
-                raise EventFormatError(f"record {a + i}: timestamp {ts[i]} ps "
-                                       f"exceeds the duration {duration_ps} ps")
-            prev = ts[-1] if len(ts) else prev
-            sig = channels == CH_SIGNAL
-            yield EventStream(signal_ps=ts[sig], idler_ps=ts[~sig],
-                              duration_ps=duration_ps, seed=seed,
-                              model_digest=digest.hex())
+        left = os.fstat(f.fileno()).st_size - _HEADER.size
+        k = start = total = 0
+        while k == 0 or left:   # at least one block
+            head = f.read(_BLOCK.size)
+            if len(head) < _BLOCK.size:
+                raise EventFormatError(f"block {k}: truncated block header")
+            end, n_sig, n_idl = _BLOCK.unpack(head)
+            left -= _BLOCK.size + 8 * (n_sig + n_idl)
+            if left < 0:
+                raise EventFormatError(f"block {k}: truncated: {n_sig} signal and "
+                                       f"{n_idl} idler events pass the end of the file")
+            sig, idl = (np.fromfile(f, "<u8", n) for n in (n_sig, n_idl))
+            _check_block(f"block {k}: signal", sig, start, end, duration_ps)
+            _check_block(f"block {k}: idler", idl, start, end, duration_ps)
+            yield EventStream(signal_ps=sig, idler_ps=idl, duration_ps=duration_ps,
+                              seed=seed, model_digest=digest.hex())
+            k, start, total = k + 1, max(start, end), total + n_sig + n_idl
+        if total != count:
+            raise EventFormatError(f"the blocks hold {total} events, the header {count}")
 
 
 def read_events(path) -> EventStream:

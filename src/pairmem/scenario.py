@@ -399,13 +399,16 @@ def simulate(s: Scenario, source: SourceModel | None = None) -> EventStream:
 def _count(s: Scenario, events, gating=None) -> tuple[an.PairCounter, EventStream]:
     """The ``PairCounter`` over the histogram of the analysis settings of
     ``s``, with the singles of ``gating`` (a GatingSequence), fed
-    ``events``: an EventStream, counted in the blocks ``eventio.chunks``
-    walks, or the consecutive blocks of one that ``eventio.read_chunks``
-    yields.  Returns it and the last block."""
+    ``events``: an EventStream, counted in the time-cut blocks
+    ``eventio.chunks`` cuts, which are those a read of its file yields, or
+    the consecutive blocks of one that ``eventio.read_chunks`` yields.
+    Returns it and the last block."""
     ps = s.analysis.ps
     counter = an.PairCounter(an.histogram_edges(
         ps["bin_width_s"], (ps["hist_min_s"], ps["hist_max_s"])), gating)
-    for block in eventio.chunks(events) if isinstance(events, EventStream) else events:
+    blocks = ((b for _, b in eventio.chunks(events))
+              if isinstance(events, EventStream) else events)
+    for block in blocks:
         counter.add(block)
     return counter.close(), block
 

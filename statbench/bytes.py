@@ -25,7 +25,11 @@ it differs.  After a moved ``.json`` file, one ``field`` line per top-level
 key whose value differs: the key, its value here and there.  After a moved
 ``.csv`` file with the same header and row count on both trees, one
 ``column`` line per column that differs, with the number of rows that
-differ in it.  ``--scenario`` keeps the outputs of the named scenarios only;
+differ in it.  After a moved ``.bin`` event file, one ``stream`` line:
+``held`` or ``moved``, and the sha256 of the stream the file holds (seed,
+duration, model digest and both channels), each tree decoding its own
+file with its own ``pairmem.read_events``, so that a change of the file
+format alone reads ``stream held``.  ``--scenario`` keeps the outputs of the named scenarios only;
 ``--duration`` shortens every run.  Exit 0 when every file is held, 1
 when a file moved or is missing, 2 when a command fails.
 """
@@ -69,6 +73,18 @@ from pairmem.scenario import single_mode_reference
 s = pm.load_scenario(open(sys.argv[1]).read())
 open(sys.argv[2], "w").write(pm.save_scenario(single_mode_reference(s)))
 print(pm.split_seed(s.seed, 0x5EF))
+"""
+
+# prints the sha256 of the stream that event file argv[1] holds, as the
+# pairmem on PYTHONPATH reads it
+_STREAM = """\
+import hashlib, sys
+import pairmem as pm
+ev = pm.read_events(sys.argv[1])
+h = hashlib.sha256(f"{ev.seed} {ev.duration_ps} {ev.model_digest}".encode())
+h.update(ev.signal_ps.astype("<u8").tobytes())
+h.update(ev.idler_ps.astype("<u8").tobytes())
+print(h.hexdigest())
 """
 
 
@@ -188,6 +204,15 @@ def moved_parts(here: Path, there: Path) -> list[str]:
     return []
 
 
+def stream_parts(here: Path, there: Path, trees: tuple[Path, Path]) -> list[str]:
+    """The ``stream`` line of a moved event file: each tree of ``trees``
+    decodes its own file, ``here`` on the first and ``there`` on the other."""
+    a, b = (_run(tree, ["-c", _STREAM, str(path)], path.parent)[0].strip()
+            for tree, path in zip(trees, (here, there)))
+    return [f"{'stream':7} {'held' if a == b else 'moved'}  {a}"
+            + ("" if a == b else f"  (against: {b})")]
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     p.add_argument("--against", required=True, type=Path,
@@ -206,18 +231,20 @@ def main(argv=None) -> int:
             p.error(f"{tree} holds no src/pairmem and scenarios/")
     with tempfile.TemporaryDirectory(prefix="statbench-bytes-") as out:
         sides = Path(out) / "this", Path(out) / "against"
+        trees = ROOT, args.against.resolve()
         try:
             rss = []
-            for tree, side in zip((ROOT, args.against), sides):
+            for tree, side in zip(trees, sides):
                 side.mkdir()
-                rss.append(write_outputs(tree.resolve(), side, scenarios,
-                                         args.duration))
+                rss.append(write_outputs(tree, side, scenarios, args.duration))
+            rows = compare(*sides)
+            parts = {name: stream_parts(sides[0] / name, sides[1] / name, trees)
+                     if name.endswith(".bin") else
+                     moved_parts(sides[0] / name, sides[1] / name)
+                     for status, name, _, _ in rows if status == "moved"}
         except CommandFailed as exc:
             print(f"command failed: {exc}", file=sys.stderr)
             return 2
-        rows = compare(*sides)
-        parts = {name: moved_parts(sides[0] / name, sides[1] / name)
-                 for status, name, _, _ in rows if status == "moved"}
     for case in rss[0]:
         print(f"rss     {rss[0][case]:8.1f} {rss[1][case]:8.1f}  {case}")
     for status, name, here, there in rows:

@@ -11,6 +11,8 @@ import importlib.util
 import re
 from pathlib import Path
 
+import numpy as np
+
 import pairmem.cli
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -115,3 +117,15 @@ def test_traced_targets_resolve():
         if owner is None or attr not in vars(owner):
             missing.append(f"{owner_path}.{attr}")
     assert missing == []
+
+
+def test_workload_event_count_reads_the_event_header(tmp_path):
+    # the workloads count a run's events from its file's header: a header
+    # change that broke that count would fail only inside a benchmark run
+    workloads = load(PERFBENCH / "workloads.py", "perfbench_workloads")
+    ev = pairmem.montecarlo.EventStream(
+        signal_ps=np.arange(0, 90, 9, dtype=np.uint64),
+        idler_ps=np.arange(0, 90, 2, dtype=np.uint64),
+        duration_ps=100, seed=3, model_digest="ef" * 32)
+    pairmem.write_events(ev, tmp_path / "events.bin")
+    assert workloads.event_count(tmp_path / "events.bin") == len(ev)

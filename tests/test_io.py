@@ -4,8 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 import pairmem as pm
 from pairmem.analysis import PairCounter
-from pairmem.eventio import (CH_IDLER, CH_SIGNAL, MAGIC, VERSION, _HEADER,
-                             _RECORD_DTYPE, _merge_channels, chunks,
+from pairmem.eventio import (MAGIC, VERSION, _BLOCK, _HEADER, chunks,
                              read_chunks, read_events, write_events)
 from pairmem.scenario import _count
 from pairmem.errors import EstimationError, EventFormatError, ParameterError
@@ -49,23 +48,6 @@ def test_binary_empty_stream(tmp_path):
     assert len(back) == 0
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.lists(st.integers(0, 6), max_size=12),
-       st.lists(st.integers(0, 6), max_size=12))
-def test_merge_channels_matches_lexsort(sig, idl):
-    # few distinct values: equal timestamps within and across channels
-    sig_ps = np.sort(np.array(sig, dtype=np.uint64))
-    idl_ps = np.sort(np.array(idl, dtype=np.uint64))
-    ch = np.concatenate([np.full(len(sig_ps), CH_SIGNAL, np.uint8),
-                         np.full(len(idl_ps), CH_IDLER, np.uint8)])
-    ts = np.concatenate([sig_ps, idl_ps])
-    order = np.lexsort((ch, ts))
-    got_ch, got_ts = _merge_channels(sig_ps, idl_ps)
-    assert got_ch.dtype == np.uint8 and got_ts.dtype == np.uint64
-    assert np.array_equal(got_ch, ch[order])
-    assert np.array_equal(got_ts, ts[order])
-
-
 @settings(max_examples=50, deadline=None)
 @given(st.lists(st.integers(0, 2**60), min_size=1, max_size=8),
        st.lists(st.integers(0, 20), max_size=30),
@@ -87,14 +69,6 @@ def test_binary_roundtrip_property(tmp_path_factory, values, sig, idl, seed,
     assert np.array_equal(back.idler_ps, idl_ps)
     assert (back.duration_ps, back.seed, back.model_digest) \
         == (duration_ps, seed, digest.hex())
-    # the records are both channels in np.lexsort((ch, ts)) order
-    ch = np.repeat(np.array([CH_SIGNAL, CH_IDLER], np.uint8),
-                   [len(sig_ps), len(idl_ps)])
-    ts = np.concatenate([sig_ps, idl_ps])
-    order = np.lexsort((ch, ts))
-    rec = np.empty(len(ts), dtype=_RECORD_DTYPE)
-    rec["channel"], rec["timestamp_ps"] = ch[order], ts[order]
-    assert path.read_bytes()[_HEADER.size:] == rec.tobytes()
 
 
 def test_binary_rejects_bad_magic(tmp_path):
@@ -132,24 +106,23 @@ def test_binary_rejects_future_version(tmp_path):
         read_events(path)
 
 
-def test_binary_rejects_unknown_channel(tmp_path):
-    ev = make_stream([1, 3], [2])
-    path = tmp_path / "ch.bin"
-    write_events(ev, path)
-    raw = bytearray(path.read_bytes())
-    raw[-9] = 7  # channel byte of the last record
-    path.write_bytes(bytes(raw))
-    with pytest.raises(EventFormatError, match="record 2: unknown channel"):
-        read_events(path)
+def event_file(blocks, duration_ps=10**12, total=None, version=VERSION):
+    """The bytes of an event file of hand-made (end, signal, idler) blocks;
+    ``total`` (default: the events in them) is the header's count."""
+    body = b"".join(_BLOCK.pack(end, len(sig), len(idl))
+                    + np.array([*sig, *idl], "<u8").tobytes()
+                    for end, sig, idl in blocks)
+    if total is None:
+        total = sum(len(sig) + len(idl) for _, sig, idl in blocks)
+    return _HEADER.pack(MAGIC, version, 7, duration_ps, bytes(32), total) + body
 
 
 def test_binary_rejects_backwards_timestamps(tmp_path):
-    # write_events only writes ordered files: build the records by hand
+    # write_events only writes ordered files: build the blocks by hand
     path = tmp_path / "order.bin"
-    rec = np.array([(0, 5), (1, 9), (0, 7), (1, 11)], dtype=_RECORD_DTYPE)
-    path.write_bytes(_HEADER.pack(MAGIC, VERSION, 7, 10**12, bytes(32), len(rec))
-                     + rec.tobytes())
-    with pytest.raises(EventFormatError, match="record 2: timestamp 7 ps"):
+    path.write_bytes(event_file([(100, [5, 7], [9, 8])]))
+    with pytest.raises(EventFormatError,
+                       match="block 0: idler 1: timestamp 8 ps precedes 9 ps"):
         read_events(path)
     # equal timestamps are allowed (a signal and an idler in one picosecond)
     write_events(make_stream([5], [5, 6]), path)
@@ -163,13 +136,27 @@ def test_binary_rejects_timestamps_past_duration(tmp_path):
     back = read_events(path)   # a timestamp may equal the duration
     assert back.signal_ps.tolist() == [5, 10]
     write_events(make_stream([5, 11], [10], duration_ps=10), path)
-    with pytest.raises(EventFormatError,
-                       match="record 2: timestamp 11 ps exceeds the duration"):
+    with pytest.raises(EventFormatError, match="block 0: signal 1: "
+                       "timestamp 11 ps exceeds the duration 10 ps"):
         read_events(path)
     # int64 views of the timestamps are exact: no duration reaches 2**63
     write_events(make_stream([5], [], duration_ps=2**63), path)
     with pytest.raises(EventFormatError, match="2\\*\\*63"):
         read_events(path)
+
+
+def test_read_blocks_own_their_memory(tmp_path, monkeypatch):
+    # blocks kept until the read ends still hold their own events: a reader
+    # that reused one buffer would overwrite the earlier ones
+    monkeypatch.setattr(pm.eventio, "_CHUNK", 3)
+    ev = make_stream(np.arange(0, 200, 7), np.arange(0, 200, 3))
+    path = tmp_path / "blocks.bin"
+    write_events(ev, path)
+    blocks = list(read_chunks(path))
+    assert len(blocks) > 10
+    for ch in ("signal_ps", "idler_ps"):
+        assert np.concatenate([getattr(b, ch) for b in blocks]).tolist() \
+            == getattr(ev, ch).tolist()
 
 
 def test_binary_matches_simulation_output(tmp_path):
@@ -189,31 +176,31 @@ def test_binary_reserialization_byte_identical_large(tmp_path):
     n = 1_000_000
     ts = np.sort(rng.integers(0, 2**50, size=n, dtype=np.uint64))
     ch = rng.integers(0, 2, size=n, dtype=np.uint8)
-    ev = make_stream(ts[ch == CH_SIGNAL], ts[ch == CH_IDLER], duration_ps=2**50)
+    ev = make_stream(ts[ch == 0], ts[ch == 1], duration_ps=2**50)
     p1, p2 = tmp_path / "a.bin", tmp_path / "b.bin"
     write_events(ev, p1)
     write_events(read_events(p1), p2)
     assert p1.read_bytes() == p2.read_bytes()
 
 
-def record_file(path, records, duration_ps=10**12):
-    """An event file of hand-made (channel, timestamp) records."""
-    rec = np.array(records, dtype=_RECORD_DTYPE)
-    path.write_bytes(_HEADER.pack(MAGIC, VERSION, 7, duration_ps, bytes(32),
-                                  len(rec)) + rec.tobytes())
-    return path
-
-
-# ten records 10 ps apart, signal and idler in turn, and one fault each
-# past the first chunk of four: (records, duration, the whole-file message)
-ORDERED = [(k % 2, 10 * (k + 1)) for k in range(10)]
+# ten events 10 ps apart, signal and idler in turn, in three time-cut
+# blocks, and one fault each past the first block: (file bytes, message)
+ORDERED = [(45, [10, 30], [20, 40]), (85, [50, 70], [60, 80]),
+           (10**12 + 1, [90], [100])]
 FAULTS = {
-    "channel": ([*ORDERED[:6], (7, 70), *ORDERED[7:]], 10**12,
-                "record 6: unknown channel byte 7"),
-    "backwards": ([*ORDERED[:4], (0, 25), *ORDERED[5:]], 10**12,
-                  "record 4: timestamp 25 ps precedes 40 ps"),
-    "duration": (ORDERED, 95,
-                 "record 9: timestamp 100 ps exceeds the duration 95 ps"),
+    "backwards": (event_file([ORDERED[0], (85, [70, 50], [60, 80]), ORDERED[2]]),
+                  "block 1: signal 1: timestamp 50 ps precedes 70 ps"),
+    "duration": (event_file(ORDERED, duration_ps=95),
+                 "block 2: idler 0: timestamp 100 ps exceeds the duration 95 ps"),
+    "bounds": (event_file([ORDERED[0], (85, [40, 70], [60, 80]), ORDERED[2]]),
+               "block 1: signal 0: timestamp 40 ps is outside [45, 85) ps"),
+    "counts": (event_file(ORDERED)[:-8],
+               "block 2: truncated: 1 signal and 1 idler events pass the end "
+               "of the file"),
+    "total": (event_file(ORDERED, total=11),
+              "the blocks hold 10 events, the header 11"),
+    "v1": (event_file(ORDERED, version=1),
+           "unsupported event-format version 1 (this reader reads version 2)"),
 }
 
 
@@ -221,11 +208,12 @@ FAULTS = {
 @pytest.mark.parametrize("fault", FAULTS)
 def test_chunked_reader_names_each_fault_as_a_whole_read(tmp_path, monkeypatch,
                                                          fault, chunk):
-    # a fault in a later chunk, or across a chunk edge, keeps the message
-    # and the record index of the one-chunk read
+    # the reader takes its blocks from the file, not from the writer's
+    # _CHUNK, and names each fault by its block and index
     monkeypatch.setattr(pm.eventio, "_CHUNK", chunk)
-    records, duration_ps, message = FAULTS[fault]
-    path = record_file(tmp_path / "bad.bin", records, duration_ps)
+    raw, message = FAULTS[fault]
+    path = tmp_path / "bad.bin"
+    path.write_bytes(raw)
     with pytest.raises(EventFormatError) as err:
         read_events(path)
     assert str(err.value) == message
@@ -255,18 +243,19 @@ def stream_cases(draw):
 @settings(max_examples=150, deadline=None)
 @given(case=stream_cases())
 def test_streamed_counts_equal_the_whole_stream(tmp_path_factory, case):
-    # a file read in chunks of 1, 2, 3 and the shipped size, each chunk
-    # fed to one counter, counts what the whole stream does
+    # a file written in time-cut blocks of 1, 2, 3 and the shipped number
+    # of events, each block read and fed to one counter, counts what the
+    # whole stream does
     sig, idl, bins, window, center, gating = case
     ev = make_stream(sig, idl, duration_ps=60)
     path = tmp_path_factory.getbasetemp() / "stream.bin"
-    write_events(ev, path)
     hist = pm.build_histogram(ev, *bins)
     whole = PairCounter(hist.bin_edges_ps, gating).add(ev).close()
     g2 = g2_or_error(whole, ev.duration_ps, window, center)
     for chunk in (1, 2, 3, 2**15):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(pm.eventio, "_CHUNK", chunk)
+            write_events(ev, path)
             counter = PairCounter(hist.bin_edges_ps, gating)
             for block in read_chunks(path):
                 counter.add(block)
@@ -286,10 +275,10 @@ def test_streamed_counts_equal_the_whole_stream(tmp_path_factory, case):
        idl=st.lists(st.integers(0, 60), max_size=25))
 def test_stream_chunks_are_the_file_chunks(tmp_path_factory, sig, idl):
     # few distinct times (20 ns apart, within a histogram of the default
-    # scenario): ties within and across channels and at chunk edges.  The
-    # file holds the records in merged order, the in-memory walker yields
-    # the blocks that reading the file yields, and the report's count over
-    # them is the count of the whole stream as one block
+    # scenario): ties within and across channels and at block edges.  The
+    # file holds the time-cut blocks of the in-memory cutter as they are,
+    # reading it yields them again, and the report's count over them is
+    # the count of the whole stream as one block
     step = 20_000
     ev = make_stream(np.sort(sig) * step, np.sort(idl) * step,
                      duration_ps=60 * step)
@@ -302,12 +291,19 @@ def test_stream_chunks_are_the_file_chunks(tmp_path_factory, sig, idl):
             write_events(ev, path)
             walked, read = list(chunks(ev)), list(read_chunks(path))
             counter, last = _count(s, ev, s.gating)
-        rec = np.fromfile(path, dtype=_RECORD_DTYPE, offset=_HEADER.size)
-        ch, ts = _merge_channels(ev.signal_ps, ev.idler_ps)
-        assert rec["channel"].tolist() == ch.tolist()
-        assert rec["timestamp_ps"].tolist() == ts.tolist()
-        assert len(walked) == len(read) == max(-(-len(ev) // chunk), 1)
-        for w, r in zip(walked, read):
+        assert path.read_bytes()[_HEADER.size:] == b"".join(
+            _BLOCK.pack(end, len(w.signal_ps), len(w.idler_ps))
+            + w.signal_ps.tobytes() + w.idler_ps.tobytes() for end, w in walked)
+        start = 0   # each block spans [end of the one before, its end)
+        for end, w in walked:
+            for t in (w.signal_ps, w.idler_ps):
+                assert all(start <= x < end for x in t.tolist())
+                # a block passes _CHUNK events of a channel at one time only
+                assert len(t) <= chunk or len(set(t.tolist())) == 1
+            start = end
+        assert end == ev.duration_ps + 1
+        assert len(walked) == len(read)
+        for (_, w), r in zip(walked, read):
             assert w.signal_ps.dtype == w.idler_ps.dtype == np.uint64
             assert w.signal_ps.tolist() == r.signal_ps.tolist()
             assert w.idler_ps.tolist() == r.idler_ps.tolist()
@@ -324,15 +320,14 @@ def test_stream_chunks_are_the_file_chunks(tmp_path_factory, sig, idl):
 
 @pytest.mark.parametrize("role", ["--events", "--reference-events"])
 @pytest.mark.parametrize("fault", FAULTS)
-def test_analyze_of_a_faulty_file_writes_nothing(tmp_path, monkeypatch, capsys,
-                                                 fault, role):
-    # the fault lies past the first chunk, yet analyze exits 5 before it
+def test_analyze_of_a_faulty_file_writes_nothing(tmp_path, capsys, fault, role):
+    # the fault lies past the first block, yet analyze exits 5 before it
     # writes a report or a histogram
     from pairmem.cli import main
-    monkeypatch.setattr(pm.eventio, "_CHUNK", 4)
-    records, duration_ps, message = FAULTS[fault]
-    bad = record_file(tmp_path / "bad.bin", records, duration_ps)
-    good = record_file(tmp_path / "good.bin", ORDERED)
+    raw, message = FAULTS[fault]
+    bad, good = tmp_path / "bad.bin", tmp_path / "good.bin"
+    bad.write_bytes(raw)
+    good.write_bytes(event_file(ORDERED))
     files = {"--events": good, "--reference-events": bad} \
         if role == "--reference-events" else {"--events": bad}
     out = tmp_path / "out"
@@ -349,16 +344,12 @@ def test_a_failed_write_leaves_no_temp_file(tmp_path, monkeypatch):
     # event and text writers alike: a write that raises part way removes
     # its temp file and leaves the file it would replace as it was
     from pairmem.cli import _write_text
-    monkeypatch.setattr(pm.eventio, "_CHUNK", 2)
-    merged = []
 
-    def merge_once(sig, idl):   # the second block's merge raises
-        if merged:
-            raise MemoryError("second block")
-        merged.append(1)
-        return _merge_channels(sig, idl)
+    def first_block_only(stream):   # the second block raises
+        yield next(chunks(stream))
+        raise MemoryError("second block")
 
-    monkeypatch.setattr(pm.eventio, "_merge_channels", merge_once)
+    monkeypatch.setattr(pm.eventio, "chunks", first_block_only)
     events, text = tmp_path / "events.bin", tmp_path / "report.json"
     events.write_bytes(b"old events")
     text.write_text("old report")

@@ -8,7 +8,6 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import pairmem as pm
-from pairmem.eventio import _merge_channels
 from pairmem.montecarlo import (DelaySampler, _fate_classes, _period_cdfs,
                                 _prune_dead_time, model_digest, whole_ps)
 from pairmem.errors import ParameterError
@@ -817,8 +816,8 @@ def test_conditional_gate_suppresses_out_of_window(cavity):
     assert prompt < 0.15 * echo
 
 
-# SHA-256 of the merged channels + timestamps (the event-file record order)
-# of the ideal chain (no memory, filters, detectors or gating) on the
+# SHA-256 of the channel codes (0 signal, 1 idler) + timestamps of both
+# channels merged by time, signal first among equal times, of the ideal chain (no memory, filters, detectors or gating) on the
 # default spectrum, the one path no scenario takes; update it only on
 # purpose, and say so in CHANGES.md
 GOLDEN_IDEAL_CHAIN = (
@@ -829,8 +828,10 @@ def test_ideal_chain_golden():
     s = pm.default_scenario()
     src = pm.SourceModel(build_spectrum(s), s.cavity)
     ev = pm.generate_events(src, 2e5, None, None, None, None, 0.05, 3)
-    ch, ts = _merge_channels(ev.signal_ps, ev.idler_ps)
-    digest = hashlib.sha256(ch.tobytes() + ts.tobytes()).hexdigest()
+    ch = np.repeat(np.array([0, 1], np.uint8), [len(ev.signal_ps), len(ev.idler_ps)])
+    ts = np.concatenate([ev.signal_ps, ev.idler_ps])
+    order = np.lexsort((ch, ts))
+    digest = hashlib.sha256(ch[order].tobytes() + ts[order].tobytes()).hexdigest()
     assert (len(ev), digest) == GOLDEN_IDEAL_CHAIN
 
 
@@ -844,8 +845,9 @@ def default_source():
 def test_chunked_passes_keep_every_byte(default_source, monkeypatch, tmp_path,
                                         case):
     # the per-pair passes run over slices of _CHUNK pairs and the writer
-    # over _CHUNK records: slices of one, of three, the shipped size and
-    # one slice for the whole run give the same events and file bytes
+    # cuts blocks of _CHUNK events: slices of one, of three, the shipped
+    # size and one slice for the whole run give the same events, and every
+    # file written reads back as those events (the file records its blocks)
     s = pm.default_scenario()
     plan, dets, gating, rate = s.afc_plan, s.detectors, s.gating, s.pair_rate
     if case == "ungated":
@@ -864,8 +866,10 @@ def test_chunked_passes_keep_every_byte(default_source, monkeypatch, tmp_path,
         ev = pm.generate_events(default_source, rate, plan, s.filters, dets,
                                 gating, 0.01, seed=5)
         pm.write_events(ev, tmp_path / "events.bin")
-        runs.add((ev.signal_ps.tobytes(), ev.idler_ps.tobytes(),
-                  (tmp_path / "events.bin").read_bytes()))
+        back = pm.read_events(tmp_path / "events.bin")
+        assert ((back.signal_ps.tobytes(), back.idler_ps.tobytes())
+                == (ev.signal_ps.tobytes(), ev.idler_ps.tobytes()))
+        runs.add((ev.signal_ps.tobytes(), ev.idler_ps.tobytes()))
     assert len(runs) == 1
     assert len(ev.idler_ps) > 10
     assert len(ev.signal_ps) > 10 or case == "idler only"

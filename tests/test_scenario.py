@@ -780,11 +780,11 @@ def test_cli_exit_5_format_error(tmp_path, capsys):
     assert run_cli(["simulate", "--scenario", str(cfg), "--out", str(tmp_path),
                     "--events", str(events)]) == 0
     raw = bytearray(events.read_bytes())
-    raw[-9] = 2  # last record's channel byte
+    raw[-8:] = bytes(8)  # the last idler's timestamp, now 0 ps
     events.write_bytes(bytes(raw))
     assert run_cli(["analyze", "--scenario", str(cfg), "--events", str(events),
                     "--out", str(tmp_path)]) == 5
-    assert "unknown channel" in capsys.readouterr().err
+    assert "timestamp 0 ps precedes" in capsys.readouterr().err
 
 
 def test_cli_rejects_events_past_duration(tmp_path, capsys):
@@ -807,7 +807,7 @@ def test_cli_rejects_events_past_duration(tmp_path, capsys):
 # update them only on purpose, and say so in CHANGES.md.
 GOLDEN_DEFAULT = {
     "events.bin":
-        "44d8bd70b989152477fe3e8866bd4a04f2fc48400df6f1520631a4de4df11126",
+        "6af08b6aa6162cc0d57954a1153c6c4b8eff68d9ec395e3faace3db9d57417f5",
     "histogram.csv":
         "57b39442ed2d2b9c4adc8897682679ab198a82e19386affa885eb8105502f6e2",
     "report.json":
@@ -862,7 +862,7 @@ GOLDEN_ROUTING = {
         "background_od = 0.2\ntaper = gaussian\ntaper_fwhm_hz = 3e9\n"
         "[run]\nduration_s = 0.3\nreference_run = false\n",
         {"events.bin":
-            "8e3a0d2bd7d7a1965f7055a29005726a1e52ee513bf8edfe64f869d54aedefa7",
+            "0cf0038ad8152f904b7e115920c3c66e7378588c860768e6a388980875d5a520",
          "report.json":
             "a9ff709da71f7977f820eee739a13a1cd4e7654dca066b1176f55af2fdf72f99"}),
     "orders2_override_ungated": (
@@ -870,7 +870,7 @@ GOLDEN_ROUTING = {
         "[gating]\nenabled = false\n"
         "[run]\nduration_s = 0.1\nreference_run = false\n",
         {"events.bin":
-            "45ea87b5c473dd9789241a13ac17fcde675ccbce8fa83dd9d1094e9ef3ffb23d",
+            "eef4b7e85fc38f79bacb34c9d04be1f4b80b592a5266c41c0ef9ddfcd10ba3d1",
          "report.json":
             "d410c8d9aa2356d220809ee933103edc6608c34975ffc96f5eb0bfb0e09bd3b0"}),
     # no memory and an ideal signal detector: every signal photon the
@@ -881,7 +881,7 @@ GOLDEN_ROUTING = {
         "jitter_sigma_s = 0.0\ndead_time_s = 0.0\n"
         "[run]\nduration_s = 0.2\nreference_run = false\n",
         {"events.bin":
-            "08b28d72d63c32e5e93a6c35a70becf24bd741644af17f7d26340479e379c5df",
+            "92a9ead9aef20b8553d9e0bc6eb33b083f6a9692a1ee9467c98f2660ba99d2e2",
          "report.json":
             "a98d05f2cd9595659c6ffc1e6a70905c5da6bb8cfb34250f35c1cc7c91b2765c"}),
     # a memory with no echo: stored photons are lost, and the reference
@@ -889,7 +889,7 @@ GOLDEN_ROUTING = {
     "echo_orders0": (
         "[afc]\necho_orders = 0\n[run]\nduration_s = 0.2\n",
         {"events.bin":
-            "f313cfe37feab47818ffac5f8c9f2bd767db0be7680f8607bb28a8112e625cad",
+            "37191ee40390058fed116690c0d9ec8e3ce603a27b3737bf12f9a74bdc3440e9",
          "report.json":
             "526d071a7e87a0db605e0d1344f2a3af8ec224b5a72dbb5762fddb2d720a209c"}),
 }

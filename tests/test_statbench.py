@@ -1,7 +1,12 @@
 import importlib.util
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
+
+import numpy as np
+
+import pairmem as pm
 
 ROOT = Path(__file__).resolve().parent.parent
 BYTES = ROOT / "statbench" / "bytes.py"
@@ -75,3 +80,29 @@ def test_byte_check_names_the_fields_and_columns_that_moved(tmp_path):
     assert [line.split() for line in parts["f.csv"]] == [
         ["column", "g2", "2", "of", "2", "rows", "differ"]]
     assert parts["short.csv"] == []   # the row count moved: no column rows
+
+
+def test_byte_check_reads_the_stream_an_event_file_holds(tmp_path, monkeypatch):
+    # two files of one stream cut into blocks of different sizes hold the
+    # same stream; a file with one timestamp changed does not
+    tool = load_bytes_tool()
+    ev = pm.montecarlo.EventStream(
+        signal_ps=np.arange(5, 400, 7, dtype=np.uint64),
+        idler_ps=np.arange(0, 400, 3, dtype=np.uint64),
+        duration_ps=400, seed=11, model_digest="cd" * 32)
+    late = ev.idler_ps.copy()
+    late[-1] += 1
+    files = {name: tmp_path / name / "events.bin"
+             for name in ("blocks_of_4", "shipped", "moved")}
+    for name, stream in (("shipped", ev), ("moved", replace(ev, idler_ps=late))):
+        files[name].parent.mkdir()
+        pm.write_events(stream, files[name])
+    monkeypatch.setattr(pm.eventio, "_CHUNK", 4)
+    files["blocks_of_4"].parent.mkdir()
+    pm.write_events(ev, files["blocks_of_4"])
+    assert files["blocks_of_4"].read_bytes() != files["shipped"].read_bytes()
+    trees = (ROOT, ROOT)
+    held = tool.stream_parts(files["blocks_of_4"], files["shipped"], trees)
+    moved = tool.stream_parts(files["shipped"], files["moved"], trees)
+    assert [line.split()[:2] for line in held] == [["stream", "held"]]
+    assert [line.split()[:2] for line in moved] == [["stream", "moved"]]
