@@ -27,7 +27,7 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from .cavity import TWO_PI
-from .errors import EstimationError, FitError, ParameterError
+from .errors import EstimationError, ParameterError
 from .montecarlo import EventStream, GatingSequence
 
 # the most bins a histogram takes, and rows a fig2 spectrum: each estimator
@@ -309,7 +309,7 @@ def fit_peak_envelope(peaks: np.ndarray, side: str, *,
     d, h = np.asarray(peaks, dtype=float).reshape(-1, 2).T
     use = (sign * d > half_bin) & (h - floor > 0)
     if use.sum() < 10:
-        raise FitError(f"need >= 10 usable peaks on the {side} side, got {use.sum()}")
+        raise EstimationError(f"need >= 10 usable peaks on the {side} side, got {use.sum()}")
     x, h = sign * d[use], h[use] - floor
     # var(log h) ~ 1/h for Poisson counts
     coef, cov = np.polyfit(x, np.log(h), 1, w=np.sqrt(h), cov="unscaled")

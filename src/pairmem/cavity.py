@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateClusterError, EmptySpectrumError, ParameterError
+from .errors import ParameterError
 
 TWO_PI = 2.0 * math.pi
 
@@ -132,7 +132,7 @@ class BiphotonSpectrum:
                 len(self.weights)}) != 1:
             raise ParameterError("spectrum arrays must have equal lengths")
         if len(self.index) < 1:
-            raise EmptySpectrumError("spectrum must contain at least one mode")
+            raise ParameterError("spectrum must contain at least one mode")
         if np.any(self.weights < 0) or not np.any(self.weights > 0):
             raise ParameterError("weights must be nonnegative with at least one > 0")
 
@@ -158,7 +158,7 @@ def cluster_spectrum(cavity: CavityParams, pm: PhaseMatching) -> np.ndarray:
     clusters, ``cavity.cluster_spacing`` apart.
     """
     if cavity.fsr_signal == cavity.fsr_idler:
-        raise DegenerateClusterError(
+        raise ParameterError(
             "equal FSRs: every mode pair is doubly resonant, no cluster structure")
 
     # the envelope's support, about the signal mode nearest its center
@@ -170,7 +170,7 @@ def cluster_spectrum(cavity: CavityParams, pm: PhaseMatching) -> np.ndarray:
             f"the {MAX_MODES} signal modes a scan takes")
     center = (pm.envelope_center - cavity.signal_center) / cavity.fsr_signal
     if not abs(center) < 2 ** 53:   # also rejects NaN
-        raise EmptySpectrumError("the phase-matching envelope lies off the signal comb")
+        raise ParameterError("the phase-matching envelope lies off the signal comb")
     k = np.arange(-half, half + 1) + round(center)
     resonant = _mode_mismatch(cavity, k) <= cavity.joint_linewidth
 
@@ -198,7 +198,7 @@ def mode_weights(index: np.ndarray, pm: PhaseMatching,
     # differ in the last bit for some weights
     total = math.fsum(s.astype(object) ** 2)
     if total <= 0.0:
-        raise EmptySpectrumError("no cluster mode overlaps the phase-matching envelope")
+        raise ParameterError("no cluster mode overlaps the phase-matching envelope")
     return BiphotonSpectrum(index, fs, cavity.pump_freq - fs, s * (1.0 / math.sqrt(total)))
 
 

@@ -94,8 +94,8 @@ def cmd_figure(args) -> int:
     reads, _ = figures.FIGURES[args.figure]
     if reads == "scenario":
         data = s
-    elif reads == "run":
-        data = run_scenario(s)
+    elif reads == "run":   # a histogram: no N_eff, so no reference run
+        data = run_scenario(replace(s, reference_run=False))
     elif s.sweep_kind != reads:
         raise ScenarioError(f"{args.figure} needs a {reads} sweep block, "
                             f"not {s.sweep_kind or 'none'}")

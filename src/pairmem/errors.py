@@ -1,16 +1,15 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, one per failure class.
+
+``pairmem.cli`` maps each to its exit code: ScenarioError 2,
+SimulationError 3, EstimationError 4, EventFormatError 5.  A
+ParameterError, a model record that violates its constraints, has no
+code of its own: a run wraps it as a SimulationError (3), and the CLI
+reports any other at 4.
+"""
 
 
 class ParameterError(ValueError):
     """A model parameter violates its documented constraints."""
-
-
-class DegenerateClusterError(ParameterError):
-    """Signal and idler FSRs are equal, so every mode pair is doubly resonant."""
-
-
-class EmptySpectrumError(ParameterError):
-    """No cavity mode overlaps the phase-matching envelope."""
 
 
 class SimulationError(RuntimeError):
@@ -19,10 +18,6 @@ class SimulationError(RuntimeError):
 
 class EstimationError(RuntimeError):
     """An estimator has too little data or an ill-posed input."""
-
-
-class FitError(EstimationError):
-    """A least-squares fit could not be performed."""
 
 
 class EventFormatError(IOError):

@@ -12,9 +12,9 @@ raised as errors.  The outputs:
   histogram and report of each);
 - ``figure`` fig1b and fig4a on calibration_1mw, fig2 on default, fig4b on
   sweep_afc_modes and fig4c on sweep_pump_power;
-- the single-mode reference of calibration_1mw, simulated with the seed a
-  run gives it, and ``analyze --reference-events`` of the calibration
-  events with it.
+- the single-mode reference of calibration_1mw, simulated from the
+  scenario ``single_mode_reference`` writes (its seed too), and ``analyze
+  --reference-events`` of the calibration events with it.
 
 First one line per ``pairmem`` command: ``rss``, its maximum resident
 set size in MiB on this tree and on the other (``os.wait4``), and its
@@ -62,17 +62,13 @@ CASES = [
 # the analyze replay reads the calibration events and those of its reference
 REPLAYED = "calibration_1mw"
 
-# writes the single-mode reference of scenario argv[1] to argv[2] and
-# prints the seed a run gives it.  The reference's simulate still takes
-# that seed by --seed: the other tree may predate single_mode_reference
-# setting the seed itself, and then writes the point's seed in argv[2]
+# writes the single-mode reference of scenario argv[1], seed included, to argv[2]
 _REFERENCE = """\
 import sys
 import pairmem as pm
 from pairmem.scenario import single_mode_reference
 s = pm.load_scenario(open(sys.argv[1]).read())
 open(sys.argv[2], "w").write(pm.save_scenario(single_mode_reference(s)))
-print(pm.split_seed(s.seed, 0x5EF))
 """
 
 # prints the sha256 of the stream that event file argv[1] holds, as the
@@ -147,12 +143,12 @@ def write_outputs(tree: Path, out: Path, scenarios: set[str],
         cfg = _scenario(tree, REPLAYED, duration, out)
         ref_cfg = out / "scenarios" / f"{REPLAYED}_reference.cfg"
         ref_cfg.parent.mkdir(parents=True, exist_ok=True)
-        seed = _run(tree, ["-c", _REFERENCE, str(cfg), str(ref_cfg)], out)[0].strip()
+        _run(tree, ["-c", _REFERENCE, str(cfg), str(ref_cfg)], out)
         ref_dir, replay_dir = out / f"reference/{REPLAYED}", out / f"analyze/{REPLAYED}"
         ref_dir.mkdir(parents=True)
         replay_dir.mkdir(parents=True)
         _, rss[f"reference/{REPLAYED}"] = _run(
-            tree, [*cli, "simulate", "--scenario", str(ref_cfg), "--seed", seed,
+            tree, [*cli, "simulate", "--scenario", str(ref_cfg),
                    "--out", str(ref_dir)], out)
         _, rss[f"analyze/{REPLAYED}"] = _run(
             tree, [*cli, "analyze", "--scenario", str(cfg),

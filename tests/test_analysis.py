@@ -9,7 +9,7 @@ import pairmem as pm
 from pairmem.analysis import (PairCounter, _find_peaks, detect_peaks,
                               estimate_fsr, fit_envelope, fit_peak_envelope,
                               histogram_edges, noise_floor, window_range)
-from pairmem.errors import EstimationError, FitError, ParameterError
+from pairmem.errors import EstimationError, ParameterError
 from pairmem.montecarlo import EventStream
 
 from conftest import default_record, sequence_phase, shuffle_channel
@@ -466,7 +466,8 @@ def test_fit_envelope_floor_subtraction():
 
 def test_fit_envelope_needs_enough_peaks():
     hist = synthetic_comb(span=20e-9)  # only ~2 peaks per side
-    with pytest.raises(FitError):
+    with pytest.raises(EstimationError, match=r"need >= 10 usable peaks on the "
+                       r"positive side, got \d+"):
         fit_envelope(hist, "positive", min_prominence=10.0)
     with pytest.raises(ParameterError):
         fit_envelope(hist, "both")

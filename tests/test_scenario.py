@@ -608,7 +608,7 @@ def test_linewidth_sides_fit_on_their_own(monkeypatch):
 
     def signal_fails(peaks, side, **kwargs):
         if side == "positive":
-            raise pm.analysis.FitError("no signal side")
+            raise pm.analysis.EstimationError("no signal side")
         return fit(peaks, side, **kwargs)
 
     monkeypatch.setattr(pm.analysis, "fit_peak_envelope", signal_fails)
@@ -1194,13 +1194,17 @@ def test_cli_analyze_takes_the_seed_simulate_took(tmp_path):
 
 
 @pytest.mark.parametrize("figure", ["fig1b", "fig4a"])
-def test_cli_run_figures_write_the_simulated_histogram(tmp_path, figure):
+def test_cli_run_figures_write_the_simulated_histogram(tmp_path, monkeypatch,
+                                                       figure):
+    # a run figure is the histogram alone: it simulates no N_eff reference
     cfg = tmp_path / "s.cfg"
     cfg.write_text("[run]\nduration_s = 0.05\n")
     args = ["--scenario", str(cfg), "--seed", "17"]
     assert run_cli(["simulate", *args, "--out", str(tmp_path / "sim")]) == 0
+    calls = _count_builds(monkeypatch)
     assert run_cli(["figure", *args, "--figure", figure,
                     "--out", str(tmp_path / "fig")]) == 0
+    assert calls["simulate"] == 1
     assert ((tmp_path / "fig" / f"{figure}.csv").read_bytes()
             == (tmp_path / "sim" / "histogram.csv").read_bytes())
 
